@@ -1,31 +1,28 @@
-// Old-vs-new value transport, microbenchmarked (google-benchmark).
+// The value transport, microbenchmarked (google-benchmark).
 //
 // The paper's premise is that partitioned loops win only when
 // cross-processor communication is cheap relative to compute; these
-// benchmarks measure exactly the per-message overhead each transport adds,
+// benchmarks measure exactly the per-message overhead the SPSC ring adds,
 // at the smallest payloads the runtime ever ships:
 //
-//  * PerMessage_*      — uncontended send+receive round on one thread: the
-//                        pure bookkeeping cost of a message (mutex lock /
-//                        condvar notify vs two cache-resident atomics);
-//  * Stream_*          — a real producer thread streaming a batch through
+//  * PerMessage_Spsc   — uncontended send+receive round on one thread: the
+//                        pure bookkeeping cost of a message (two
+//                        cache-resident atomics);
+//  * Stream_Spsc       — a real producer thread streaming a batch through
 //                        a channel to the consumer;
-//  * Executor_*        — the whole threaded runtime on fig7 at
+//  * Executor_Spsc     — the whole threaded runtime on fig7 at
 //                        work_per_cycle = 0 (the smallest kernel payload),
-//                        mutex+condvar baseline vs SPSC + slot-resolved
-//                        operands, with per-message cost reported;
+//                        with per-message cost reported;
 //  * PlanCompile/Run   — what ExecutorPlan amortizes: compile() cost vs a
 //                        reused plan's run() cost.
 //
 // tools/bench_runner.py records these as BENCH_bench_channel_transport.json;
-// EXPERIMENTS.md tracks the ratios (acceptance: SPSC >= 2x on per-message
-// overhead).
+// EXPERIMENTS.md ("Transports") keeps the recorded numbers.
 #include <benchmark/benchmark.h>
 
 #include <thread>
 
 #include "partition/lowering.hpp"
-#include "runtime/channel.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "schedule/cyclic_sched.hpp"
@@ -36,18 +33,6 @@ namespace {
 using namespace mimd;
 
 // ---- Pure per-message overhead, uncontended. ----
-
-void BM_PerMessage_Mutex(benchmark::State& state) {
-  ValueChannel c;
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    c.send({i, 1.0});
-    benchmark::DoNotOptimize(c.receive());
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PerMessage_Mutex);
 
 void BM_PerMessage_Spsc(benchmark::State& state) {
   SpscChannel c(1024);
@@ -65,30 +50,16 @@ BENCHMARK(BM_PerMessage_Spsc);
 
 constexpr std::int64_t kBatch = 8192;
 
-template <class Channel>
-void stream_batch(Channel& c) {
-  std::thread producer([&] {
-    for (std::int64_t i = 0; i < kBatch; ++i) c.send({i, 0.5});
-  });
-  double sink = 0.0;
-  for (std::int64_t i = 0; i < kBatch; ++i) sink += c.receive().value;
-  producer.join();
-  benchmark::DoNotOptimize(sink);
-}
-
-void BM_Stream_Mutex(benchmark::State& state) {
-  for (auto _ : state) {
-    ValueChannel c;
-    stream_batch(c);
-  }
-  state.SetItemsProcessed(state.iterations() * kBatch);
-}
-BENCHMARK(BM_Stream_Mutex)->UseRealTime();
-
 void BM_Stream_Spsc(benchmark::State& state) {
   for (auto _ : state) {
     SpscChannel c(1024);
-    stream_batch(c);
+    std::thread producer([&] {
+      for (std::int64_t i = 0; i < kBatch; ++i) c.send({i, 0.5});
+    });
+    double sink = 0.0;
+    for (std::int64_t i = 0; i < kBatch; ++i) sink += c.receive().value;
+    producer.join();
+    benchmark::DoNotOptimize(sink);
   }
   state.SetItemsProcessed(state.iterations() * kBatch);
 }
@@ -117,25 +88,15 @@ Fig7Plan& fig7_plan() {
   return p;
 }
 
-void run_executor(benchmark::State& state, Transport transport) {
+void BM_Executor_Spsc(benchmark::State& state) {
   Fig7Plan& f = fig7_plan();
-  RunOptions opts;  // work_per_cycle = 0: messages are all that matters
-  opts.transport = transport;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.plan.run(f.n, opts));
+    // work_per_cycle = 0: messages are all that matters.
+    benchmark::DoNotOptimize(f.plan.run(f.n));
   }
   state.SetItemsProcessed(state.iterations() * f.messages);
   state.counters["msgs"] =
       benchmark::Counter(static_cast<double>(f.messages));
-}
-
-void BM_Executor_Mutex(benchmark::State& state) {
-  run_executor(state, Transport::Mutex);
-}
-BENCHMARK(BM_Executor_Mutex)->UseRealTime()->Unit(benchmark::kMicrosecond);
-
-void BM_Executor_Spsc(benchmark::State& state) {
-  run_executor(state, Transport::Spsc);
 }
 BENCHMARK(BM_Executor_Spsc)->UseRealTime()->Unit(benchmark::kMicrosecond);
 

@@ -1,35 +1,27 @@
-// Wire-protocol A/B (google-benchmark): v1 strict request/reply vs v2
-// pipelined, at 1 / 8 / 64 / 256 concurrent clients against ONE
-// PlanServer (epoll event loop + handler pool, Unix socket).
+// Wire-protocol connection scaling (google-benchmark): pipelined
+// requests at 1 / 8 / 64 / 256 concurrent clients against ONE PlanServer
+// (epoll event loop + handler pool, Unix socket).
 //
 // Each benchmark thread IS one client: it owns a connection and, per
-// iteration, pushes kRequestsPerClient requests through it.
+// iteration, writes kRequestsPerClient requests back-to-back and then
+// gathers the replies, demuxed by request id.  The server's event loop
+// parses many frames per recv and coalesces queued replies into one
+// sendmsg.
 //
-//   v1 leg — connect(ep, 0, pipeline=false): no Hello, 5-byte headers,
-//            one frame in flight per connection.  Every request pays a
-//            full client->server->client round trip before the next may
-//            start.
-//   v2 leg — the negotiated pipelined path: all kRequestsPerClient
-//            requests written back-to-back, replies demuxed by request
-//            id.  The server's event loop parses many frames per recv
-//            and coalesces queued replies into one sendmsg — the syscall
-//            amortization v1's lockstep framing makes impossible.
-//
-// Two request mixes, because they bound the win from both sides:
+// Two request mixes, because they bound the protocol's share from both
+// sides:
 //
 //  * BM_Connections_Wire_*  — Stats requests: near-zero server work, so
 //                             the numbers are the protocol + event loop
-//                             themselves.  This is the ISSUE 8 A/B
-//                             (v2 >= 2x v1 at 64 clients).
+//                             themselves.
 //  * BM_Connections_Runs_*  — tiny fig7@16 runs: real executor work per
 //                             request.  Once the shared WorkerPool
-//                             saturates the machine, BOTH legs converge
-//                             on the compute ceiling — the honest
-//                             reminder that pipelining amortizes framing,
-//                             not execution.
+//                             saturates the machine, throughput meets
+//                             the compute ceiling — pipelining amortizes
+//                             framing, not execution.
 //
-// tools/bench_runner.py records BENCH_bench_connections.json; the ratios
-// live in EXPERIMENTS.md ("Wire protocol v2 A/B").
+// tools/bench_runner.py records BENCH_bench_connections.json; the
+// recorded numbers live in EXPERIMENTS.md ("Wire protocol v2 A/B").
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -70,7 +62,7 @@ const TinyProgram& tiny() {
 }
 
 /// One shared server for the whole binary: every thread count and both
-/// protocol legs hammer the SAME event loop + handler pool, which is the
+/// request mixes hammer the SAME event loop + handler pool, which is the
 /// point — server threads stay O(handlers) while client counts scale.
 const std::string& server_endpoint() {
   static const std::unique_ptr<PlanServer> server = [] {
@@ -88,52 +80,29 @@ const std::string& server_endpoint() {
   return server->socket_path();
 }
 
-void finish_counters(benchmark::State& state, bool pipeline) {
+void finish_counters(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRequestsPerClient);
   if (state.thread_index() == 0) {
     state.counters["clients"] =
         benchmark::Counter(static_cast<double>(state.threads()));
-    state.counters["protocol"] = benchmark::Counter(pipeline ? 2.0 : 1.0);
   }
 }
 
 // ---- The protocol-bound mix: Stats requests. ----
 
-void wire_leg(benchmark::State& state, bool pipeline) {
-  PlanClient client =
-      PlanClient::connect(server_endpoint(), /*timeout_ms=*/0, pipeline);
+void BM_Connections_Wire_Pipelined(benchmark::State& state) {
+  PlanClient client = PlanClient::connect(server_endpoint());
   for (auto _ : state) {
-    if (pipeline) {
-      std::vector<std::future<wire::StatsReply>> futs;
-      futs.reserve(kRequestsPerClient);
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        futs.push_back(client.stats_async());
-      }
-      for (auto& f : futs) benchmark::DoNotOptimize(f.get());
-    } else {
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        benchmark::DoNotOptimize(client.stats());
-      }
+    std::vector<std::future<wire::StatsReply>> futs;
+    futs.reserve(kRequestsPerClient);
+    for (int r = 0; r < kRequestsPerClient; ++r) {
+      futs.push_back(client.stats_async());
     }
+    for (auto& f : futs) benchmark::DoNotOptimize(f.get());
   }
-  finish_counters(state, pipeline);
+  finish_counters(state);
 }
-
-void BM_Connections_Wire_V1Blocking(benchmark::State& state) {
-  wire_leg(state, /*pipeline=*/false);
-}
-BENCHMARK(BM_Connections_Wire_V1Blocking)
-    ->Threads(1)
-    ->Threads(8)
-    ->Threads(64)
-    ->Threads(256)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Connections_Wire_V2Pipelined(benchmark::State& state) {
-  wire_leg(state, /*pipeline=*/true);
-}
-BENCHMARK(BM_Connections_Wire_V2Pipelined)
+BENCHMARK(BM_Connections_Wire_Pipelined)
     ->Threads(1)
     ->Threads(8)
     ->Threads(64)
@@ -143,42 +112,21 @@ BENCHMARK(BM_Connections_Wire_V2Pipelined)
 
 // ---- The compute-bound mix: tiny runs on the shared WorkerPool. ----
 
-void runs_leg(benchmark::State& state, bool pipeline) {
-  PlanClient client =
-      PlanClient::connect(server_endpoint(), /*timeout_ms=*/0, pipeline);
+void BM_Connections_Runs_Pipelined(benchmark::State& state) {
+  PlanClient client = PlanClient::connect(server_endpoint());
   const std::uint64_t id =
       client.submit_program(tiny().prog, tiny().g).program_id;
   for (auto _ : state) {
-    if (pipeline) {
-      std::vector<std::future<ExecutionResult>> futs;
-      futs.reserve(kRequestsPerClient);
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        futs.push_back(client.run_async(id));
-      }
-      for (auto& f : futs) benchmark::DoNotOptimize(f.get());
-    } else {
-      for (int r = 0; r < kRequestsPerClient; ++r) {
-        benchmark::DoNotOptimize(client.run(id));
-      }
+    std::vector<std::future<ExecutionResult>> futs;
+    futs.reserve(kRequestsPerClient);
+    for (int r = 0; r < kRequestsPerClient; ++r) {
+      futs.push_back(client.run_async(id));
     }
+    for (auto& f : futs) benchmark::DoNotOptimize(f.get());
   }
-  finish_counters(state, pipeline);
+  finish_counters(state);
 }
-
-void BM_Connections_Runs_V1Blocking(benchmark::State& state) {
-  runs_leg(state, /*pipeline=*/false);
-}
-BENCHMARK(BM_Connections_Runs_V1Blocking)
-    ->Threads(1)
-    ->Threads(8)
-    ->Threads(64)
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_Connections_Runs_V2Pipelined(benchmark::State& state) {
-  runs_leg(state, /*pipeline=*/true);
-}
-BENCHMARK(BM_Connections_Runs_V2Pipelined)
+BENCHMARK(BM_Connections_Runs_Pipelined)
     ->Threads(1)
     ->Threads(8)
     ->Threads(64)

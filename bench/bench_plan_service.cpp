@@ -34,12 +34,12 @@
 //                               matrix over fig7 (both sides compiled AT
 //                               the benchmarked n): ColdCompile is the
 //                               one-time background cost of building the
-//                               dlopen'd kernel, WarmNative the
-//                               steady-state native run (compile_seconds
-//                               counter = the latency a background
-//                               compile hides), InterpretedPooled the
-//                               exact --jit=off baseline (cached plan +
-//                               pooled run).
+//                               dlopen'd kernel, WarmNativePooled the
+//                               steady-state native run on the shared
+//                               pool (compile_seconds counter = the
+//                               latency a background compile hides),
+//                               InterpretedPooled the exact --jit=off
+//                               baseline (cached plan + pooled run).
 //
 // tools/bench_runner.py records BENCH_bench_plan_service.json; the
 // cold-vs-cached and pool-vs-spawn ratios live in EXPERIMENTS.md
@@ -189,10 +189,9 @@ BENCHMARK(BM_Jit_VsInterpreted_ColdCompile)
 // Both sides of the A/B are compiled AT the benchmarked trip count —
 // passing a bigger n to run() only sizes result buffers, the executed
 // iteration count is baked in at compile() time.  At the request default
-// (n=24) per-run fixed costs dominate — the kernel pthread_creates its
-// PEs while the interpreter borrows pooled threads — so the two are
-// comparable; at realistic trip counts the native steady-state loop
-// pulls away from per-node interpretation.
+// (n=24) per-run fixed costs dominate, so the two are comparable; at
+// realistic trip counts the native steady-state loop pulls away from
+// per-node interpretation.
 struct JitAbPair {
   ExecutorPlan plan;
   std::shared_ptr<const JitKernel> kernel;  // null when jit unavailable
@@ -221,33 +220,11 @@ JitAbPair& jit_ab_pair(int procs, std::int64_t n) {
   return it->second;
 }
 
-void BM_Jit_VsInterpreted_WarmNative(benchmark::State& state) {
-  if (!jit_available()) {
-    state.SkipWithError(jit_unavailable_reason().c_str());
-    return;
-  }
-  const int procs = static_cast<int>(state.range(0));
-  const std::int64_t n = state.range(1);
-  JitAbPair& ab = jit_ab_pair(procs, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ab.kernel->run(n));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  // The one-time latency the background thread hides from request paths.
-  state.counters["compile_seconds"] = benchmark::Counter(ab.compile_seconds);
-}
-BENCHMARK(BM_Jit_VsInterpreted_WarmNative)
-    ->ArgNames({"procs", "n"})
-    ->ArgsProduct({{1, 2}, {24, 4096}})
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
-
 void BM_Jit_VsInterpreted_WarmNativePooled(benchmark::State& state) {
-  // The tiny-n fix under test: same warm kernel, but dispatched through
-  // the ABI v2 entries onto the shared WorkerPool — zero pthread_create
-  // per request, exactly how the daemon serves eligible warm traffic.
-  // Compare against WarmNative (kernel spawns its own PEs) and
-  // InterpretedPooled (the --jit=off steady state) at the same args.
+  // The warm kernel dispatched onto the shared WorkerPool — zero
+  // pthread_create per request, exactly how the daemon serves eligible
+  // warm traffic.  Compare against InterpretedPooled (the --jit=off
+  // steady state) at the same args.
   if (!jit_available()) {
     state.SkipWithError(jit_unavailable_reason().c_str());
     return;
@@ -260,6 +237,8 @@ void BM_Jit_VsInterpreted_WarmNativePooled(benchmark::State& state) {
     benchmark::DoNotOptimize(ab.kernel->run_pooled(n, &pool));
   }
   state.SetItemsProcessed(state.iterations() * n);
+  // The one-time latency the background thread hides from request paths.
+  state.counters["compile_seconds"] = benchmark::Counter(ab.compile_seconds);
 }
 BENCHMARK(BM_Jit_VsInterpreted_WarmNativePooled)
     ->ArgNames({"procs", "n"})
@@ -269,8 +248,8 @@ BENCHMARK(BM_Jit_VsInterpreted_WarmNativePooled)
 
 void BM_Jit_VsInterpreted_InterpretedPooled(benchmark::State& state) {
   // The exact --jit=off steady state: cached plan, pooled threads.  The
-  // WarmNative/this ratio is the JIT's answer to "what does a request
-  // cost once the kernel exists?".
+  // WarmNativePooled/this ratio is the JIT's answer to "what does a
+  // request cost once the kernel exists?".
   const int procs = static_cast<int>(state.range(0));
   const std::int64_t n = state.range(1);
   const ExecutorPlan& plan = jit_ab_pair(procs, n).plan;

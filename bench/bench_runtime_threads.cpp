@@ -3,9 +3,9 @@
 // time should be of the same order as communication cost).
 //
 // Uses the compiled-plan API: each loop is compiled once
-// (compile -> ExecutorPlan) and the same plan is executed under both
-// transports plus the sequential reference, so the series isolates
-// transport cost from plan construction.  Counters report the liveness
+// (compile -> ExecutorPlan) and the same plan is executed threaded, native
+// and as the sequential reference, so the series isolates execution cost
+// from plan construction.  Counters report the liveness
 // pass's effect (slots vs slots_ssa) so a slot-reuse regression shows up
 // in the recorded JSON, not just in wall time.
 //
@@ -82,27 +82,23 @@ const LoopCase& cached_case(const std::string& name) {
   return it->second;
 }
 
-void BM_Threaded(benchmark::State& state, const std::string& name,
-                 Transport transport) {
+void BM_Threaded(benchmark::State& state, const std::string& name) {
   const LoopCase& c = cached_case(name);
   const ExecutorPlan& plan = c.plan;
   KernelOptions kernel;
   kernel.work_per_cycle = kWorkPerCycle;
-  RunOptions opts{kernel};
-  opts.transport = transport;
+  const RunOptions opts{kernel};
 
-  // Validate once per (loop, transport), outside the timed loop: the
-  // bench must not record a number for a wrong execution.
+  // Validate once per loop, outside the timed loop: the bench must not
+  // record a number for a wrong execution.
   static std::set<std::string> validated;
-  const std::string key =
-      name + (transport == Transport::Spsc ? "/spsc" : "/mutex");
-  if (validated.find(key) == validated.end()) {
+  if (validated.find(name) == validated.end()) {
     if (!values_match(plan.run(kIterations, opts), c.reference,
                       kIterations)) {
       state.SkipWithError("threaded execution mismatched sequential");
       return;
     }
-    validated.insert(key);
+    validated.insert(name);
   }
 
   for (auto _ : state) {
@@ -119,7 +115,7 @@ void BM_Threaded(benchmark::State& state, const std::string& name,
 }
 
 void BM_NativePooled(benchmark::State& state, const std::string& name) {
-  // The JIT's pool-dispatched path (ABI v2 entries on a shared
+  // The JIT's pool-dispatched path (the kernel's entries on a shared
   // WorkerPool) per workload.  Native kernels implement only the real
   // computation — no synthetic work_per_cycle — so this series is not
   // comparable to BM_Threaded above; it isolates the per-run dispatch +
@@ -170,16 +166,10 @@ const char* kLoops[] = {"fig7", "LL18", "LL20", "elliptic"};
         (std::string("BM_Sequential/") + loop).c_str(),
         [loop](benchmark::State& s) { BM_Sequential(s, loop); })
         ->Unit(benchmark::kMillisecond);
-    for (const Transport t : {Transport::Mutex, Transport::Spsc}) {
-      const std::string tag =
-          std::string("BM_Threaded/") + loop +
-          (t == Transport::Spsc ? "/spsc" : "/mutex");
-      benchmark::RegisterBenchmark(
-          tag.c_str(), [loop, t](benchmark::State& s) {
-            BM_Threaded(s, loop, t);
-          })
-          ->Unit(benchmark::kMillisecond);
-    }
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Threaded/") + loop).c_str(),
+        [loop](benchmark::State& s) { BM_Threaded(s, loop); })
+        ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(
         (std::string("BM_NativePooled/") + loop).c_str(),
         [loop](benchmark::State& s) { BM_NativePooled(s, loop); })

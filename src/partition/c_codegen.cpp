@@ -9,6 +9,7 @@
 
 #include "graph/algorithms.hpp"
 #include "runtime/kernels.hpp"
+#include "runtime/spsc_ring.hpp"
 
 namespace mimd {
 
@@ -109,84 +110,54 @@ std::optional<RolledShape> detect_period(const CompiledThread& t) {
   return std::nullopt;
 }
 
-/// Emit the channel type + send/recv functions for the chosen transport.
-/// Both carry double values through a power-of-two ring buffer; exact
-/// sizing (ring_capacity of the channel's total message count) means a
-/// send never finds the ring full in either implementation.
-void emit_channel_runtime(std::ostringstream& out, Transport transport) {
-  if (transport == Transport::Spsc) {
-    out << "/* Lock-free SPSC value ring — the C11 mirror of the in-process\n"
-           " * executor's runtime/spsc_ring.hpp: producer and consumer\n"
-           " * cursors on separate cache lines, each side caching the\n"
-           " * other's cursor; release-stores publish progress, acquire-\n"
-           " * loads observe it.  Exact capacity makes send wait-free. */\n"
-        << "typedef struct {\n"
-        << "  double* buf;\n"
-        << "  long long mask;\n"
-        << "  _Alignas(64) _Atomic long long head; /* producer line */\n"
-        << "  long long cached_tail;\n"
-        << "  _Alignas(64) _Atomic long long tail; /* consumer line */\n"
-        << "  long long cached_head;\n"
-        << "  _Alignas(64) char pad_;\n"
-        << "} chan_t;\n"
-        << "static void chan_send(chan_t* c, double v) {\n"
-        << "  long long head = atomic_load_explicit(&c->head, "
-           "memory_order_relaxed);\n"
-        << "  while (head - c->cached_tail > c->mask) { /* full: only if "
-           "capped */\n"
-        << "    sched_yield();\n"
-        << "    c->cached_tail = atomic_load_explicit(&c->tail, "
-           "memory_order_acquire);\n"
-        << "  }\n"
-        << "  c->buf[head & c->mask] = v;\n"
-        << "  atomic_store_explicit(&c->head, head + 1, "
-           "memory_order_release);\n"
-        << "}\n"
-        << "static double chan_recv(chan_t* c) {\n"
-        << "  long long tail = atomic_load_explicit(&c->tail, "
-           "memory_order_relaxed);\n"
-        << "  if (c->cached_head == tail) { /* looks empty: refresh, wait "
-           "*/\n"
-        << "    long long spin = 0;\n"
-        << "    do {\n"
-        << "      if ((++spin & 63) == 0) sched_yield();\n"
-        << "      c->cached_head = atomic_load_explicit(&c->head, "
-           "memory_order_acquire);\n"
-        << "    } while (c->cached_head == tail);\n"
-        << "  }\n"
-        << "  double v = c->buf[tail & c->mask];\n"
-        << "  atomic_store_explicit(&c->tail, tail + 1, "
-           "memory_order_release);\n"
-        << "  return v;\n"
-        << "}\n\n";
-  } else {
-    out << "/* Mutex+condvar value queue — portability fallback for\n"
-           " * pre-C11-atomics toolchains, and the contention baseline the\n"
-           " * paper's communication-cost argument is about.  Same ring\n"
-           " * storage and exact sizing, so send never blocks on full. */\n"
-        << "typedef struct {\n"
-        << "  double* buf;\n"
-        << "  long long mask;\n"
-        << "  pthread_mutex_t mu;\n"
-        << "  pthread_cond_t cv;\n"
-        << "  long long head;\n"
-        << "  long long tail;\n"
-        << "} chan_t;\n"
-        << "static void chan_send(chan_t* c, double v) {\n"
-        << "  pthread_mutex_lock(&c->mu);\n"
-        << "  c->buf[c->head++ & c->mask] = v;\n"
-        << "  pthread_cond_signal(&c->cv);\n"
-        << "  pthread_mutex_unlock(&c->mu);\n"
-        << "}\n"
-        << "static double chan_recv(chan_t* c) {\n"
-        << "  pthread_mutex_lock(&c->mu);\n"
-        << "  while (c->head == c->tail) pthread_cond_wait(&c->cv, "
-           "&c->mu);\n"
-        << "  double v = c->buf[c->tail++ & c->mask];\n"
-        << "  pthread_mutex_unlock(&c->mu);\n"
-        << "  return v;\n"
-        << "}\n\n";
-  }
+/// Emit the channel type + send/recv functions: a double-carrying
+/// power-of-two ring; exact sizing (ring_capacity of the channel's total
+/// message count) means a send never finds the ring full.
+void emit_channel_runtime(std::ostringstream& out) {
+  out << "/* Lock-free SPSC value ring — the C11 mirror of the in-process\n"
+         " * executor's runtime/spsc_ring.hpp: producer and consumer\n"
+         " * cursors on separate cache lines, each side caching the\n"
+         " * other's cursor; release-stores publish progress, acquire-\n"
+         " * loads observe it.  Exact capacity makes send wait-free. */\n"
+      << "typedef struct {\n"
+      << "  double* buf;\n"
+      << "  long long mask;\n"
+      << "  _Alignas(64) _Atomic long long head; /* producer line */\n"
+      << "  long long cached_tail;\n"
+      << "  _Alignas(64) _Atomic long long tail; /* consumer line */\n"
+      << "  long long cached_head;\n"
+      << "  _Alignas(64) char pad_;\n"
+      << "} chan_t;\n"
+      << "static void chan_send(chan_t* c, double v) {\n"
+      << "  long long head = atomic_load_explicit(&c->head, "
+         "memory_order_relaxed);\n"
+      << "  while (head - c->cached_tail > c->mask) { /* full: only if "
+         "capped */\n"
+      << "    sched_yield();\n"
+      << "    c->cached_tail = atomic_load_explicit(&c->tail, "
+         "memory_order_acquire);\n"
+      << "  }\n"
+      << "  c->buf[head & c->mask] = v;\n"
+      << "  atomic_store_explicit(&c->head, head + 1, "
+         "memory_order_release);\n"
+      << "}\n"
+      << "static double chan_recv(chan_t* c) {\n"
+      << "  long long tail = atomic_load_explicit(&c->tail, "
+         "memory_order_relaxed);\n"
+      << "  if (c->cached_head == tail) { /* looks empty: refresh, wait "
+         "*/\n"
+      << "    long long spin = 0;\n"
+      << "    do {\n"
+      << "      if ((++spin & 63) == 0) sched_yield();\n"
+      << "      c->cached_head = atomic_load_explicit(&c->head, "
+         "memory_order_acquire);\n"
+      << "    } while (c->cached_head == tail);\n"
+      << "  }\n"
+      << "  double v = c->buf[tail & c->mask];\n"
+      << "  atomic_store_explicit(&c->tail, tail + 1, "
+         "memory_order_release);\n"
+      << "  return v;\n"
+      << "}\n\n";
 }
 
 /// The synthetic-kernel combine as C — the single point of truth for the
@@ -297,18 +268,16 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
       << " * Lowered from the same CompiledProgram the in-process executor\n"
       << " * runs: per-thread slot arrays ("
       << cp.total_slots() << " slots total, " << cp.total_slots_ssa()
-      << " before liveness reuse) and "
-      << (opts.transport == Transport::Spsc
-              ? "lock-free C11 SPSC value rings"
-              : "mutex+condvar value queues")
-      << ".\n";
+      << " before liveness reuse) and lock-free C11 SPSC value rings.\n";
   if (shared) {
-    out << " * Build: cc -O2 -std=c11 -shared -fPIC -pthread this_file.c\n"
-        << " * Entry: mimd_kernel_run(n, init, R) runs the compiled\n"
-        << " * iterations with init[v] as node v's pre-loop value, writing\n"
-        << " * node v, iteration i to R[v * n + i]; mimd_kernel_info is the\n"
-        << " * loader's ABI handshake.  Reentrant: all mutable state lives\n"
-        << " * in a per-call heap context. */\n";
+    out << " * Build: cc -O2 -std=c11 -shared -fPIC this_file.c\n"
+        << " * Entries: mimd_kernel_ctx_create(n, init, R) wires a per-call\n"
+        << " * context that runs the compiled iterations with init[v] as\n"
+        << " * node v's pre-loop value, writing node v, iteration i to\n"
+        << " * R[v * n + i]; the caller enters mimd_kernel_run_on(ctx, t)\n"
+        << " * once per thread t, all concurrently, then\n"
+        << " * mimd_kernel_ctx_destroy(ctx).  mimd_kernel_info is the\n"
+        << " * loader's ABI handshake. */\n";
   } else {
     out << " * Build: cc -O2 -std=c11 -pthread this_file.c\n";
     if (self_check) {
@@ -321,18 +290,16 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
              "*/\n";
     }
   }
-  out << "#include <pthread.h>\n"
-      << "#include <sched.h>\n";
+  out << "#include <sched.h>\n"
+      << "#include <stdatomic.h>\n";
   if (shared) {
     out << "#include <stdlib.h>\n";
   } else {
-    out << "#include <stdio.h>\n";
+    out << "#include <pthread.h>\n"
+        << "#include <stdio.h>\n";
     if (!self_check) {
       out << "#include <time.h>\n";
     }
-  }
-  if (opts.transport == Transport::Spsc) {
-    out << "#include <stdatomic.h>\n";
   }
   out << "\n#define N " << iterations << "LL\n"
       << "#define NODES " << g.num_nodes() << "\n\n";
@@ -348,7 +315,7 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
     }
   }
 
-  emit_channel_runtime(out, opts.transport);
+  emit_channel_runtime(out);
 
   if (shared) {
     // Per-call context: channel rings (storage + cursors) and the
@@ -372,7 +339,7 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
         << "} kctx_t;\n\n";
   } else {
     // Channel storage: one static buffer per channel, sized by the shared
-    // ring_capacity policy (runtime/transport.hpp) from the channel's
+    // ring_capacity policy (runtime/spsc_ring.hpp) from the channel's
     // exact message count — the same capacity the in-process executor
     // would give its SpscChannel for this program.
     for (std::size_t c = 0; c < nchans; ++c) {
@@ -438,10 +405,13 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
   }
 
   if (shared) {
-    MIMD_EXPECTS(opts.kernel_abi == 1 || opts.kernel_abi == 2);
     // Loadable-kernel entry points: the ABI handshake constant and the
     // entry functions the loader dlsym()s.  Symbols are exported by
     // default in a plain -shared build; the file is C, so no mangling.
+    // The host allocates one context per run, enters run_on once per
+    // compiled thread on its own (pooled) workers — all ids concurrently,
+    // the PE bodies rendezvous through the ctx's rings — then destroys
+    // the context.
     out << "/* ABI handshake for the loader: version, result rows,\n"
         << " * compiled iteration count, thread count. */\n"
         << "typedef struct {\n"
@@ -451,66 +421,21 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
         << "  long long threads;\n"
         << "} mimd_kernel_info_t;\n"
         << "const mimd_kernel_info_t mimd_kernel_info = {"
-        << opts.kernel_abi << ", NODES, N, " << nthreads << "};\n\n";
-    // Context wiring shared by both entry styles: point each ring at its
-    // in-context storage and record the caller's buffers.
-    const auto emit_ctx_wiring = [&] {
-      for (std::size_t c = 0; c < nchans; ++c) {
-        out << "  k->chans[" << c << "].buf = k->chan" << c << "_buf;\n"
-            << "  k->chans[" << c << "].mask = "
-            << ring_capacity(cp.channels[c].messages) - 1 << ";\n";
-      }
-      if (opts.transport == Transport::Mutex) {
-        out << "  for (int c = 0; c < " << (nchans == 0 ? 1 : nchans)
-            << "; ++c) {\n"
-            << "    pthread_mutex_init(&k->chans[c].mu, 0);\n"
-            << "    pthread_cond_init(&k->chans[c].cv, 0);\n  }\n";
-      }
-      out << "  k->R = R;\n"
-          << "  k->n = n;\n"
-          << "  k->init = init;\n";
-    };
-    const auto emit_ctx_teardown = [&] {
-      if (opts.transport == Transport::Mutex) {
-        out << "  for (int c = 0; c < " << (nchans == 0 ? 1 : nchans)
-            << "; ++c) {\n"
-            << "    pthread_mutex_destroy(&k->chans[c].mu);\n"
-            << "    pthread_cond_destroy(&k->chans[c].cv);\n  }\n";
-      }
-      out << "  free(k);\n";
-    };
-    if (opts.kernel_abi == 1) {
-      // The original single-entry emission, byte-compatible with PR 7
-      // kernels: one call = allocate ctx, spawn PEs, join, free.
-      out << "int mimd_kernel_run(long long n, const double* init, "
-             "double* R) {\n"
-          << "  if (n < N || !init || !R) return 1;\n"
-          << "  kctx_t* k = (kctx_t*)calloc(1, sizeof(kctx_t));\n"
-          << "  if (!k) return 2; /* zeroed = valid empty-ring state */\n";
-      emit_ctx_wiring();
-      out << "  pthread_t th[" << (nthreads == 0 ? 1 : nthreads) << "];\n"
-          << "  int t = 0;\n";
-      for (const CompiledThread& t : cp.threads) {
-        out << "  pthread_create(&th[t++], 0, pe" << t.proc
-            << "_main, k);\n";
-      }
-      out << "  for (int j = 0; j < t; ++j) pthread_join(th[j], 0);\n";
-      emit_ctx_teardown();
-      out << "  return 0;\n}\n";
-      return out.str();
-    }
-    // ABI v2: caller-provides-the-threads entries.  The host allocates
-    // one context per run, enters run_on once per compiled thread on its
-    // own (pooled) workers — all ids concurrently, the PE bodies
-    // rendezvous through the ctx's rings — then destroys the context.
-    out << "/* ABI v2 entries: the caller owns the thread team. */\n"
+        << kKernelAbiVersion << ", NODES, N, " << nthreads << "};\n\n"
         << "void* mimd_kernel_ctx_create(long long n, const double* init, "
            "double* R) {\n"
         << "  if (n < N || !init || !R) return 0;\n"
         << "  kctx_t* k = (kctx_t*)calloc(1, sizeof(kctx_t));\n"
         << "  if (!k) return 0; /* zeroed = valid empty-ring state */\n";
-    emit_ctx_wiring();
-    out << "  return k;\n}\n\n"
+    for (std::size_t c = 0; c < nchans; ++c) {
+      out << "  k->chans[" << c << "].buf = k->chan" << c << "_buf;\n"
+          << "  k->chans[" << c << "].mask = "
+          << ring_capacity(cp.channels[c].messages) - 1 << ";\n";
+    }
+    out << "  k->R = R;\n"
+        << "  k->n = n;\n"
+        << "  k->init = init;\n"
+        << "  return k;\n}\n\n"
         << "int mimd_kernel_run_on(void* ctx, long long thread_id) {\n"
         << "  kctx_t* k = (kctx_t*)ctx;\n"
         << "  if (!k || thread_id < 0 || thread_id >= " << nthreads
@@ -524,21 +449,8 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
     }
     out << "  default: return 1;\n  }\n  return 0;\n}\n\n"
         << "void mimd_kernel_ctx_destroy(void* ctx) {\n"
-        << "  kctx_t* k = (kctx_t*)ctx;\n"
-        << "  if (!k) return;\n";
-    emit_ctx_teardown();
-    out << "}\n\n"
-        << "int mimd_kernel_run(long long n, const double* init, "
-           "double* R) {\n"
-        << "  kctx_t* k = (kctx_t*)mimd_kernel_ctx_create(n, init, R);\n"
-        << "  if (!k) return 1;\n"
-        << "  pthread_t th[" << (nthreads == 0 ? 1 : nthreads) << "];\n"
-        << "  int t = 0;\n";
-    for (const CompiledThread& t : cp.threads) {
-      out << "  pthread_create(&th[t++], 0, pe" << t.proc << "_main, k);\n";
-    }
-    out << "  for (int j = 0; j < t; ++j) pthread_join(th[j], 0);\n"
-        << "  mimd_kernel_ctx_destroy(k);\n  return 0;\n}\n";
+        << "  free(ctx);\n"
+        << "}\n";
     return out.str();
   }
 
@@ -569,12 +481,6 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
     out << "  chans[" << c << "].buf = chan" << c << "_buf;\n"
         << "  chans[" << c << "].mask = "
         << ring_capacity(cp.channels[c].messages) - 1 << ";\n";
-  }
-  if (opts.transport == Transport::Mutex) {
-    out << "  for (int c = 0; c < " << (nchans == 0 ? 1 : nchans)
-        << "; ++c) {\n"
-        << "    pthread_mutex_init(&chans[c].mu, 0);\n"
-        << "    pthread_cond_init(&chans[c].cv, 0);\n  }\n";
   }
   out << "  pthread_t th[" << (nthreads == 0 ? 1 : nthreads) << "];\n"
       << "  int t = 0;\n";

@@ -9,14 +9,12 @@
 // generated program:
 //  * one fixed-size slot array per thread (`double s[num_slots]`, sized by
 //    the liveness-based reuse pass — O(live values), not O(ops));
-//  * one value-carrying channel per (edge, src proc, dst proc) pair.  By
-//    default (Transport::Spsc) that is a C11 `stdatomic.h` single-producer/
-//    single-consumer ring mirroring runtime/spsc_ring.hpp — cache-line-
-//    separated cursors, acquire/release publication, spin-then-yield waits
-//    — sized to the channel's exact message count by the shared
-//    ring_capacity policy (runtime/transport.hpp), so sends never block.
-//    Transport::Mutex emits a mutex+condvar queue instead, for pre-C11
-//    toolchains and as the contention baseline;
+//  * one value-carrying channel per (edge, src proc, dst proc) pair: a C11
+//    `stdatomic.h` single-producer/single-consumer ring mirroring
+//    runtime/spsc_ring.hpp — cache-line-separated cursors,
+//    acquire/release publication, spin-then-yield waits — sized to the
+//    channel's exact message count by the ring_capacity policy that
+//    header shares with the executor, so sends never block;
 //  * one thread per processor running its compiled op sequence; computed
 //    values are also stored to a global results array R[node][iter]
 //    (single writer per entry);
@@ -32,9 +30,12 @@
 
 #include "graph/ddg.hpp"
 #include "partition/compiled_program.hpp"
-#include "runtime/transport.hpp"
 
 namespace mimd {
+
+/// The mimd_kernel_info.abi_version a shared_object kernel exports and
+/// the loader (runtime/jit_compiler.cpp) requires.
+inline constexpr long long kKernelAbiVersion = 2;
 
 struct CEmitOptions {
   /// Detect each thread's periodic steady state (the pattern made it
@@ -44,8 +45,6 @@ struct CEmitOptions {
   /// repetitions fall back to fully unrolled straight-line code, which is
   /// always correct.
   bool roll_steady_state = true;
-  /// Which channel implementation the generated program uses.
-  Transport transport = Transport::Spsc;
   /// Emit the sequential recompute + bitwise comparison into main()
   /// (default).  false (`mimdc --c --no-check`): skip the self-validation
   /// entirely — no SEQ array, no sequential() function — and emit a
@@ -57,48 +56,33 @@ struct CEmitOptions {
   /// Emit a loadable kernel instead of a standalone program (the JIT
   /// backend, runtime/jit_compiler.hpp): no main(), no self-check, no
   /// static result/channel storage.  All mutable state (channel rings +
-  /// cursors, result pointer) lives in a heap-allocated context passed to
-  /// each thread, so one loaded kernel is reentrant.  Exports
-  ///
-  ///   int mimd_kernel_run(long long n, const double* init, double* R)
-  ///
-  /// — run the compiled iterations with `init[v]` as node v's pre-loop
-  /// value, writing every computed value to the row-major result matrix
-  /// `R[v * n + i]` (caller allocates NODES * n doubles, zero-filled so
-  /// uncomputed entries match the interpreted executor's zero rows);
-  /// returns 0 on success, nonzero on a bad argument — and
+  /// cursors, result pointer) lives in a heap-allocated context, so one
+  /// loaded kernel is reentrant.  The caller owns the thread team, so a
+  /// host runs the kernel's PE bodies on its own persistent worker pool.
+  /// Exports
   ///
   ///   const mimd_kernel_info_t mimd_kernel_info
-  ///
-  /// = {abi_version, nodes, iterations, threads} (four long longs) so a
-  /// loader can validate the ABI and bounds before the first call.
-  ///
-  /// ABI v2 (kernel_abi == 2, the default) additionally exports the
-  /// caller-provides-the-threads entry style, so a host can run the
-  /// kernel's PE bodies on its own persistent worker pool instead of
-  /// paying a pthread_create per PE per call:
-  ///
+  ///     = {abi_version, nodes, iterations, threads} (four long longs), so
+  ///     a loader can validate the ABI and bounds before the first call;
   ///   void* mimd_kernel_ctx_create(long long n, const double* init,
   ///                                double* R)  — allocate + wire one
-  ///     per-call context (NULL on bad args / allocation failure);
+  ///     per-call context that runs the compiled iterations with
+  ///     `init[v]` as node v's pre-loop value, writing every computed
+  ///     value to the row-major result matrix `R[v * n + i]` (caller
+  ///     allocates NODES * n doubles, zero-filled so uncomputed entries
+  ///     match the interpreted executor's zero rows); NULL on bad args or
+  ///     allocation failure;
   ///   int mimd_kernel_run_on(void* ctx, long long thread_id) — execute
   ///     compiled thread `thread_id`'s whole op stream on the calling
   ///     thread; enter exactly once per thread_id in [0, threads), all
   ///     ids concurrently (the PE bodies rendezvous through the ctx's
-  ///     channel rings, so running them sequentially deadlocks);
+  ///     channel rings, so running them sequentially deadlocks); 0 on
+  ///     success, nonzero on a bad argument;
   ///   void mimd_kernel_ctx_destroy(void* ctx) — release the context
   ///     after every run_on returned.
   ///
-  /// mimd_kernel_run is still exported and is the same execution spelled
-  /// ctx_create + per-thread pthread_create + ctx_destroy.  Incompatible
-  /// with self_check; transport/rolling apply as usual.
+  /// Incompatible with self_check; rolling applies as usual.
   bool shared_object = false;
-  /// Which kernel ABI shared_object mode emits: 2 (default) adds the
-  /// ctx_create/run_on/ctx_destroy entry style above; 1 reproduces the
-  /// original single-entry emission exactly — kept selectable so the
-  /// loader's backward-compatibility path stays testable against a real
-  /// old-style artifact.
-  int kernel_abi = 2;
 };
 
 /// Emit the full C translation unit executing `cp` (compiled from the

@@ -7,7 +7,6 @@
 #include <memory>
 #include <thread>
 
-#include "runtime/channel.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -15,13 +14,11 @@ namespace mimd {
 
 namespace {
 
-/// The hot path, templated on the transport so each instantiation inlines
-/// its channel operations (no virtual dispatch per message).  Every name
-/// was resolved at compile() time: operands read flat slots, initial
-/// values are baked-in constants, and channels are dense indices.
-template <class Channel>
+/// The hot path.  Every name was resolved at compile() time: operands
+/// read flat slots, initial values are baked-in constants, and channels
+/// are dense indices.
 void execute(const CompiledProgram& cp, const Ddg& g,
-             const std::vector<std::unique_ptr<Channel>>& chans,
+             const std::vector<std::unique_ptr<SpscChannel>>& chans,
              const RunOptions& opts, ExecutionResult& res) {
   const KernelOptions& kernel = opts.kernel;
   auto worker = [&](const CompiledThread& t) {
@@ -96,31 +93,18 @@ ExecutionResult ExecutorPlan::run(std::int64_t n,
 
   // Channel construction stays outside the timed region (as the original
   // executor's map setup did); only the threaded execution is measured.
-  auto timed_execute = [&](const auto& chans) {
-    const auto t0 = std::chrono::steady_clock::now();
-    execute(compiled_, graph_, chans, opts, res);
-    const auto t1 = std::chrono::steady_clock::now();
-    res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  };
-
-  if (opts.transport == Transport::Spsc) {
-    std::vector<std::unique_ptr<SpscChannel>> chans;
-    chans.reserve(compiled_.channels.size());
-    for (const ChannelDesc& c : compiled_.channels) {
-      // ring_capacity (runtime/transport.hpp) is the shared policy: the
-      // generated-C backend sizes its emitted rings with the same call.
-      chans.push_back(std::make_unique<SpscChannel>(
-          ring_capacity(c.messages, opts.channel_capacity)));
-    }
-    timed_execute(chans);
-  } else {
-    std::vector<std::unique_ptr<ValueChannel>> chans;
-    chans.reserve(compiled_.channels.size());
-    for (std::size_t i = 0; i < compiled_.channels.size(); ++i) {
-      chans.push_back(std::make_unique<ValueChannel>());
-    }
-    timed_execute(chans);
+  std::vector<std::unique_ptr<SpscChannel>> chans;
+  chans.reserve(compiled_.channels.size());
+  for (const ChannelDesc& c : compiled_.channels) {
+    // ring_capacity is the shared policy: the generated-C backend sizes
+    // its emitted rings with the same call.
+    chans.push_back(std::make_unique<SpscChannel>(
+        ring_capacity(c.messages, opts.channel_capacity)));
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  execute(compiled_, graph_, chans, opts, res);
+  const auto t1 = std::chrono::steady_clock::now();
+  res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return res;
 }
 

@@ -12,16 +12,16 @@
 // compile() lowers the interpreted program to the slot-resolved
 // CompiledProgram form (partition/compiled_program.hpp): dense channel
 // ids, per-thread flat slot arrays, and pre-resolved operand descriptors —
-// no associative lookups remain on the run() path.  run() picks the
-// transport: lock-free SPSC rings (default) or the mutex+condvar baseline.
+// no associative lookups remain on the run() path.  Every channel is a
+// lock-free SPSC ring (runtime/spsc_ring.hpp).
 //
 // Memory discipline (race freedom by construction):
 //  * results[v][i] is written by exactly the thread that computes (v, i);
 //  * a thread reads a slot only it wrote; every cross-thread operand
 //    arrives through a channel.
 // The channels provide the necessary happens-before edges (acquire/release
-// on the ring cursors, or the mutex); validation compares against
-// run_sequential bit-for-bit.
+// on the ring cursors); validation compares against run_sequential
+// bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include "partition/compiled_program.hpp"
 #include "partition/partitioned_loop.hpp"
 #include "runtime/kernels.hpp"
-#include "runtime/transport.hpp"
 
 namespace mimd {
 
@@ -45,7 +44,6 @@ class WorkerPool;
 
 struct RunOptions {
   KernelOptions kernel;
-  Transport transport = Transport::Spsc;
   /// Borrow threads from this persistent pool instead of spawning one
   /// std::thread per compiled thread for the run (runtime/worker_pool.hpp
   /// — the plan-service hot path; bench_plan_service measures the gap).
@@ -61,7 +59,7 @@ struct RunOptions {
   /// (affinity_supported()).  A placement hint only: results are
   /// bit-identical pinned or not.
   bool pin_threads = false;
-  /// Spsc only.  0 (default): size each ring to its exact message count,
+  /// 0 (default): size each ring to its exact message count,
   /// so sends never block.  > 0: cap ring capacity at the next power of
   /// two >= this value — bounded memory with spin-then-yield backpressure.
   /// CAVEAT: a cap below a channel's in-flight high-water mark can

@@ -156,13 +156,7 @@ const ProbeResult& probe_toolchain(const JitOptions& opts) {
 }  // namespace
 
 bool jit_run_eligible(const RunOptions& opts) {
-  return opts.transport == Transport::Spsc &&
-         opts.kernel.work_per_cycle == 0 && opts.channel_capacity == 0;
-}
-
-bool jit_run_eligible(const RunOptions& opts, const JitKernel& kernel) {
-  return jit_run_eligible(opts) &&
-         (!opts.pin_threads || kernel.supports_pool());
+  return opts.kernel.work_per_cycle == 0 && opts.channel_capacity == 0;
 }
 
 #ifdef MIMD_JIT_DISABLED_REASON
@@ -174,10 +168,6 @@ std::string jit_unavailable_reason(const JitOptions&) {
 }
 
 JitKernel::~JitKernel() = default;
-
-ExecutionResult JitKernel::run(std::int64_t) const {
-  throw JitError(MIMD_JIT_DISABLED_REASON);
-}
 
 ExecutionResult JitKernel::run_pooled(std::int64_t, WorkerPool*,
                                       bool) const {
@@ -205,8 +195,8 @@ JitKernel::~JitKernel() {
 
 namespace {
 
-/// The library-default pre-loop values, node-indexed — what both entry
-/// styles hand the kernel as its `init` vector.
+/// The library-default pre-loop values, node-indexed — what the kernel
+/// receives as its `init` vector.
 std::vector<double> kernel_init_vector(std::int64_t nodes) {
   std::vector<double> init(static_cast<std::size_t>(nodes));
   for (std::size_t v = 0; v < init.size(); ++v) {
@@ -231,30 +221,12 @@ ExecutionResult unpack_flat(const std::vector<double>& flat,
 
 }  // namespace
 
-ExecutionResult JitKernel::run(std::int64_t n) const {
+ExecutionResult JitKernel::run_pooled(std::int64_t n, WorkerPool* pool,
+                                      bool pin_threads) const {
   MIMD_EXPECTS(n >= iterations_);
   const std::vector<double> init = kernel_init_vector(nodes_);
   // Zero-filled flat matrix: entries no processor computes stay 0.0,
   // matching the interpreted executor's zero-resized rows bit for bit.
-  std::vector<double> flat(static_cast<std::size_t>(nodes_) *
-                           static_cast<std::size_t>(n));
-  const auto t0 = std::chrono::steady_clock::now();
-  const int rc = entry_(n, init.data(), flat.data());
-  const auto t1 = std::chrono::steady_clock::now();
-  if (rc != 0) {
-    throw JitError("native kernel rejected the run (rc=" +
-                   std::to_string(rc) + ")");
-  }
-  ExecutionResult res = unpack_flat(flat, nodes_, n);
-  res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
-  return res;
-}
-
-ExecutionResult JitKernel::run_pooled(std::int64_t n, WorkerPool* pool,
-                                      bool pin_threads) const {
-  MIMD_EXPECTS(supports_pool());
-  MIMD_EXPECTS(n >= iterations_);
-  const std::vector<double> init = kernel_init_vector(nodes_);
   std::vector<double> flat(static_cast<std::size_t>(nodes_) *
                            static_cast<std::size_t>(n));
   void* ctx = ctx_create_(n, init.data(), flat.data());
@@ -291,8 +263,6 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
   CEmitOptions eopts;
   eopts.shared_object = true;
   eopts.self_check = false;
-  eopts.transport = Transport::Spsc;  // the only jit_run_eligible transport
-  eopts.kernel_abi = opts.emit_abi;
   const std::string source = emit_c_program(plan.program(), plan.graph(),
                                             eopts);
 
@@ -316,21 +286,15 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
   }
   // ScratchFiles unlinks the .so on scope exit; the mapping survives the
   // unlink, so from here the kernel's lifetime is purely the handle's.
-  auto entry = reinterpret_cast<JitKernel::EntryFn>(
-      ::dlsym(handle, "mimd_kernel_run"));
   struct KernelInfo {
     long long abi_version, nodes, iterations, threads;
   };
   const auto* info =
       static_cast<const KernelInfo*>(::dlsym(handle, "mimd_kernel_info"));
-  // Both ABI generations load: v1 is run-only (the kernel spawns its own
-  // pthreads), v2 additionally carries the pooled entry style.  Anything
-  // else — or a node/iteration mismatch — is a load failure, never a
-  // misread buffer.
-  if (entry == nullptr || info == nullptr ||
-      (info->abi_version != 1 && info->abi_version != 2) ||
-      info->nodes !=
-          static_cast<long long>(plan.graph().num_nodes()) ||
+  // A wrong version or a node/iteration mismatch is a load failure, never
+  // a misread buffer.
+  if (info == nullptr || info->abi_version != kKernelAbiVersion ||
+      info->nodes != static_cast<long long>(plan.graph().num_nodes()) ||
       info->iterations != plan.program().iterations) {
     ::dlclose(handle);
     throw JitError("loaded kernel failed the ABI handshake");
@@ -338,19 +302,16 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
 
   auto kernel = std::shared_ptr<JitKernel>(new JitKernel());
   kernel->handle_ = handle;
-  kernel->entry_ = entry;
-  if (info->abi_version >= 2) {
-    kernel->ctx_create_ = reinterpret_cast<JitKernel::CtxCreateFn>(
-        ::dlsym(handle, "mimd_kernel_ctx_create"));
-    kernel->run_on_ = reinterpret_cast<JitKernel::RunOnFn>(
-        ::dlsym(handle, "mimd_kernel_run_on"));
-    kernel->ctx_destroy_ = reinterpret_cast<JitKernel::CtxDestroyFn>(
-        ::dlsym(handle, "mimd_kernel_ctx_destroy"));
-    if (kernel->ctx_create_ == nullptr || kernel->run_on_ == nullptr ||
-        kernel->ctx_destroy_ == nullptr) {
-      // kernel's destructor dlcloses the handle it already owns.
-      throw JitError("ABI v2 kernel is missing a pooled entry symbol");
-    }
+  kernel->ctx_create_ = reinterpret_cast<JitKernel::CtxCreateFn>(
+      ::dlsym(handle, "mimd_kernel_ctx_create"));
+  kernel->run_on_ = reinterpret_cast<JitKernel::RunOnFn>(
+      ::dlsym(handle, "mimd_kernel_run_on"));
+  kernel->ctx_destroy_ = reinterpret_cast<JitKernel::CtxDestroyFn>(
+      ::dlsym(handle, "mimd_kernel_ctx_destroy"));
+  if (kernel->ctx_create_ == nullptr || kernel->run_on_ == nullptr ||
+      kernel->ctx_destroy_ == nullptr) {
+    // kernel's destructor dlcloses the handle it already owns.
+    throw JitError("loaded kernel is missing an entry symbol");
   }
   kernel->nodes_ = info->nodes;
   kernel->iterations_ = info->iterations;

@@ -67,16 +67,10 @@ struct JitOptions {
   /// Background-compile queue bound; excess enqueues are dropped (the
   /// slot reverts to Empty and a later cache hit re-enqueues).
   std::size_t queue_capacity = 64;
-  /// Which kernel ABI to emit (CEmitOptions::kernel_abi): 2 (default)
-  /// exports the pool-friendly ctx_create/run_on/ctx_destroy entries next
-  /// to mimd_kernel_run; 1 reproduces the original single-entry emission
-  /// — kept selectable so tests exercise the loader's old-ABI
-  /// compatibility path against a genuinely old-style artifact.
-  int emit_abi = 2;
 };
 
-/// A loaded native kernel.  Immutable and thread-compatible: run() is
-/// const and reentrant (all mutable kernel state is per-call).  The
+/// A loaded native kernel.  Immutable and thread-compatible: run_pooled()
+/// is const and reentrant (all mutable kernel state is per-call).  The
 /// dlopen handle closes when the last owner drops — in-flight runs hold
 /// shared_ptrs, so cache eviction never unloads code mid-run.
 class JitKernel {
@@ -86,28 +80,16 @@ class JitKernel {
   JitKernel& operator=(const JitKernel&) = delete;
 
   /// Execute for n iterations (n >= iterations(); ContractViolation
-  /// otherwise).  Initial values are the library defaults
-  /// (initial_value(v)), matching the interpreted executor; the result is
-  /// bit-identical with ExecutorPlan::run on an eligible RunOptions.
-  /// Throws JitError if the kernel entry reports a bad argument.  This
-  /// entry lets the kernel spawn its own pthreads (one per compiled
-  /// thread, one clone()/join() pair per PE per call).
-  [[nodiscard]] ExecutionResult run(std::int64_t n) const;
-
-  /// True iff this kernel exports the ABI v2 caller-provides-the-threads
-  /// entries, so run_pooled() can execute it on borrowed workers.  False
-  /// for kernels loaded from old single-entry (ABI v1) shared objects.
-  [[nodiscard]] bool supports_pool() const { return run_on_ != nullptr; }
-
-  /// Execute for n iterations on caller-provided threads: one context,
-  /// one gang of threads() tasks dispatched through run_indexed_gang
+  /// otherwise) on caller-provided threads: one context, one gang of
+  /// threads() tasks dispatched through run_indexed_gang
   /// (runtime/worker_pool.hpp) — `pool`'s persistent workers when
   /// non-null (no pthread_create anywhere on the warm path), fresh
   /// threads otherwise.  `pin_threads` applies the same rotating
-  /// CPU-slice pinning as the interpreted executor, uniformly, because
-  /// the threads are ours.  Values are bit-identical with run().
-  /// Requires supports_pool() (ContractViolation otherwise); throws
-  /// JitError if the kernel rejects the context or a thread entry.
+  /// CPU-slice pinning as the interpreted executor.  Initial values are
+  /// the library defaults (initial_value(v)), matching the interpreted
+  /// executor; the result is bit-identical with ExecutorPlan::run on a
+  /// jit_run_eligible RunOptions.  Throws JitError if the kernel rejects
+  /// the context or a thread entry.
   [[nodiscard]] ExecutionResult run_pooled(std::int64_t n, WorkerPool* pool,
                                            bool pin_threads = false) const;
 
@@ -120,15 +102,13 @@ class JitKernel {
                                                       const JitOptions&);
   JitKernel() = default;
 
-  using EntryFn = int (*)(long long, const double*, double*);
   using CtxCreateFn = void* (*)(long long, const double*, double*);
   using RunOnFn = int (*)(void*, long long);
   using CtxDestroyFn = void (*)(void*);
   void* handle_ = nullptr;
-  EntryFn entry_ = nullptr;
-  CtxCreateFn ctx_create_ = nullptr;  ///< ABI v2 only
-  RunOnFn run_on_ = nullptr;          ///< ABI v2 only
-  CtxDestroyFn ctx_destroy_ = nullptr;  ///< ABI v2 only
+  CtxCreateFn ctx_create_ = nullptr;
+  RunOnFn run_on_ = nullptr;
+  CtxDestroyFn ctx_destroy_ = nullptr;
   std::int64_t nodes_ = 0;
   std::int64_t iterations_ = 0;
   std::int64_t threads_ = 0;
@@ -141,19 +121,12 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
                                              const JitOptions& opts = {});
 
 /// True iff a native kernel computes exactly what plan.run(n, opts)
-/// would: default kernel (work_per_cycle 0), Spsc transport, uncapped
-/// channels.  pin_threads no longer disqualifies a run — an ABI v2
-/// kernel executes on caller-provided threads (run_pooled), so the
-/// pool's rotating CPU-slice pinning applies to native runs exactly as
-/// it does to interpreted ones.
+/// would: default kernel (work_per_cycle 0) and uncapped channels.
+/// pin_threads does not disqualify a run — the kernel executes on
+/// caller-provided threads (run_pooled), so the pool's rotating
+/// CPU-slice pinning applies to native runs exactly as it does to
+/// interpreted ones.
 [[nodiscard]] bool jit_run_eligible(const RunOptions& opts);
-
-/// The kernel-aware gate dispatch sites use: the shape test above, plus
-/// "pinned runs need a pool-capable kernel" — an old single-entry (ABI
-/// v1) kernel spawns its own unpinned pthreads, so honoring the caller's
-/// placement hint means routing its pinned runs to the interpreter.
-[[nodiscard]] bool jit_run_eligible(const RunOptions& opts,
-                                    const JitKernel& kernel);
 
 /// Probe (once per (cc, extra_flags), cached process-wide) whether this
 /// toolchain can produce a loadable kernel.

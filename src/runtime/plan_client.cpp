@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -22,7 +21,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Decode adapter for replies whose payload carries nothing (Shutdown).
+/// Decode adapter for replies whose payload carries nothing (Shutdown,
+/// Pong).
 std::uint64_t decode_empty_reply(const std::vector<std::uint8_t>& payload) {
   if (!payload.empty()) throw wire::WireError("unexpected reply payload");
   return 0;
@@ -35,15 +35,9 @@ std::uint64_t decode_empty_reply(const std::vector<std::uint8_t>& payload) {
 struct PlanClient::Impl {
   int fd = -1;
   int timeout_ms = 0;
-  /// Deferred Hello: connect() never does I/O beyond the TCP/Unix
-  /// handshake, so a dead or hostile server surfaces as a typed error at
-  /// FIRST USE, exactly like the pre-v2 client.  The first request pays
-  /// the negotiation roundtrip.
-  bool negotiate_pending = false;
-  std::atomic<std::uint32_t> version{wire::kProtocolV1};
-  std::thread reader;  ///< only in v2 mode
+  std::thread reader;
 
-  /// Serializes frame *writes* (v2) or whole roundtrips (v1 fallback).
+  /// Serializes frame writes.
   std::mutex wmu;
 
   /// Guards everything below.
@@ -54,7 +48,7 @@ struct PlanClient::Impl {
     Clock::time_point enqueued;
     /// Called exactly once, outside mu: with the reply frame, or with the
     /// exception that killed the request.
-    std::function<void(wire::FrameV2*, std::exception_ptr)> complete;
+    std::function<void(wire::Frame*, std::exception_ptr)> complete;
   };
   std::unordered_map<std::uint64_t, Pending> pending;
   bool dead = false;  ///< transport failed; every new submit fails fast
@@ -77,45 +71,10 @@ struct PlanClient::Impl {
   }
 
   void reader_loop();
-
-  /// Run the deferred Hello exchange if it has not happened yet.  Both
-  /// legs use v1 framing: a v1 server answers the unknown Hello frame
-  /// with an ordinary Error frame and keeps the connection usable — the
-  /// fallback costs one roundtrip and degrades to exactly the old
-  /// blocking client.  A transport fault here kills the connection
-  /// (typed, at first use); throws wire::WireError.
-  void ensure_negotiated() {
-    const std::lock_guard<std::mutex> lk(wmu);
-    if (!negotiate_pending) return;
-    negotiate_pending = false;
-    try {
-      wire::write_frame(fd, wire::FrameType::Hello,
-                        wire::encode_hello(wire::HelloRequest{}));
-      const std::optional<wire::Frame> reply = wire::read_frame(fd);
-      if (!reply) throw wire::WireError("server closed during hello");
-      if (reply->type == wire::FrameType::HelloReply) {
-        const std::uint32_t v = wire::decode_hello_reply(reply->payload);
-        if (v >= wire::kProtocolV2) {
-          version.store(wire::kProtocolV2, std::memory_order_release);
-          reader = std::thread([this] { reader_loop(); });
-        }
-      } else if (reply->type != wire::FrameType::Error) {
-        throw wire::WireError("unexpected hello reply frame type " +
-                              std::to_string(static_cast<int>(reply->type)));
-      }
-      // Error frame: v1 server — stay in blocking v1 mode.
-    } catch (const wire::WireError& e) {
-      const std::lock_guard<std::mutex> dlk(mu);
-      dead = true;
-      if (dead_reason.empty()) dead_reason = e.what();
-      throw;
-    }
-  }
 };
 
 void PlanClient::Impl::reader_loop() {
   wire::FrameBuffer rbuf;
-  rbuf.set_version(wire::kProtocolV2);
   std::vector<std::uint8_t> chunk(64 * 1024);
   for (;;) {
     // poll() first so SO_RCVTIMEO only governs mid-frame stalls: an IDLE
@@ -164,7 +123,7 @@ void PlanClient::Impl::reader_loop() {
           Pending p;
           p.expected = wire::FrameType::Pong;
           p.enqueued = Clock::now();
-          p.complete = [](wire::FrameV2*, std::exception_ptr) {};
+          p.complete = [](wire::Frame*, std::exception_ptr) {};
           pending.emplace(ping_id, std::move(p));
           probe = true;
         }
@@ -172,7 +131,7 @@ void PlanClient::Impl::reader_loop() {
       if (probe) {
         try {
           const std::lock_guard<std::mutex> lk(wmu);
-          wire::write_frame_v2(fd, wire::FrameType::Ping, ping_id, {});
+          wire::write_frame(fd, wire::FrameType::Ping, ping_id, {});
         } catch (const wire::WireError& e) {
           fail_all(std::string("heartbeat write failed: ") + e.what());
           return;
@@ -188,8 +147,8 @@ void PlanClient::Impl::reader_loop() {
 
     // Readable: drain one chunk, then dispatch every complete frame in
     // it.  One recv may carry dozens of pipelined replies — the
-    // client-side half of the syscall amortization v2 exists for (the
-    // server's sendmsg coalescing being the other half).
+    // client-side half of the syscall amortization request ids exist for
+    // (the server's sendmsg coalescing being the other half).
     const ssize_t n = ::recv(fd, chunk.data(), chunk.size(), 0);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -209,7 +168,7 @@ void PlanClient::Impl::reader_loop() {
     }
     rbuf.append(chunk.data(), static_cast<std::size_t>(n));
     for (;;) {
-      std::optional<wire::FrameV2> frame;
+      std::optional<wire::Frame> frame;
       try {
         frame = rbuf.next();
       } catch (const wire::WireError& e) {
@@ -263,8 +222,8 @@ void PlanClient::Impl::reader_loop() {
   }
 }
 
-PlanClient PlanClient::connect(const std::string& endpoint, int timeout_ms,
-                               bool pipeline) {
+PlanClient PlanClient::connect(const std::string& endpoint,
+                               int timeout_ms) {
   const int fd = wire::connect_endpoint(wire::parse_endpoint(endpoint));
   if (timeout_ms > 0) {
     timeval tv{};
@@ -275,13 +234,10 @@ PlanClient PlanClient::connect(const std::string& endpoint, int timeout_ms,
   }
 
   PlanClient c;
-  c.impl_->fd = fd;
-  c.impl_->timeout_ms = timeout_ms;
-  // Negotiation is deferred to the first request (Impl::ensure_negotiated)
-  // so connect() keeps its historical contract: it succeeds whenever the
-  // socket connects, and an unresponsive or hostile peer surfaces as a
-  // typed error at first use.
-  c.impl_->negotiate_pending = pipeline;
+  Impl* im = c.impl_.get();
+  im->fd = fd;
+  im->timeout_ms = timeout_ms;
+  im->reader = std::thread([im] { im->reader_loop(); });
   return c;
 }
 
@@ -304,18 +260,6 @@ PlanClient& PlanClient::operator=(PlanClient&& other) noexcept {
 }
 
 bool PlanClient::connected() const { return impl_ && impl_->fd >= 0; }
-
-std::uint32_t PlanClient::protocol_version() const {
-  return impl_ ? impl_->version.load(std::memory_order_acquire)
-               : wire::kProtocolV1;
-}
-
-void PlanClient::negotiate() {
-  if (!impl_ || impl_->fd < 0) {
-    throw wire::WireError("client not connected");
-  }
-  impl_->ensure_negotiated();
-}
 
 std::string PlanClient::transport_error() const {
   if (!impl_) return "client not connected";
@@ -352,14 +296,7 @@ std::future<T> PlanClient::submit_typed(
     return fut;
   }
 
-  try {
-    im->ensure_negotiated();
-  } catch (...) {
-    // First-use negotiation failed: this request reports it (typed, via
-    // the future, like every other transport fault).
-    prom->set_exception(std::current_exception());
-    return fut;
-  }
+  std::uint64_t id = 0;
   {
     const std::lock_guard<std::mutex> lk(im->mu);
     if (im->dead) {
@@ -367,75 +304,42 @@ std::future<T> PlanClient::submit_typed(
           std::make_exception_ptr(wire::WireError(im->dead_reason)));
       return fut;
     }
+    id = im->next_id++;
+    Impl::Pending p;
+    p.expected = expected_reply;
+    p.enqueued = Clock::now();
+    p.complete = [prom, decode](wire::Frame* frame, std::exception_ptr ep) {
+      if (ep) {
+        prom->set_exception(ep);
+        return;
+      }
+      try {
+        prom->set_value(decode(frame->payload));
+      } catch (...) {
+        prom->set_exception(std::current_exception());
+      }
+    };
+    im->pending.emplace(id, std::move(p));
   }
-
-  if (im->version.load(std::memory_order_acquire) >= wire::kProtocolV2) {
-    std::uint64_t id = 0;
+  try {
+    const std::lock_guard<std::mutex> lk(im->wmu);
+    wire::write_frame(im->fd, request, id, payload);
+  } catch (const wire::WireError&) {
+    // The request never left: fail just this future (the reader owns the
+    // shared-fate decision for replies already owed).  The entry may
+    // already be gone if fail_all raced us — then it was completed.
+    Impl::Pending orphan;
+    bool mine = false;
     {
       const std::lock_guard<std::mutex> lk(im->mu);
-      if (im->dead) {
-        prom->set_exception(
-            std::make_exception_ptr(wire::WireError(im->dead_reason)));
-        return fut;
+      const auto it = im->pending.find(id);
+      if (it != im->pending.end()) {
+        orphan = std::move(it->second);
+        im->pending.erase(it);
+        mine = true;
       }
-      id = im->next_id++;
-      Impl::Pending p;
-      p.expected = expected_reply;
-      p.enqueued = Clock::now();
-      p.complete = [prom, decode](wire::FrameV2* frame,
-                                  std::exception_ptr ep) {
-        if (ep) {
-          prom->set_exception(ep);
-          return;
-        }
-        try {
-          prom->set_value(decode(frame->payload));
-        } catch (...) {
-          prom->set_exception(std::current_exception());
-        }
-      };
-      im->pending.emplace(id, std::move(p));
     }
-    try {
-      const std::lock_guard<std::mutex> lk(im->wmu);
-      wire::write_frame_v2(im->fd, request, id, payload);
-    } catch (const wire::WireError&) {
-      // The request never left: fail just this future (the reader owns
-      // the shared-fate decision for replies already owed).  The entry
-      // may already be gone if fail_all raced us — then it was completed.
-      Impl::Pending orphan;
-      bool mine = false;
-      {
-        const std::lock_guard<std::mutex> lk(im->mu);
-        const auto it = im->pending.find(id);
-        if (it != im->pending.end()) {
-          orphan = std::move(it->second);
-          im->pending.erase(it);
-          mine = true;
-        }
-      }
-      if (mine) orphan.complete(nullptr, std::current_exception());
-    }
-    return fut;
-  }
-
-  // v1 fallback: the strict blocking roundtrip, serialized so concurrent
-  // callers interleave whole request/reply pairs, never bytes.
-  const std::lock_guard<std::mutex> lk(im->wmu);
-  try {
-    wire::write_frame(im->fd, request, payload);
-    std::optional<wire::Frame> reply = wire::read_frame(im->fd);
-    if (!reply) throw wire::WireError("server closed the connection");
-    if (reply->type == wire::FrameType::Error) {
-      throw RemoteError(wire::decode_error(reply->payload));
-    }
-    if (reply->type != expected_reply) {
-      throw wire::WireError("unexpected reply frame type " +
-                            std::to_string(static_cast<int>(reply->type)));
-    }
-    prom->set_value(decode(reply->payload));
-  } catch (...) {
-    prom->set_exception(std::current_exception());
+    if (mine) orphan.complete(nullptr, std::current_exception());
   }
   return fut;
 }
@@ -497,6 +401,12 @@ std::future<std::uint64_t> PlanClient::drop_program_async(
 
 void PlanClient::drop_program(std::uint64_t program_id) {
   (void)drop_program_async(program_id).get();
+}
+
+void PlanClient::negotiate() {
+  (void)submit_typed(wire::FrameType::Ping, wire::FrameType::Pong, {},
+                     decode_empty_reply)
+      .get();
 }
 
 wire::StatsReply PlanClient::stats() { return stats_async().get(); }

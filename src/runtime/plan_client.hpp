@@ -12,22 +12,14 @@
 //     const auto sub = c.submit_program(program, graph);
 //     const ExecutionResult r = c.run(sub.program_id, iterations);
 //
-// Pipelining (wire protocol v2): connect() opens with a Hello frame; a
-// v2 server negotiates request-id framing and the client switches to an
-// async core — every *_async call assigns a request id, registers a
+// Pipelining: every *_async call assigns a request id, registers a
 // pending future, writes the frame, and returns immediately, while one
-// reader thread demuxes replies by id (they may arrive in any order).
-// The blocking API above is the async API plus .get(), so callers that
-// never pipeline see the exact pre-v2 behavior.  Against a server that
-// answers Hello with an Error frame (a v1 server), the client falls back
-// to strict blocking request/reply transparently — the async calls then
-// complete synchronously, futures already resolved.
+// reader thread (started by connect()) demuxes replies by id — they may
+// arrive in any order.  The blocking API above is the async API plus
+// .get().
 //
 // Threading: a PlanClient is safe for concurrent calls from many threads
-// in v2 mode (writes are serialized, replies demuxed by id).  In v1
-// fallback mode calls are serialized internally, so concurrent callers
-// are safe but gain nothing — open one client per thread for concurrency
-// against a v1 server.
+// (writes are serialized, replies demuxed by id).
 //
 // Errors: server-reported failures (ill-formed program, unknown id, bad
 // iteration count) throw RemoteError carrying the server's message;
@@ -61,18 +53,16 @@ class PlanClient {
  public:
   /// Connect to a mimdd endpoint — any form wire::parse_endpoint accepts
   /// ("path", "unix:path", "host:port", "tcp:host:port").  `timeout_ms` >
-  /// 0 arms SO_RCVTIMEO / SO_SNDTIMEO so a hung daemon surfaces as
-  /// wire::WireError("receive timed out") instead of blocking forever; in
-  /// v2 mode the same budget bounds how long any pipelined reply may be
-  /// outstanding.  `pipeline` = false skips the Hello handshake entirely
-  /// and speaks blocking v1 for the connection's lifetime (the bench's
-  /// A/B baseline, and a live v1-client-vs-v2-server compatibility
-  /// check).  Throws wire::WireError if the endpoint cannot be reached.
-  /// The Hello exchange itself is deferred to the first request, so an
-  /// unresponsive peer behind a successful socket connect surfaces as a
-  /// typed error at first use — connect() itself never blocks on a reply.
-  static PlanClient connect(const std::string& endpoint, int timeout_ms = 0,
-                            bool pipeline = true);
+  /// 0 arms SO_RCVTIMEO / SO_SNDTIMEO and bounds how long any reply may
+  /// be outstanding, so a hung daemon surfaces as wire::WireError("receive
+  /// timed out") instead of blocking forever; it also arms the idle
+  /// heartbeat: an idle client Pings the server every timeout_ms and
+  /// treats a missing Pong as transport death, so a wedged daemon is
+  /// detected with no request in flight.  Throws wire::WireError if the
+  /// endpoint cannot be reached.  connect() never waits for a reply, so
+  /// an unresponsive peer behind a successful socket connect surfaces as
+  /// a typed error at first use (or at negotiate()).
+  static PlanClient connect(const std::string& endpoint, int timeout_ms = 0);
 
   PlanClient();
   ~PlanClient();
@@ -84,22 +74,14 @@ class PlanClient {
   [[nodiscard]] bool connected() const;
   void close();
 
-  /// The protocol version in force: kProtocolV2 after a successful Hello
-  /// negotiation, else kProtocolV1.
-  [[nodiscard]] std::uint32_t protocol_version() const;
-
-  /// Run the deferred Hello negotiation now instead of at first request.
-  /// In v2 mode this also starts the reader thread — and with it the idle
-  /// heartbeat: a negotiated, idle, timeout-armed client Pings the server
-  /// every timeout_ms and treats a missing Pong as transport death, so a
-  /// wedged daemon is detected with no request in flight.  Throws
-  /// wire::WireError if the peer is unreachable.  No-op when already
-  /// negotiated.
+  /// One Ping/Pong round trip: proves the peer answers before the first
+  /// real request.  Throws wire::WireError on a dead or unresponsive peer
+  /// (the latter only when connect() armed a timeout).
   void negotiate();
 
   /// Non-empty once the transport has failed (reply deadline, heartbeat
   /// timeout, torn stream): the reason every subsequent call will throw.
-  /// Empty while the connection is healthy or not yet negotiated.
+  /// Empty while the connection is healthy.
   [[nodiscard]] std::string transport_error() const;
 
   /// Register a program; the reply's program_id names it in run() /
@@ -146,9 +128,9 @@ class PlanClient {
  private:
   struct Impl;
 
-  /// Type-erased async core: register a pending reply slot (v2) or do the
-  /// blocking roundtrip inline (v1), completing `prom`-style via the
-  /// decode callback.  Defined in plan_client.cpp.
+  /// Type-erased async core: register a pending reply slot, write the
+  /// request, and complete the future via the decode callback when the
+  /// reader thread sees the reply.  Defined in plan_client.cpp.
   template <typename T>
   std::future<T> submit_typed(wire::FrameType request,
                               wire::FrameType expected_reply,

@@ -76,7 +76,6 @@ class QuotaViolation : public std::runtime_error {
 
 RunOptions to_run_options(const wire::RemoteRunOptions& o, WorkerPool* pool) {
   RunOptions r;
-  r.transport = o.transport;
   r.pin_threads = o.pin_threads;
   r.kernel.work_per_cycle = o.work_per_cycle;
   r.pool = pool;
@@ -103,7 +102,6 @@ struct PlanServer::Connection {
 
   // -- loop thread only --------------------------------------------------
   wire::FrameBuffer rbuf;
-  bool saw_frame = false;   ///< Hello is only honored as the first frame
   bool read_closed = false; ///< EOF (or fatal read error) seen
   std::uint32_t armed = 0;  ///< epoll interest mask currently installed
   double tokens = 0.0;      ///< frame-rate token bucket
@@ -111,7 +109,6 @@ struct PlanServer::Connection {
 
   // -- shared with handlers (guarded by mu) ------------------------------
   std::mutex mu;
-  std::uint32_t version = wire::kProtocolV1;
   std::deque<std::vector<std::uint8_t>> wqueue;
   std::size_t wqueue_bytes = 0;
   std::size_t woffset = 0;     ///< sent prefix of wqueue.front()
@@ -120,8 +117,6 @@ struct PlanServer::Connection {
   bool closed = false;         ///< torn down, fd gone
   bool read_paused = false;    ///< backpressure dropped EPOLLIN
   int in_flight = 0;           ///< tasks dispatched to handlers
-  std::deque<Task> v1_pending; ///< decoded v1 frames awaiting their turn
-  bool v1_busy = false;        ///< a v1 task is in a handler right now
   std::unordered_map<std::uint64_t, PlanCache::CachedPlan> programs;
   std::uint64_t next_id = 1;
   std::size_t registry_reserved = 0;  ///< submits admitted but not landed
@@ -348,12 +343,11 @@ PlanServerStats PlanServer::stats() const {
       registry_quota_trips_.load(std::memory_order_relaxed);
   s.quota_disconnects = quota_disconnects_.load(std::memory_order_relaxed);
   s.accept_backoffs = accept_backoffs_.load(std::memory_order_relaxed);
-  s.jit_native_runs = jit_native_runs_.load(std::memory_order_relaxed);
+  s.jit_native_runs = jit_runs_.native.load(std::memory_order_relaxed);
   s.jit_interpreted_runs =
-      jit_interpreted_runs_.load(std::memory_order_relaxed);
-  s.jit_pooled_runs = jit_pooled_runs_.load(std::memory_order_relaxed);
+      jit_runs_.interpreted.load(std::memory_order_relaxed);
   s.jit_ineligible_runs =
-      jit_ineligible_runs_.load(std::memory_order_relaxed);
+      jit_runs_.ineligible.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -579,62 +573,18 @@ void PlanServer::handle_readable(const std::shared_ptr<Connection>& conn) {
 }
 
 void PlanServer::on_frame(const std::shared_ptr<Connection>& conn,
-                          wire::FrameV2 frame) {
+                          wire::Frame frame) {
   Connection& c = *conn;
 
-  // Version negotiation is the loop's job, not a handler's: the switch
-  // must land before the next buffered byte is parsed.  Only honored as
-  // the very first frame — a v1 client never sends Hello, so its first
-  // real request locks the connection to v1.  Hello is also exempt from
-  // the frame-rate bucket: it is one frame per connection, and charging
-  // it would shift every quota test's arithmetic by one.
-  if (!c.saw_frame && frame.type == wire::FrameType::Hello) {
-    c.saw_frame = true;
-    wire::FrameType reply_type = wire::FrameType::HelloReply;
-    std::vector<std::uint8_t> reply;
-    std::uint32_t chosen = wire::kProtocolV1;
-    try {
-      const wire::HelloRequest hello = wire::decode_hello(frame.payload);
-      if (hello.min_version > wire::kProtocolV2) {
-        throw wire::WireError(
-            "unsupported protocol version range " +
-            std::to_string(hello.min_version) + ".." +
-            std::to_string(hello.max_version) + " (server speaks up to " +
-            std::to_string(wire::kProtocolV2) + ")");
-      }
-      chosen = std::min<std::uint32_t>(wire::kProtocolV2, hello.max_version);
-      reply = wire::encode_hello_reply(chosen);
-    } catch (const std::exception& e) {
-      reply_type = wire::FrameType::Error;
-      reply = wire::encode_error(e.what());
-      chosen = wire::kProtocolV1;
-    }
-    {
-      const std::lock_guard<std::mutex> lock(c.mu);
-      if (c.closed) return;
-      // The negotiation exchange itself is always v1-framed.
-      auto bytes = wire::encode_frame_bytes(wire::kProtocolV1, reply_type,
-                                            0, reply);
-      c.wqueue_bytes += bytes.size();
-      c.wqueue.push_back(std::move(bytes));
-      if (chosen >= wire::kProtocolV2) c.version = chosen;
-    }
-    if (chosen >= wire::kProtocolV2) c.rbuf.set_version(chosen);
-    return;
-  }
-  c.saw_frame = true;
-
-  // Heartbeat: answered inline like Hello — no worker-pool round trip, so
-  // a Pong proves the event loop itself is alive, which is exactly what
-  // the idle client is probing.  v2 only (a v1 peer never learned the
-  // frame; it gets the handler's unknown-type Error) and exempt from the
-  // frame-rate bucket — liveness probes must not eat a tenant's quota or
-  // shift the quota tests' arithmetic.
-  if (frame.type == wire::FrameType::Ping &&
-      c.version >= wire::kProtocolV2) {
+  // Heartbeat: answered inline — no worker-pool round trip, so a Pong
+  // proves the event loop itself is alive, which is exactly what the idle
+  // client is probing.  Exempt from the frame-rate bucket: liveness
+  // probes must not eat a tenant's quota or shift the quota tests'
+  // arithmetic.
+  if (frame.type == wire::FrameType::Ping) {
     const std::lock_guard<std::mutex> lock(c.mu);
     if (c.closed || c.closing) return;
-    auto bytes = wire::encode_frame_bytes(c.version, wire::FrameType::Pong,
+    auto bytes = wire::encode_frame_bytes(wire::FrameType::Pong,
                                           frame.request_id, {});
     c.wqueue_bytes += bytes.size();
     c.wqueue.push_back(std::move(bytes));
@@ -651,9 +601,8 @@ void PlanServer::on_frame(const std::shared_ptr<Connection>& conn,
                               opts_.max_frames_per_second);
     c.last_refill = now;
     if (c.tokens < 1.0) {
-      // Counted here, at decode time, exactly as the blocking server
-      // counted it at read time; the handler turns the strike into the
-      // Error frame so reply ordering stays request order.
+      // Counted here, at decode time; the handler turns the strike into
+      // the Error frame.
       frame_quota_trips_.fetch_add(1, std::memory_order_relaxed);
       struck = true;
     } else {
@@ -661,32 +610,18 @@ void PlanServer::on_frame(const std::shared_ptr<Connection>& conn,
     }
   }
 
-  Task task{conn, std::move(frame), struck};
-  bool post = false;
+  // Every request dispatches immediately; replies come back in
+  // completion order, demuxed client-side by request id.
   {
     const std::lock_guard<std::mutex> lock(c.mu);
     if (c.closing || c.closed) return;
-    if (c.version >= wire::kProtocolV2) {
-      // v2: every request dispatches immediately; replies come back in
-      // completion order, demuxed client-side by request id.
-      ++c.in_flight;
-      post = true;
-    } else if (!c.v1_busy) {
-      c.v1_busy = true;
-      ++c.in_flight;
-      post = true;
-    } else {
-      // v1 promises strict request-order replies: one task at a time,
-      // the rest queue here and chain in process_task.
-      c.v1_pending.push_back(std::move(task));
-    }
+    ++c.in_flight;
   }
-  if (post) enqueue_task(std::move(task));
+  enqueue_task(Task{conn, std::move(frame), struck});
 }
 
 bool PlanServer::update_pause_locked(Connection& c) {
-  const std::size_t depth =
-      static_cast<std::size_t>(c.in_flight) + c.v1_pending.size();
+  const std::size_t depth = static_cast<std::size_t>(c.in_flight);
   if (!c.read_paused) {
     if ((opts_.write_high_watermark > 0 &&
          c.wqueue_bytes > opts_.write_high_watermark) ||
@@ -708,8 +643,8 @@ void PlanServer::flush_locked(Connection& c) {
   if (c.closed || c.write_dead) return;
   while (!c.wqueue.empty()) {
     // Coalesce queued frames into one sendmsg — pipelined connections
-    // carry many small replies per flush, and this is where the v2 path
-    // earns its syscall amortization.
+    // carry many small replies per flush, and this is where request-id
+    // framing earns its syscall amortization.
     std::array<iovec, 16> iov{};
     std::size_t cnt = 0;
     std::size_t skip = c.woffset;
@@ -772,13 +707,10 @@ void PlanServer::update_interest_locked(Connection& c) {
 
 void PlanServer::maybe_close(const std::shared_ptr<Connection>& conn) {
   Connection& c = *conn;
-  std::deque<Task> dropped;  // destroyed outside the lock: Tasks hold
-                             // shared_ptrs back to this Connection
   {
     const std::lock_guard<std::mutex> lock(c.mu);
     if (c.closed) return;
-    if (c.closing && !c.v1_pending.empty()) dropped.swap(c.v1_pending);
-    const bool idle = c.in_flight == 0 && c.v1_pending.empty();
+    const bool idle = c.in_flight == 0;
     const bool flushed = c.wqueue.empty() || c.write_dead;
     if (!((c.closing || c.read_closed) && idle && flushed)) return;
     c.closed = true;
@@ -870,6 +802,11 @@ void PlanServer::process_task(Task& t) {
     return it->second;
   };
 
+  // Native-vs-interpreted tallies count only while JIT is live, so
+  // --jit=off keeps every jit stat at zero.
+  JitRunCounters* const jit_counters =
+      cache_.jit_available() ? &jit_runs_ : nullptr;
+
   wire::FrameType reply_type = wire::FrameType::Error;
   std::vector<std::uint8_t> reply;
   bool struck = false;
@@ -896,7 +833,7 @@ void PlanServer::process_task(Task& t) {
               // Checked BEFORE decoding/compiling: a tenant over its
               // registry quota must not be able to keep burning the
               // shared cache and compile path.  The reservation keeps
-              // the check exact when several v2 submits race.
+              // the check exact when several pipelined submits race.
               registry_quota_trips_.fetch_add(1, std::memory_order_relaxed);
               throw QuotaViolation(
                   "program registry quota exceeded (" +
@@ -942,35 +879,11 @@ void PlanServer::process_task(Task& t) {
                                      ? req.iterations
                                      : plan->program().iterations;
           check_reply_fits_frame(estimated_result_bytes(*plan, n));
-          const RunOptions ropts = to_run_options(req.opts, &pool_);
-          ExecutionResult result;
           // Native once the background compile has published (bit-
           // identical with the interpreted run); interpreted meanwhile.
-          // Preference order mirrors run_plans: pooled entry (ABI v2 —
-          // the kernel borrows the server's gang-scheduled workers, no
-          // pthread_create per request) > legacy single-entry native
-          // (unpinned requests only) > interpreted.  The split counters
-          // gate on jit_available so --jit=off keeps every jit stat at
-          // zero — today's behavior exactly.
-          const auto kernel = entry.kernel();
-          if (kernel && jit_run_eligible(ropts, *kernel) &&
-              n >= plan->program().iterations) {
-            jit_native_runs_.fetch_add(1, std::memory_order_relaxed);
-            if (kernel->supports_pool()) {
-              jit_pooled_runs_.fetch_add(1, std::memory_order_relaxed);
-              result = kernel->run_pooled(n, ropts.pool, ropts.pin_threads);
-            } else {
-              result = kernel->run(n);
-            }
-          } else {
-            result = plan->run(n, ropts);
-            if (cache_.jit_available()) {
-              jit_interpreted_runs_.fetch_add(1, std::memory_order_relaxed);
-              if (kernel) {
-                jit_ineligible_runs_.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
-          }
+          const ExecutionResult result = dispatch_resolved(
+              *plan, entry.kernel(), n, to_run_options(req.opts, &pool_),
+              jit_counters);
           runs_executed_.fetch_add(1, std::memory_order_relaxed);
           reply_type = wire::FrameType::RunReply;
           reply = wire::encode_run_reply(result);
@@ -999,22 +912,13 @@ void PlanServer::process_task(Task& t) {
           }
           check_reply_fits_frame(reply_bytes);
           const auto t0 = std::chrono::steady_clock::now();
-          JitRunCounters batch;
           wire::RunBatchReply rep;
-          rep.results = run_plans(jobs, pool_, req.concurrency, &batch);
+          rep.results = run_plans(jobs, pool_, req.concurrency, jit_counters);
           rep.wall_seconds = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - t0)
                                  .count();
           runs_executed_.fetch_add(req.items.size(),
                                    std::memory_order_relaxed);
-          jit_native_runs_.fetch_add(batch.native, std::memory_order_relaxed);
-          jit_pooled_runs_.fetch_add(batch.pooled, std::memory_order_relaxed);
-          if (cache_.jit_available()) {
-            jit_interpreted_runs_.fetch_add(req.items.size() - batch.native,
-                                            std::memory_order_relaxed);
-            jit_ineligible_runs_.fetch_add(batch.ineligible,
-                                           std::memory_order_relaxed);
-          }
           reply_type = wire::FrameType::RunBatchReply;
           reply = wire::encode_run_batch_reply(rep);
           break;
@@ -1056,7 +960,6 @@ void PlanServer::process_task(Task& t) {
           rep.jit_in_flight = s.cache.jit_in_flight;
           rep.jit_native_runs = s.jit_native_runs;
           rep.jit_interpreted_runs = s.jit_interpreted_runs;
-          rep.jit_pooled_runs = s.jit_pooled_runs;
           rep.jit_ineligible_runs = s.jit_ineligible_runs;
           reply_type = wire::FrameType::StatsReply;
           reply = wire::encode_stats_reply(rep);
@@ -1095,13 +998,11 @@ void PlanServer::process_task(Task& t) {
     reply = wire::encode_error("reply exceeds the frame size limit");
   }
 
-  Task next;
-  bool have_next = false;
   {
     const std::lock_guard<std::mutex> lock(c.mu);
     if (!c.closed && !c.write_dead) {
-      auto bytes = wire::encode_frame_bytes(c.version, reply_type,
-                                            t.frame.request_id, reply);
+      auto bytes =
+          wire::encode_frame_bytes(reply_type, t.frame.request_id, reply);
       c.wqueue_bytes += bytes.size();
       c.wqueue.push_back(std::move(bytes));
     }
@@ -1119,18 +1020,7 @@ void PlanServer::process_task(Task& t) {
       }
     }
     --c.in_flight;
-    if (c.version < wire::kProtocolV2) {
-      if (!c.v1_pending.empty() && !c.closing && !c.closed) {
-        next = std::move(c.v1_pending.front());
-        c.v1_pending.pop_front();
-        ++c.in_flight;
-        have_next = true;
-      } else {
-        c.v1_busy = false;
-      }
-    }
   }
-  if (have_next) enqueue_task(std::move(next));
   kick(t.conn);
   if (shutdown_requested) {
     // Ack queued; hand the actual teardown to whoever is parked in

@@ -19,22 +19,19 @@
 // Event-loop design (PR 8, replacing thread-per-connection): the loop
 // thread owns epoll, all nonblocking socket reads and writes, accept (with
 // EMFILE backoff folded into the epoll timeout), partial-frame reassembly
-// (wire::FrameBuffer), the per-connection token bucket, and the Hello
-// version negotiation — a version switch must land before the next
-// buffered byte is parsed, so it cannot be deferred to a handler.  Decoded
-// requests are dispatched onto `handler_threads` pool threads; runs still
-// execute on the shared WorkerPool.  Handlers never touch sockets: a
-// finished reply is appended to the connection's write queue and the loop
-// is woken through an eventfd to flush it (writev-coalesced — pipelined
-// connections get many frames per syscall).  So the thread count is
-// O(handler pool), not O(connections).
+// (wire::FrameBuffer), the per-connection token bucket, and Ping/Pong
+// heartbeats (answered inline, so a Pong proves the loop itself is
+// alive).  Decoded requests are dispatched onto `handler_threads` pool
+// threads; runs still execute on the shared WorkerPool.  Handlers never
+// touch sockets: a finished reply is appended to the connection's write
+// queue and the loop is woken through an eventfd to flush it
+// (writev-coalesced — pipelined connections get many frames per
+// syscall).  So the thread count is O(handler pool), not O(connections).
 //
 // Per-connection state — registry, quota bucket, strikes, buffers — lives
-// in one Connection object guarded by its own mutex (v2 connections may
-// have several handlers in flight at once).  v1 connections are serialized
-// through a per-connection pending queue so their replies keep arriving in
-// request order, exactly as the blocking protocol promises; v2 requests
-// dispatch freely and reply out of order by request id.
+// in one Connection object guarded by its own mutex (a connection may
+// have several handlers in flight at once).  Requests dispatch freely and
+// reply out of order, tagged with their request id.
 //
 // Backpressure: a connection whose write queue is above
 // `write_high_watermark`, or with `max_pipeline_depth` requests already
@@ -65,6 +62,7 @@
 #include <vector>
 
 #include "runtime/plan_cache.hpp"
+#include "runtime/plan_service.hpp"
 #include "runtime/wire.hpp"
 #include "runtime/worker_pool.hpp"
 
@@ -156,12 +154,8 @@ struct PlanServerStats {
   /// compile-side counters).
   std::uint64_t jit_native_runs = 0;
   std::uint64_t jit_interpreted_runs = 0;
-  /// Subset of jit_native_runs dispatched onto the shared WorkerPool via
-  /// the ABI v2 caller-provides-the-threads kernel entry.
-  std::uint64_t jit_pooled_runs = 0;
   /// Runs that had a published kernel but went interpreted anyway — the
-  /// request's shape (transport/work/channel-capacity, or pinning against
-  /// an old single-entry kernel) or iteration count fell outside what the
+  /// request's shape (work knob) or iteration count fell outside what the
   /// kernel implements.  The counter that answers "why isn't my warm
   /// traffic native?".
   std::uint64_t jit_ineligible_runs = 0;
@@ -227,7 +221,7 @@ class PlanServer {
   /// One decoded request bound for (or inside) the handler pool.
   struct Task {
     std::shared_ptr<Connection> conn;
-    wire::FrameV2 frame;
+    wire::Frame frame;
     /// The loop already tripped the frame-rate quota for this frame: the
     /// handler answers with the quota Error and counts the strike.
     bool struck = false;
@@ -238,7 +232,7 @@ class PlanServer {
   void begin_drain();
   void handle_accept(Listener* listener);
   void handle_readable(const std::shared_ptr<Connection>& conn);
-  void on_frame(const std::shared_ptr<Connection>& conn, wire::FrameV2 frame);
+  void on_frame(const std::shared_ptr<Connection>& conn, wire::Frame frame);
   void flush_locked(Connection& c);
   /// Recompute read backpressure (write-queue watermarks + pipeline
   /// depth, with hysteresis); returns the new paused state.
@@ -293,10 +287,8 @@ class PlanServer {
   std::atomic<std::uint64_t> registry_quota_trips_{0};
   std::atomic<std::uint64_t> quota_disconnects_{0};
   std::atomic<std::uint64_t> accept_backoffs_{0};
-  std::atomic<std::uint64_t> jit_native_runs_{0};
-  std::atomic<std::uint64_t> jit_interpreted_runs_{0};
-  std::atomic<std::uint64_t> jit_pooled_runs_{0};
-  std::atomic<std::uint64_t> jit_ineligible_runs_{0};
+  /// Tallied only while JIT is live, so --jit=off reports all zeros.
+  JitRunCounters jit_runs_;
 };
 
 }  // namespace mimd

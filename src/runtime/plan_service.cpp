@@ -55,47 +55,24 @@ void drive_indexed(std::size_t count, std::size_t concurrency,
   if (first_error) std::rethrow_exception(first_error);
 }
 
-/// Concurrent-driver tallies of how the native tier served a batch.
-struct AtomicJitCounters {
-  std::atomic<std::uint64_t> native{0};
-  std::atomic<std::uint64_t> pooled{0};
-  std::atomic<std::uint64_t> ineligible{0};
+}  // namespace
 
-  [[nodiscard]] JitRunCounters snapshot() const {
-    JitRunCounters c;
-    c.native = native.load(std::memory_order_relaxed);
-    c.pooled = pooled.load(std::memory_order_relaxed);
-    c.ineligible = ineligible.load(std::memory_order_relaxed);
-    return c;
-  }
-};
-
-/// The one native-vs-interpreted dispatch both batch drivers (and the
-/// server's single-run path, via the same rules) use.  Preference order:
-/// pooled native entry (ABI v2 — warm pool threads, pinning honored) >
-/// legacy single-entry native (unpinned requests only) > interpreted.
-/// Bit-identical any way — the kernel is the same CompiledProgram
-/// lowered through the C backend.
 ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
                                   const std::shared_ptr<const JitKernel>& kernel,
                                   std::int64_t n, const RunOptions& opts,
-                                  AtomicJitCounters& counters) {
-  if (kernel && jit_run_eligible(opts, *kernel) &&
-      n >= plan.program().iterations) {
-    counters.native.fetch_add(1, std::memory_order_relaxed);
-    if (kernel->supports_pool()) {
-      counters.pooled.fetch_add(1, std::memory_order_relaxed);
-      return kernel->run_pooled(n, opts.pool, opts.pin_threads);
-    }
-    return kernel->run(n);
+                                  JitRunCounters* counters) {
+  if (kernel && jit_run_eligible(opts) && n >= plan.program().iterations) {
+    ExecutionResult r = kernel->run_pooled(n, opts.pool, opts.pin_threads);
+    if (counters) counters->native.fetch_add(1, std::memory_order_relaxed);
+    return r;
   }
-  if (kernel) {
-    counters.ineligible.fetch_add(1, std::memory_order_relaxed);
+  ExecutionResult r = plan.run(n, opts);
+  if (counters) {
+    counters->interpreted.fetch_add(1, std::memory_order_relaxed);
+    if (kernel) counters->ineligible.fetch_add(1, std::memory_order_relaxed);
   }
-  return plan.run(n, opts);
+  return r;
 }
-
-}  // namespace
 
 BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
                       WorkerPool& pool, std::size_t concurrency) {
@@ -108,7 +85,7 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
 
   const auto t0 = std::chrono::steady_clock::now();
   std::exception_ptr error;
-  AtomicJitCounters counters;
+  JitRunCounters counters;
   try {
     drive_indexed(jobs.size(), concurrency, [&](std::size_t i) {
       const BatchJob& job = jobs[i];
@@ -120,7 +97,7 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
       const std::int64_t n =
           job.iterations > 0 ? job.iterations : plan->program().iterations;
       report.results[i] =
-          dispatch_resolved(*plan, cached.kernel(), n, opts, counters);
+          dispatch_resolved(*plan, cached.kernel(), n, opts, &counters);
     });
   } catch (...) {
     error = std::current_exception();
@@ -129,10 +106,9 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
 
   report.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   report.cache_stats = cache.stats();
-  const JitRunCounters c = counters.snapshot();
-  report.jit_native_runs = c.native;
-  report.jit_pooled_runs = c.pooled;
-  report.jit_ineligible_runs = c.ineligible;
+  report.jit_native_runs = counters.native.load(std::memory_order_relaxed);
+  report.jit_ineligible_runs =
+      counters.ineligible.load(std::memory_order_relaxed);
   if (error) std::rethrow_exception(error);
   return report;
 }
@@ -140,9 +116,8 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
 std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
                                        WorkerPool& pool,
                                        std::size_t concurrency,
-                                       JitRunCounters* out) {
+                                       JitRunCounters* counters) {
   std::vector<ExecutionResult> results(jobs.size());
-  AtomicJitCounters counters;
   drive_indexed(jobs.size(), concurrency, [&](std::size_t i) {
     const PlanJob& job = jobs[i];
     RunOptions opts = job.ropts;
@@ -151,7 +126,6 @@ std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
         job.iterations > 0 ? job.iterations : job.plan->program().iterations;
     results[i] = dispatch_resolved(*job.plan, job.kernel, n, opts, counters);
   });
-  if (out != nullptr) *out = counters.snapshot();
   return results;
 }
 

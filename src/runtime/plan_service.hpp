@@ -20,8 +20,10 @@
 // mimdc --batch <dir> and bench_plan_service are the two callers.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "runtime/executor.hpp"
@@ -37,23 +39,34 @@ struct BatchJob {
   /// Iterations to run; 0 means the program's own compiled count.
   std::int64_t iterations = 0;
   CompileOptions copts;
-  /// Transport / kernel / pinning for this job.  `pool` is overridden by
-  /// the batch driver — every job runs on the shared pool.
+  /// Kernel / pinning for this job.  `pool` is overridden by run_batch —
+  /// every job runs on the shared pool.
   RunOptions ropts;
 };
 
-/// How the native tier served a set of resolved jobs.  `native` counts
-/// every kernel-served job; `pooled` is the subset dispatched through the
-/// ABI v2 caller-provides-the-threads entry onto the shared WorkerPool
-/// (the warm path with no pthread_create at all); `ineligible` counts
-/// jobs that had a published kernel but ran interpreted anyway (request
-/// shape or iteration count outside what the kernel implements) — the
-/// counter that tells an operator why warm traffic isn't native.
+/// How the native tier served runs, tallied by dispatch_resolved.
+/// Atomic, so run_batch's concurrent threads and the daemon's handlers
+/// share one tally.  `native` counts kernel-served runs, `interpreted` the
+/// rest; `ineligible` is the subset of `interpreted` that had a published
+/// kernel but whose request shape or iteration count fell outside what
+/// the kernel implements — the counter that tells an operator why warm
+/// traffic isn't native.
 struct JitRunCounters {
-  std::uint64_t native = 0;
-  std::uint64_t pooled = 0;
-  std::uint64_t ineligible = 0;
+  std::atomic<std::uint64_t> native{0};
+  std::atomic<std::uint64_t> interpreted{0};
+  std::atomic<std::uint64_t> ineligible{0};
 };
+
+/// The one native-vs-interpreted dispatch rule: run `kernel` on the
+/// caller's pool when it is published, `opts` is jit_run_eligible, and
+/// `n` covers the compiled program; otherwise interpret `plan`.
+/// Bit-identical either way — the kernel is the same CompiledProgram
+/// lowered through the C backend.  `counters`, when non-null, receives
+/// one tally once the run has completed.
+ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
+                                  const std::shared_ptr<const JitKernel>& kernel,
+                                  std::int64_t n, const RunOptions& opts,
+                                  JitRunCounters* counters);
 
 struct BatchReport {
   /// One result per job, in job order.
@@ -63,10 +76,8 @@ struct BatchReport {
   /// End-to-end wall time for the whole batch, including compiles.
   double wall_seconds = 0.0;
   /// Jobs served by a published native kernel instead of the interpreted
-  /// executor (always 0 for a cache without JIT).
+  /// executor, on the shared pool (always 0 for a cache without JIT).
   std::uint64_t jit_native_runs = 0;
-  /// Subset of jit_native_runs dispatched onto the shared pool (ABI v2).
-  std::uint64_t jit_pooled_runs = 0;
   /// Jobs with a published kernel that still ran interpreted.
   std::uint64_t jit_ineligible_runs = 0;
 };
@@ -98,8 +109,8 @@ struct PlanJob {
 /// run_batch without the cache leg: execute pre-resolved plans on `pool`
 /// with the same concurrent-driver shape and error discipline (first error
 /// — e.g. iterations below the compiled count — rethrown after the drain).
-/// Results are in job order.  `counters`, when non-null, receives the
-/// native/pooled/ineligible dispatch tallies for the batch.
+/// Results are in job order.  `counters`, when non-null, accumulates the
+/// dispatch tallies of every job that ran.
 std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
                                        WorkerPool& pool,
                                        std::size_t concurrency = 0,

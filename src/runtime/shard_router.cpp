@@ -218,15 +218,13 @@ std::vector<ExecutionResult> ShardRouter::run_jobs(
         try {
           PlanClient& client = ensure_connected(shard);
           Shard& s = *shards_[shard];
-          // Pipelined submits (wire v2): issue every uncached job's
-          // SubmitProgram back-to-back, then gather the ids — the shard
-          // overlaps the compiles across its handler pool and the wire
-          // carries N requests per flight instead of N round trips.
-          // Against a v1 shard the futures resolve synchronously inside
-          // submit_program_async, which is exactly the old sequential
-          // behavior.  A duplicate key inside one group may submit twice
-          // (both misses at issue time); the daemon's shared cache still
-          // compiles once and the extra registry id is harmless.
+          // Pipelined submits: send every uncached job's SubmitProgram
+          // back-to-back, then gather the ids — the shard overlaps the
+          // compiles across its handler pool and the wire carries N
+          // requests per flight instead of N round trips.  A duplicate
+          // key inside one group may submit twice (both missed the id
+          // cache when sent); the daemon's shared cache still compiles
+          // once and the extra registry id is harmless.
           std::vector<wire::RunRequest> items(group.size());
           std::vector<
               std::pair<std::size_t, std::future<wire::SubmitProgramReply>>>

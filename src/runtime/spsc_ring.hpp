@@ -1,5 +1,7 @@
-// Lock-free bounded single-producer/single-consumer ring — the fast
-// transport (Transport::Spsc) behind the threaded executor.
+// Lock-free bounded single-producer/single-consumer ring — the channel
+// behind the threaded executor, and the ring-capacity policy it shares
+// with the generated-C backend (partition/c_codegen.*), which emits the
+// same ring in C11 and must size it identically.
 //
 // Every runtime channel is SPSC by construction: a channel is keyed by
 // (edge, src processor, dst processor), so exactly one thread sends and
@@ -24,19 +26,52 @@
 // thread, where an escaping exception is std::terminate: a loud abort
 // with the message in the terminate diagnostic, by design, since a dead
 // sender cannot unwind the peers blocked on its channels.
+//
+// Capacity policy: a channel's ring holds its *exact* total message count
+// (ChannelDesc::messages), rounded up to a power of two so the cursors can
+// be masked — at that size a bounded sender can never block, so the
+// lock-free fast path is also wait-free for the whole run.  An optional
+// cap bounds memory instead, trading wait-freedom for spin-then-yield
+// backpressure (see RunOptions::channel_capacity for the deadlock caveat).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
-#include "runtime/channel.hpp"
-#include "runtime/transport.hpp"
 #include "support/assert.hpp"
 
 namespace mimd {
+
+/// Smallest power of two >= min_capacity (and >= 2): the ring sizes the
+/// SpscChannel constructor and the emitted C both use, so cursor masking
+/// works identically in both runtimes.
+[[nodiscard]] constexpr std::size_t spsc_ring_capacity(
+    std::size_t min_capacity) {
+  std::size_t cap = 2;
+  while (cap < min_capacity) cap <<= 1;
+  return cap;
+}
+
+/// Capacity for a channel carrying `messages` values over the whole run:
+/// exact sizing (never blocks a sender), optionally capped at `cap` (> 0)
+/// for bounded memory, then rounded up to a power of two.
+[[nodiscard]] constexpr std::size_t ring_capacity(std::int64_t messages,
+                                                  std::int64_t cap = 0) {
+  std::int64_t want = messages < 1 ? 1 : messages;
+  if (cap > 0 && cap < want) want = cap;
+  return spsc_ring_capacity(static_cast<std::size_t>(want));
+}
+
+/// The unit a channel carries: one value, tagged with its producing
+/// iteration so receivers can assert FIFO delivery.
+struct ChannelMessage {
+  std::int64_t iter = 0;  ///< producing iteration, for FIFO validation
+  double value = 0.0;
+};
 
 class SpscChannel {
  public:

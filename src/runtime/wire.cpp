@@ -212,18 +212,12 @@ ExecutionResult decode_result(Decoder& d) {
 namespace {
 
 void encode_remote_opts(Encoder& e, const RemoteRunOptions& o) {
-  e.u8(static_cast<std::uint8_t>(o.transport));
   e.u8(o.pin_threads ? 1 : 0);
   e.i32(o.work_per_cycle);
 }
 
 RemoteRunOptions decode_remote_opts(Decoder& d) {
   RemoteRunOptions o;
-  const std::uint8_t t = d.u8();
-  if (t > static_cast<std::uint8_t>(Transport::Spsc)) {
-    throw WireError("invalid transport");
-  }
-  o.transport = static_cast<Transport>(t);
   o.pin_threads = d.u8() != 0;
   o.work_per_cycle = d.i32();
   return o;
@@ -335,7 +329,7 @@ std::vector<std::uint8_t> encode_run_batch(const RunBatchRequest& m) {
 RunBatchRequest decode_run_batch(const std::vector<std::uint8_t>& payload) {
   Decoder d(payload);
   RunBatchRequest m;
-  const std::uint32_t n = d.count(22);  // 8 + 8 + 6 per item
+  const std::uint32_t n = d.count(21);  // 8 + 8 + 5 per item
   m.items.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.items.push_back(decode_run_request(d));
   m.concurrency = d.u32();
@@ -385,7 +379,6 @@ std::vector<std::uint8_t> encode_stats_reply(const StatsReply& m) {
   e.u64(m.jit_in_flight);
   e.u64(m.jit_native_runs);
   e.u64(m.jit_interpreted_runs);
-  e.u64(m.jit_pooled_runs);
   e.u64(m.jit_ineligible_runs);
   return e.take();
 }
@@ -414,7 +407,6 @@ StatsReply decode_stats_reply(const std::vector<std::uint8_t>& payload) {
   m.jit_in_flight = d.u64();
   m.jit_native_runs = d.u64();
   m.jit_interpreted_runs = d.u64();
-  m.jit_pooled_runs = d.u64();
   m.jit_ineligible_runs = d.u64();
   d.expect_done();
   return m;
@@ -431,39 +423,6 @@ std::string decode_error(const std::vector<std::uint8_t>& payload) {
   std::string s = d.str();
   d.expect_done();
   return s;
-}
-
-std::vector<std::uint8_t> encode_hello(const HelloRequest& m) {
-  Encoder e;
-  e.u32(m.min_version);
-  e.u32(m.max_version);
-  return e.take();
-}
-
-HelloRequest decode_hello(const std::vector<std::uint8_t>& payload) {
-  Decoder d(payload);
-  HelloRequest m;
-  m.min_version = d.u32();
-  m.max_version = d.u32();
-  if (m.min_version == 0 || m.min_version > m.max_version) {
-    throw WireError("invalid hello version range");
-  }
-  d.expect_done();
-  return m;
-}
-
-std::vector<std::uint8_t> encode_hello_reply(std::uint32_t version) {
-  Encoder e;
-  e.u32(version);
-  return e.take();
-}
-
-std::uint32_t decode_hello_reply(const std::vector<std::uint8_t>& payload) {
-  Decoder d(payload);
-  const std::uint32_t version = d.u32();
-  if (version == 0) throw WireError("invalid hello reply version");
-  d.expect_done();
-  return version;
 }
 
 std::vector<std::uint8_t> encode_drop_program(std::uint64_t program_id) {
@@ -708,80 +667,58 @@ bool recv_all(int fd, std::uint8_t* data, std::size_t n) {
 
 }  // namespace
 
-void write_frame(int fd, FrameType type,
-                 const std::vector<std::uint8_t>& payload) {
-  if (payload.size() > kMaxFramePayload) throw WireError("frame too large");
-  std::uint8_t header[5];
-  const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
-  header[0] = static_cast<std::uint8_t>(len);
-  header[1] = static_cast<std::uint8_t>(len >> 8);
-  header[2] = static_cast<std::uint8_t>(len >> 16);
-  header[3] = static_cast<std::uint8_t>(len >> 24);
-  header[4] = static_cast<std::uint8_t>(type);
-  send_all(fd, header, sizeof(header));
-  if (!payload.empty()) send_all(fd, payload.data(), payload.size());
-}
-
-std::optional<Frame> read_frame(int fd) {
-  std::uint8_t header[5];
-  if (!recv_all(fd, header, sizeof(header))) return std::nullopt;
-  const std::uint32_t len = static_cast<std::uint32_t>(header[0]) |
-                            static_cast<std::uint32_t>(header[1]) << 8 |
-                            static_cast<std::uint32_t>(header[2]) << 16 |
-                            static_cast<std::uint32_t>(header[3]) << 24;
-  if (len > kMaxFramePayload) throw WireError("frame length exceeds limit");
-  Frame f;
-  f.type = static_cast<FrameType>(header[4]);
-  f.payload.resize(len);
-  if (len > 0 && !recv_all(fd, f.payload.data(), len)) {
-    throw WireError("connection closed mid-frame");
-  }
-  return f;
-}
-
 namespace {
 
-/// Little-endian header assembly shared by the fd writers and the
-/// write-queue encoder — one place defines the byte layout per version.
-void put_header(std::uint8_t* out, std::uint32_t version, FrameType type,
-                std::uint64_t request_id, std::uint32_t len) {
+/// Little-endian header assembly shared by the fd writer and the
+/// write-queue encoder — one place defines the byte layout.
+void put_header(std::uint8_t* out, FrameType type, std::uint64_t request_id,
+                std::uint32_t len) {
   out[0] = static_cast<std::uint8_t>(len);
   out[1] = static_cast<std::uint8_t>(len >> 8);
   out[2] = static_cast<std::uint8_t>(len >> 16);
   out[3] = static_cast<std::uint8_t>(len >> 24);
   out[4] = static_cast<std::uint8_t>(type);
-  if (version >= kProtocolV2) {
-    for (int i = 0; i < 8; ++i) {
-      out[5 + i] = static_cast<std::uint8_t>(request_id >> (8 * i));
-    }
+  for (int i = 0; i < 8; ++i) {
+    out[5 + i] = static_cast<std::uint8_t>(request_id >> (8 * i));
   }
+}
+
+/// The payload length a header announces, before it is trusted.
+std::uint32_t header_length(const std::uint8_t* h) {
+  return static_cast<std::uint32_t>(h[0]) |
+         static_cast<std::uint32_t>(h[1]) << 8 |
+         static_cast<std::uint32_t>(h[2]) << 16 |
+         static_cast<std::uint32_t>(h[3]) << 24;
+}
+
+/// Type and request id of a header whose length was already checked.
+Frame header_frame(const std::uint8_t* h) {
+  Frame f;
+  f.type = static_cast<FrameType>(h[4]);
+  for (int i = 0; i < 8; ++i) {
+    f.request_id |= static_cast<std::uint64_t>(h[5 + i]) << (8 * i);
+  }
+  return f;
 }
 
 }  // namespace
 
-void write_frame_v2(int fd, FrameType type, std::uint64_t request_id,
-                    const std::vector<std::uint8_t>& payload) {
+void write_frame(int fd, FrameType type, std::uint64_t request_id,
+                 const std::vector<std::uint8_t>& payload) {
   if (payload.size() > kMaxFramePayload) throw WireError("frame too large");
-  std::uint8_t header[kHeaderBytesV2];
-  put_header(header, kProtocolV2, type, request_id,
+  std::uint8_t header[kHeaderBytes];
+  put_header(header, type, request_id,
              static_cast<std::uint32_t>(payload.size()));
   send_all(fd, header, sizeof(header));
   if (!payload.empty()) send_all(fd, payload.data(), payload.size());
 }
 
-std::optional<FrameV2> read_frame_v2(int fd) {
-  std::uint8_t header[kHeaderBytesV2];
+std::optional<Frame> read_frame(int fd) {
+  std::uint8_t header[kHeaderBytes];
   if (!recv_all(fd, header, sizeof(header))) return std::nullopt;
-  const std::uint32_t len = static_cast<std::uint32_t>(header[0]) |
-                            static_cast<std::uint32_t>(header[1]) << 8 |
-                            static_cast<std::uint32_t>(header[2]) << 16 |
-                            static_cast<std::uint32_t>(header[3]) << 24;
+  const std::uint32_t len = header_length(header);
   if (len > kMaxFramePayload) throw WireError("frame length exceeds limit");
-  FrameV2 f;
-  f.type = static_cast<FrameType>(header[4]);
-  for (int i = 0; i < 8; ++i) {
-    f.request_id |= static_cast<std::uint64_t>(header[5 + i]) << (8 * i);
-  }
+  Frame f = header_frame(header);
   f.payload.resize(len);
   if (len > 0 && !recv_all(fd, f.payload.data(), len)) {
     throw WireError("connection closed mid-frame");
@@ -790,15 +727,13 @@ std::optional<FrameV2> read_frame_v2(int fd) {
 }
 
 std::vector<std::uint8_t> encode_frame_bytes(
-    std::uint32_t version, FrameType type, std::uint64_t request_id,
+    FrameType type, std::uint64_t request_id,
     const std::vector<std::uint8_t>& payload) {
   if (payload.size() > kMaxFramePayload) throw WireError("frame too large");
-  const std::size_t header_bytes =
-      version >= kProtocolV2 ? kHeaderBytesV2 : kHeaderBytesV1;
-  std::vector<std::uint8_t> out(header_bytes + payload.size());
-  put_header(out.data(), version, type, request_id,
+  std::vector<std::uint8_t> out(kHeaderBytes + payload.size());
+  put_header(out.data(), type, request_id,
              static_cast<std::uint32_t>(payload.size()));
-  std::copy(payload.begin(), payload.end(), out.begin() + header_bytes);
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderBytes);
   return out;
 }
 
@@ -813,26 +748,15 @@ void FrameBuffer::append(const std::uint8_t* data, std::size_t n) {
   buf_.insert(buf_.end(), data, data + n);
 }
 
-std::optional<FrameV2> FrameBuffer::next() {
-  const std::size_t header_bytes =
-      version_ >= kProtocolV2 ? kHeaderBytesV2 : kHeaderBytesV1;
-  if (buffered() < header_bytes) return std::nullopt;
+std::optional<Frame> FrameBuffer::next() {
+  if (buffered() < kHeaderBytes) return std::nullopt;
   const std::uint8_t* h = buf_.data() + pos_;
-  const std::uint32_t len = static_cast<std::uint32_t>(h[0]) |
-                            static_cast<std::uint32_t>(h[1]) << 8 |
-                            static_cast<std::uint32_t>(h[2]) << 16 |
-                            static_cast<std::uint32_t>(h[3]) << 24;
+  const std::uint32_t len = header_length(h);
   if (len > kMaxFramePayload) throw WireError("frame length exceeds limit");
-  if (buffered() < header_bytes + len) return std::nullopt;
-  FrameV2 f;
-  f.type = static_cast<FrameType>(h[4]);
-  if (version_ >= kProtocolV2) {
-    for (int i = 0; i < 8; ++i) {
-      f.request_id |= static_cast<std::uint64_t>(h[5 + i]) << (8 * i);
-    }
-  }
-  f.payload.assign(h + header_bytes, h + header_bytes + len);
-  pos_ += header_bytes + len;
+  if (buffered() < kHeaderBytes + len) return std::nullopt;
+  Frame f = header_frame(h);
+  f.payload.assign(h + kHeaderBytes, h + kHeaderBytes + len);
+  pos_ += kHeaderBytes + len;
   return f;
 }
 

@@ -4,20 +4,29 @@
 // the in-process plan service already consumes (PartitionedProgram, Ddg,
 // CompileOptions) and produces (ExecutionResult, PlanCache::Stats).
 //
-// Framing: every frame is
+// Framing: every frame, in both directions and from a connection's first
+// byte, is
 //
-//     u32  payload length (little-endian, excludes the 5-byte header)
+//     u32  payload length (little-endian, excludes the 13-byte header)
 //     u8   FrameType
+//     u64  request id (little-endian)
 //     ...  payload (message-specific, see the encode_/decode_ pairs)
 //
 // so a reader always knows how many bytes to consume before it interprets
 // anything — a malformed payload can fail to *decode* but can never
-// desynchronize the stream.  Integers are fixed-width little-endian,
-// assembled bytewise (no aliasing, no host-endianness leaks); doubles
-// travel as their IEEE-754 bit pattern in a u64, so a value survives the
-// round trip *bit-identically* — the differential suites compare daemon
-// results against in-process and sequential execution with ==, not with a
+// desynchronize the stream.  The client picks request ids (monotonic, per
+// connection); the server echoes a request's id on its reply — including
+// Error replies — so replies may arrive in ANY order and a reader demuxes
+// them by id.  Integers are fixed-width little-endian, assembled bytewise
+// (no aliasing, no host-endianness leaks); doubles travel as their
+// IEEE-754 bit pattern in a u64, so a value survives the round trip
+// *bit-identically* — the differential suites compare daemon results
+// against in-process and sequential execution with ==, not with a
 // tolerance.
+//
+// There is exactly one framing and no version negotiation: client, server
+// and every other peer ship from one source tree, and nothing on the wire
+// is persisted.
 //
 // Division of labor: this header is pure serialization + framed I/O over
 // an fd.  Connection lifecycle lives in plan_client.hpp / plan_server.hpp.
@@ -29,26 +38,9 @@
 //     Stats         -> StatsReply           cache/pool/server counters
 //     Shutdown      -> ShutdownReply        ack, then the server drains
 //     DropProgram   -> DropProgramReply     evict one registered id
-//     Hello         -> HelloReply           negotiate the protocol version
+//     Ping          -> Pong                 liveness probe
 // Any request can instead yield Error (a human-readable message); the
 // connection stays usable afterwards.
-//
-// Protocol v2 (request-id multiplexing): a client that wants pipelining
-// opens with a Hello frame — sent in v1 framing, so a v1 server answers
-// it with an ordinary Error frame and the client falls back to blocking
-// v1.  A v2 server answers HelloReply{version=2} (still v1 framing) and
-// BOTH sides then switch to the v2 frame header
-//
-//     u32  payload length (little-endian, excludes the 13-byte header)
-//     u8   FrameType
-//     u64  request id (little-endian)
-//
-// for every subsequent frame on the connection.  The client picks request
-// ids (monotonic, per connection); the server echoes a request's id on
-// its reply — including Error replies — so replies may arrive in ANY
-// order and a reader demuxes them by id.  A client that never sends Hello
-// speaks v1 for the connection's lifetime; the server never speaks first,
-// so the first frame's type alone decides the mode.
 #pragma once
 
 #include <sys/un.h>
@@ -83,11 +75,10 @@ enum class FrameType : std::uint8_t {
   Stats = 4,
   Shutdown = 5,
   DropProgram = 6,
-  Hello = 8,
-  /// Liveness probe (v2 only): empty payload, answered inline with Pong
-  /// echoing the request id.  Lets an idle client detect a wedged server
-  /// without a real request in flight.  Exempt from the frame-rate
-  /// bucket, like Hello: heartbeats must not eat into a tenant's quota.
+  /// Liveness probe: empty payload, answered inline with Pong echoing the
+  /// request id.  Lets an idle client detect a wedged server without a
+  /// real request in flight.  Exempt from the frame-rate bucket:
+  /// heartbeats must not eat into a tenant's quota.
   Ping = 9,
   // Replies (server -> client): request type + 64.
   SubmitProgramReply = 65,
@@ -96,29 +87,15 @@ enum class FrameType : std::uint8_t {
   StatsReply = 68,
   ShutdownReply = 69,
   DropProgramReply = 70,
-  HelloReply = 72,
   Pong = 73,
   Error = 127,
 };
 
+/// Frame header size: u32 length + u8 type + u64 request id.
+inline constexpr std::size_t kHeaderBytes = 13;
+
+/// A parsed frame.
 struct Frame {
-  FrameType type = FrameType::Error;
-  std::vector<std::uint8_t> payload;
-};
-
-/// Protocol versions a Hello can negotiate.  v1 is the original strict
-/// request/reply framing (5-byte header, no request id); v2 adds the u64
-/// request id and out-of-order replies.
-inline constexpr std::uint32_t kProtocolV1 = 1;
-inline constexpr std::uint32_t kProtocolV2 = 2;
-
-/// Frame header sizes per negotiated version.
-inline constexpr std::size_t kHeaderBytesV1 = 5;
-inline constexpr std::size_t kHeaderBytesV2 = 13;
-
-/// A parsed frame plus its request id.  In v1 mode request_id is always 0
-/// (the field does not exist on the wire).
-struct FrameV2 {
   FrameType type = FrameType::Error;
   std::uint64_t request_id = 0;
   std::vector<std::uint8_t> payload;
@@ -217,7 +194,6 @@ struct SubmitProgramReply {
 /// (exact ring sizing): a remote client must not be able to pick a cap
 /// that stalls a daemon worker (see RunOptions::channel_capacity).
 struct RemoteRunOptions {
-  Transport transport = Transport::Spsc;
   bool pin_threads = false;
   int work_per_cycle = 0;
 };
@@ -266,12 +242,8 @@ struct StatsReply {
   std::uint64_t jit_in_flight = 0;
   std::uint64_t jit_native_runs = 0;
   std::uint64_t jit_interpreted_runs = 0;
-  // PR 10: pooled-dispatch split.  jit_pooled_runs is the subset of
-  // jit_native_runs served through the ABI v2 caller-provides-the-threads
-  // entry on the shared WorkerPool; jit_ineligible_runs counts runs that
-  // had a published kernel but still went interpreted (request shape or
-  // iteration count outside what the kernel implements).
-  std::uint64_t jit_pooled_runs = 0;
+  /// Runs that had a published kernel but still went interpreted (request
+  /// shape or iteration count outside what the kernel implements).
   std::uint64_t jit_ineligible_runs = 0;
 };
 
@@ -311,22 +283,6 @@ struct StatsReply {
 [[nodiscard]] std::vector<std::uint8_t> encode_error(
     const std::string& message);
 [[nodiscard]] std::string decode_error(
-    const std::vector<std::uint8_t>& payload);
-
-/// Hello carries the client's supported version range; HelloReply carries
-/// the server's pick (the highest version both sides speak).
-struct HelloRequest {
-  std::uint32_t min_version = kProtocolV1;
-  std::uint32_t max_version = kProtocolV2;
-};
-
-[[nodiscard]] std::vector<std::uint8_t> encode_hello(const HelloRequest& m);
-[[nodiscard]] HelloRequest decode_hello(
-    const std::vector<std::uint8_t>& payload);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_hello_reply(
-    std::uint32_t version);
-[[nodiscard]] std::uint32_t decode_hello_reply(
     const std::vector<std::uint8_t>& payload);
 
 /// DropProgram evicts one registered id from the connection's registry
@@ -372,9 +328,9 @@ struct Endpoint {
 /// Render back to the bare form parse_endpoint accepts round-trip.
 [[nodiscard]] std::string endpoint_to_string(const Endpoint& ep);
 
-/// Connect a stream socket to `ep` (TCP gets TCP_NODELAY — the protocol
-/// is strict request/reply, so Nagle would serialize every round trip
-/// behind a delayed ACK).  Returns the connected fd; throws WireError.
+/// Connect a stream socket to `ep` (TCP gets TCP_NODELAY — frames are
+/// small and latency-bound, so Nagle would hold each one behind a
+/// delayed ACK).  Returns the connected fd; throws WireError.
 [[nodiscard]] int connect_endpoint(const Endpoint& ep);
 
 /// Bind + listen on host:port (port 0 = kernel-assigned) with
@@ -392,7 +348,7 @@ struct Endpoint {
 
 /// Write one frame, handling partial writes and EINTR; MSG_NOSIGNAL keeps
 /// a dead peer an exception (WireError), not a SIGPIPE.
-void write_frame(int fd, FrameType type,
+void write_frame(int fd, FrameType type, std::uint64_t request_id,
                  const std::vector<std::uint8_t>& payload);
 
 /// Read one frame.  Returns nullopt on clean EOF *between* frames; throws
@@ -400,46 +356,29 @@ void write_frame(int fd, FrameType type,
 /// timeout (SO_RCVTIMEO), or any other I/O error.
 [[nodiscard]] std::optional<Frame> read_frame(int fd);
 
-/// Write one v2 frame (13-byte header carrying `request_id`).  Only valid
-/// after the Hello/HelloReply exchange switched the connection to v2.
-void write_frame_v2(int fd, FrameType type, std::uint64_t request_id,
-                    const std::vector<std::uint8_t>& payload);
-
-/// Read one v2 frame; EOF/error contract identical to read_frame.
-[[nodiscard]] std::optional<FrameV2> read_frame_v2(int fd);
-
 /// Serialize one frame — header and payload — into a contiguous byte
-/// blob, in the framing of `version`.  This is the write-queue form: the
-/// epoll server enqueues these and flushes them with nonblocking sends,
-/// so a frame must exist as bytes independent of any fd.  In v1 framing
-/// request_id is dropped (the header has no field for it).
+/// blob.  This is the write-queue form: the epoll server enqueues these
+/// and flushes them with nonblocking sends, so a frame must exist as
+/// bytes independent of any fd.
 [[nodiscard]] std::vector<std::uint8_t> encode_frame_bytes(
-    std::uint32_t version, FrameType type, std::uint64_t request_id,
+    FrameType type, std::uint64_t request_id,
     const std::vector<std::uint8_t>& payload);
 
 /// Incremental frame reassembly for nonblocking reads: append whatever
 /// recv produced, then pop complete frames until next() returns nullopt
-/// (= a partial frame is buffered, feed more bytes).  Version switches
-/// (Hello negotiation) apply to frames parsed AFTER set_version — which
-/// is exactly why the server handles Hello inline in its event loop: the
-/// bytes behind the Hello in the same read must be parsed with the new
-/// header size.
+/// (= a partial frame is buffered, feed more bytes).
 ///
 /// Throws WireError from next() on an oversize length prefix; the caller
 /// drops the connection (a desynchronized stream cannot be resynced).
 class FrameBuffer {
  public:
-  void set_version(std::uint32_t v) { version_ = v; }
-  [[nodiscard]] std::uint32_t version() const { return version_; }
-
   void append(const std::uint8_t* data, std::size_t n);
-  [[nodiscard]] std::optional<FrameV2> next();
+  [[nodiscard]] std::optional<Frame> next();
 
   /// Bytes buffered but not yet returned as frames.
   [[nodiscard]] std::size_t buffered() const { return buf_.size() - pos_; }
 
  private:
-  std::uint32_t version_ = kProtocolV1;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;  ///< parse cursor; consumed prefix compacted lazily
 };

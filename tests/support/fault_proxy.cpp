@@ -31,7 +31,7 @@ FaultPlan scripted_plan(std::uint64_t seed, std::uint64_t conn) {
     case 1:  // refuse outright
       plan.refuse = true;
       break;
-    case 2:  // truncate the request stream at a small offset: the 5-byte
+    case 2:  // truncate the request stream at a small offset: the 13-byte
              // frame header makes any cut below a few hundred bytes land
              // mid-frame for real programs
       plan.close_after_client_bytes = 1 + (r >> 8) % 256;

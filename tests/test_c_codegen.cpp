@@ -3,9 +3,10 @@
 // built-in bitwise self-check (parallel vs sequential) decide.  The
 // backend consumes the same CompiledProgram the in-process executor runs,
 // so these tests also pin the unified lowering pipeline: slot arrays sized
-// by the liveness pass and value-carrying channels under both emitted
-// transports (C11-atomic SPSC rings and the mutex+condvar fallback).
+// by the liveness pass and value-carrying C11-atomic SPSC rings.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include "baseline/doacross.hpp"
 #include "partition/c_codegen.hpp"
 #include "partition/lowering.hpp"
+#include "runtime/spsc_ring.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
 #include "support/loop_gen.hpp"
@@ -28,17 +30,21 @@ namespace {
 
 /// True iff a C11 toolchain is available (probed once with a trivial
 /// program).  Checked up front so a *generated* program that fails to
-/// compile counts as a test failure, never as a missing toolchain.
+/// compile counts as a test failure, never as a missing toolchain.  The
+/// probe files are per process: CTest runs these tests as concurrent
+/// processes sharing one TempDir, and a shared probe.c could be
+/// truncated under another process's compile.
 bool have_c_toolchain() {
   static const bool ok = [] {
-    const std::string dir = ::testing::TempDir();
-    const std::string c_path = dir + "/probe.c";
+    const std::string stem =
+        ::testing::TempDir() + "/probe_" + std::to_string(::getpid());
+    const std::string c_path = stem + ".c";
     {
       std::ofstream f(c_path);
       f << "int main(void) { return 0; }\n";
     }
-    const std::string compile = "cc -O2 -std=c11 -pthread -o " + dir +
-                                "/probe " + c_path + " 2>/dev/null";
+    const std::string compile = "cc -O2 -std=c11 -pthread -o " + stem +
+                                " " + c_path + " 2>/dev/null";
     return std::system(compile.c_str()) == 0;
   }();
   return ok;
@@ -78,12 +84,6 @@ CompiledProgram pattern_compiled(const Ddg& g, const Machine& m,
                          g);
 }
 
-CEmitOptions with_transport(Transport t) {
-  CEmitOptions opts;
-  opts.transport = t;
-  return opts;
-}
-
 TEST(CCodegen, EmitsCompleteTranslationUnit) {
   const Ddg g = workloads::fig7_loop();
   const std::string src =
@@ -100,17 +100,6 @@ TEST(CCodegen, EmitsCompleteTranslationUnit) {
   EXPECT_NE(src.find("double s["), std::string::npos);
   EXPECT_NE(src.find("chan0_buf"), std::string::npos);
   EXPECT_EQ(src.find("V_A[N]"), std::string::npos);
-}
-
-TEST(CCodegen, MutexTransportEmitsNoAtomics) {
-  const Ddg g = workloads::fig7_loop();
-  const std::string src =
-      emit_c_program(pattern_compiled(g, Machine{2, 2}, 6), g,
-                     with_transport(Transport::Mutex));
-  EXPECT_EQ(src.find("stdatomic"), std::string::npos);
-  EXPECT_EQ(src.find("_Atomic"), std::string::npos);
-  EXPECT_NE(src.find("pthread_mutex_lock"), std::string::npos);
-  EXPECT_NE(src.find("pthread_cond_wait"), std::string::npos);
 }
 
 TEST(CCodegen, NodeNamesNeverBecomeIdentifiers) {
@@ -157,22 +146,16 @@ TEST(CCodegen, DoacrossProgramSelfValidates) {
 
 // The differential test: random loop *programs* from the shared generator
 // (tests/support/loop_gen.hpp — the same seeded pipeline the plan-server
-// fuzz suite and the mimdd integration tests draw from), each emitted
-// under both transports, each binary's internal recompute asserting the
-// bitwise match.  Exercises channels, slot reuse, and steady-state rolling
+// fuzz suite and the mimdd integration tests draw from), each emitted and
+// each binary's internal recompute asserting the bitwise match.  Exercises channels, slot reuse, and steady-state rolling
 // on irregular programs no hand-written case would cover.
 TEST(CCodegen, RandomLoopsSelfValidateUnderBothTransports) {
   if (!have_c_toolchain()) GTEST_SKIP() << "no C toolchain available";
   for (const std::uint64_t seed : {3u, 7u, 19u}) {
     const testsupport::GeneratedLoop gl = testsupport::generate_loop(seed);
     const CompiledProgram cp = compile_program(gl.program, gl.graph);
-    for (const Transport t : {Transport::Spsc, Transport::Mutex}) {
-      const std::string src =
-          emit_c_program(cp, gl.graph, with_transport(t));
-      const std::string tag =
-          gl.tag + (t == Transport::Spsc ? "_spsc" : "_mutex");
-      EXPECT_EQ(compile_and_run(src, tag), 0) << tag;
-    }
+    const std::string src = emit_c_program(cp, gl.graph);
+    EXPECT_EQ(compile_and_run(src, gl.tag), 0) << gl.tag;
   }
 }
 
@@ -242,13 +225,9 @@ TEST(CCodegen, RolledLivermoreProgramSelfValidatesOnBothTransports) {
   const Machine m{4, 2};
   const FullSchedResult r = full_sched(g, m, 32);
   const CompiledProgram cp = compile_program(lower(r.schedule, g), g);
-  for (const Transport t : {Transport::Spsc, Transport::Mutex}) {
-    const std::string src = emit_c_program(cp, g, with_transport(t));
-    EXPECT_NE(src.find("for (long long r = 0;"), std::string::npos);
-    EXPECT_EQ(compile_and_run(
-                  src, t == Transport::Spsc ? "ll18_spsc" : "ll18_mutex"),
-              0);
-  }
+  const std::string src = emit_c_program(cp, g);
+  EXPECT_NE(src.find("for (long long r = 0;"), std::string::npos);
+  EXPECT_EQ(compile_and_run(src, "ll18"), 0);
 }
 
 TEST(CCodegen, RingCapacitiesFollowTheSharedPolicy) {
@@ -290,14 +269,9 @@ TEST(CCodegen, NoCheckProgramCompilesAndRunsOnBothTransports) {
   if (!have_c_toolchain()) GTEST_SKIP() << "no C toolchain available";
   const Ddg g = workloads::fig7_loop();
   const CompiledProgram cp = pattern_compiled(g, Machine{2, 2}, 24);
-  for (const Transport t : {Transport::Spsc, Transport::Mutex}) {
-    CEmitOptions opts = with_transport(t);
-    opts.self_check = false;
-    const std::string src = emit_c_program(cp, g, opts);
-    const std::string tag = std::string("nocheck_") +
-                            (t == Transport::Spsc ? "spsc" : "mutex");
-    EXPECT_EQ(compile_and_run(src, tag), 0) << tag;
-  }
+  CEmitOptions opts;
+  opts.self_check = false;
+  EXPECT_EQ(compile_and_run(emit_c_program(cp, g, opts), "nocheck"), 0);
 }
 
 TEST(CCodegen, RejectsProgramComputingNothing) {

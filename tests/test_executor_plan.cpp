@@ -1,5 +1,5 @@
-// The compiled executor: compile() -> ExecutorPlan -> run(), both
-// transports, against the bit-for-bit sequential oracle.
+// The compiled executor: compile() -> ExecutorPlan -> run(), against the
+// bit-for-bit sequential oracle.
 #include <gtest/gtest.h>
 
 #include "partition/compiled_program.hpp"
@@ -167,7 +167,7 @@ TEST(CompiledProgram, RejectsFifoInversion) {
   EXPECT_THROW((void)compile_program(p, g), ContractViolation);
 }
 
-// ---- Plan reuse and transport equivalence. ----
+// ---- Plan reuse and sequential equivalence. ----
 
 TEST(ExecutorPlan, RepeatedRunsAreBitIdentical) {
   const Ddg g = workloads::fig7_loop();
@@ -194,15 +194,7 @@ TEST(ExecutorPlan, BothTransportsMatchSequential) {
   ASSERT_TRUE(r.pattern.has_value());
   const ExecutorPlan plan =
       compile(lower(materialize(*r.pattern, m.processors, n), g), g);
-  const auto reference = run_sequential(g, n);
-
-  RunOptions mutex_opts;
-  mutex_opts.transport = Transport::Mutex;
-  expect_equal_values(plan.run(n, mutex_opts), reference, n);
-
-  RunOptions spsc_opts;
-  spsc_opts.transport = Transport::Spsc;
-  expect_equal_values(plan.run(n, spsc_opts), reference, n);
+  expect_equal_values(plan.run(n), run_sequential(g, n), n);
 }
 
 TEST(ExecutorPlan, CappedRingsExerciseBackpressureAndStayCorrect) {
@@ -210,7 +202,6 @@ TEST(ExecutorPlan, CappedRingsExerciseBackpressureAndStayCorrect) {
   const std::int64_t n = 60;
   const ExecutorPlan plan = compile(fig7_program(g, n), g);
   RunOptions opts;
-  opts.transport = Transport::Spsc;
   opts.channel_capacity = 2;  // rings of 2 instead of exact message counts
   expect_equal_values(plan.run(n, opts), run_sequential(g, n), n);
 }
@@ -224,12 +215,7 @@ TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
     ASSERT_TRUE(r.pattern.has_value());
     const ExecutorPlan plan =
         compile(lower(materialize(*r.pattern, m.processors, n), g), g);
-    const auto reference = run_sequential(g, n);
-    for (const Transport t : {Transport::Mutex, Transport::Spsc}) {
-      RunOptions opts;
-      opts.transport = t;
-      expect_equal_values(plan.run(n, opts), reference, n);
-    }
+    expect_equal_values(plan.run(n), run_sequential(g, n), n);
   }
 }
 

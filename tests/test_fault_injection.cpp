@@ -74,8 +74,8 @@ TEST(FaultInjection, DelayedReplyBecomesAClientTimeoutNotAHang) {
 TEST(FaultInjection, ReplyTruncatedMidFrameThrowsTyped) {
   ProxiedServer ps("fi_cut_reply");
   FaultPlan cut;
-  // A SubmitProgramReply payload is ~28 bytes + 5 header; cutting after 3
-  // bytes guarantees the length prefix itself is torn.
+  // A SubmitProgramReply is a 13-byte header + 28-byte payload; cutting
+  // after 3 bytes guarantees the length prefix itself is torn.
   cut.close_after_server_bytes = 3;
   ps.proxy.set_plan(cut);
   PlanClient client = PlanClient::connect(ps.proxy.endpoint(),
@@ -88,7 +88,7 @@ TEST(FaultInjection, ReplyTruncatedMidFrameThrowsTyped) {
 TEST(FaultInjection, RequestTruncatedMidFrameThrowsTyped) {
   ProxiedServer ps("fi_cut_req");
   FaultPlan cut;
-  cut.close_after_client_bytes = 7;  // mid-way through the first frame
+  cut.close_after_client_bytes = 7;  // inside the first 13-byte header
   ps.proxy.set_plan(cut);
   PlanClient client = PlanClient::connect(ps.proxy.endpoint(),
                                           /*timeout_ms=*/10000);
@@ -140,24 +140,22 @@ TEST(FaultInjection, RefusedConnectionIsTypedAtFirstUse) {
   }
 }
 
-// A mid-pipeline cut: the v2 handshake and the submit succeed, then the
-// reply stream is torn 5 bytes into the FIRST run reply.  Replies are one
-// ordered stream, so the cut orphans every outstanding future — each must
-// fail with a typed WireError (shared fate), none may hang.
+// A mid-pipeline cut: the submit succeeds, then the reply stream is torn
+// 5 bytes into the FIRST run reply.  Replies are one ordered stream, so
+// the cut orphans every outstanding future — each must fail with a typed
+// WireError (shared fate), none may hang.
 TEST(FaultInjection, MidPipelineTruncationFailsAllOutstandingFutures) {
   ProxiedServer ps("fi_pipe_cut");
   FaultPlan cut;
-  // HelloReply is 9 bytes (v1-framed: 5 + 4); SubmitProgramReply is 41
-  // (v2-framed: 13 + 28).  Cutting at 55 tears the first run reply
-  // mid-header.
-  cut.close_after_server_bytes = 55;
+  // SubmitProgramReply is 41 bytes (13 + 28).  Cutting at 46 tears the
+  // first run reply mid-header.
+  cut.close_after_server_bytes = 46;
   ps.proxy.set_plan(cut);
   PlanClient client = PlanClient::connect(ps.proxy.endpoint(),
                                           /*timeout_ms=*/10000);
   const GeneratedLoop gl = generate_loop(541);
   const std::uint64_t id =
       client.submit_program(gl.program, gl.graph).program_id;
-  ASSERT_EQ(client.protocol_version(), wire::kProtocolV2);
   std::vector<std::future<ExecutionResult>> futs;
   for (int r = 0; r < 6; ++r) futs.push_back(client.run_async(id));
   for (auto& f : futs) EXPECT_THROW((void)f.get(), wire::WireError);
@@ -174,18 +172,13 @@ TEST(FaultInjection, UnknownRequestIdIsATypedErrorNotAHang) {
   std::thread bogus([lfd = lfd] {
     const int fd = ::accept(lfd, nullptr, nullptr);
     if (fd < 0) return;
-    const auto hello = wire::read_frame(fd);
-    if (hello.has_value() && hello->type == wire::FrameType::Hello) {
-      wire::write_frame(fd, wire::FrameType::HelloReply,
-                        wire::encode_hello_reply(wire::kProtocolV2));
-    }
     try {
-      const auto req = wire::read_frame_v2(fd);
+      const auto req = wire::read_frame(fd);
       if (req.has_value()) {
         // Right type, WRONG id: the client never issued req_id + 1000.
-        wire::write_frame_v2(fd, wire::FrameType::StatsReply,
-                             req->request_id + 1000,
-                             wire::encode_stats_reply(wire::StatsReply{}));
+        wire::write_frame(fd, wire::FrameType::StatsReply,
+                          req->request_id + 1000,
+                          wire::encode_stats_reply(wire::StatsReply{}));
       }
     } catch (const wire::WireError&) {
     }
@@ -202,14 +195,14 @@ TEST(FaultInjection, UnknownRequestIdIsATypedErrorNotAHang) {
   ::close(lfd);
 }
 
-// A stalled (live but silent) connection: the proxy forwards the
-// handshake, then nothing — without closing.  No EOF ever arrives, so
-// only the pipelined reply deadline can save the caller: the future must
-// time out typed, not wait forever.
+// A stalled (live but silent) connection: the proxy forwards no reply
+// bytes at all — without closing.  No EOF ever arrives, so only the
+// pipelined reply deadline can save the caller: the future must time out
+// typed, not wait forever.
 TEST(FaultInjection, StalledPipelineHitsTheReplyDeadlineNotAHang) {
   ProxiedServer ps("fi_stall");
   FaultPlan stall;
-  stall.stall_after_server_bytes = 9;  // exactly the HelloReply
+  stall.stall_after_server_bytes = 0;  // the submit's reply never arrives
   ps.proxy.set_plan(stall);
   PlanClient client = PlanClient::connect(ps.proxy.endpoint(),
                                           /*timeout_ms=*/200);
@@ -220,20 +213,18 @@ TEST(FaultInjection, StalledPipelineHitsTheReplyDeadlineNotAHang) {
 
 // The gap the reply deadline leaves open: it only arms with a request in
 // flight, so a server that wedges while the client is IDLE used to go
-// unnoticed until the next submit burned its own timeout.  The negotiated
-// v2 client closes it with a heartbeat — every idle timeout_ms it Pings,
-// the Pong becomes an ordinary owed reply, and the same deadline math
-// converts a silent server into typed transport death with NOTHING
-// outstanding.
+// unnoticed until the next submit burned its own timeout.  The client
+// closes it with a heartbeat — every idle timeout_ms it Pings, the Pong
+// becomes an ordinary owed reply, and the same deadline math converts a
+// silent server into typed transport death with NOTHING outstanding.
 TEST(FaultInjection, IdleHeartbeatDetectsAWedgedServerNothingOutstanding) {
   ProxiedServer ps("fi_idle_stall");
   FaultPlan stall;
-  stall.stall_after_server_bytes = 9;  // exactly the HelloReply
+  stall.stall_after_server_bytes = 13;  // exactly negotiate()'s Pong
   ps.proxy.set_plan(stall);
   PlanClient client = PlanClient::connect(ps.proxy.endpoint(),
                                           /*timeout_ms=*/150);
   client.negotiate();
-  ASSERT_EQ(client.protocol_version(), wire::kProtocolV2);
   ASSERT_TRUE(client.transport_error().empty());
 
   // No request is ever submitted.  One idle period arms the Ping, one

@@ -39,16 +39,21 @@ using testsupport::generate_loop;
   } while (false)
 
 // The shared-object emission mode produces a loadable kernel, not a
-// program: exported entry point + ABI constant, no main, no self-check
-// recompute.
+// program: exported entry points + ABI constant, no main, no self-check
+// recompute, and no thread creation (the caller owns the threads).
 TEST(JitCompiler, SharedObjectSourceIsAKernelNotAProgram) {
   const GeneratedLoop gl = generate_loop(2000);
   const ExecutorPlan plan = compile(gl.program, gl.graph);
   CEmitOptions opts;
   opts.shared_object = true;
   const std::string src = emit_c_program(plan.program(), gl.graph, opts);
-  EXPECT_NE(src.find("int mimd_kernel_run(long long n"), std::string::npos);
+  EXPECT_NE(src.find("void* mimd_kernel_ctx_create(long long n"),
+            std::string::npos);
+  EXPECT_NE(src.find("int mimd_kernel_run_on(void* ctx"), std::string::npos);
+  EXPECT_NE(src.find("void mimd_kernel_ctx_destroy(void* ctx)"),
+            std::string::npos);
   EXPECT_NE(src.find("mimd_kernel_info"), std::string::npos);
+  EXPECT_EQ(src.find("pthread_create"), std::string::npos);
   EXPECT_EQ(src.find("int main"), std::string::npos);
   EXPECT_EQ(src.find("SEQ"), std::string::npos);
   EXPECT_EQ(src.find("MISMATCH"), std::string::npos);
@@ -60,9 +65,8 @@ TEST(JitCompiler, SharedObjectSourceIsAKernelNotAProgram) {
   EXPECT_EQ(src.find("static double R["), std::string::npos);
 }
 
-// The acceptance differential: 50 generated programs, each run pooled-
-// native (ABI v2 entries on the shared WorkerPool), single-entry native
-// (the kernel's own pthreads), interpreted, and sequentially — all four
+// The acceptance differential: 50 generated programs, each run native
+// on the shared WorkerPool, interpreted, and sequentially — all three
 // bit-identical.
 TEST(JitCompiler, FuzzDifferentialNativeVsInterpretedVsSequential) {
   REQUIRE_JIT();
@@ -78,13 +82,9 @@ TEST(JitCompiler, FuzzDifferentialNativeVsInterpretedVsSequential) {
       continue;
     }
     ASSERT_NE(kernel, nullptr) << gl.tag;
-    ASSERT_TRUE(kernel->supports_pool()) << gl.tag;
-    const ExecutionResult native = kernel->run(gl.iterations);
-    const ExecutionResult pooled = kernel->run_pooled(gl.iterations, &pool);
+    const ExecutionResult native = kernel->run_pooled(gl.iterations, &pool);
     const ExecutionResult interp = plan.run(gl.iterations);
     const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
-    EXPECT_TRUE(values_match(pooled, native, gl.iterations))
-        << gl.tag << ": pooled vs single-entry native";
     EXPECT_TRUE(values_match(native, interp, gl.iterations))
         << gl.tag << ": native vs interpreted";
     EXPECT_TRUE(values_match(native, seq, gl.iterations))
@@ -101,8 +101,8 @@ TEST(JitCompiler, RepeatRunsAreIdentical) {
   const GeneratedLoop gl = generate_loop(2060);
   const ExecutorPlan plan = compile(gl.program, gl.graph);
   const std::shared_ptr<const JitKernel> kernel = jit_compile(plan);
-  const ExecutionResult first = kernel->run(gl.iterations);
-  const ExecutionResult second = kernel->run(gl.iterations);
+  const ExecutionResult first = kernel->run_pooled(gl.iterations, nullptr);
+  const ExecutionResult second = kernel->run_pooled(gl.iterations, nullptr);
   EXPECT_TRUE(values_match(first, second, gl.iterations));
 }
 
@@ -168,7 +168,7 @@ TEST(JitCompiler, ConcurrentFirstRequestsCompileExactlyOnce) {
       cache.get_or_compile_jit(gl.program, gl.graph);
   const std::shared_ptr<const JitKernel> kernel = warm.kernel();
   ASSERT_NE(kernel, nullptr);
-  EXPECT_TRUE(values_match(kernel->run(gl.iterations),
+  EXPECT_TRUE(values_match(kernel->run_pooled(gl.iterations, nullptr),
                            run_reference(gl.graph, gl.iterations),
                            gl.iterations));
 }
@@ -199,7 +199,7 @@ TEST(JitCompiler, EvictionUnloadsKernelOnlyAfterCallersFinish) {
   cache.wait_jit_idle();
 
   EXPECT_FALSE(weak.expired()) << "eviction dlclosed a kernel in use";
-  EXPECT_TRUE(values_match(kernel->run(a.iterations),
+  EXPECT_TRUE(values_match(kernel->run_pooled(a.iterations, nullptr),
                            run_reference(a.graph, a.iterations),
                            a.iterations));
   kernel.reset();
@@ -207,39 +207,7 @@ TEST(JitCompiler, EvictionUnloadsKernelOnlyAfterCallersFinish) {
       << "kernel outlived its last reference (leak)";
 }
 
-// Old-ABI compatibility: a genuine single-entry (ABI v1) shared object —
-// emitted by the v1 mode kept selectable for exactly this test — still
-// loads and runs bit-identically.  It reports supports_pool() == false,
-// and the kernel-aware eligibility overload routes its *pinned* runs back
-// to the interpreter (the kernel spawns its own unpinned pthreads, so it
-// cannot honor a placement hint), while unpinned runs stay native.
-TEST(JitCompiler, SingleEntryAbiV1KernelStillLoads) {
-  REQUIRE_JIT();
-  const GeneratedLoop gl = generate_loop(2200);
-  const ExecutorPlan plan = compile(gl.program, gl.graph);
-  JitOptions v1;
-  v1.emit_abi = 1;
-  const std::shared_ptr<const JitKernel> old = jit_compile(plan, v1);
-  ASSERT_NE(old, nullptr);
-  EXPECT_FALSE(old->supports_pool());
-  EXPECT_TRUE(values_match(old->run(gl.iterations),
-                           plan.run(gl.iterations), gl.iterations));
-
-  RunOptions unpinned;
-  RunOptions pinned;
-  pinned.pin_threads = true;
-  EXPECT_TRUE(jit_run_eligible(unpinned, *old));
-  EXPECT_FALSE(jit_run_eligible(pinned, *old));
-
-  const std::shared_ptr<const JitKernel> v2 = jit_compile(plan);
-  ASSERT_TRUE(v2->supports_pool());
-  EXPECT_TRUE(jit_run_eligible(pinned, *v2));
-  // run_pooled on a v1 kernel is a caller bug, not a degradation.
-  EXPECT_THROW((void)old->run_pooled(gl.iterations, nullptr),
-               ContractViolation);
-}
-
-// The ABI v2 context lifecycle (create -> run_on xN -> destroy) under the
+// The kernel context lifecycle (create -> run_on xN -> destroy) under the
 // suite's sanitizer builds: repeated pooled runs — with and without a
 // pool, pinned and not — must neither leak the calloc'd context (ASan)
 // nor diverge in values, and an undersized n must be rejected before any
@@ -249,7 +217,6 @@ TEST(JitCompiler, PooledContextLifecycleIsLeakFreeAcrossRepeatRuns) {
   const GeneratedLoop gl = generate_loop(2201);
   const ExecutorPlan plan = compile(gl.program, gl.graph);
   const std::shared_ptr<const JitKernel> kernel = jit_compile(plan);
-  ASSERT_TRUE(kernel->supports_pool());
   EXPECT_THROW((void)kernel->run_pooled(gl.iterations - 1, nullptr),
                ContractViolation);
   WorkerPool pool;
@@ -265,21 +232,15 @@ TEST(JitCompiler, PooledContextLifecycleIsLeakFreeAcrossRepeatRuns) {
   }
 }
 
-// The run-site gate: only a default-shaped run (SPSC, no synthetic work,
+// The run-site gate: only a default-shaped run (no synthetic work,
 // default rings) may be served natively — those knobs change observable
 // behavior or timing semantics the kernel does not implement.  Pinning is
-// no longer a shape question: with an ABI v2 kernel the caller provides
-// the threads, so the rotating CPU-slice policy applies to native runs
-// exactly as to interpreted ones; only a legacy single-entry kernel
-// (which spawns its own unpinned pthreads) still routes pinned runs to
-// the interpreter — asserted by the kernel-aware overload in
-// SingleEntryAbiV1KernelStillLoads below.
+// not a shape question: the caller provides the kernel's threads, so the
+// rotating CPU-slice policy applies to native runs exactly as to
+// interpreted ones.
 TEST(JitCompiler, RunEligibilityGate) {
   RunOptions o;
   EXPECT_TRUE(jit_run_eligible(o));
-  o.transport = Transport::Mutex;
-  EXPECT_FALSE(jit_run_eligible(o));
-  o = RunOptions{};
   o.pin_threads = true;
   EXPECT_TRUE(jit_run_eligible(o));
   o = RunOptions{};

@@ -367,30 +367,25 @@ TEST_P(OptFuzz, OptimizedMatchesUnoptimizedAndSequential) {
       reference, opt::observable_streams(pipe.loops, kEvalIters)));
 
   // Layer 2 — runtime: every rewritten strand, scheduled and compiled,
-  // runs bit-identical to its own sequential reference on both
-  // transports (the same oracle the unoptimized pipeline must satisfy).
+  // runs bit-identical to its own sequential reference (the same oracle
+  // the unoptimized pipeline must satisfy).
   ParallelizeOptions popts;
   popts.machine = Machine{2, 1};
   popts.iterations = 10;
   popts.emit_code = false;
   CompileOptions copts;
   copts.opt = OptLevel::O1;
-  auto run_both_transports = [](const ParallelizeResult& r,
-                                const CompileOptions& co) {
+  auto run_against_sequential = [](const ParallelizeResult& r,
+                                   const CompileOptions& co) {
     const ExecutorPlan plan = compile(r.program, r.normalized.graph, co);
-    const ExecutionResult reference =
-        run_reference(r.normalized.graph, r.normalized_iterations);
-    for (const Transport t : {Transport::Spsc, Transport::Mutex}) {
-      RunOptions ropts;
-      ropts.transport = t;
-      const ExecutionResult par = plan.run(r.normalized_iterations, ropts);
-      EXPECT_TRUE(values_match(par, reference, r.normalized_iterations))
-          << "transport " << transport_name(t);
-    }
+    EXPECT_TRUE(values_match(
+        plan.run(r.normalized_iterations),
+        run_reference(r.normalized.graph, r.normalized_iterations),
+        r.normalized_iterations));
   };
   for (const ir::Loop& strand : pipe.loops) {
     const ir::DependenceResult dep = ir::analyze_dependences(strand);
-    run_both_transports(parallelize(dep.graph, popts), copts);
+    run_against_sequential(parallelize(dep.graph, popts), copts);
   }
 
   // The unoptimized program through the same runtime oracle, when it is
@@ -401,7 +396,7 @@ TEST_P(OptFuzz, OptimizedMatchesUnoptimizedAndSequential) {
     const ir::DependenceResult dep = ir::analyze_dependences(original);
     CompileOptions off;
     off.opt = OptLevel::Off;
-    run_both_transports(parallelize(dep.graph, popts), off);
+    run_against_sequential(parallelize(dep.graph, popts), off);
   } catch (const ContractViolation&) {
     EXPECT_GT(gen.strands, 1) << "single-strand loop failed to schedule";
   }

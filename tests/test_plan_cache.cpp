@@ -302,7 +302,6 @@ TEST(PlanService, BatchMatchesSequentialAndDedupesPlans) {
     b.program = pattern_program(ll20, Machine{3, 2}, 18);
     b.graph = ll20;
     b.iterations = 18;
-    b.ropts.transport = Transport::Mutex;  // per-job transport respected
     jobs.push_back(b);
   }
 

@@ -141,8 +141,7 @@ TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
   }
 
   // Leg 1: the daemon, over the Unix socket (one connection, one batched
-  // run — the mimdc --batch --connect shape).  Channel transport
-  // alternates so both stay covered.
+  // run — the mimdc --batch --connect shape).
   TestServer ts("ps_fuzz");
   std::vector<ExecutionResult> via_daemon;
   {
@@ -155,22 +154,19 @@ TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
       wire::RunRequest item;
       item.program_id = sub.program_id;
       item.iterations = 0;  // compiled count
-      item.opts.transport = i % 2 == 0 ? Transport::Spsc : Transport::Mutex;
       items.push_back(item);
     }
     via_daemon = client.run_batch(items).results;
   }
   ASSERT_EQ(via_daemon.size(), loops.size());
 
-  // Leg 2: the in-process plan service (local cache + pool), same
-  // transport per index.
+  // Leg 2: the in-process plan service (local cache + pool).
   std::vector<BatchJob> jobs;
   for (std::size_t i = 0; i < loops.size(); ++i) {
     BatchJob job;
     job.program = loops[i].program;
     job.graph = loops[i].graph;
     job.iterations = 0;
-    job.ropts.transport = i % 2 == 0 ? Transport::Spsc : Transport::Mutex;
     jobs.push_back(std::move(job));
   }
   PlanCache cache(kPrograms + 8);
@@ -276,9 +272,7 @@ TEST(PlanServer, ConcurrentMixedTrafficStress) {
         for (int r = 0; r < kRequestsPerClient; ++r) {
           const std::size_t i =
               static_cast<std::size_t>(c + r) % loops.size();
-          wire::RemoteRunOptions opts;
-          opts.transport = r % 2 == 0 ? Transport::Spsc : Transport::Mutex;
-          const ExecutionResult result = client.run(ids[i], 0, opts);
+          const ExecutionResult result = client.run(ids[i]);
           if (!values_match(result, refs[i], loops[i].iterations)) {
             ++failures;
             const std::lock_guard<std::mutex> lock(log_mu);
@@ -324,7 +318,7 @@ TEST(PlanServer, GracefulShutdownDrainsInFlightRuns) {
   wire::SubmitProgramRequest sub;
   sub.program = gl.program;
   sub.graph = gl.graph;
-  wire::write_frame(fd, wire::FrameType::SubmitProgram,
+  wire::write_frame(fd, wire::FrameType::SubmitProgram, 1,
                     wire::encode_submit_program(sub));
   const auto sub_reply = wire::read_frame(fd);
   ASSERT_TRUE(sub_reply.has_value());
@@ -335,7 +329,7 @@ TEST(PlanServer, GracefulShutdownDrainsInFlightRuns) {
   wire::RunRequest run;
   run.program_id = id;
   run.opts.work_per_cycle = 5000;
-  wire::write_frame(fd, wire::FrameType::Run, wire::encode_run(run));
+  wire::write_frame(fd, wire::FrameType::Run, 2, wire::encode_run(run));
   // The run request is now queued (or executing) server-side.  Shut the
   // daemon down via the wire from a second connection...
   {
@@ -350,6 +344,7 @@ TEST(PlanServer, GracefulShutdownDrainsInFlightRuns) {
   const auto run_reply = wire::read_frame(fd);
   ASSERT_TRUE(run_reply.has_value());
   ASSERT_EQ(run_reply->type, wire::FrameType::RunReply);
+  EXPECT_EQ(run_reply->request_id, 2u);
   const ExecutionResult r = wire::decode_run_reply(run_reply->payload);
   EXPECT_TRUE(values_match(r, seq, gl.iterations));
   ::close(fd);
@@ -714,7 +709,7 @@ TEST(PlanServer, AcceptLoopSurvivesFdExhaustion) {
   wire::SubmitProgramRequest sub;
   sub.program = gl.program;
   sub.graph = gl.graph;
-  wire::write_frame(fd, wire::FrameType::SubmitProgram,
+  wire::write_frame(fd, wire::FrameType::SubmitProgram, 1,
                     wire::encode_submit_program(sub));
   const auto reply = wire::read_frame(fd);
   ASSERT_TRUE(reply.has_value());
@@ -723,7 +718,7 @@ TEST(PlanServer, AcceptLoopSurvivesFdExhaustion) {
       wire::decode_submit_program_reply(reply->payload).program_id;
   wire::RunRequest run;
   run.program_id = id;
-  wire::write_frame(fd, wire::FrameType::Run, wire::encode_run(run));
+  wire::write_frame(fd, wire::FrameType::Run, 2, wire::encode_run(run));
   const auto run_reply = wire::read_frame(fd);
   ASSERT_TRUE(run_reply.has_value());
   ASSERT_EQ(run_reply->type, wire::FrameType::RunReply);
@@ -734,12 +729,12 @@ TEST(PlanServer, AcceptLoopSurvivesFdExhaustion) {
   EXPECT_GE(ts.server.stats().accept_backoffs, 1u);
 }
 
-// Pipelined v2 traffic: a burst of async runs with wildly uneven costs,
+// Pipelined traffic: a burst of async runs with wildly uneven costs,
 // issued back-to-back on ONE connection.  The heavy request goes first,
 // so on the server's handler pool the light replies overtake it — every
 // future must still resolve to ITS OWN program's bit-exact result (the
-// demux-by-request-id property; in-order v1 would pass this vacuously,
-// overtaking replies make it a real test).
+// demux-by-request-id property; in-order replies would pass this
+// vacuously, overtaking replies make it a real test).
 TEST(PlanServer, PipelinedOutOfOrderRepliesLandOnTheRightFutures) {
   TestServer ts("ps_pipeline");
   PlanClient client = PlanClient::connect(ts.server.socket_path());
@@ -754,7 +749,6 @@ TEST(PlanServer, PipelinedOutOfOrderRepliesLandOnTheRightFutures) {
     ids.push_back(
         client.submit_program(loops[s].program, loops[s].graph).program_id);
   }
-  EXPECT_EQ(client.protocol_version(), wire::kProtocolV2);
 
   std::vector<std::future<ExecutionResult>> futs;
   std::vector<std::size_t> which;
@@ -764,7 +758,6 @@ TEST(PlanServer, PipelinedOutOfOrderRepliesLandOnTheRightFutures) {
     // First request is deliberately expensive; the rest are cheap and
     // overtake it on the handler pool.
     opts.work_per_cycle = r == 0 ? 2000 : 0;
-    opts.transport = r % 2 == 0 ? Transport::Spsc : Transport::Mutex;
     futs.push_back(client.run_async(ids[i], 0, opts));
     which.push_back(i);
   }
@@ -773,35 +766,6 @@ TEST(PlanServer, PipelinedOutOfOrderRepliesLandOnTheRightFutures) {
     EXPECT_TRUE(values_match(futs[k].get(), refs[i], loops[i].iterations))
         << "request " << k << " (" << loops[i].tag << ")";
   }
-}
-
-// pipeline=false skips Hello entirely: a live v1-client-vs-v2-server
-// compatibility check.  The server must keep speaking strict 5-byte-header
-// request/reply to this connection forever — while a v2 connection
-// pipelines against the same server.
-TEST(PlanServer, V1ClientInteroperatesWithTheV2Server) {
-  TestServer ts("ps_v1compat");
-  const GeneratedLoop gl = generate_loop(421);
-  const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
-
-  PlanClient v1 = PlanClient::connect(ts.server.socket_path(), 0,
-                                      /*pipeline=*/false);
-  const std::uint64_t id = v1.submit_program(gl.program, gl.graph).program_id;
-  EXPECT_EQ(v1.protocol_version(), wire::kProtocolV1);
-  EXPECT_TRUE(values_match(v1.run(id), seq, gl.iterations));
-
-  // A v2 connection alongside it, same server, same cache.
-  PlanClient v2 = PlanClient::connect(ts.server.socket_path());
-  const Ddg renamed = renamed_copy(gl.graph, "v2_");
-  const std::uint64_t id2 =
-      v2.submit_program(gl.program, renamed).program_id;
-  EXPECT_EQ(v2.protocol_version(), wire::kProtocolV2);
-  EXPECT_TRUE(values_match(v2.run(id2), seq, gl.iterations));
-  // The async API still works on a v1 connection (resolved synchronously).
-  EXPECT_TRUE(values_match(v1.run_async(id).get(), seq, gl.iterations));
-
-  const wire::StatsReply stats = v2.stats();
-  EXPECT_EQ(stats.cache.misses, 1u);  // one structure, either framing
 }
 
 /// Threads in this process right now (/proc/self/task entries).
@@ -882,61 +846,30 @@ TEST(PlanServer, DropProgramFreesTheRegistrySlot) {
                            c.iterations));
 }
 
-// Ping/Pong heartbeat frames.  A negotiated v2 connection gets its Pong
-// inline from the event loop — no worker-pool round trip — echoing the
-// request id with an empty payload; the connection stays fully usable
-// afterwards.  A v1 connection never negotiated the frame, so Ping is an
-// ordinary unknown request answered with an Error frame, which is
-// exactly what keeps old peers unaffected by the heartbeat.
+// Ping/Pong heartbeat frames.  A connection gets its Pong inline from
+// the event loop — no worker-pool round trip — echoing the request id
+// with an empty payload; the connection stays fully usable afterwards.
 TEST(PlanServer, PingAnsweredInlineWithPongOnV2) {
-  TestServer ts("ps_ping_v2");
+  TestServer ts("ps_ping");
   const sockaddr_un addr = wire::make_unix_addr(ts.server.socket_path());
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   ASSERT_EQ(
       ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
       0);
-  wire::write_frame(fd, wire::FrameType::Hello,
-                    wire::encode_hello(wire::HelloRequest{}));
-  const auto hello = wire::read_frame(fd);
-  ASSERT_TRUE(hello.has_value());
-  ASSERT_EQ(hello->type, wire::FrameType::HelloReply);
-  ASSERT_EQ(wire::decode_hello_reply(hello->payload), wire::kProtocolV2);
-
-  wire::write_frame_v2(fd, wire::FrameType::Ping, 77, {});
-  const auto pong = wire::read_frame_v2(fd);
+  wire::write_frame(fd, wire::FrameType::Ping, 77, {});
+  const auto pong = wire::read_frame(fd);
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->type, wire::FrameType::Pong);
   EXPECT_EQ(pong->request_id, 77u);
   EXPECT_TRUE(pong->payload.empty());
 
   // Still a working connection: a Stats roundtrip succeeds after the Pong.
-  wire::write_frame_v2(fd, wire::FrameType::Stats, 78, {});
-  const auto stats = wire::read_frame_v2(fd);
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->type, wire::FrameType::StatsReply);
-  EXPECT_EQ(stats->request_id, 78u);
-  ::close(fd);
-}
-
-TEST(PlanServer, PingOnAV1ConnectionIsAnOrdinaryTypedError) {
-  TestServer ts("ps_ping_v1");
-  const sockaddr_un addr = wire::make_unix_addr(ts.server.socket_path());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-      0);
-  // No Hello: the connection is locked to v1 by its first real frame.
-  wire::write_frame(fd, wire::FrameType::Ping, {});
-  const auto reply = wire::read_frame(fd);
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, wire::FrameType::Error);
-  // The connection survives the refused frame.
-  wire::write_frame(fd, wire::FrameType::Stats, {});
+  wire::write_frame(fd, wire::FrameType::Stats, 78, {});
   const auto stats = wire::read_frame(fd);
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->type, wire::FrameType::StatsReply);
+  EXPECT_EQ(stats->request_id, 78u);
   ::close(fd);
 }
 

@@ -58,12 +58,11 @@ struct TestFleet {
   }
 };
 
-ShardJob make_job(const GeneratedLoop& gl, Transport transport) {
+ShardJob make_job(const GeneratedLoop& gl) {
   ShardJob job;
   job.program = gl.program;
   job.graph = gl.graph;
   job.iterations = 0;  // compiled count
-  job.run_opts.transport = transport;
   return job;
 }
 
@@ -168,7 +167,7 @@ TEST(ShardRouter, DeadShardFailsOverToSuccessor) {
   std::vector<GeneratedLoop> loops;
   for (std::uint64_t seed = 401; seed <= 408; ++seed) {
     loops.push_back(generate_loop(seed));
-    jobs.push_back(make_job(loops.back(), Transport::Spsc));
+    jobs.push_back(make_job(loops.back()));
   }
 
   router.mark_dead(0);
@@ -202,7 +201,7 @@ TEST(ShardRouter, UnreachableEndpointDegradesNotFails) {
   std::vector<GeneratedLoop> loops;
   for (std::uint64_t seed = 421; seed <= 436; ++seed) {
     loops.push_back(generate_loop(seed));
-    jobs.push_back(make_job(loops.back(), Transport::Spsc));
+    jobs.push_back(make_job(loops.back()));
   }
   const std::vector<ExecutionResult> results = router.run_jobs(jobs);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -228,7 +227,7 @@ TEST(ShardRouter, AllShardsDeadThrowsWireError) {
   router.mark_dead(0);
   router.mark_dead(1);
   const GeneratedLoop gl = generate_loop(440);
-  EXPECT_THROW((void)router.run_jobs({make_job(gl, Transport::Spsc)}),
+  EXPECT_THROW((void)router.run_jobs({make_job(gl)}),
                wire::WireError);
 }
 
@@ -246,7 +245,7 @@ TEST(ShardRouter, RepeatRunJobsSkipSubmitProgram) {
   std::vector<ShardJob> jobs;
   for (std::uint64_t seed = 461; seed <= 468; ++seed) {
     loops.push_back(generate_loop(seed));
-    jobs.push_back(make_job(loops.back(), Transport::Spsc));
+    jobs.push_back(make_job(loops.back()));
   }
 
   const std::vector<ExecutionResult> first = router.run_jobs(jobs);
@@ -293,7 +292,7 @@ TEST(ShardRouter, DropProgramInvalidatesTheSubmittedIdCache) {
   std::vector<ShardJob> jobs;
   for (std::uint64_t seed = 471; seed <= 476; ++seed) {
     loops.push_back(generate_loop(seed));
-    jobs.push_back(make_job(loops.back(), Transport::Spsc));
+    jobs.push_back(make_job(loops.back()));
   }
   const std::vector<ExecutionResult> first = router.run_jobs(jobs);
 
@@ -335,13 +334,11 @@ TEST(ShardRouter, FuzzDifferentialFleetVsInProcessVsSequential) {
   std::vector<BatchJob> local_jobs;
   for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
     loops.push_back(generate_loop(seed));
-    const Transport t = seed % 2 == 0 ? Transport::Spsc : Transport::Mutex;
-    shard_jobs.push_back(make_job(loops.back(), t));
+    shard_jobs.push_back(make_job(loops.back()));
     BatchJob job;
     job.program = loops.back().program;
     job.graph = loops.back().graph;
     job.iterations = 0;
-    job.ropts.transport = t;
     local_jobs.push_back(std::move(job));
   }
 

@@ -38,18 +38,13 @@ void expect_both_policies_match_sequential(const PartitionedProgram& p,
   for (const SlotPolicy policy : {SlotPolicy::Reuse, SlotPolicy::Ssa}) {
     CompileOptions copts;
     copts.slots = policy;
-    const ExecutorPlan plan = compile(p, g, copts);
-    for (const Transport t : {Transport::Spsc, Transport::Mutex}) {
-      RunOptions opts;
-      opts.transport = t;
-      const ExecutionResult res = plan.run(n, opts);
-      for (std::size_t v = 0; v < reference.size(); ++v) {
-        for (std::int64_t i = 0; i < n; ++i) {
-          ASSERT_EQ(res.values[v][static_cast<std::size_t>(i)],
-                    reference[v][static_cast<std::size_t>(i)])
-              << "policy " << static_cast<int>(policy) << " node " << v
-              << " iter " << i;
-        }
+    const ExecutionResult res = compile(p, g, copts).run(n);
+    for (std::size_t v = 0; v < reference.size(); ++v) {
+      for (std::int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(res.values[v][static_cast<std::size_t>(i)],
+                  reference[v][static_cast<std::size_t>(i)])
+            << "policy " << static_cast<int>(policy) << " node " << v
+            << " iter " << i;
       }
     }
   }

@@ -1,4 +1,4 @@
-// SpscChannel — the lock-free bounded ring behind Transport::Spsc.
+// SpscChannel — the lock-free bounded ring behind every executor channel.
 #include <gtest/gtest.h>
 
 #include <thread>

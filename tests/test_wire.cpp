@@ -130,13 +130,11 @@ TEST(Wire, RunAndBatchRoundTrip) {
   wire::RunRequest run;
   run.program_id = 99;
   run.iterations = 1234;
-  run.opts.transport = Transport::Mutex;
   run.opts.pin_threads = true;
   run.opts.work_per_cycle = 7;
   const wire::RunRequest run_back = wire::decode_run(wire::encode_run(run));
   EXPECT_EQ(run_back.program_id, 99u);
   EXPECT_EQ(run_back.iterations, 1234);
-  EXPECT_EQ(run_back.opts.transport, Transport::Mutex);
   EXPECT_TRUE(run_back.opts.pin_threads);
   EXPECT_EQ(run_back.opts.work_per_cycle, 7);
 
@@ -149,6 +147,24 @@ TEST(Wire, RunAndBatchRoundTrip) {
   ASSERT_EQ(batch_back.items.size(), 2u);
   EXPECT_EQ(batch_back.items[1].program_id, 100u);
   EXPECT_EQ(batch_back.concurrency, 3u);
+
+  // The batch count guard is exact: an item's minimal encoding is 21
+  // bytes (u64 id, i64 iterations, u8 pin, i32 work), so a 6-item batch
+  // decodes, and a payload one byte short of its 6 items is rejected by
+  // the guard itself — before any item is decoded.
+  wire::RunBatchRequest big;
+  big.items.assign(6, run);
+  const auto big_payload = wire::encode_run_batch(big);
+  ASSERT_EQ(big_payload.size(), 4u + 6u * 21u + 4u);
+  EXPECT_EQ(wire::decode_run_batch(big_payload).items.size(), 6u);
+  const std::vector<std::uint8_t> short_payload(
+      big_payload.begin(), big_payload.begin() + 4 + 6 * 21 - 1);
+  try {
+    (void)wire::decode_run_batch(short_payload);
+    ADD_FAILURE() << "a batch one byte short of its items decoded";
+  } catch (const WireError& e) {
+    EXPECT_STREQ(e.what(), "element count exceeds payload size");
+  }
 }
 
 TEST(Wire, ResultAndStatsRoundTrip) {
@@ -250,16 +266,6 @@ TEST(Wire, HostileCountsAndEnumsAreRejected) {
     EXPECT_THROW((void)wire::decode_submit_program(e.bytes()), WireError);
   }
   {
-    // Invalid transport enum in a run request.
-    Encoder e;
-    e.u64(1);
-    e.i64(0);
-    e.u8(99);  // transport
-    e.u8(0);
-    e.i32(0);
-    EXPECT_THROW((void)wire::decode_run(e.bytes()), WireError);
-  }
-  {
     // Invalid opt level: the trailing byte of an otherwise valid
     // submit-program payload.
     wire::SubmitProgramRequest req;
@@ -315,8 +321,8 @@ TEST(Wire, FramedIoRoundTripsOverASocketpair) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const auto payload = wire::encode_error("ping");
-  wire::write_frame(fds[0], FrameType::Error, payload);
-  wire::write_frame(fds[0], FrameType::Stats, {});
+  wire::write_frame(fds[0], FrameType::Error, 1, payload);
+  wire::write_frame(fds[0], FrameType::Stats, 2, {});
   const auto f1 = wire::read_frame(fds[1]);
   ASSERT_TRUE(f1.has_value());
   EXPECT_EQ(f1->type, FrameType::Error);
@@ -336,8 +342,8 @@ TEST(Wire, EofMidFrameAndOversizeLengthThrow) {
     int fds[2];
     ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     // Header promising 100 bytes, then EOF.
-    const std::uint8_t partial[5] = {100, 0, 0, 0,
-                                     static_cast<std::uint8_t>(2)};
+    const std::uint8_t partial[wire::kHeaderBytes] = {
+        100, 0, 0, 0, static_cast<std::uint8_t>(2), 1, 0, 0, 0, 0, 0, 0, 0};
     ASSERT_EQ(::send(fds[0], partial, sizeof(partial), 0),
               static_cast<ssize_t>(sizeof(partial)));
     ::close(fds[0]);
@@ -348,7 +354,7 @@ TEST(Wire, EofMidFrameAndOversizeLengthThrow) {
     int fds[2];
     ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     // Length prefix beyond kMaxFramePayload: rejected before allocating.
-    const std::uint8_t huge[5] = {0xFF, 0xFF, 0xFF, 0xFF, 1};
+    const std::uint8_t huge[wire::kHeaderBytes] = {0xFF, 0xFF, 0xFF, 0xFF, 1};
     ASSERT_EQ(::send(fds[0], huge, sizeof(huge), 0),
               static_cast<ssize_t>(sizeof(huge)));
     EXPECT_THROW((void)wire::read_frame(fds[1]), WireError);
@@ -412,7 +418,7 @@ TEST(Wire, TcpListenConnectRoundTrip) {
   ASSERT_GE(cfd, 0);
   const int sfd = ::accept(lfd, nullptr, nullptr);
   ASSERT_GE(sfd, 0);
-  wire::write_frame(cfd, FrameType::Error, wire::encode_error("over tcp"));
+  wire::write_frame(cfd, FrameType::Error, 1, wire::encode_error("over tcp"));
   const auto f = wire::read_frame(sfd);
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(wire::decode_error(f->payload), "over tcp");
@@ -424,14 +430,7 @@ TEST(Wire, TcpListenConnectRoundTrip) {
   ::close(lfd);
 }
 
-TEST(Wire, HelloAndDropProgramRoundTrip) {
-  wire::HelloRequest h;
-  h.min_version = 1;
-  h.max_version = 7;  // future client: the server still picks min(2, 7)
-  const wire::HelloRequest h_back = wire::decode_hello(wire::encode_hello(h));
-  EXPECT_EQ(h_back.min_version, 1u);
-  EXPECT_EQ(h_back.max_version, 7u);
-  EXPECT_EQ(wire::decode_hello_reply(wire::encode_hello_reply(2)), 2u);
+TEST(Wire, DropProgramRoundTrip) {
   EXPECT_EQ(wire::decode_drop_program(wire::encode_drop_program(0xDEADull)),
             0xDEADull);
   EXPECT_EQ(wire::decode_drop_program_reply(
@@ -439,98 +438,82 @@ TEST(Wire, HelloAndDropProgramRoundTrip) {
             0xBEEFull);
 
   // Same strict-prefix property the other messages hold.
-  const auto hp = wire::encode_hello(h);
-  for (std::size_t cut = 0; cut < hp.size(); ++cut) {
-    EXPECT_THROW((void)wire::decode_hello(std::vector<std::uint8_t>(
-                     hp.begin(), hp.begin() + cut)),
+  const auto dp = wire::encode_drop_program(1);
+  for (std::size_t cut = 0; cut < dp.size(); ++cut) {
+    EXPECT_THROW((void)wire::decode_drop_program(std::vector<std::uint8_t>(
+                     dp.begin(), dp.begin() + cut)),
                  WireError);
   }
-  auto dp = wire::encode_drop_program(1);
-  dp.push_back(0);  // trailing bytes rejected
-  EXPECT_THROW((void)wire::decode_drop_program(dp), WireError);
+  auto trailing = dp;
+  trailing.push_back(0);  // trailing bytes rejected
+  EXPECT_THROW((void)wire::decode_drop_program(trailing), WireError);
 }
 
 TEST(Wire, V2FramesCarryRequestIdsInAnyOrder) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  // Replies written out of submission order — the whole point of v2.
-  wire::write_frame_v2(fds[0], FrameType::Error, 9, wire::encode_error("b"));
-  wire::write_frame_v2(fds[0], FrameType::Error, 2, wire::encode_error("a"));
-  wire::write_frame_v2(fds[0], FrameType::StatsReply,
-                       0xFFFFFFFFFFFFFFFFull, {});
-  const auto f1 = wire::read_frame_v2(fds[1]);
+  // Replies written out of submission order — the point of request ids.
+  wire::write_frame(fds[0], FrameType::Error, 9, wire::encode_error("b"));
+  wire::write_frame(fds[0], FrameType::Error, 2, wire::encode_error("a"));
+  wire::write_frame(fds[0], FrameType::StatsReply, 0xFFFFFFFFFFFFFFFFull, {});
+  const auto f1 = wire::read_frame(fds[1]);
   ASSERT_TRUE(f1.has_value());
   EXPECT_EQ(f1->request_id, 9u);
   EXPECT_EQ(wire::decode_error(f1->payload), "b");
-  const auto f2 = wire::read_frame_v2(fds[1]);
+  const auto f2 = wire::read_frame(fds[1]);
   ASSERT_TRUE(f2.has_value());
   EXPECT_EQ(f2->request_id, 2u);
-  const auto f3 = wire::read_frame_v2(fds[1]);
+  const auto f3 = wire::read_frame(fds[1]);
   ASSERT_TRUE(f3.has_value());
   EXPECT_EQ(f3->request_id, 0xFFFFFFFFFFFFFFFFull);  // u64 survives whole
   ::close(fds[0]);
-  EXPECT_FALSE(wire::read_frame_v2(fds[1]).has_value());  // clean EOF
+  EXPECT_FALSE(wire::read_frame(fds[1]).has_value());  // clean EOF
   ::close(fds[1]);
 }
 
 TEST(Wire, EncodeFrameBytesMatchesTheStreamingWriters) {
   // The epoll server's write queue holds encode_frame_bytes blobs; they
-  // must be byte-identical to what write_frame / write_frame_v2 put on a
-  // socket, or a queued reply would desynchronize the stream.
+  // must be byte-identical to what write_frame puts on a socket, or a
+  // queued reply would desynchronize the stream.
   const auto payload = wire::encode_error("x");
-  for (const std::uint32_t version :
-       {wire::kProtocolV1, wire::kProtocolV2}) {
-    int fds[2];
-    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    if (version == wire::kProtocolV1) {
-      wire::write_frame(fds[0], FrameType::Error, payload);
-    } else {
-      wire::write_frame_v2(fds[0], FrameType::Error, 42, payload);
-    }
-    const auto blob = wire::encode_frame_bytes(version, FrameType::Error,
-                                               42, payload);
-    std::vector<std::uint8_t> streamed(blob.size() + 8);
-    const ssize_t n =
-        ::recv(fds[1], streamed.data(), streamed.size(), 0);
-    ASSERT_EQ(static_cast<std::size_t>(n), blob.size());
-    streamed.resize(blob.size());
-    EXPECT_EQ(streamed, blob) << "version " << version;
-    ::close(fds[0]);
-    ::close(fds[1]);
-  }
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  wire::write_frame(fds[0], FrameType::Error, 42, payload);
+  const auto blob = wire::encode_frame_bytes(FrameType::Error, 42, payload);
+  ASSERT_EQ(blob.size(), wire::kHeaderBytes + payload.size());
+  std::vector<std::uint8_t> streamed(blob.size() + 8);
+  const ssize_t n = ::recv(fds[1], streamed.data(), streamed.size(), 0);
+  ASSERT_EQ(static_cast<std::size_t>(n), blob.size());
+  streamed.resize(blob.size());
+  EXPECT_EQ(streamed, blob);
+  ::close(fds[0]);
+  ::close(fds[1]);
 }
 
 TEST(Wire, FrameBufferReassemblesAcrossArbitrarySplits) {
-  // Three frames, the middle one after a version switch — fed one byte at
-  // a time.  This is the nonblocking read path's core property: split
-  // points never matter, and set_version applies to bytes already
-  // appended but not yet parsed.
+  // Three frames fed one byte at a time.  This is the nonblocking read
+  // path's core property: split points never matter.
   std::vector<std::uint8_t> stream;
   const auto append = [&stream](const std::vector<std::uint8_t>& b) {
     stream.insert(stream.end(), b.begin(), b.end());
   };
-  append(wire::encode_frame_bytes(wire::kProtocolV1, FrameType::Hello, 0,
-                                  wire::encode_hello(wire::HelloRequest{})));
-  append(wire::encode_frame_bytes(wire::kProtocolV2, FrameType::Run, 7,
+  append(wire::encode_frame_bytes(FrameType::Ping, 6, {}));
+  append(wire::encode_frame_bytes(FrameType::Run, 7,
                                   wire::encode_run(wire::RunRequest{})));
-  append(wire::encode_frame_bytes(wire::kProtocolV2, FrameType::Stats, 8, {}));
+  append(wire::encode_frame_bytes(FrameType::Stats, 8, {}));
 
   wire::FrameBuffer fb;
-  std::vector<wire::FrameV2> got;
+  std::vector<wire::Frame> got;
   for (const std::uint8_t byte : stream) {
     fb.append(&byte, 1);
-    while (auto f = fb.next()) {
-      if (f->type == FrameType::Hello) {
-        fb.set_version(wire::kProtocolV2);  // what the server does inline
-      }
-      got.push_back(std::move(*f));
-    }
+    while (auto f = fb.next()) got.push_back(std::move(*f));
   }
   ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0].type, FrameType::Hello);
-  EXPECT_EQ(got[0].request_id, 0u);  // v1 framing: no id on the wire
+  EXPECT_EQ(got[0].type, FrameType::Ping);
+  EXPECT_EQ(got[0].request_id, 6u);
   EXPECT_EQ(got[1].type, FrameType::Run);
   EXPECT_EQ(got[1].request_id, 7u);
+  EXPECT_EQ(wire::decode_run(got[1].payload).program_id, 0u);
   EXPECT_EQ(got[2].type, FrameType::Stats);
   EXPECT_EQ(got[2].request_id, 8u);
   EXPECT_EQ(fb.buffered(), 0u);
@@ -538,28 +521,17 @@ TEST(Wire, FrameBufferReassemblesAcrossArbitrarySplits) {
 
 TEST(Wire, FrameBufferRejectsHostileHeadersInBothVersions) {
   {
-    // Oversize length prefix: throws before any allocation, v1 framing.
+    // Oversize length prefix: throws before any allocation.
     wire::FrameBuffer fb;
-    const std::uint8_t huge[5] = {0xFF, 0xFF, 0xFF, 0xFF, 1};
+    const std::uint8_t huge[wire::kHeaderBytes] = {0xFF, 0xFF, 0xFF, 0xFF, 1};
     fb.append(huge, sizeof(huge));
     EXPECT_THROW((void)fb.next(), WireError);
   }
-  {
-    // Same prefix under v2 framing — the longer header must not weaken
-    // the length check.
-    wire::FrameBuffer fb;
-    fb.set_version(wire::kProtocolV2);
-    const std::uint8_t huge[13] = {0xFF, 0xFF, 0xFF, 0xFF, 1,
-                                   0,    0,    0,    0,    0, 0, 0, 0};
-    fb.append(huge, sizeof(huge));
-    EXPECT_THROW((void)fb.next(), WireError);
-  }
-  // Deterministic garbage rounds, both versions: next() either yields
-  // frames or throws WireError — nothing else, no OOB reads (ASan job).
+  // Deterministic garbage rounds: next() either yields frames or throws
+  // WireError — nothing else, no OOB reads (ASan job).
   std::mt19937_64 rng(0xBADC0DEull);
   for (int round = 0; round < 256; ++round) {
     wire::FrameBuffer fb;
-    if (round % 2 == 1) fb.set_version(wire::kProtocolV2);
     std::vector<std::uint8_t> junk(rng() % 64);
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng());
     try {
@@ -573,7 +545,7 @@ TEST(Wire, FrameBufferRejectsHostileHeadersInBothVersions) {
 }
 
 TEST(Wire, RandomGarbageNeverCrashesTheV2Decoders) {
-  // The v2 message decoders join the fuzz-lite rotation from
+  // The DropProgram decoders join the fuzz-lite rotation from
   // RandomGarbagePayloadsNeverCrashTheDecoders.
   std::mt19937_64 rng(0xC0FFEEull);
   for (int round = 0; round < 256; ++round) {
@@ -585,8 +557,6 @@ TEST(Wire, RandomGarbageNeverCrashesTheV2Decoders) {
       } catch (const WireError&) {
       }
     };
-    poke([](const auto& p) { return wire::decode_hello(p); });
-    poke([](const auto& p) { return wire::decode_hello_reply(p); });
     poke([](const auto& p) { return wire::decode_drop_program(p); });
     poke([](const auto& p) { return wire::decode_drop_program_reply(p); });
   }
@@ -607,7 +577,7 @@ TEST(Wire, LargeFrameSurvivesPartialSocketWrites) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::thread writer(
-      [&] { wire::write_frame(fds[0], FrameType::RunReply, payload); });
+      [&] { wire::write_frame(fds[0], FrameType::RunReply, 1, payload); });
   const auto frame = wire::read_frame(fds[1]);
   writer.join();
   ASSERT_TRUE(frame.has_value());

@@ -123,20 +123,16 @@ TEST(WorkerPool, PooledRunIsBitIdenticalToSpawnOnBothTransports) {
   const std::int64_t n = 40;
   const ExecutorPlan plan = fig7_plan(n);
   WorkerPool pool;
-  for (const Transport transport : {Transport::Spsc, Transport::Mutex}) {
-    RunOptions spawn_opts;
-    spawn_opts.transport = transport;
-    const ExecutionResult spawned = plan.run(n, spawn_opts);
+  const ExecutionResult spawned = plan.run(n);
 
-    RunOptions pooled_opts = spawn_opts;
-    pooled_opts.pool = &pool;
-    const ExecutionResult pooled_first = plan.run(n, pooled_opts);
-    const ExecutionResult pooled_again = plan.run(n, pooled_opts);
+  RunOptions pooled_opts;
+  pooled_opts.pool = &pool;
+  const ExecutionResult pooled_first = plan.run(n, pooled_opts);
+  const ExecutionResult pooled_again = plan.run(n, pooled_opts);
 
-    expect_identical(pooled_first, spawned, n);
-    expect_identical(pooled_again, spawned, n);  // reuse changes nothing
-  }
-  EXPECT_EQ(pool.gangs_run(), 4u);
+  expect_identical(pooled_first, spawned, n);
+  expect_identical(pooled_again, spawned, n);  // reuse changes nothing
+  EXPECT_EQ(pool.gangs_run(), 2u);
 }
 
 TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {

@@ -51,10 +51,6 @@
 
 //     --no-check  with --c: skip the emitted sequential self-validation;
 //                 the artifact becomes a standalone timing benchmark
-//     --runtime=<mutex|spsc>
-//                 channel transport, for --run/--batch and for the emitted
-//                 --c program alike (default spsc; implies --run when no
-//                 execution or emission mode is requested)
 //     --slots=<reuse|ssa>
 //                 slot assignment policy for --run and --c (default reuse;
 //                 ssa keeps one slot per value instance, for debugging;
@@ -120,11 +116,10 @@ namespace {
                "[--schedule] [--code] [--c] [--no-check] [--compare] "
                "[--run] [--jit] [--pin] [--connect <endpoint>] "
                "[--opt=<off|O1>] [--dump-passes] "
-               "[--runtime=<mutex|spsc>] [--slots=<reuse|ssa>] <file|->\n"
+               "[--slots=<reuse|ssa>] <file|->\n"
                "       mimdc [-p N] [-k N] [-n N] [--fold] [--jit] [--pin] "
                "[--connect <endpoint> | --fleet <shards.txt>] "
                "[--opt=<off|O1>] [--dump-passes] "
-               "[--runtime=<mutex|spsc>] "
                "[--slots=<reuse|ssa>] --batch <dir>\n";
   std::exit(2);
 }
@@ -208,7 +203,7 @@ std::vector<std::string> read_shards_file(const std::string& path) {
 /// pool are a running mimdd daemon's instead of in-process ones; with
 /// --fleet, N daemons' — each loop consistent-hashed to its shard.
 int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
-                   bool fold, mimd::Transport transport, bool pin, bool jit,
+                   bool fold, bool pin, bool jit,
                    const mimd::CompileOptions& copts, bool dump_passes,
                    const std::string& connect, const std::string& fleet_file) {
   using namespace mimd;
@@ -250,7 +245,6 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       job.graph = r.normalized.graph;
       job.iterations = r.normalized_iterations;
       job.copts = copts;
-      job.ropts.transport = transport;
       job.ropts.pin_threads = pin;
       jobs.push_back(std::move(job));
       std::string label = fs::path(f).filename().string();
@@ -281,7 +275,6 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       sj.graph = job.graph;
       sj.copts = job.copts;
       sj.iterations = job.iterations;
-      sj.run_opts.transport = transport;
       sj.run_opts.pin_threads = pin;
       shard_jobs.push_back(std::move(sj));
     }
@@ -295,8 +288,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     // then fleet totals folded into the standard summary line.
     std::size_t pool_workers_total = 0, shards_alive = 0;
     std::uint64_t quota_trips = 0, quota_disconnects = 0, backoffs = 0;
-    std::uint64_t jit_native = 0, jit_pooled = 0, jit_interp = 0,
-                  jit_kernels = 0;
+    std::uint64_t jit_native = 0, jit_interp = 0, jit_kernels = 0;
     bool any_jit = false;
     std::ostringstream fleet;
     const std::vector<ShardStatsRow> rows = router.fleet_stats();
@@ -323,11 +315,9 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       if (st.jit_enabled != 0) {
         any_jit = true;
         jit_native += st.jit_native_runs;
-        jit_pooled += st.jit_pooled_runs;
         jit_interp += st.jit_interpreted_runs;
         jit_kernels += st.jit_compiles;
-        fleet << ", " << st.jit_native_runs << " jit-native runs ("
-              << st.jit_pooled_runs << " pooled)";
+        fleet << ", " << st.jit_native_runs << " jit-native runs";
       }
       fleet << "\n";
       cache_stats.hits += st.cache.hits;
@@ -348,8 +338,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     workers_note = std::to_string(pool_workers_total) + " fleet workers on " +
                    std::to_string(shards_alive) + " shard(s)";
     if (any_jit) {
-      jit_note = std::to_string(jit_native) + " native (" +
-                 std::to_string(jit_pooled) + " pooled) / " +
+      jit_note = std::to_string(jit_native) + " native / " +
                  std::to_string(jit_interp) +
                  " interpreted runs fleet-wide (" +
                  std::to_string(jit_kernels) + " kernel compiles)";
@@ -382,17 +371,14 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     if (jit && cache.jit_available()) {
       const PlanCache::Stats js = cache.stats();
       jit_note = std::to_string(report.jit_native_runs) + "/" +
-                 std::to_string(jobs.size()) + " loops ran native, " +
-                 std::to_string(report.jit_pooled_runs) + " on the pool (" +
+                 std::to_string(jobs.size()) + " loops ran native (" +
                  std::to_string(js.jit_compiles) + " kernel compiles, " +
                  std::to_string(js.jit_failures) + " failed)";
     }
   } else {
     PlanClient client = PlanClient::connect(connect);
-    // Pipelined submits (wire v2): every program goes out back-to-back
-    // and the daemon overlaps the compiles; the ids are gathered in
-    // order.  Against an older v1 daemon the futures resolve
-    // synchronously — the old one-roundtrip-per-program behavior.
+    // Pipelined submits: every program goes out back-to-back and the
+    // daemon overlaps the compiles; the ids are gathered in order.
     std::vector<std::future<wire::SubmitProgramReply>> subs;
     subs.reserve(jobs.size());
     for (const BatchJob& job : jobs) {
@@ -405,14 +391,13 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       wire::RunRequest item;
       item.program_id = subs[i].get().program_id;
       item.iterations = jobs[i].iterations;
-      item.opts.transport = transport;
       item.opts.pin_threads = pin;
       items.push_back(item);
     }
     wire::RunBatchReply reply = client.run_batch(items);
     if (reply.results.size() != jobs.size()) {
-      // Never index a daemon reply on faith: a version-mismatched or
-      // buggy server must fail loudly, not out-of-bounds.
+      // Never index a daemon reply on faith: a buggy server must fail
+      // loudly, not out-of-bounds.
       std::cerr << "mimdc: daemon returned " << reply.results.size()
                 << " results for " << jobs.size() << " jobs\n";
       return 1;
@@ -424,8 +409,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     workers_note = std::to_string(stats.pool_workers) +
                    " daemon workers via " + connect;
     if (stats.jit_enabled != 0) {
-      jit_note = std::to_string(stats.jit_native_runs) + " native (" +
-                 std::to_string(stats.jit_pooled_runs) + " pooled) / " +
+      jit_note = std::to_string(stats.jit_native_runs) + " native / " +
                  std::to_string(stats.jit_interpreted_runs) +
                  " interpreted runs daemon-wide (" +
                  std::to_string(stats.jit_compiles) + " kernel compiles)";
@@ -452,8 +436,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
             << (!fleet_file.empty()
                     ? ", fleet-wide"
                     : (connect.empty() ? "" : ", daemon-wide"))
-            << "), " << transport_name(transport) << " transport, "
-            << workers_note << (pin ? " (pinned)" : "") << ", "
+            << "), " << workers_note << (pin ? " (pinned)" : "") << ", "
             << wall_seconds << " s total, "
             << static_cast<double>(jobs.size()) / wall_seconds
             << " loops/s\n";
@@ -470,9 +453,8 @@ int main(int argc, char** argv) {
   std::int64_t n = 64;
   bool fold = false, want_dot = false, want_sched = false, want_code = false,
        want_c = false, want_compare = false, want_run = false,
-       runtime_given = false, slots_given = false, pin = false,
-       no_check = false, jit = false, dump_passes = false;
-  Transport transport = Transport::Spsc;
+       slots_given = false, pin = false, no_check = false, jit = false,
+       dump_passes = false;
   CompileOptions copts;
   copts.opt = OptLevel::O1;  // the mid-end is on by default; --opt=off
   std::string path;
@@ -527,16 +509,6 @@ int main(int argc, char** argv) {
       const std::optional<OptLevel> level = parse_opt_level(a.substr(6));
       if (!level) usage("--opt must be off or O1");
       copts.opt = *level;
-    } else if (a.rfind("--runtime=", 0) == 0) {
-      const std::string which = a.substr(10);
-      if (which == "mutex") {
-        transport = Transport::Mutex;
-      } else if (which == "spsc") {
-        transport = Transport::Spsc;
-      } else {
-        usage("--runtime must be mutex or spsc");
-      }
-      runtime_given = true;
     } else if (a.rfind("--slots=", 0) == 0) {
       const std::string which = a.substr(8);
       if (which == "reuse") {
@@ -576,9 +548,8 @@ int main(int argc, char** argv) {
       usage("--batch is standalone (no input file or other modes)");
     }
     try {
-      return run_batch_mode(batch_dir, procs, k, n, fold, transport, pin,
-                            jit, copts, dump_passes, connect_path,
-                            fleet_file);
+      return run_batch_mode(batch_dir, procs, k, n, fold, pin, jit, copts,
+                            dump_passes, connect_path, fleet_file);
     } catch (const ir::ParseError& e) {
       std::cerr << "mimdc: " << e.what() << "\n";
       return 1;
@@ -592,12 +563,12 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) usage("no input");
-  // A bare transport or slot-policy choice is asking for execution;
-  // alongside --c they configure the emitted program instead.  --pin and
-  // --jit configure only execution (emitted C has neither), so they
-  // demand a run even next to --c — never silently dropped.  --connect
-  // exists only to execute remotely, so it implies --run too.
-  if ((runtime_given || slots_given) && !want_c) want_run = true;
+  // A bare slot-policy choice is asking for execution; alongside --c it
+  // configures the emitted program instead.  --pin and --jit configure
+  // only execution (emitted C has neither), so they demand a run even
+  // next to --c — never silently dropped.  --connect exists only to
+  // execute remotely, so it implies --run too.
+  if (slots_given && !want_c) want_run = true;
   if (pin || jit || !connect_path.empty()) want_run = true;
   if (!want_dot && !want_sched && !want_code && !want_c && !want_compare &&
       !want_run) {
@@ -668,15 +639,13 @@ int main(int argc, char** argv) {
                 << sub.channels << " channels, " << sub.slots
                 << " slots (program id " << sub.program_id << ")\n";
       wire::RemoteRunOptions ropts;
-      ropts.transport = transport;
       ropts.pin_threads = pin;
       const ExecutionResult par =
           client.run(sub.program_id, r.normalized_iterations, ropts);
       const ExecutionResult reference =
           run_reference(r.normalized.graph, r.normalized_iterations);
       const bool ok = values_match(par, reference, r.normalized_iterations);
-      std::cout << "run      : " << transport_name(transport)
-                << " transport via daemon " << connect_path << ", "
+      std::cout << "run      : via daemon " << connect_path << ", "
                 << sub.threads << " threads, " << sub.channels
                 << " channels, " << par.wall_seconds << " s, "
                 << (ok ? "bitwise match vs sequential" : "MISMATCH") << "\n";
@@ -686,8 +655,7 @@ int main(int argc, char** argv) {
         // native.
         const wire::StatsReply stats = client.stats();
         if (stats.jit_enabled != 0) {
-          std::cout << "jit      : " << stats.jit_native_runs << " native ("
-                    << stats.jit_pooled_runs << " pooled) / "
+          std::cout << "jit      : " << stats.jit_native_runs << " native / "
                     << stats.jit_interpreted_runs
                     << " interpreted runs daemon-wide ("
                     << stats.jit_ineligible_runs << " ineligible, "
@@ -709,13 +677,11 @@ int main(int argc, char** argv) {
                 << " before liveness reuse)\n";
       if (want_c) {
         CEmitOptions eopts;
-        eopts.transport = transport;
         eopts.self_check = !no_check;
         std::cout << emit_c_program(cp, r.normalized.graph, eopts);
       }
       if (want_run) {
         RunOptions ropts;
-        ropts.transport = transport;
         ropts.pin_threads = pin;
         ExecutionResult par;
         bool native = false;
@@ -725,12 +691,9 @@ int main(int argc, char** argv) {
           // to the interpreter with a note — same answer, same oracle.
           try {
             const std::shared_ptr<const JitKernel> kernel = jit_compile(plan);
-            // ABI v2 kernels run on caller-provided threads, so --pin
-            // applies to a native run exactly as to an interpreted one.
-            par = kernel->supports_pool()
-                      ? kernel->run_pooled(r.normalized_iterations, nullptr,
-                                           pin)
-                      : kernel->run(r.normalized_iterations);
+            // The kernel runs on caller-provided threads, so --pin applies
+            // to a native run exactly as to an interpreted one.
+            par = kernel->run_pooled(r.normalized_iterations, nullptr, pin);
             native = true;
           } catch (const JitError& e) {
             std::cerr << "mimdc: jit unavailable (" << e.what()
@@ -743,10 +706,8 @@ int main(int argc, char** argv) {
         const bool ok =
             values_match(par, reference, r.normalized_iterations);
         std::cout << "run      : "
-                  << (native ? "jit-native kernel"
-                             : std::string(transport_name(transport)) +
-                                   " transport")
-                  << ", " << cp.threads.size() << " threads, "
+                  << (native ? "jit-native kernel" : "interpreted") << ", "
+                  << cp.threads.size() << " threads, "
                   << cp.channels.size() << " channels, " << par.wall_seconds
                   << " s, "
                   << (ok ? "bitwise match vs sequential" : "MISMATCH")

@@ -298,8 +298,7 @@ int print_stats(const std::string& endpoint) {
               << " accept backoffs\n";
     if (s.jit_enabled != 0) {
       std::cout << "jit      : enabled, " << s.jit_native_runs
-                << " native runs (" << s.jit_pooled_runs << " pooled), "
-                << s.jit_interpreted_runs << " interpreted runs ("
+                << " native runs, " << s.jit_interpreted_runs << " interpreted runs ("
                 << s.jit_ineligible_runs << " had a kernel but were "
                 << "ineligible), " << s.jit_compiles << " compiles ("
                 << s.jit_failures << " failed, " << s.jit_in_flight
