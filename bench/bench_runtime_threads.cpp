@@ -11,12 +11,9 @@
 //
 // tools/bench_runner.py records these as BENCH_bench_runtime_threads.json;
 // tools/bench_diff.py diffs two snapshots (CI keeps the previous run's
-// artifact for exactly that).  Set MIMD_BENCH_SLOTS=ssa to compile the
-// plans without the liveness pass — record one JSON per policy and diff
-// them to check slot reuse itself never regresses the hot path.
+// artifact for exactly that).
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -52,12 +49,7 @@ ExecutorPlan make_plan(const Ddg& g) {
   FullSchedOptions fold;
   fold.flow_strategy = FlowStrategy::Fold;
   const FullSchedResult sched = full_sched(g, m, kIterations, fold);
-  CompileOptions copts;
-  const char* policy = std::getenv("MIMD_BENCH_SLOTS");
-  if (policy != nullptr && std::string(policy) == "ssa") {
-    copts.slots = SlotPolicy::Ssa;
-  }
-  return compile(lower(sched.schedule, g), g, copts);
+  return compile(lower(sched.schedule, g), g);
 }
 
 struct LoopCase {

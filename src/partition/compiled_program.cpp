@@ -326,7 +326,6 @@ std::uint64_t structural_hash(const PartitionedProgram& prog,
       h.fold_signed(op.peer);
     }
   }
-  h.fold(static_cast<std::uint64_t>(opts.slots));
   h.fold(static_cast<std::uint64_t>(opts.opt));
   return h.state;
 }
@@ -353,8 +352,8 @@ std::size_t CompiledProgram::total_slots_ssa() const {
   return n;
 }
 
-CompiledProgram compile_program(const PartitionedProgram& prog, const Ddg& g,
-                                const CompileOptions& opts) {
+CompiledProgram compile_program(const PartitionedProgram& prog,
+                                const Ddg& g) {
   if (const auto violation = find_program_violation(prog, g)) {
     detail::contract_fail("compiled lowering", violation->c_str());
   }
@@ -379,7 +378,7 @@ CompiledProgram compile_program(const PartitionedProgram& prog, const Ddg& g,
       MIMD_ENSURES(ok);
     }
     t.num_slots_ssa = t.num_slots;
-    if (opts.slots == SlotPolicy::Reuse) reuse_slots(t);
+    reuse_slots(t);
     for (const CompiledOp& op : t.ops) {
       if (op.kind == CompiledOp::Kind::Compute) {
         cp.iterations = std::max(cp.iterations, op.iter + 1);

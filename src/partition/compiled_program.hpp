@@ -15,11 +15,11 @@
 //    constant baked in at compile time).
 //
 // Slot assignment is first SSA-style (each compute/receive writes a fresh
-// slot), then — unless SlotPolicy::Ssa is requested for debugging — a
-// liveness pass reassigns slots with a free list so num_slots drops from
-// O(ops) to O(values simultaneously live): per-thread last-use analysis
-// over the straight-line op stream, each slot returned to the free list at
-// its last read (DESIGN.md, "Unified lowering and slot reuse").
+// slot), then a liveness pass reassigns slots with a free list so
+// num_slots drops from O(ops) to O(values simultaneously live): per-thread
+// last-use analysis over the straight-line op stream, each slot returned
+// to the free list at its last read (DESIGN.md, "Unified lowering and slot
+// reuse").
 //
 // `find_program_violation` remains the validator: compile_program() runs it
 // first and throws ContractViolation on any ill-formed input, so a program
@@ -80,12 +80,11 @@ struct CompiledOp {
 /// The straight-line program one thread executes.
 struct CompiledThread {
   int proc = 0;
-  /// Size of this thread's slot array — after slot reuse (the default),
-  /// the number of simultaneously live values; under SlotPolicy::Ssa, one
-  /// slot per compute/receive.
+  /// Size of this thread's slot array after slot reuse: the number of
+  /// simultaneously live values.
   std::uint32_t num_slots = 0;
-  /// num_slots before the liveness pass ran (== num_slots under
-  /// SlotPolicy::Ssa) — kept so drivers can report the reduction.
+  /// num_slots before the liveness pass ran (one slot per
+  /// compute/receive) — kept so drivers can report the reduction.
   std::uint32_t num_slots_ssa = 0;
   std::vector<CompiledOp> ops;
   std::vector<OperandRef> operands;  ///< flat pool referenced by Compute ops
@@ -97,8 +96,8 @@ struct CompiledProgram {
   /// Only processors with a non-empty program; order fixes thread spawn
   /// (pinning) order at compile time.
   std::vector<CompiledThread> threads;
-  /// 1 + the largest compute iteration — the minimum `n` a result buffer
-  /// must provide.
+  /// 1 + the largest compute iteration — the `n` every run of this
+  /// program must ask for (ExecutorPlan::run, JitKernel::run_pooled).
   std::int64_t iterations = 0;
 
   [[nodiscard]] std::size_t count(CompiledOp::Kind k) const;
@@ -107,16 +106,7 @@ struct CompiledProgram {
   [[nodiscard]] std::size_t total_slots_ssa() const;
 };
 
-/// How per-thread slot arrays are assigned.
-enum class SlotPolicy : std::uint8_t {
-  Reuse,  ///< liveness-based free-list reassignment (default)
-  Ssa,    ///< one fresh slot per value instance — debugging aid: every
-          ///< slot is written exactly once, so a stale read is visible
-};
-
 struct CompileOptions {
-  SlotPolicy slots = SlotPolicy::Reuse;
-
   /// Which mid-end pipeline produced the program being compiled
   /// (src/opt).  The compiler itself never branches on it — it exists
   /// so structural_hash separates optimized from unoptimized plans:
@@ -176,7 +166,7 @@ struct CompileOptions {
 /// whenever the fusion provably preserves the per-channel pop order; the
 /// rare unfusable receive (only reachable from hand-built programs) is kept
 /// as a standalone Receive op writing a slot.
-CompiledProgram compile_program(const PartitionedProgram& prog, const Ddg& g,
-                                const CompileOptions& opts = {});
+CompiledProgram compile_program(const PartitionedProgram& prog,
+                                const Ddg& g);
 
 }  // namespace mimd

@@ -76,17 +76,16 @@ void execute(const CompiledProgram& cp, const Ddg& g,
 }  // namespace
 
 ExecutorPlan compile(const PartitionedProgram& prog, const Ddg& g,
-                     const CompileOptions& copts) {
+                     const CompileOptions& /*copts*/) {
   ExecutorPlan plan;
-  plan.compiled_ = compile_program(prog, g, copts);
+  plan.compiled_ = compile_program(prog, g);
   plan.graph_ = g;
   return plan;
 }
 
 ExecutionResult ExecutorPlan::run(std::int64_t n,
                                   const RunOptions& opts) const {
-  MIMD_EXPECTS(n >= 0);
-  MIMD_EXPECTS(n >= compiled_.iterations);
+  MIMD_EXPECTS(n == compiled_.iterations);
   ExecutionResult res;
   res.values.resize(graph_.num_nodes());
   for (auto& v : res.values) v.assign(static_cast<std::size_t>(n), 0.0);

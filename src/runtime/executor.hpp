@@ -84,13 +84,14 @@ class ExecutorPlan {
  public:
   ExecutorPlan() = default;
 
-  /// Execute for `n` iterations (must cover every compiled iteration:
-  /// n >= program().iterations; ContractViolation otherwise, before any
-  /// thread starts).  Mid-run channel violations (FIFO tag mismatch —
-  /// which a compiled program cannot trigger — or a capped ring stalled
-  /// 30 s) are fatal: they fire on a worker thread, where the escaping
-  /// exception is std::terminate with the violation message, because a
-  /// failed worker cannot unwind the peers blocked on its channels.
+  /// Execute the compiled iterations: `n` must equal
+  /// program().iterations (ContractViolation otherwise, before any thread
+  /// starts — a plan must not hand back rows it never computed).  Mid-run
+  /// channel violations (FIFO tag mismatch — which a compiled program
+  /// cannot trigger — or a capped ring stalled 30 s) are fatal: they fire
+  /// on a worker thread, where the escaping exception is std::terminate
+  /// with the violation message, because a failed worker cannot unwind
+  /// the peers blocked on its channels.
   [[nodiscard]] ExecutionResult run(std::int64_t n,
                                     const RunOptions& opts = {}) const;
 
@@ -106,9 +107,11 @@ class ExecutorPlan {
 };
 
 /// Validate (find_program_violation) and compile `prog` into a reusable
-/// plan.  Channel table, slot resolution (liveness-based reuse by default
-/// — CompileOptions::slots), and thread spawn order are all fixed here,
-/// amortized across every subsequent run().
+/// plan.  Channel table, slot resolution (liveness-based reuse), and
+/// thread spawn order are all fixed here, amortized across every
+/// subsequent run().  `copts` does not change the plan: it names the
+/// mid-end that produced `prog`, which only the cache key needs
+/// (CompileOptions::opt, folded by structural_hash).
 [[nodiscard]] ExecutorPlan compile(const PartitionedProgram& prog,
                                    const Ddg& g,
                                    const CompileOptions& copts = {});

@@ -223,7 +223,7 @@ ExecutionResult unpack_flat(const std::vector<double>& flat,
 
 ExecutionResult JitKernel::run_pooled(std::int64_t n, WorkerPool* pool,
                                       bool pin_threads) const {
-  MIMD_EXPECTS(n >= iterations_);
+  MIMD_EXPECTS(n == iterations_);
   const std::vector<double> init = kernel_init_vector(nodes_);
   // Zero-filled flat matrix: entries no processor computes stay 0.0,
   // matching the interpreted executor's zero-resized rows bit for bit.

@@ -79,8 +79,8 @@ class JitKernel {
   JitKernel(const JitKernel&) = delete;
   JitKernel& operator=(const JitKernel&) = delete;
 
-  /// Execute for n iterations (n >= iterations(); ContractViolation
-  /// otherwise) on caller-provided threads: one context, one gang of
+  /// Execute the compiled iterations (n == iterations(); ContractViolation
+  /// otherwise, before any thread starts) on caller-provided threads: one context, one gang of
   /// threads() tasks dispatched through run_indexed_gang
   /// (runtime/worker_pool.hpp) — `pool`'s persistent workers when
   /// non-null (no pthread_create anywhere on the warm path), fresh

@@ -380,17 +380,6 @@ ExecutionResult PlanClient::run(std::uint64_t program_id,
   return run_async(program_id, iterations, opts).get();
 }
 
-wire::RunBatchReply PlanClient::run_batch(
-    const std::vector<wire::RunRequest>& items, std::uint32_t concurrency) {
-  wire::RunBatchRequest req;
-  req.items = items;
-  req.concurrency = concurrency;
-  return submit_typed(wire::FrameType::RunBatch,
-                      wire::FrameType::RunBatchReply,
-                      wire::encode_run_batch(req), wire::decode_run_batch_reply)
-      .get();
-}
-
 std::future<std::uint64_t> PlanClient::drop_program_async(
     std::uint64_t program_id) {
   return submit_typed(wire::FrameType::DropProgram,

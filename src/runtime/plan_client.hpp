@@ -1,10 +1,10 @@
 // PlanClient — the client half of the mimdd wire protocol: a connected
 // stream socket (Unix-domain or TCP, named by a wire::Endpoint string)
 // plus typed request/reply calls mirroring the in-process plan-service
-// API.  mimdc --connect routes the one-shot driver and --batch mode
-// through this; ShardRouter owns one per fleet shard;
-// tests/test_plan_server.cpp uses it to hammer an in-process server from
-// many threads.
+// API.  mimdc --connect routes the one-shot driver through this;
+// ShardRouter owns one per shard (and drives mimdc --batch, over --fleet
+// or a single --connect endpoint); tests/test_plan_server.cpp uses it to
+// hammer an in-process server from many threads.
 //
 // Usage:
 //     PlanClient c = PlanClient::connect("/run/mimdd.sock");
@@ -85,7 +85,7 @@ class PlanClient {
   [[nodiscard]] std::string transport_error() const;
 
   /// Register a program; the reply's program_id names it in run() /
-  /// run_batch() on THIS connection.  Compilation is served from the
+  /// drop_program() on THIS connection.  Compilation is served from the
   /// daemon's shared cache, so a structurally identical program submitted
   /// on any connection compiles once.
   wire::SubmitProgramReply submit_program(const PartitionedProgram& program,
@@ -95,18 +95,16 @@ class PlanClient {
       const PartitionedProgram& program, const Ddg& graph,
       const CompileOptions& copts = {});
 
-  /// Execute a registered program for `iterations` (0 = its compiled
-  /// count) on the daemon's shared worker pool.
+  /// Execute a registered program on the daemon's shared worker pool.
+  /// `iterations` is 0 (= its compiled count) or exactly that count;
+  /// anything else is a RemoteError.  To run many programs, issue
+  /// run_async per program and gather the futures: the server executes
+  /// pipelined Run frames concurrently across its handler pool.
   ExecutionResult run(std::uint64_t program_id, std::int64_t iterations = 0,
                       const wire::RemoteRunOptions& opts = {});
   std::future<ExecutionResult> run_async(
       std::uint64_t program_id, std::int64_t iterations = 0,
       const wire::RemoteRunOptions& opts = {});
-
-  /// Execute many registered programs concurrently server-side (the
-  /// daemon's run_plans drivers).  Results are in item order.
-  wire::RunBatchReply run_batch(const std::vector<wire::RunRequest>& items,
-                                std::uint32_t concurrency = 0);
 
   /// Evict one registered program id from this connection's registry on
   /// the server (frees the pinned plan; the id becomes invalid).

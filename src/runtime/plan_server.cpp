@@ -44,24 +44,16 @@ namespace {
   return nodes * (un * sizeof(double) + 4) + 64;
 }
 
-/// reply_bytes += estimate, without wrapping when estimates saturate.
-void add_saturating(std::uint64_t& total, std::uint64_t add) {
-  total = add > std::numeric_limits<std::uint64_t>::max() - total
-              ? std::numeric_limits<std::uint64_t>::max()
-              : total + add;
-}
-
 /// Refuse a request whose reply could not be shipped back in one frame
 /// BEFORE executing it: a completed-then-undeliverable run would waste
-/// the compute and then drop the connection at the write.  For a batch,
-/// pass the sum over all items — the reply is one frame.
+/// the compute and then drop the connection at the write.
 void check_reply_fits_frame(std::uint64_t estimated_bytes) {
   if (estimated_bytes > wire::kMaxFramePayload) {
     throw wire::WireError(
         "reply would exceed the " +
         std::to_string(wire::kMaxFramePayload >> 20) +
         " MiB frame limit (~" + std::to_string(estimated_bytes >> 20) +
-        " MiB of results); request fewer iterations or smaller batches");
+        " MiB of results); request fewer iterations");
   }
 }
 
@@ -887,40 +879,6 @@ void PlanServer::process_task(Task& t) {
           runs_executed_.fetch_add(1, std::memory_order_relaxed);
           reply_type = wire::FrameType::RunReply;
           reply = wire::encode_run_reply(result);
-          break;
-        }
-        case wire::FrameType::RunBatch: {
-          const wire::RunBatchRequest req =
-              wire::decode_run_batch(t.frame.payload);
-          std::vector<PlanJob> jobs;
-          jobs.reserve(req.items.size());
-          std::uint64_t reply_bytes = 0;
-          for (const wire::RunRequest& item : req.items) {
-            const PlanCache::CachedPlan entry = lookup(item.program_id);
-            PlanJob job;
-            job.plan = entry.plan;
-            job.kernel = entry.kernel();  // per-request snapshot
-            job.iterations = item.iterations;
-            add_saturating(
-                reply_bytes,
-                estimated_result_bytes(
-                    *job.plan, job.iterations > 0
-                                   ? job.iterations
-                                   : job.plan->program().iterations));
-            job.ropts = to_run_options(item.opts, &pool_);
-            jobs.push_back(std::move(job));
-          }
-          check_reply_fits_frame(reply_bytes);
-          const auto t0 = std::chrono::steady_clock::now();
-          wire::RunBatchReply rep;
-          rep.results = run_plans(jobs, pool_, req.concurrency, jit_counters);
-          rep.wall_seconds = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - t0)
-                                 .count();
-          runs_executed_.fetch_add(req.items.size(),
-                                   std::memory_order_relaxed);
-          reply_type = wire::FrameType::RunBatchReply;
-          reply = wire::encode_run_batch_reply(rep);
           break;
         }
         case wire::FrameType::DropProgram: {

@@ -61,7 +61,7 @@ ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
                                   const std::shared_ptr<const JitKernel>& kernel,
                                   std::int64_t n, const RunOptions& opts,
                                   JitRunCounters* counters) {
-  if (kernel && jit_run_eligible(opts) && n >= plan.program().iterations) {
+  if (kernel && jit_run_eligible(opts)) {
     ExecutionResult r = kernel->run_pooled(n, opts.pool, opts.pin_threads);
     if (counters) counters->native.fetch_add(1, std::memory_order_relaxed);
     return r;
@@ -111,22 +111,6 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
       counters.ineligible.load(std::memory_order_relaxed);
   if (error) std::rethrow_exception(error);
   return report;
-}
-
-std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
-                                       WorkerPool& pool,
-                                       std::size_t concurrency,
-                                       JitRunCounters* counters) {
-  std::vector<ExecutionResult> results(jobs.size());
-  drive_indexed(jobs.size(), concurrency, [&](std::size_t i) {
-    const PlanJob& job = jobs[i];
-    RunOptions opts = job.ropts;
-    opts.pool = &pool;
-    const std::int64_t n =
-        job.iterations > 0 ? job.iterations : job.plan->program().iterations;
-    results[i] = dispatch_resolved(*job.plan, job.kernel, n, opts, counters);
-  });
-  return results;
 }
 
 }  // namespace mimd

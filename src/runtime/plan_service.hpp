@@ -36,7 +36,8 @@ namespace mimd {
 struct BatchJob {
   PartitionedProgram program;
   Ddg graph;
-  /// Iterations to run; 0 means the program's own compiled count.
+  /// Iterations to run; 0 means the program's own compiled count, and any
+  /// other value must equal it.
   std::int64_t iterations = 0;
   CompileOptions copts;
   /// Kernel / pinning for this job.  `pool` is overridden by run_batch —
@@ -48,9 +49,9 @@ struct BatchJob {
 /// Atomic, so run_batch's concurrent threads and the daemon's handlers
 /// share one tally.  `native` counts kernel-served runs, `interpreted` the
 /// rest; `ineligible` is the subset of `interpreted` that had a published
-/// kernel but whose request shape or iteration count fell outside what
-/// the kernel implements — the counter that tells an operator why warm
-/// traffic isn't native.
+/// kernel but whose request shape fell outside what the kernel
+/// implements — the counter that tells an operator why warm traffic
+/// isn't native.
 struct JitRunCounters {
   std::atomic<std::uint64_t> native{0};
   std::atomic<std::uint64_t> interpreted{0};
@@ -58,11 +59,12 @@ struct JitRunCounters {
 };
 
 /// The one native-vs-interpreted dispatch rule: run `kernel` on the
-/// caller's pool when it is published, `opts` is jit_run_eligible, and
-/// `n` covers the compiled program; otherwise interpret `plan`.
-/// Bit-identical either way — the kernel is the same CompiledProgram
-/// lowered through the C backend.  `counters`, when non-null, receives
-/// one tally once the run has completed.
+/// caller's pool when it is published and `opts` is jit_run_eligible;
+/// otherwise interpret `plan`.  Bit-identical either way — the kernel is
+/// the same CompiledProgram lowered through the C backend.  `n` must be
+/// the compiled iteration count (both paths raise ContractViolation
+/// otherwise, before any thread starts).  `counters`, when non-null,
+/// receives one tally once the run has completed.
 ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
                                   const std::shared_ptr<const JitKernel>& kernel,
                                   std::int64_t n, const RunOptions& opts,
@@ -89,31 +91,5 @@ struct BatchReport {
 /// after all drivers drain.
 BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
                       WorkerPool& pool, std::size_t concurrency = 0);
-
-/// One already-resolved plan to execute — the post-cache form of BatchJob,
-/// used where plans are held across requests (the mimdd daemon registers a
-/// program once per connection and runs it many times).
-struct PlanJob {
-  std::shared_ptr<const ExecutorPlan> plan;
-  /// Iterations to run; 0 means the plan's own compiled count.
-  std::int64_t iterations = 0;
-  /// `pool` is overridden — every job runs on the shared pool.
-  RunOptions ropts;
-  /// Optional published native kernel for this plan (the cache entry's
-  /// JitSlot snapshot).  Used iff ropts is jit_run_eligible and the
-  /// iteration count covers the compiled program; otherwise the job runs
-  /// interpreted.  Results are bit-identical either way.
-  std::shared_ptr<const JitKernel> kernel;
-};
-
-/// run_batch without the cache leg: execute pre-resolved plans on `pool`
-/// with the same concurrent-driver shape and error discipline (first error
-/// — e.g. iterations below the compiled count — rethrown after the drain).
-/// Results are in job order.  `counters`, when non-null, accumulates the
-/// dispatch tallies of every job that ran.
-std::vector<ExecutionResult> run_plans(const std::vector<PlanJob>& jobs,
-                                       WorkerPool& pool,
-                                       std::size_t concurrency = 0,
-                                       JitRunCounters* counters = nullptr);
 
 }  // namespace mimd

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -39,15 +37,18 @@ std::uint64_t hash_endpoint(const std::string& s) {
 
 }  // namespace
 
-/// Per-shard client + health.  `mu` guards the health fields only; the
-/// client itself is single-threaded by construction (one thread per shard
-/// per round — see the class comment).
+/// Per-shard client + health.  Only the caller's thread touches a Shard
+/// (run_jobs pipelines from it rather than spawning per-shard threads),
+/// so nothing here is locked.
 struct ShardRouter::Shard {
   PlanClient client;
   bool connected = false;
-  mutable std::mutex mu;
   bool dead = false;
   std::chrono::steady_clock::time_point dead_until{};
+  /// Why the shard last failed (connect error, torn stream), quoted when
+  /// the whole fleet is dead so the caller sees the cause, not just the
+  /// count.
+  std::string last_error;
   /// route_key -> program_id on *this* connection: repeat jobs skip
   /// submit_program entirely, so a long-lived router stops growing the
   /// daemon's per-connection registry (and re-serializing the program).
@@ -118,7 +119,6 @@ std::vector<std::size_t> ShardRouter::preference_order(
 
 void ShardRouter::mark_dead(std::size_t shard) {
   Shard& s = *shards_.at(shard);
-  std::lock_guard<std::mutex> lk(s.mu);
   s.dead = true;
   s.dead_until = std::chrono::steady_clock::now() +
                  std::chrono::milliseconds(opts_.dead_cooldown_ms);
@@ -131,7 +131,6 @@ void ShardRouter::mark_dead(std::size_t shard) {
 
 bool ShardRouter::is_dead(std::size_t shard) const {
   Shard& s = *shards_.at(shard);
-  std::lock_guard<std::mutex> lk(s.mu);
   if (!s.dead) return false;
   if (std::chrono::steady_clock::now() >= s.dead_until) {
     s.dead = false;  // cooldown over: eligible for a reconnect probe
@@ -140,21 +139,19 @@ bool ShardRouter::is_dead(std::size_t shard) const {
   return true;
 }
 
-void ShardRouter::note_failure(std::size_t shard) { mark_dead(shard); }
+void ShardRouter::note_failure(std::size_t shard, const std::exception& e) {
+  shards_.at(shard)->last_error = e.what();
+  mark_dead(shard);
+}
 
 PlanClient& ShardRouter::ensure_connected(std::size_t shard) {
   Shard& s = *shards_.at(shard);
-  {
-    std::lock_guard<std::mutex> lk(s.mu);
-    if (s.connected) return s.client;
-  }
+  if (s.connected) return s.client;
   const int attempts = std::max(opts_.connect_attempts, 1);
   int backoff_ms = std::max(opts_.connect_backoff_initial_ms, 1);
   for (int attempt = 0;; ++attempt) {
     try {
-      PlanClient c = PlanClient::connect(endpoints_[shard], opts_.timeout_ms);
-      std::lock_guard<std::mutex> lk(s.mu);
-      s.client = std::move(c);
+      s.client = PlanClient::connect(endpoints_[shard], opts_.timeout_ms);
       s.connected = true;
       s.dead = false;
       s.submitted.clear();  // fresh connection, fresh id space
@@ -184,13 +181,29 @@ std::vector<ExecutionResult> ShardRouter::run_jobs(
   std::vector<std::size_t> pending(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) pending[i] = i;
 
+  // One shard's share of a round.  Every request is issued from this
+  // thread and pipelined on the shard's connection; the shards overlap
+  // because each wait for replies comes only after every shard has the
+  // requests they answer in flight.
+  struct Flight {
+    std::size_t shard = 0;
+    std::vector<std::size_t> group;  ///< job indexes
+    std::vector<std::uint64_t> ids;  ///< per group position
+    std::vector<std::pair<std::size_t, std::future<wire::SubmitProgramReply>>>
+        submits;
+    std::vector<std::future<ExecutionResult>> runs;
+    bool failed = false;
+  };
+
   // Each round assigns every pending job to its first live shard and
-  // drives the per-shard groups concurrently.  A group whose shard dies
-  // mid-round stays pending and reroutes next round; at most one round
-  // per shard can fail, so shard_count()+1 rounds always suffice.
+  // drives the per-shard groups in three phases: submit, run, gather.  A
+  // group whose shard dies mid-round stays pending and reroutes next
+  // round; at most one round per shard can fail, so shard_count()+1
+  // rounds always suffice.
   for (std::size_t round = 0; round <= shard_count() && !pending.empty();
        ++round) {
-    std::vector<std::vector<std::size_t>> groups(shard_count());
+    std::vector<Flight> flights(shard_count());
+    for (std::size_t i = 0; i < flights.size(); ++i) flights[i].shard = i;
     for (const std::size_t j : pending) {
       std::size_t target = prefs[j].size();  // sentinel: none live
       for (const std::size_t cand : prefs[j]) {
@@ -199,88 +212,77 @@ std::vector<ExecutionResult> ShardRouter::run_jobs(
           break;
         }
       }
-      if (target == prefs[j].size()) {
-        throw wire::WireError(
-            "ShardRouter: all " + std::to_string(shard_count()) +
-            " shards are dead; cannot route jobs");
-      }
-      groups[target].push_back(j);
+      if (target == prefs[j].size()) throw all_dead_error();
+      flights[target].group.push_back(j);
     }
     pending.clear();
+    std::erase_if(flights, [](const Flight& f) { return f.group.empty(); });
 
-    std::mutex retry_mu;
     std::exception_ptr remote_error;  // first RemoteError wins, rethrown
-    std::vector<std::thread> threads;
-    for (std::size_t shard = 0; shard < groups.size(); ++shard) {
-      if (groups[shard].empty()) continue;
-      threads.emplace_back([&, shard] {
-        const std::vector<std::size_t>& group = groups[shard];
-        try {
-          PlanClient& client = ensure_connected(shard);
-          Shard& s = *shards_[shard];
-          // Pipelined submits: send every uncached job's SubmitProgram
-          // back-to-back, then gather the ids — the shard overlaps the
-          // compiles across its handler pool and the wire carries N
-          // requests per flight instead of N round trips.  A duplicate
-          // key inside one group may submit twice (both missed the id
-          // cache when sent); the daemon's shared cache still compiles
-          // once and the extra registry id is harmless.
-          std::vector<wire::RunRequest> items(group.size());
-          std::vector<
-              std::pair<std::size_t, std::future<wire::SubmitProgramReply>>>
-              inflight;
-          for (std::size_t k = 0; k < group.size(); ++k) {
-            const std::size_t j = group[k];
-            bool cached = false;
-            {
-              std::lock_guard<std::mutex> lk(s.mu);
-              const auto it = s.submitted.find(keys[j]);
-              if (it != s.submitted.end()) {
-                items[k].program_id = it->second;
-                cached = true;
-              }
-            }
-            if (!cached) {
-              inflight.emplace_back(
-                  k, client.submit_program_async(jobs[j].program,
-                                                 jobs[j].graph,
-                                                 jobs[j].copts));
-            }
-            items[k].iterations = jobs[j].iterations;
-            items[k].opts = jobs[j].run_opts;
+    // Runs one phase of a flight; a failure parks the flight for the rest
+    // of the round.
+    const auto step = [&](Flight& f, const auto& phase) {
+      if (f.failed) return;
+      try {
+        phase();
+      } catch (const RemoteError&) {
+        // The shard is healthy and said no: the caller's problem.
+        if (!remote_error) remote_error = std::current_exception();
+        f.failed = true;
+      } catch (const wire::WireError& e) {
+        // Transport death: bury the shard, reroute the whole group
+        // (idempotent — rerunning on the successor is bit-identical).
+        note_failure(f.shard, e);
+        pending.insert(pending.end(), f.group.begin(), f.group.end());
+        f.failed = true;
+      }
+    };
+
+    // Submit every job the shard's id cache misses, back-to-back: the
+    // shard overlaps the compiles across its handler pool.  A duplicate
+    // key inside one group may submit twice (both missed the id cache
+    // when sent); the daemon's shared cache still compiles once and the
+    // extra registry id is harmless.
+    for (Flight& f : flights) {
+      step(f, [&] {
+        PlanClient& client = ensure_connected(f.shard);
+        const Shard& s = *shards_[f.shard];
+        f.ids.resize(f.group.size());
+        for (std::size_t k = 0; k < f.group.size(); ++k) {
+          const std::size_t j = f.group[k];
+          const auto it = s.submitted.find(keys[j]);
+          if (it != s.submitted.end()) {
+            f.ids[k] = it->second;
+          } else {
+            f.submits.emplace_back(
+                k, client.submit_program_async(jobs[j].program,
+                                               jobs[j].graph, jobs[j].copts));
           }
-          for (auto& [k, fut] : inflight) {
-            // Throws RemoteError (rethrown to the caller) or WireError
-            // (failover) exactly like the blocking submit did.
-            const wire::SubmitProgramReply sub = fut.get();
-            items[k].program_id = sub.program_id;
-            std::lock_guard<std::mutex> lk(s.mu);
-            s.submitted.emplace(keys[group[k]], sub.program_id);
-          }
-          wire::RunBatchReply reply = client.run_batch(items);
-          if (reply.results.size() != group.size()) {
-            throw wire::WireError("ShardRouter: shard returned " +
-                                  std::to_string(reply.results.size()) +
-                                  " results for " +
-                                  std::to_string(group.size()) + " jobs");
-          }
-          for (std::size_t k = 0; k < group.size(); ++k) {
-            results[group[k]] = std::move(reply.results[k]);
-          }
-        } catch (const RemoteError&) {
-          // The shard is healthy and said no: the caller's problem.
-          std::lock_guard<std::mutex> lk(retry_mu);
-          if (!remote_error) remote_error = std::current_exception();
-        } catch (const wire::WireError&) {
-          // Transport death: bury the shard, reroute the whole group
-          // (idempotent — rerunning on the successor is bit-identical).
-          note_failure(shard);
-          std::lock_guard<std::mutex> lk(retry_mu);
-          pending.insert(pending.end(), group.begin(), group.end());
         }
       });
     }
-    for (std::thread& t : threads) t.join();
+    // Gather the ids, then pipeline one Run frame per job.
+    for (Flight& f : flights) {
+      step(f, [&] {
+        Shard& s = *shards_[f.shard];
+        for (auto& [k, fut] : f.submits) {
+          f.ids[k] = fut.get().program_id;
+          s.submitted.emplace(keys[f.group[k]], f.ids[k]);
+        }
+        for (std::size_t k = 0; k < f.group.size(); ++k) {
+          const ShardJob& job = jobs[f.group[k]];
+          f.runs.push_back(
+              s.client.run_async(f.ids[k], job.iterations, job.run_opts));
+        }
+      });
+    }
+    for (Flight& f : flights) {
+      step(f, [&] {
+        for (std::size_t k = 0; k < f.group.size(); ++k) {
+          results[f.group[k]] = f.runs[k].get();
+        }
+      });
+    }
     if (remote_error) std::rethrow_exception(remote_error);
   }
 
@@ -290,6 +292,17 @@ std::vector<ExecutionResult> ShardRouter::run_jobs(
                           " rounds (fleet unhealthy)");
   }
   return results;
+}
+
+wire::WireError ShardRouter::all_dead_error() const {
+  std::string msg = "ShardRouter: all " + std::to_string(shard_count()) +
+                    " shards are dead; cannot route jobs";
+  for (std::size_t i = 0; i < shard_count(); ++i) {
+    const std::string& why = shards_[i]->last_error;
+    msg += (i == 0 ? " (" : "; ") + endpoints_[i] + ": " +
+           (why.empty() ? "marked dead" : why);
+  }
+  return wire::WireError(msg + ")");
 }
 
 ExecutionResult ShardRouter::run_one(const ShardJob& job) {
@@ -307,33 +320,26 @@ bool ShardRouter::drop_program(const PartitionedProgram& program,
   bool dropped = false;
   for (const std::size_t shard : preference_order(key)) {
     Shard& s = *shards_[shard];
-    std::uint64_t id = 0;
-    {
-      std::lock_guard<std::mutex> lk(s.mu);
-      const auto it = s.submitted.find(key);
-      if (it == s.submitted.end()) continue;
-      id = it->second;
-    }
+    const auto it = s.submitted.find(key);
+    if (it == s.submitted.end()) continue;
+    const std::uint64_t id = it->second;
     try {
       ensure_connected(shard).drop_program(id);
     } catch (const RemoteError&) {
       // The shard no longer knows the id (restart, registry turnover):
       // the local cache entry is stale either way — fall through and
       // invalidate it.
-    } catch (const wire::WireError&) {
+    } catch (const wire::WireError& e) {
       // Connection death: the per-connection registry died with it
       // server-side, and mark_dead just cleared this shard's whole
       // submitted cache — both sides already forgot the id.
-      note_failure(shard);
+      note_failure(shard, e);
       dropped = true;
       continue;
     }
     // Invalidate only on ack (or a stale id): the next run_jobs with
     // this program re-submits instead of using a dangling id.
-    {
-      std::lock_guard<std::mutex> lk(s.mu);
-      s.submitted.erase(key);
-    }
+    s.submitted.erase(key);
     dropped = true;
   }
   return dropped;
@@ -348,8 +354,8 @@ std::vector<ShardStatsRow> ShardRouter::fleet_stats() {
     try {
       row.stats = ensure_connected(i).stats();
       row.alive = true;
-    } catch (const std::exception&) {
-      note_failure(i);
+    } catch (const std::exception& e) {
+      note_failure(i, e);
       row.alive = false;
     }
     rows.push_back(std::move(row));
@@ -365,7 +371,6 @@ void ShardRouter::shutdown_fleet() {
       // Already down (or dying): that is the goal state.
     }
     Shard& s = *shards_[i];
-    std::lock_guard<std::mutex> lk(s.mu);
     if (s.connected) {
       s.client.close();
       s.connected = false;

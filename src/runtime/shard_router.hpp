@@ -27,13 +27,14 @@
 // a job that may have executed on a dying shard just executes again on
 // its successor.  A RemoteError (the server *replied*, rejecting the
 // request) is the caller's problem and is rethrown — it is not a health
-// event.  Only when every shard is dead does run_jobs throw WireError.
+// event.  Only when every shard is dead does run_jobs throw WireError,
+// quoting each shard's last failure (e.g. the connect error).
 //
-// Threading: run_jobs dispatches one thread per shard that owns work
-// this round; a shard's client is only ever touched by the single thread
-// handling that shard's group (plus the caller between calls) — the
-// shared-nothing discipline again, now client-side.  A ShardRouter
-// itself is single-caller, like PlanClient.
+// Threading: none of its own.  run_jobs issues every shard's submits,
+// then every shard's Run frames, from the caller's thread — each shard's
+// PlanClient pipelines them by request id — and only then gathers the
+// futures, so the shards execute concurrently without a thread per
+// shard.  A ShardRouter is single-caller: nothing in it is locked.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +72,8 @@ struct ShardJob {
   PartitionedProgram program;
   Ddg graph;
   CompileOptions copts;
-  /// 0 = the program's own compiled iteration count.
+  /// 0 = the program's own compiled iteration count; any other value
+  /// must equal it.
   std::int64_t iterations = 0;
   wire::RemoteRunOptions run_opts;
 };
@@ -113,9 +115,10 @@ class ShardRouter {
       std::uint64_t key) const;
 
   /// Route and execute `jobs` across the fleet; results in job order.
-  /// Shards are driven concurrently (one thread per shard with work).
-  /// Dead shards fail over per the class comment; throws wire::WireError
-  /// once every shard is dead, and rethrows RemoteError untouched.
+  /// Shards run concurrently: one Run frame per job, pipelined (see the
+  /// class comment).  Dead shards fail over per the class comment;
+  /// throws wire::WireError once every shard is dead, and rethrows
+  /// RemoteError untouched.
   [[nodiscard]] std::vector<ExecutionResult> run_jobs(
       const std::vector<ShardJob>& jobs);
 
@@ -154,7 +157,10 @@ class ShardRouter {
   /// Connected client for `shard`, dialing (with retry/backoff) if
   /// needed.  Throws wire::WireError after the last attempt fails.
   PlanClient& ensure_connected(std::size_t shard);
-  void note_failure(std::size_t shard);
+  /// Record why `shard` failed, then mark_dead it.
+  void note_failure(std::size_t shard, const std::exception& e);
+  /// The every-shard-is-dead error, naming each shard's last failure.
+  [[nodiscard]] wire::WireError all_dead_error() const;
 
   ShardRouterOptions opts_;
   std::vector<std::string> endpoints_;

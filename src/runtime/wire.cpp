@@ -209,41 +209,10 @@ ExecutionResult decode_result(Decoder& d) {
 // ---------------------------------------------------------------------------
 // Messages
 
-namespace {
-
-void encode_remote_opts(Encoder& e, const RemoteRunOptions& o) {
-  e.u8(o.pin_threads ? 1 : 0);
-  e.i32(o.work_per_cycle);
-}
-
-RemoteRunOptions decode_remote_opts(Decoder& d) {
-  RemoteRunOptions o;
-  o.pin_threads = d.u8() != 0;
-  o.work_per_cycle = d.i32();
-  return o;
-}
-
-void encode_run_request(Encoder& e, const RunRequest& m) {
-  e.u64(m.program_id);
-  e.i64(m.iterations);
-  encode_remote_opts(e, m.opts);
-}
-
-RunRequest decode_run_request(Decoder& d) {
-  RunRequest m;
-  m.program_id = d.u64();
-  m.iterations = d.i64();
-  m.opts = decode_remote_opts(d);
-  return m;
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_submit_program(const SubmitProgramRequest& m) {
   Encoder e;
   encode_program(e, m.program);
   encode_ddg(e, m.graph);
-  e.u8(static_cast<std::uint8_t>(m.copts.slots));
   e.u8(static_cast<std::uint8_t>(m.copts.opt));
   return e.take();
 }
@@ -254,11 +223,6 @@ SubmitProgramRequest decode_submit_program(
   SubmitProgramRequest m;
   m.program = decode_program(d);
   m.graph = decode_ddg(d);
-  const std::uint8_t slots = d.u8();
-  if (slots > static_cast<std::uint8_t>(SlotPolicy::Ssa)) {
-    throw WireError("invalid slot policy");
-  }
-  m.copts.slots = static_cast<SlotPolicy>(slots);
   const std::uint8_t opt = d.u8();
   if (opt > static_cast<std::uint8_t>(OptLevel::O1)) {
     throw WireError("invalid opt level");
@@ -294,13 +258,20 @@ SubmitProgramReply decode_submit_program_reply(
 
 std::vector<std::uint8_t> encode_run(const RunRequest& m) {
   Encoder e;
-  encode_run_request(e, m);
+  e.u64(m.program_id);
+  e.i64(m.iterations);
+  e.u8(m.opts.pin_threads ? 1 : 0);
+  e.i32(m.opts.work_per_cycle);
   return e.take();
 }
 
 RunRequest decode_run(const std::vector<std::uint8_t>& payload) {
   Decoder d(payload);
-  RunRequest m = decode_run_request(d);
+  RunRequest m;
+  m.program_id = d.u64();
+  m.iterations = d.i64();
+  m.opts.pin_threads = d.u8() != 0;
+  m.opts.work_per_cycle = d.i32();
   d.expect_done();
   return m;
 }
@@ -316,44 +287,6 @@ ExecutionResult decode_run_reply(const std::vector<std::uint8_t>& payload) {
   ExecutionResult r = decode_result(d);
   d.expect_done();
   return r;
-}
-
-std::vector<std::uint8_t> encode_run_batch(const RunBatchRequest& m) {
-  Encoder e;
-  e.u32(static_cast<std::uint32_t>(m.items.size()));
-  for (const RunRequest& it : m.items) encode_run_request(e, it);
-  e.u32(m.concurrency);
-  return e.take();
-}
-
-RunBatchRequest decode_run_batch(const std::vector<std::uint8_t>& payload) {
-  Decoder d(payload);
-  RunBatchRequest m;
-  const std::uint32_t n = d.count(21);  // 8 + 8 + 5 per item
-  m.items.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) m.items.push_back(decode_run_request(d));
-  m.concurrency = d.u32();
-  d.expect_done();
-  return m;
-}
-
-std::vector<std::uint8_t> encode_run_batch_reply(const RunBatchReply& m) {
-  Encoder e;
-  e.u32(static_cast<std::uint32_t>(m.results.size()));
-  for (const ExecutionResult& r : m.results) encode_result(e, r);
-  e.f64(m.wall_seconds);
-  return e.take();
-}
-
-RunBatchReply decode_run_batch_reply(const std::vector<std::uint8_t>& payload) {
-  Decoder d(payload);
-  RunBatchReply m;
-  const std::uint32_t n = d.count(12);
-  m.results.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) m.results.push_back(decode_result(d));
-  m.wall_seconds = d.f64();
-  d.expect_done();
-  return m;
 }
 
 std::vector<std::uint8_t> encode_stats_reply(const StatsReply& m) {

@@ -34,7 +34,6 @@
 // Request/reply types:
 //     SubmitProgram -> SubmitProgramReply   register a program, get an id
 //     Run           -> RunReply             execute one registered program
-//     RunBatch      -> RunBatchReply        execute many, concurrently
 //     Stats         -> StatsReply           cache/pool/server counters
 //     Shutdown      -> ShutdownReply        ack, then the server drains
 //     DropProgram   -> DropProgramReply     evict one registered id
@@ -68,10 +67,10 @@ class WireError : public std::runtime_error {
 };
 
 enum class FrameType : std::uint8_t {
-  // Requests (client -> server).
+  // Requests (client -> server).  3 and 67 are unassigned: like any
+  // unknown type, a frame of either gets an Error reply.
   SubmitProgram = 1,
   Run = 2,
-  RunBatch = 3,
   Stats = 4,
   Shutdown = 5,
   DropProgram = 6,
@@ -83,7 +82,6 @@ enum class FrameType : std::uint8_t {
   // Replies (server -> client): request type + 64.
   SubmitProgramReply = 65,
   RunReply = 66,
-  RunBatchReply = 67,
   StatsReply = 68,
   ShutdownReply = 69,
   DropProgramReply = 70,
@@ -181,7 +179,7 @@ struct SubmitProgramRequest {
 };
 
 struct SubmitProgramReply {
-  /// Connection-scoped handle for Run / RunBatch.
+  /// Connection-scoped handle for Run / DropProgram.
   std::uint64_t program_id = 0;
   std::uint32_t threads = 0;
   std::uint32_t channels = 0;
@@ -200,20 +198,10 @@ struct RemoteRunOptions {
 
 struct RunRequest {
   std::uint64_t program_id = 0;
-  /// 0 = the program's own compiled iteration count.
+  /// 0 = the program's own compiled iteration count; any other value
+  /// must equal it (the server answers a mismatch with an Error frame).
   std::int64_t iterations = 0;
   RemoteRunOptions opts;
-};
-
-struct RunBatchRequest {
-  std::vector<RunRequest> items;
-  /// Driver threads on the server; 0 = hardware_concurrency.
-  std::uint32_t concurrency = 0;
-};
-
-struct RunBatchReply {
-  std::vector<ExecutionResult> results;  ///< in item order
-  double wall_seconds = 0.0;
 };
 
 struct StatsReply {
@@ -243,7 +231,7 @@ struct StatsReply {
   std::uint64_t jit_native_runs = 0;
   std::uint64_t jit_interpreted_runs = 0;
   /// Runs that had a published kernel but still went interpreted (request
-  /// shape or iteration count outside what the kernel implements).
+  /// shape outside what the kernel implements).
   std::uint64_t jit_ineligible_runs = 0;
 };
 
@@ -263,16 +251,6 @@ struct StatsReply {
 [[nodiscard]] std::vector<std::uint8_t> encode_run_reply(
     const ExecutionResult& m);
 [[nodiscard]] ExecutionResult decode_run_reply(
-    const std::vector<std::uint8_t>& payload);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_run_batch(
-    const RunBatchRequest& m);
-[[nodiscard]] RunBatchRequest decode_run_batch(
-    const std::vector<std::uint8_t>& payload);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_run_batch_reply(
-    const RunBatchReply& m);
-[[nodiscard]] RunBatchReply decode_run_batch_reply(
     const std::vector<std::uint8_t>& payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_stats_reply(

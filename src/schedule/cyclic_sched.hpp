@@ -45,8 +45,11 @@ struct CyclicSchedOptions {
   ReadyOrder order = ReadyOrder::Topological;
   /// Upper bound on unwinding before giving up on pattern detection (the
   /// paper's M is "typically very small, less than 10"; the bound is a
-  /// safety net, not a tuning knob).
-  std::int64_t max_iterations = 8192;
+  /// safety net, not a tuning knob).  Generated loops at p = 4 have needed
+  /// up to ~11k iterations to settle (tests/test_full_sched.cpp pins
+  /// two), so the default leaves headroom; full_sched raises
+  /// PatternNotFoundError when it is reached.
+  std::int64_t max_iterations = 65536;
   /// If >= 0: ignore pattern detection and simply schedule the first
   /// `horizon_iterations` iterations (used for offline experiments, the
   /// window-detector cross-check, and DOACROSS-style comparisons).

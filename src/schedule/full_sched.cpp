@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -66,7 +68,29 @@ FullSchedResult schedule_doall(const Ddg& g, const Machine& m,
   return res;
 }
 
+/// Cyclic-sched's steady-state pattern; PatternNotFoundError when it ran
+/// into its detection bound without one.
+Pattern cyclic_pattern(const Ddg& g, const Machine& m,
+                       const CyclicSchedOptions& opts) {
+  CyclicSchedResult r = cyclic_sched(g, m, opts);
+  if (!r.pattern) {
+    throw PatternNotFoundError(m.processors, opts.max_iterations);
+  }
+  return std::move(*r.pattern);
+}
+
 }  // namespace
+
+PatternNotFoundError::PatternNotFoundError(int processors,
+                                           std::int64_t max_iterations)
+    : std::runtime_error(
+          "Cyclic-sched found no repeating pattern within " +
+          std::to_string(max_iterations) + " iterations on " +
+          std::to_string(processors) +
+          " processors (CyclicSchedOptions::max_iterations); raise the "
+          "bound or schedule on a different processor count"),
+      processors_(processors),
+      max_iterations_(max_iterations) {}
 
 double measure_steady_ii(const Schedule& sched, std::int64_t n) {
   if (n <= 0) return 0.0;
@@ -114,10 +138,9 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
   if (opts.flow_strategy == FlowStrategy::Fold) {
     // Section-3 heuristic, realized by scheduling the whole graph greedily:
     // non-Cyclic nodes flow into idle slots of the Cyclic processors.
-    CyclicSchedResult r = cyclic_sched(g, m, opts.cyclic);
-    MIMD_ENSURES(r.pattern.has_value());
-    FullSchedResult res{std::move(cls), r.pattern,
-                        materialize(*r.pattern, m.processors, iterations),
+    const Pattern pattern = cyclic_pattern(g, m, opts.cyclic);
+    FullSchedResult res{std::move(cls), pattern,
+                        materialize(pattern, m.processors, iterations),
                         iterations, 0, 0, 0, 0, 0.0};
     std::set<int> used;
     for (const Placement& p : res.schedule.placements()) used.insert(p.proc);
@@ -130,9 +153,8 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
   // --- The paper's Figure-6 pipeline with separate flow pools. ---
   std::vector<NodeId> old_of_new;
   const Ddg sub = cyclic_subgraph(g, cls, &old_of_new);
-  CyclicSchedResult r = cyclic_sched(sub, m, opts.cyclic);
-  MIMD_ENSURES(r.pattern.has_value());
-  const Pattern pattern = remap_pattern(*r.pattern, old_of_new);
+  const Pattern pattern =
+      remap_pattern(cyclic_pattern(sub, m, opts.cyclic), old_of_new);
 
   // Processors claimed by the Cyclic pattern.
   std::set<int> cyclic_procs;

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 
 #include "classify/classify.hpp"
 #include "graph/ddg.hpp"
@@ -36,6 +37,27 @@
 namespace mimd {
 
 enum class FlowStrategy { SeparateProcessors, Fold };
+
+/// Thrown by full_sched (and so by parallelize()) when Cyclic-sched finds
+/// no repeating pattern within CyclicSchedOptions::max_iterations.  The
+/// throttle makes detection terminate for every connected graph, but how
+/// long it takes grows with the processor count and the graph's shape
+/// (DESIGN.md, "Pattern detection bound"); the bound is the safety net,
+/// and meeting it is an answer the caller can act on — raise the bound or
+/// pick another processor count — not an invariant failure.
+class PatternNotFoundError : public std::runtime_error {
+ public:
+  PatternNotFoundError(int processors, std::int64_t max_iterations);
+
+  [[nodiscard]] int processors() const { return processors_; }
+  [[nodiscard]] std::int64_t max_iterations() const {
+    return max_iterations_;
+  }
+
+ private:
+  int processors_;
+  std::int64_t max_iterations_;
+};
 
 struct FullSchedOptions {
   FlowStrategy flow_strategy = FlowStrategy::SeparateProcessors;

@@ -210,14 +210,16 @@ TEST(JitCompiler, EvictionUnloadsKernelOnlyAfterCallersFinish) {
 // The kernel context lifecycle (create -> run_on xN -> destroy) under the
 // suite's sanitizer builds: repeated pooled runs — with and without a
 // pool, pinned and not — must neither leak the calloc'd context (ASan)
-// nor diverge in values, and an undersized n must be rejected before any
-// context is created.
+// nor diverge in values, and an n other than the compiled count must be
+// rejected before any context is created.
 TEST(JitCompiler, PooledContextLifecycleIsLeakFreeAcrossRepeatRuns) {
   REQUIRE_JIT();
   const GeneratedLoop gl = generate_loop(2201);
   const ExecutorPlan plan = compile(gl.program, gl.graph);
   const std::shared_ptr<const JitKernel> kernel = jit_compile(plan);
   EXPECT_THROW((void)kernel->run_pooled(gl.iterations - 1, nullptr),
+               ContractViolation);
+  EXPECT_THROW((void)kernel->run_pooled(gl.iterations + 4, nullptr),
                ContractViolation);
   WorkerPool pool;
   const ExecutionResult first = kernel->run_pooled(gl.iterations, &pool);

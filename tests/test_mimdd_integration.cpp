@@ -20,6 +20,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -80,24 +81,20 @@ TEST(MimddIntegration, DifferentialDaemonVsInProcessOverRealSocket) {
 
 TEST(MimddIntegration, BatchRunsConcurrentlyAndMatchesSequential) {
   REQUIRE_DAEMON();
+  // Every Run frame is in flight before the first reply is read, so the
+  // daemon's handler pool executes them concurrently.
   PlanClient client = PlanClient::connect(daemon_socket(), kTimeoutMs);
   std::vector<GeneratedLoop> loops;
-  std::vector<wire::RunRequest> items;
+  std::vector<std::future<ExecutionResult>> runs;
   for (const std::uint64_t seed : {1020u, 1021u, 1022u, 1023u}) {
     loops.push_back(generate_loop(seed));
-    wire::RunRequest item;
-    item.program_id =
+    runs.push_back(client.run_async(
         client.submit_program(loops.back().program, loops.back().graph)
-            .program_id;
-    item.iterations = 0;
-    items.push_back(item);
+            .program_id));
   }
-  const wire::RunBatchReply reply = client.run_batch(items);
-  ASSERT_EQ(reply.results.size(), loops.size());
   for (std::size_t i = 0; i < loops.size(); ++i) {
     EXPECT_TRUE(values_match(
-        reply.results[i],
-        run_reference(loops[i].graph, loops[i].iterations),
+        runs[i].get(), run_reference(loops[i].graph, loops[i].iterations),
         loops[i].iterations))
         << loops[i].tag;
   }

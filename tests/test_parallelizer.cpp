@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/mimd.hpp"
 #include "ir/dependence.hpp"
 #include "ir/ifconvert.hpp"
 #include "ir/parser.hpp"
 #include "opt/pipeline.hpp"
+#include "runtime/executor.hpp"
 #include "support/loop_gen.hpp"
 #include "workloads/livermore.hpp"
 #include "workloads/paper_examples.hpp"
@@ -170,6 +174,71 @@ TEST(Parallelizer, ParitySplitFuzzRaisesTypedErrorsOnly) {
     }
   }
   EXPECT_GE(splits, 1) << "opt-in never produced a parity split";
+}
+
+/// A .loop file from tests/loops/, parsed, if-converted and run through
+/// the O1 mid-end (fission included): the strands parallelize() sees.
+std::vector<ir::Loop> o1_strands_of(const std::string& file) {
+  std::ifstream f(std::string(MIMD_TEST_LOOPS_DIR) + "/" + file);
+  EXPECT_TRUE(f.good()) << file;
+  std::ostringstream source;
+  source << f.rdbuf();
+  const ir::Loop raw = ir::parse_loop(source.str());
+  opt::OptOptions oopts;
+  oopts.level = OptLevel::O1;
+  return opt::optimize(raw.has_control_flow() ? ir::if_convert(raw) : raw,
+                       oopts)
+      .loops;
+}
+
+ParallelizeOptions p4_options() {
+  ParallelizeOptions opts;
+  opts.machine = Machine{4, 1};
+  opts.iterations = 64;
+  opts.emit_code = false;
+  return opts;
+}
+
+// Two generated loops (perfbench cold-compile, seeds 707 and 810) whose
+// first strand's Cyclic subset settles at p = 4 only after 8213 and 10960
+// unwound iterations — past the old 8192 detection bound, where
+// parallelize() tripped a contract.  At the default bound every strand
+// schedules and runs bit-identical to sequential.
+TEST(Parallelizer, LoopsPastTheOldDetectionBoundScheduleAtP4) {
+  for (const char* file :
+       {"pattern_horizon_707.loop", "pattern_horizon_810.loop"}) {
+    for (const ir::Loop& strand : o1_strands_of(file)) {
+      const ParallelizeResult r =
+          parallelize(ir::analyze_dependences(strand).graph, p4_options());
+      ASSERT_TRUE(r.sched.pattern.has_value()) << file;
+      const std::int64_t n = r.normalized_iterations;
+      EXPECT_TRUE(values_match(compile(r.program, r.normalized.graph).run(n),
+                               run_reference(r.normalized.graph, n), n))
+          << file;
+    }
+  }
+}
+
+// Meeting the bound is a typed error naming the processor count and the
+// bound, not an invariant failure.
+TEST(Parallelizer, DetectionBoundRaisesPatternNotFoundError) {
+  ParallelizeOptions opts = p4_options();
+  opts.schedule.cyclic.max_iterations = 8192;
+  for (const char* file :
+       {"pattern_horizon_707.loop", "pattern_horizon_810.loop"}) {
+    const std::vector<ir::Loop> strands = o1_strands_of(file);
+    ASSERT_FALSE(strands.empty()) << file;
+    try {
+      (void)parallelize(ir::analyze_dependences(strands.front()).graph, opts);
+      ADD_FAILURE() << file << " scheduled within 8192 iterations";
+    } catch (const PatternNotFoundError& e) {
+      EXPECT_EQ(e.processors(), 4) << file;
+      EXPECT_EQ(e.max_iterations(), 8192) << file;
+      const std::string what = e.what();
+      EXPECT_NE(what.find("8192"), std::string::npos) << what;
+      EXPECT_NE(what.find("4 processors"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -60,9 +60,9 @@ TEST(StructuralHash, DistinguishesProgramGraphAndOptions) {
   const PartitionedProgram p24 = pattern_program(g, Machine{2, 2}, 24);
   EXPECT_NE(structural_hash(p20, g), structural_hash(p24, g));
 
-  CompileOptions ssa;
-  ssa.slots = SlotPolicy::Ssa;
-  EXPECT_NE(structural_hash(p20, g), structural_hash(p20, g, ssa));
+  CompileOptions o1;
+  o1.opt = OptLevel::O1;
+  EXPECT_NE(structural_hash(p20, g), structural_hash(p20, g, o1));
 
   const Ddg other = workloads::ll20_discrete_ordinates();
   EXPECT_NE(structural_hash(g), structural_hash(other));
@@ -143,14 +143,14 @@ TEST(PlanCache, DifferentOptionsAreDifferentEntries) {
   const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
 
   PlanCache cache;
-  CompileOptions ssa;
-  ssa.slots = SlotPolicy::Ssa;
-  const auto reuse_plan = cache.get_or_compile(p, g);
-  const auto ssa_plan = cache.get_or_compile(p, g, ssa);
-  EXPECT_NE(reuse_plan.get(), ssa_plan.get());
+  CompileOptions o1;
+  o1.opt = OptLevel::O1;
+  const auto off_plan = cache.get_or_compile(p, g);
+  const auto o1_plan = cache.get_or_compile(p, g, o1);
+  EXPECT_NE(off_plan.get(), o1_plan.get());
   EXPECT_EQ(cache.stats().misses, 2u);
-  // Both policies execute identically (test_slot_reuse pins this too).
-  expect_matches_sequential(ssa_plan->run(20), g, 20);
+  // The opt level only keys the entry; both plans execute identically.
+  expect_matches_sequential(o1_plan->run(20), g, 20);
 }
 
 TEST(PlanCache, EqualProgramsOnDifferentGraphsDoNotCollide) {

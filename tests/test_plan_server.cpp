@@ -4,12 +4,12 @@
 //
 // The centerpiece is the three-way fuzz/differential test: >= 50 randomly
 // generated loop programs (tests/support/loop_gen.hpp) executed (1) via
-// the daemon over its Unix socket, (2) via the in-process plan service
-// (run_batch on a local cache+pool), and (3) sequentially — all three
-// must agree bit-for-bit.  Around it: concurrent clients proving
-// cross-connection plan-cache sharing through the Stats frame (M clients,
-// renamed copies, exactly one miss), graceful-shutdown draining, and
-// hostile-input handling (error frames, garbage bytes).
+// the daemon over its Unix socket (pipelined Run frames), (2) via the
+// in-process plan service (run_batch on a local cache+pool), and (3)
+// sequentially — all three must agree bit-for-bit.  Around it: concurrent
+// clients proving cross-connection plan-cache sharing through the Stats
+// frame (M clients, renamed copies, exactly one miss), graceful-shutdown
+// draining, and hostile-input handling (error frames, garbage bytes).
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -99,36 +99,6 @@ TEST(LoopGen, RenamedCopyIsStructurallyIdenticalButNamedDifferently) {
   EXPECT_NE(gl.graph.node(0).name, copy.node(0).name);
 }
 
-TEST(PlanService, RunPlansMatchesDirectPlanRuns) {
-  std::vector<PlanJob> jobs;
-  std::vector<ExecutionResult> direct;
-  WorkerPool pool;
-  for (const std::uint64_t seed : {21u, 22u, 23u}) {
-    const GeneratedLoop gl = generate_loop(seed);
-    PlanJob job;
-    job.plan = std::make_shared<const ExecutorPlan>(
-        compile(gl.program, gl.graph));
-    job.iterations = 0;  // plan's own count
-    jobs.push_back(job);
-    direct.push_back(job.plan->run(gl.iterations));
-  }
-  const std::vector<ExecutionResult> pooled = run_plans(jobs, pool);
-  ASSERT_EQ(pooled.size(), direct.size());
-  for (std::size_t i = 0; i < pooled.size(); ++i) {
-    EXPECT_EQ(pooled[i].values, direct[i].values) << i;
-  }
-}
-
-TEST(PlanService, RunPlansRethrowsAfterDraining) {
-  WorkerPool pool;
-  const GeneratedLoop gl = generate_loop(24);
-  PlanJob bad;
-  bad.plan = std::make_shared<const ExecutorPlan>(compile(gl.program, gl.graph));
-  bad.iterations = 1;  // below the compiled count: plan.run throws
-  ASSERT_GT(gl.iterations, 1);
-  EXPECT_THROW((void)run_plans({bad}, pool), ContractViolation);
-}
-
 // The acceptance-criteria fuzz/differential test: >= 50 random programs,
 // three transports-of-execution, bit-identical results.
 TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
@@ -140,23 +110,22 @@ TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
     loops.push_back(generate_loop(seed));
   }
 
-  // Leg 1: the daemon, over the Unix socket (one connection, one batched
-  // run — the mimdc --batch --connect shape).
+  // Leg 1: the daemon, over the Unix socket (one connection, every Run
+  // frame pipelined before the first reply is read).
   TestServer ts("ps_fuzz");
   std::vector<ExecutionResult> via_daemon;
   {
     PlanClient client = PlanClient::connect(ts.server.socket_path());
-    std::vector<wire::RunRequest> items;
+    std::vector<std::future<ExecutionResult>> runs;
     for (std::size_t i = 0; i < loops.size(); ++i) {
       const wire::SubmitProgramReply sub =
           client.submit_program(loops[i].program, loops[i].graph);
       EXPECT_EQ(sub.iterations, loops[i].iterations) << loops[i].tag;
-      wire::RunRequest item;
-      item.program_id = sub.program_id;
-      item.iterations = 0;  // compiled count
-      items.push_back(item);
+      runs.push_back(client.run_async(sub.program_id));  // compiled count
     }
-    via_daemon = client.run_batch(items).results;
+    for (std::future<ExecutionResult>& r : runs) {
+      via_daemon.push_back(r.get());
+    }
   }
   ASSERT_EQ(via_daemon.size(), loops.size());
 
@@ -372,16 +341,62 @@ TEST(PlanServer, ErrorFramesKeepTheConnectionUsable) {
   broken.programs[1].proc = 1;
   EXPECT_THROW((void)client.submit_program(broken, gl.graph), RemoteError);
 
-  // Iterations below the compiled count.
+  // Iterations below or past the compiled count: a plan computes exactly
+  // its compiled iterations, so past them it would return rows nobody
+  // computed.  Neither request runs.
   const std::uint64_t id =
       client.submit_program(gl.program, gl.graph).program_id;
   ASSERT_GT(gl.iterations, 1);
   EXPECT_THROW((void)client.run(id, 1), RemoteError);
+  EXPECT_THROW((void)client.run(id, gl.iterations + 4), RemoteError);
+  EXPECT_EQ(client.stats().runs_executed, 0u);
 
   // After all of that, the same connection still serves a real run.
   const ExecutionResult r = client.run(id);
   const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
   EXPECT_TRUE(values_match(r, seq, gl.iterations));
+}
+
+TEST(PlanServer, FrameTypeThreeGetsAnErrorFrameAndRunsStillServe) {
+  // Frame type 3 is unassigned: an Error frame echoing the request id,
+  // and the connection stays usable for a Run.
+  TestServer ts("ps_type3");
+  const GeneratedLoop gl = generate_loop(68);
+  const sockaddr_un addr = wire::make_unix_addr(ts.server.socket_path());
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  wire::write_frame(fd, static_cast<wire::FrameType>(3), 7,
+                    std::vector<std::uint8_t>(25, 0));
+  const auto err = wire::read_frame(fd);
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(err->type, wire::FrameType::Error);
+  EXPECT_EQ(err->request_id, 7u);
+  EXPECT_NE(wire::decode_error(err->payload).find("frame type 3"),
+            std::string::npos);
+
+  wire::SubmitProgramRequest sub;
+  sub.program = gl.program;
+  sub.graph = gl.graph;
+  wire::write_frame(fd, wire::FrameType::SubmitProgram, 8,
+                    wire::encode_submit_program(sub));
+  const auto sub_reply = wire::read_frame(fd);
+  ASSERT_TRUE(sub_reply.has_value());
+  ASSERT_EQ(sub_reply->type, wire::FrameType::SubmitProgramReply);
+  wire::RunRequest run;
+  run.program_id =
+      wire::decode_submit_program_reply(sub_reply->payload).program_id;
+  wire::write_frame(fd, wire::FrameType::Run, 9, wire::encode_run(run));
+  const auto run_reply = wire::read_frame(fd);
+  ASSERT_TRUE(run_reply.has_value());
+  ASSERT_EQ(run_reply->type, wire::FrameType::RunReply);
+  EXPECT_EQ(run_reply->request_id, 9u);
+  EXPECT_TRUE(values_match(wire::decode_run_reply(run_reply->payload),
+                           run_reference(gl.graph, gl.iterations),
+                           gl.iterations));
+  ::close(fd);
 }
 
 TEST(PlanServer, GarbageBytesDropTheConnectionNotTheServer) {

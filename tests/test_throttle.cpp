@@ -98,9 +98,11 @@ TEST(Throttle, WindowBeyondTheDetectionBoundFindsNoPatternOnRootedGraphs) {
   // Pins the limitation the test above works around: an explicit window
   // >= max_iterations never activates, the signature offsets of a graph
   // with root nodes never clamp, and detection exhausts its bound.  The
-  // result is a clean "no pattern", not a bogus one.
+  // result is a clean "no pattern", not a bogus one.  An explicit bound
+  // below the default keeps the exhaustion cheap.
   const Ddg g = workloads::fig7_loop();
   CyclicSchedOptions huge;
+  huge.max_iterations = 8192;
   huge.lead_window = 1 << 20;
   const CyclicSchedResult r = cyclic_sched(g, Machine{2, 2}, huge);
   EXPECT_FALSE(r.pattern.has_value());

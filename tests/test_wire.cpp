@@ -92,7 +92,6 @@ TEST(Wire, SubmitProgramRoundTrip) {
   wire::SubmitProgramRequest req;
   req.program = sample_program();
   req.graph = sample_graph();
-  req.copts.slots = SlotPolicy::Ssa;
   req.copts.opt = OptLevel::O1;
   const auto payload = wire::encode_submit_program(req);
   const wire::SubmitProgramRequest back = wire::decode_submit_program(payload);
@@ -137,34 +136,6 @@ TEST(Wire, RunAndBatchRoundTrip) {
   EXPECT_EQ(run_back.iterations, 1234);
   EXPECT_TRUE(run_back.opts.pin_threads);
   EXPECT_EQ(run_back.opts.work_per_cycle, 7);
-
-  wire::RunBatchRequest batch;
-  batch.items = {run, run};
-  batch.items[1].program_id = 100;
-  batch.concurrency = 3;
-  const wire::RunBatchRequest batch_back =
-      wire::decode_run_batch(wire::encode_run_batch(batch));
-  ASSERT_EQ(batch_back.items.size(), 2u);
-  EXPECT_EQ(batch_back.items[1].program_id, 100u);
-  EXPECT_EQ(batch_back.concurrency, 3u);
-
-  // The batch count guard is exact: an item's minimal encoding is 21
-  // bytes (u64 id, i64 iterations, u8 pin, i32 work), so a 6-item batch
-  // decodes, and a payload one byte short of its 6 items is rejected by
-  // the guard itself — before any item is decoded.
-  wire::RunBatchRequest big;
-  big.items.assign(6, run);
-  const auto big_payload = wire::encode_run_batch(big);
-  ASSERT_EQ(big_payload.size(), 4u + 6u * 21u + 4u);
-  EXPECT_EQ(wire::decode_run_batch(big_payload).items.size(), 6u);
-  const std::vector<std::uint8_t> short_payload(
-      big_payload.begin(), big_payload.begin() + 4 + 6 * 21 - 1);
-  try {
-    (void)wire::decode_run_batch(short_payload);
-    ADD_FAILURE() << "a batch one byte short of its items decoded";
-  } catch (const WireError& e) {
-    EXPECT_STREQ(e.what(), "element count exceeds payload size");
-  }
 }
 
 TEST(Wire, ResultAndStatsRoundTrip) {
@@ -175,14 +146,6 @@ TEST(Wire, ResultAndStatsRoundTrip) {
       wire::decode_run_reply(wire::encode_run_reply(r));
   EXPECT_EQ(r_back.values, r.values);
   EXPECT_EQ(r_back.wall_seconds, 0.125);
-
-  wire::RunBatchReply br;
-  br.results = {r, r};
-  br.wall_seconds = 1.5;
-  const wire::RunBatchReply br_back =
-      wire::decode_run_batch_reply(wire::encode_run_batch_reply(br));
-  ASSERT_EQ(br_back.results.size(), 2u);
-  EXPECT_EQ(br_back.results[1].values, r.values);
 
   wire::StatsReply s;
   s.cache.hits = 10;
@@ -244,6 +207,18 @@ TEST(Wire, TrailingBytesAreRejected) {
 
 TEST(Wire, HostileCountsAndEnumsAreRejected) {
   {
+    // The count guard is exact: six 21-byte elements fit in 126 bytes,
+    // and one byte less is rejected by the guard itself — before any
+    // element is read.
+    Encoder e;
+    e.u32(6);
+    for (int i = 0; i < 6 * 21; ++i) e.u8(0);
+    Decoder fits(e.bytes());
+    EXPECT_EQ(fits.count(21), 6u);
+    Decoder one_short(e.bytes().data(), e.bytes().size() - 1);
+    EXPECT_THROW((void)one_short.count(21), WireError);
+  }
+  {
     // A node count far beyond the payload must be rejected before any
     // allocation happens.
     Encoder e;
@@ -262,7 +237,7 @@ TEST(Wire, HostileCountsAndEnumsAreRejected) {
     e.u32(0);
     e.i32(0);
     e.i32(-1);
-    e.u8(0);  // slot policy
+    e.u8(0);  // opt level
     EXPECT_THROW((void)wire::decode_submit_program(e.bytes()), WireError);
   }
   {
@@ -310,8 +285,6 @@ TEST(Wire, RandomGarbagePayloadsNeverCrashTheDecoders) {
     poke([](const auto& p) { return wire::decode_submit_program_reply(p); });
     poke([](const auto& p) { return wire::decode_run(p); });
     poke([](const auto& p) { return wire::decode_run_reply(p); });
-    poke([](const auto& p) { return wire::decode_run_batch(p); });
-    poke([](const auto& p) { return wire::decode_run_batch_reply(p); });
     poke([](const auto& p) { return wire::decode_stats_reply(p); });
     poke([](const auto& p) { return wire::decode_error(p); });
   }

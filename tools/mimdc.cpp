@@ -30,8 +30,9 @@
 //                 tcp:host:port) and run on its shared plan cache + worker
 //                 pool, so repeated invocations amortize compilation
 //                 across processes.  Applies to --run (implied when no
-//                 other mode is requested) and to --batch; results are
-//                 still validated bit-for-bit against local sequential
+//                 other mode is requested) and to --batch, where it is a
+//                 one-shard --fleet (same report); results are still
+//                 validated bit-for-bit against local sequential
 //                 execution.
 //     --fleet <shards.txt>
 //                 like --connect, but across a FLEET of daemons: the file
@@ -51,11 +52,6 @@
 
 //     --no-check  with --c: skip the emitted sequential self-validation;
 //                 the artifact becomes a standalone timing benchmark
-//     --slots=<reuse|ssa>
-//                 slot assignment policy for --run and --c (default reuse;
-//                 ssa keeps one slot per value instance, for debugging;
-//                 implies --run when no execution or emission mode is
-//                 requested)
 //     --opt=<off|O1>
 //                 rewrite mid-end (src/opt) between parsing and
 //                 partitioning: O1 (the default) folds constants,
@@ -115,12 +111,10 @@ namespace {
   std::cerr << "usage: mimdc [-p N] [-k N] [-n N] [--fold] [--dot] "
                "[--schedule] [--code] [--c] [--no-check] [--compare] "
                "[--run] [--jit] [--pin] [--connect <endpoint>] "
-               "[--opt=<off|O1>] [--dump-passes] "
-               "[--slots=<reuse|ssa>] <file|->\n"
+               "[--opt=<off|O1>] [--dump-passes] <file|->\n"
                "       mimdc [-p N] [-k N] [-n N] [--fold] [--jit] [--pin] "
                "[--connect <endpoint> | --fleet <shards.txt>] "
-               "[--opt=<off|O1>] [--dump-passes] "
-               "[--slots=<reuse|ssa>] --batch <dir>\n";
+               "[--opt=<off|O1>] [--dump-passes] --batch <dir>\n";
   std::exit(2);
 }
 
@@ -199,13 +193,14 @@ std::vector<std::string> read_shards_file(const std::string& path) {
 /// --batch <dir>: every *.loop file in the directory is one loop; all of
 /// them go through one PlanCache + WorkerPool concurrently (the plan
 /// service), each validated bit-for-bit against sequential execution —
-/// the same oracle --run applies per loop.  With --connect, the cache and
-/// pool are a running mimdd daemon's instead of in-process ones; with
-/// --fleet, N daemons' — each loop consistent-hashed to its shard.
+/// the same oracle --run applies per loop.  With `endpoints` (--fleet's
+/// shards, or the one --connect daemon) the caches and pools are those
+/// daemons' instead of in-process ones — each loop consistent-hashed to
+/// its shard.
 int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
                    bool fold, bool pin, bool jit,
                    const mimd::CompileOptions& copts, bool dump_passes,
-                   const std::string& connect, const std::string& fleet_file) {
+                   const std::vector<std::string>& endpoints) {
   using namespace mimd;
   namespace fs = std::filesystem;
 
@@ -262,9 +257,10 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
   std::string workers_note;
   std::string jit_note;
   std::string fleet_report;
-  if (!fleet_file.empty()) {
+  const bool remote = !endpoints.empty();
+  if (remote) {
     ShardRouterOptions shard_opts;
-    shard_opts.endpoints = read_shards_file(fleet_file);
+    shard_opts.endpoints = endpoints;
     shard_opts.timeout_ms = 30000;
     ShardRouter router(shard_opts);
     std::vector<ShardJob> shard_jobs;
@@ -343,7 +339,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
                  " interpreted runs fleet-wide (" +
                  std::to_string(jit_kernels) + " kernel compiles)";
     }
-  } else if (connect.empty()) {
+  } else {
     PlanCache::JitConfig jit_cfg;
     jit_cfg.enabled = jit;
     PlanCache cache(PlanCache::kDefaultCapacity, jit_cfg);
@@ -375,47 +371,6 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
                  std::to_string(js.jit_compiles) + " kernel compiles, " +
                  std::to_string(js.jit_failures) + " failed)";
     }
-  } else {
-    PlanClient client = PlanClient::connect(connect);
-    // Pipelined submits: every program goes out back-to-back and the
-    // daemon overlaps the compiles; the ids are gathered in order.
-    std::vector<std::future<wire::SubmitProgramReply>> subs;
-    subs.reserve(jobs.size());
-    for (const BatchJob& job : jobs) {
-      subs.push_back(
-          client.submit_program_async(job.program, job.graph, job.copts));
-    }
-    std::vector<wire::RunRequest> items;
-    items.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      wire::RunRequest item;
-      item.program_id = subs[i].get().program_id;
-      item.iterations = jobs[i].iterations;
-      item.opts.pin_threads = pin;
-      items.push_back(item);
-    }
-    wire::RunBatchReply reply = client.run_batch(items);
-    if (reply.results.size() != jobs.size()) {
-      // Never index a daemon reply on faith: a buggy server must fail
-      // loudly, not out-of-bounds.
-      std::cerr << "mimdc: daemon returned " << reply.results.size()
-                << " results for " << jobs.size() << " jobs\n";
-      return 1;
-    }
-    const wire::StatsReply stats = client.stats();
-    results = std::move(reply.results);
-    cache_stats = stats.cache;  // daemon-wide, cumulative across clients
-    wall_seconds = reply.wall_seconds;
-    workers_note = std::to_string(stats.pool_workers) +
-                   " daemon workers via " + connect;
-    if (stats.jit_enabled != 0) {
-      jit_note = std::to_string(stats.jit_native_runs) + " native / " +
-                 std::to_string(stats.jit_interpreted_runs) +
-                 " interpreted runs daemon-wide (" +
-                 std::to_string(stats.jit_compiles) + " kernel compiles)";
-    } else if (jit) {
-      jit_note = "daemon has jit disabled";
-    }
   }
 
   bool all_ok = true;
@@ -433,9 +388,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
             << cache_stats.misses << " compiled plan(s) ("
             << cache_stats.hits << " cache hit"
             << (cache_stats.hits == 1 ? "" : "s")
-            << (!fleet_file.empty()
-                    ? ", fleet-wide"
-                    : (connect.empty() ? "" : ", daemon-wide"))
+            << (remote ? ", fleet-wide" : "")
             << "), " << workers_note << (pin ? " (pinned)" : "") << ", "
             << wall_seconds << " s total, "
             << static_cast<double>(jobs.size()) / wall_seconds
@@ -452,9 +405,8 @@ int main(int argc, char** argv) {
   int procs = 4, k = 1;
   std::int64_t n = 64;
   bool fold = false, want_dot = false, want_sched = false, want_code = false,
-       want_c = false, want_compare = false, want_run = false,
-       slots_given = false, pin = false, no_check = false, jit = false,
-       dump_passes = false;
+       want_c = false, want_compare = false, want_run = false, pin = false,
+       no_check = false, jit = false, dump_passes = false;
   CompileOptions copts;
   copts.opt = OptLevel::O1;  // the mid-end is on by default; --opt=off
   std::string path;
@@ -509,16 +461,6 @@ int main(int argc, char** argv) {
       const std::optional<OptLevel> level = parse_opt_level(a.substr(6));
       if (!level) usage("--opt must be off or O1");
       copts.opt = *level;
-    } else if (a.rfind("--slots=", 0) == 0) {
-      const std::string which = a.substr(8);
-      if (which == "reuse") {
-        copts.slots = SlotPolicy::Reuse;
-      } else if (which == "ssa") {
-        copts.slots = SlotPolicy::Ssa;
-      } else {
-        usage("--slots must be reuse or ssa");
-      }
-      slots_given = true;
     } else if (a == "--help" || a == "-h") {
       usage(nullptr);
     } else if (!a.empty() && a[0] == '-' && a != "-") {
@@ -547,9 +489,15 @@ int main(int argc, char** argv) {
         want_compare || want_run) {
       usage("--batch is standalone (no input file or other modes)");
     }
+    // --connect E is a fleet of one: the same router, reply deadline and
+    // report, with E as the only shard.
+    const std::vector<std::string> endpoints =
+        !fleet_file.empty()     ? read_shards_file(fleet_file)
+        : !connect_path.empty() ? std::vector<std::string>{connect_path}
+                                : std::vector<std::string>{};
     try {
       return run_batch_mode(batch_dir, procs, k, n, fold, pin, jit, copts,
-                            dump_passes, connect_path, fleet_file);
+                            dump_passes, endpoints);
     } catch (const ir::ParseError& e) {
       std::cerr << "mimdc: " << e.what() << "\n";
       return 1;
@@ -563,12 +511,9 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) usage("no input");
-  // A bare slot-policy choice is asking for execution; alongside --c it
-  // configures the emitted program instead.  --pin and --jit configure
-  // only execution (emitted C has neither), so they demand a run even
-  // next to --c — never silently dropped.  --connect exists only to
-  // execute remotely, so it implies --run too.
-  if (slots_given && !want_c) want_run = true;
+  // --pin and --jit configure only execution (emitted C has neither), so
+  // they demand a run even next to --c — never silently dropped.
+  // --connect exists only to execute remotely, so it implies --run too.
   if (pin || jit || !connect_path.empty()) want_run = true;
   if (!want_dot && !want_sched && !want_code && !want_c && !want_compare &&
       !want_run) {
