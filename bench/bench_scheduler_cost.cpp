@@ -4,13 +4,23 @@
 //                               O(N) pattern checks in practice
 //   * window-based detection  — the paper's Section-2.3 device
 //   * DOACROSS scheduling     — the baseline compiler
-// Sizes sweep the random-loop generator's node count.
+//   * lower / validate / compile — the three O(n) steps between a
+//                               schedule and a runnable plan, on the
+//                               structures the plan service serves
+// Scheduler sizes sweep the random-loop generator's node count; the
+// partition benches sweep the trip count and report items = ops, so the
+// rate column reads as ops per second.
 #include <benchmark/benchmark.h>
 
 #include "baseline/doacross.hpp"
 #include "classify/classify.hpp"
+#include "core/parallelizer.hpp"
+#include "partition/compiled_program.hpp"
+#include "partition/lowering.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/pattern.hpp"
+#include "workloads/livermore.hpp"
+#include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
 
 namespace {
@@ -78,5 +88,60 @@ void BM_Materialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Materialize)->RangeMultiplier(4)->Range(16, 1024);
+
+// ---- lower -> find_program_violation -> compile_program ----
+// Arg 0 picks the structure (0 fig7, 1 elliptic, 2 LL18), arg 1 is n;
+// p = 2, k = 1, as the plan service's mixed-n traffic sends them.
+
+ParallelizeResult partition_input(const benchmark::State& state) {
+  const Ddg g = state.range(0) == 0   ? workloads::fig7_loop()
+                : state.range(0) == 1 ? workloads::elliptic_filter_loop()
+                                      : workloads::livermore18_loop();
+  ParallelizeOptions popts;
+  popts.machine = Machine{2, 1};
+  popts.iterations = state.range(1);
+  popts.emit_code = false;
+  return parallelize(g, popts);
+}
+
+void partition_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"structure", "n"});
+  for (const std::int64_t structure : {0, 1, 2}) {
+    for (const std::int64_t n : {64, 512, 2048}) b->Args({structure, n});
+  }
+  b->Unit(benchmark::kMicrosecond);
+}
+
+void BM_Lower(benchmark::State& state) {
+  const ParallelizeResult r = partition_input(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lower(r.sched.schedule, r.normalized.graph));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(r.program.total_ops()));
+}
+BENCHMARK(BM_Lower)->Apply(partition_args);
+
+void BM_ValidateProgram(benchmark::State& state) {
+  const ParallelizeResult r = partition_input(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        find_program_violation(r.program, r.normalized.graph));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(r.program.total_ops()));
+}
+BENCHMARK(BM_ValidateProgram)->Apply(partition_args);
+
+/// compile_program includes its own validation pass.
+void BM_CompileProgram(benchmark::State& state) {
+  const ParallelizeResult r = partition_input(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compile_program(r.program, r.normalized.graph));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(r.program.total_ops()));
+}
+BENCHMARK(BM_CompileProgram)->Apply(partition_args);
 
 }  // namespace

@@ -1,53 +1,94 @@
 #include "partition/compiled_program.hpp"
 
 #include <algorithm>
-#include <map>
-#include <tuple>
+#include <limits>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "partition/flat_map.hpp"
 #include "runtime/kernels.hpp"
 
 namespace mimd {
 
 namespace {
 
-using ChanKey = std::tuple<EdgeId, int, int>;  // edge, src proc, dst proc
+struct ChanKey {
+  EdgeId edge = 0;
+  int src = -1;
+  int dst = -1;
+
+  friend bool operator==(const ChanKey&, const ChanKey&) = default;
+};
+
+struct ChanKeyHash {
+  std::uint64_t operator()(const ChanKey& k) const {
+    return detail::hash_words(k.edge, static_cast<std::uint32_t>(k.src),
+                              static_cast<std::uint32_t>(k.dst));
+  }
+};
 
 /// Dense channel ids, assigned in Send first-appearance order (processor
 /// order, then program order) so compilation is deterministic.
 struct ChannelTable {
-  std::map<ChanKey, ChannelId> ids;
+  detail::FlatMap<ChanKey, ChannelId, ChanKeyHash> ids;
   std::vector<ChannelDesc> descs;
 
-  [[nodiscard]] ChannelId at(EdgeId e, int src, int dst) const {
-    const auto it = ids.find({e, src, dst});
-    MIMD_ENSURES(it != ids.end());
-    return it->second;
+  [[nodiscard]] ChannelId at(EdgeId e, int src, int dst) {
+    const ChannelId* id = ids.find(ChanKey{e, src, dst});
+    MIMD_ENSURES(id != nullptr);
+    return *id;
   }
 };
 
 ChannelTable build_channel_table(const PartitionedProgram& prog) {
-  ChannelTable t;
+  ChannelTable t{detail::FlatMap<ChanKey, ChannelId, ChanKeyHash>(
+                     prog.count(Op::Kind::Send)),
+                 {}};
   for (const ProcessorProgram& p : prog.programs) {
     for (const Op& op : p.ops) {
       if (op.kind != Op::Kind::Send) continue;
-      const auto [it, fresh] = t.ids.try_emplace(
-          ChanKey{op.edge, p.proc, op.peer},
-          static_cast<ChannelId>(t.descs.size()));
+      const auto [id, fresh] =
+          t.ids.try_emplace(ChanKey{op.edge, p.proc, op.peer},
+                            static_cast<ChannelId>(t.descs.size()));
       if (fresh) t.descs.push_back(ChannelDesc{op.edge, p.proc, op.peer, 0});
-      ++t.descs[it->second].messages;
+      ++t.descs[*id].messages;
     }
   }
   return t;
 }
 
-/// A receive waiting to be fused into the Compute operand that consumes it.
-struct PendingRecv {
-  EdgeId edge;
-  NodeId node;
-  std::int64_t iter;
-  ChannelId chan;
+/// The channel of every Send/Receive op of one processor program (unused
+/// for Computes), resolved once and shared by both compile attempts and
+/// the pop-order check.
+std::vector<ChannelId> resolve_channels(const ProcessorProgram& p,
+                                        ChannelTable& chans) {
+  std::vector<ChannelId> chan(p.ops.size(), 0);
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    const Op& op = p.ops[i];
+    if (op.kind == Op::Kind::Send) {
+      chan[i] = chans.at(op.edge, p.proc, op.peer);
+    } else if (op.kind == Op::Kind::Receive) {
+      chan[i] = chans.at(op.edge, op.peer, p.proc);
+    }
+  }
+  return chan;
+}
+
+/// Identifies a receive waiting to be fused into the Compute operand that
+/// consumes it.
+struct PendingKey {
+  EdgeId edge = 0;
+  Inst inst;
+
+  friend bool operator==(const PendingKey&, const PendingKey&) = default;
+};
+
+struct PendingKeyHash {
+  std::uint64_t operator()(const PendingKey& k) const {
+    return detail::hash_words(k.edge, k.inst.node,
+                              static_cast<std::uint64_t>(k.inst.iter));
+  }
 };
 
 /// Compile one processor program.  With `fuse`, receives become ChannelRecv
@@ -56,14 +97,35 @@ struct PendingRecv {
 /// (standalone Receive ops into slots — always possible for a validated
 /// program).
 bool compile_thread(const ProcessorProgram& p, const Ddg& g,
-                    const ChannelTable& chans, bool fuse,
+                    const std::vector<ChannelId>& chan, bool fuse,
                     CompiledThread& out) {
   out = CompiledThread{};
   out.proc = p.proc;
-  std::map<std::pair<NodeId, std::int64_t>, SlotId> provider;
-  std::vector<PendingRecv> pending;  // fuse mode only
-
+  std::size_t receives = 0;
+  std::size_t operands = 0;
   for (const Op& op : p.ops) {
+    if (op.kind == Op::Kind::Receive) ++receives;
+    if (op.kind == Op::Kind::Compute) {
+      operands += g.in_edges(op.inst.node).size();
+    }
+  }
+  out.ops.reserve(fuse ? p.ops.size() - receives : p.ops.size());
+  out.operands.reserve(operands);
+  // (node, iteration) -> the slot holding that value on this thread.
+  detail::InstMap provider(p.ops.size());
+  const auto provide = [&](const Inst& v, SlotId slot) {
+    *provider.try_emplace(v, slot).first = slot;
+  };
+  // Fuse mode: per (edge, producing instance), the channel of the
+  // earliest receive no operand has consumed yet.  Compute instances are
+  // unique, so each key has exactly one consuming operand; a later
+  // receive of a key already present can only stay unconsumed.
+  detail::FlatMap<PendingKey, std::optional<ChannelId>, PendingKeyHash>
+      pending(fuse ? receives : 0);
+  std::size_t unconsumed = 0;
+
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    const Op& op = p.ops[i];
     switch (op.kind) {
       case Op::Kind::Compute: {
         CompiledOp c;
@@ -78,22 +140,20 @@ bool compile_thread(const ProcessorProgram& p, const Ddg& g,
           if (src_iter < 0) {
             ref.kind = OperandRef::Kind::InitialValue;
             ref.initial = initial_value(e.src);
-          } else if (auto it = provider.find({e.src, src_iter});
-                     it != provider.end()) {
+          } else if (const SlotId* slot = provider.find(Inst{e.src, src_iter});
+                     slot != nullptr) {
             ref.kind = OperandRef::Kind::LocalSlot;
-            ref.index = it->second;
+            ref.index = *slot;
           } else if (fuse) {
             // Consume the earliest pending receive carrying this value.
-            auto r = pending.begin();
-            for (; r != pending.end(); ++r) {
-              if (r->edge == eid && r->node == e.src && r->iter == src_iter)
-                break;
-            }
-            if (r == pending.end()) return false;  // value has no source
+            std::optional<ChannelId>* recv =
+                pending.find(PendingKey{eid, Inst{e.src, src_iter}});
+            if (recv == nullptr || !*recv) return false;  // no source
             ref.kind = OperandRef::Kind::ChannelRecv;
-            ref.index = r->chan;
+            ref.index = **recv;
             ref.iter = src_iter;
-            pending.erase(r);
+            recv->reset();
+            --unconsumed;
           } else {
             // find_program_violation guarantees availability; in non-fused
             // mode every receive materialized a slot.
@@ -104,37 +164,36 @@ bool compile_thread(const ProcessorProgram& p, const Ddg& g,
         c.num_operands = static_cast<std::uint32_t>(out.operands.size()) -
                          c.first_operand;
         c.slot = out.num_slots++;
-        provider[{op.inst.node, op.inst.iter}] = c.slot;
+        provide(op.inst, c.slot);
         out.ops.push_back(c);
         break;
       }
       case Op::Kind::Send: {
-        const auto it = provider.find({op.inst.node, op.inst.iter});
+        const SlotId* slot = provider.find(op.inst);
         // A send of a value that only exists as a pending fused receive
         // (receive-then-forward) needs the value in a slot: retry unfused.
-        if (it == provider.end()) return false;
+        if (slot == nullptr) return false;
         CompiledOp s;
         s.kind = CompiledOp::Kind::Send;
         s.node = op.inst.node;
         s.iter = op.inst.iter;
-        s.slot = it->second;
-        s.chan = chans.at(op.edge, p.proc, op.peer);
+        s.slot = *slot;
+        s.chan = chan[i];
         out.ops.push_back(s);
         break;
       }
       case Op::Kind::Receive: {
-        const ChannelId chan = chans.at(op.edge, op.peer, p.proc);
         if (fuse) {
-          pending.push_back(
-              PendingRecv{op.edge, op.inst.node, op.inst.iter, chan});
+          (void)pending.try_emplace(PendingKey{op.edge, op.inst}, chan[i]);
+          ++unconsumed;
         } else {
           CompiledOp r;
           r.kind = CompiledOp::Kind::Receive;
           r.node = op.inst.node;
           r.iter = op.inst.iter;
-          r.chan = chan;
+          r.chan = chan[i];
           r.slot = out.num_slots++;
-          provider[{op.inst.node, op.inst.iter}] = r.slot;
+          provide(op.inst, r.slot);
           out.ops.push_back(r);
         }
         break;
@@ -143,14 +202,16 @@ bool compile_thread(const ProcessorProgram& p, const Ddg& g,
   }
   // A receive nothing consumes cannot be fused away: it must still pop its
   // message or later tags on the channel would misalign.
-  return pending.empty();
+  return unconsumed == 0;
 }
 
-/// Per-channel pop sequence (iteration tags) the compiled thread will
-/// execute, in execution order.
-std::map<ChannelId, std::vector<std::int64_t>> compiled_pop_sequences(
-    const CompiledThread& t) {
-  std::map<ChannelId, std::vector<std::int64_t>> seq;
+/// Per-channel pop sequences (iteration tags), indexed by ChannelId.
+using PopSequences = std::vector<std::vector<std::int64_t>>;
+
+/// The pop sequences the compiled thread will execute, in execution order.
+PopSequences compiled_pop_sequences(const CompiledThread& t,
+                                    std::size_t channels) {
+  PopSequences seq(channels);
   for (const CompiledOp& op : t.ops) {
     if (op.kind == CompiledOp::Kind::Receive) {
       seq[op.chan].push_back(op.iter);
@@ -166,13 +227,14 @@ std::map<ChannelId, std::vector<std::int64_t>> compiled_pop_sequences(
   return seq;
 }
 
-/// Pop sequence the interpreted program performs (its Receive order).
-std::map<ChannelId, std::vector<std::int64_t>> interpreted_pop_sequences(
-    const ProcessorProgram& p, const ChannelTable& chans) {
-  std::map<ChannelId, std::vector<std::int64_t>> seq;
-  for (const Op& op : p.ops) {
-    if (op.kind == Op::Kind::Receive) {
-      seq[chans.at(op.edge, op.peer, p.proc)].push_back(op.inst.iter);
+/// The pop sequences the interpreted program performs (its Receive order).
+PopSequences interpreted_pop_sequences(const ProcessorProgram& p,
+                                       const std::vector<ChannelId>& chan,
+                                       std::size_t channels) {
+  PopSequences seq(channels);
+  for (std::size_t i = 0; i < p.ops.size(); ++i) {
+    if (p.ops[i].kind == Op::Kind::Receive) {
+      seq[chan[i]].push_back(p.ops[i].inst.iter);
     }
   }
   return seq;
@@ -207,12 +269,17 @@ void reuse_slots(CompiledThread& t) {
       }
     }
   }
-  // dies_at[i]: SSA slots whose last read is op i.
-  std::vector<std::vector<SlotId>> dies_at(t.ops.size());
+  // The SSA slots whose last read is op i, in slot order, are
+  // dying[start(i) .. ends[i]) with start(i) = i > 0 ? ends[i - 1] : 0:
+  // one flat array bucketed by a counting sort on last_read.
+  std::vector<std::uint32_t> ends(t.ops.size() + 1, 0);
   for (SlotId s = 0; s < t.num_slots; ++s) {
-    if (last_read[s] != kNever) {
-      dies_at[last_read[s]].push_back(s);
-    }
+    if (last_read[s] != kNever) ++ends[last_read[s] + 1];
+  }
+  for (std::size_t i = 1; i < ends.size(); ++i) ends[i] += ends[i - 1];
+  std::vector<SlotId> dying(ends.back());
+  for (SlotId s = 0; s < t.num_slots; ++s) {
+    if (last_read[s] != kNever) dying[ends[last_read[s]]++] = s;
   }
 
   std::vector<SlotId> remap(t.num_slots, 0);
@@ -231,7 +298,9 @@ void reuse_slots(CompiledThread& t) {
     }
     // Slots dead after this op's reads become available — including for
     // this op's own write.
-    for (const SlotId s : dies_at[i]) free_list.push_back(remap[s]);
+    for (std::uint32_t d = i > 0 ? ends[i - 1] : 0; d < ends[i]; ++d) {
+      free_list.push_back(remap[dying[d]]);
+    }
     // The write draws from the free list.
     if (op.kind != CompiledOp::Kind::Send) {
       SlotId ns;
@@ -360,28 +429,35 @@ CompiledProgram compile_program(const PartitionedProgram& prog,
 
   CompiledProgram cp;
   cp.processors = prog.processors;
-  const ChannelTable chans = build_channel_table(prog);
-  cp.channels = chans.descs;
+  ChannelTable chans = build_channel_table(prog);
+  cp.channels = std::move(chans.descs);
+  const std::size_t channels = cp.channels.size();
 
   for (const ProcessorProgram& p : prog.programs) {
     if (p.ops.empty()) continue;
+    const std::vector<ChannelId> chan = resolve_channels(p, chans);
     CompiledThread t;
     // Fused receives must preserve each channel's pop order; lowering's
     // receive-immediately-before-consumer placement always does, but a
     // hand-built program may not — verify, and fall back to standalone
     // receives when fusion would reorder a channel.
-    const bool fused = compile_thread(p, g, chans, /*fuse=*/true, t) &&
-                       compiled_pop_sequences(t) ==
-                           interpreted_pop_sequences(p, chans);
+    const bool fused = compile_thread(p, g, chan, /*fuse=*/true, t) &&
+                       compiled_pop_sequences(t, channels) ==
+                           interpreted_pop_sequences(p, chan, channels);
     if (!fused) {
-      const bool ok = compile_thread(p, g, chans, /*fuse=*/false, t);
+      const bool ok = compile_thread(p, g, chan, /*fuse=*/false, t);
       MIMD_ENSURES(ok);
     }
     t.num_slots_ssa = t.num_slots;
     reuse_slots(t);
     for (const CompiledOp& op : t.ops) {
+      // The validator admits any iteration >= 0; saturate instead of
+      // overflowing on INT64_MAX (such a plan can never be run).
       if (op.kind == CompiledOp::Kind::Compute) {
-        cp.iterations = std::max(cp.iterations, op.iter + 1);
+        cp.iterations = std::max(
+            cp.iterations,
+            op.iter == std::numeric_limits<std::int64_t>::max() ? op.iter
+                                                                : op.iter + 1);
       }
     }
     cp.threads.push_back(std::move(t));

@@ -52,12 +52,24 @@ struct PartitionedProgram {
                          const PartitionedProgram&) = default;
 };
 
-/// Structural validation: every Send has exactly one matching Receive on
-/// the peer processor (same edge + producing instance) and vice versa;
-/// every Compute's cross-processor operand is preceded (in program order)
-/// by its Receive; channels are FIFO (per-channel send iteration order
-/// equals receive iteration order).  Returns a message for the first
-/// violation found, or nullopt if the program is well-formed.
+/// Structural validation.  A well-formed program satisfies, in the order
+/// they are checked:
+///  1. per op, in processor then program order:
+///     * no op names a negative iteration;
+///     * no Compute instance appears twice in the whole program (on one
+///       processor or on two: either way two writes of one result cell);
+///     * every Compute's operands are local by then: computed or received
+///       earlier on the same processor (operands before iteration 0 are
+///       initial values);
+///     * every Send's value is local by then;
+///  2. the multiset of sends equals the multiset of receives, keyed by
+///     (edge, producing instance, src processor, dst processor);
+///  3. channels, in (edge, src, dst) order, are FIFO: each channel's send
+///     iteration sequence equals its receive iteration sequence.
+/// Returns a message for the first violation found, or nullopt if the
+/// program is well-formed.  Linear in ops apart from sorting the messages
+/// by channel; every table is sized from op counts (DESIGN.md, "Compiled
+/// runtime").
 std::optional<std::string> find_program_violation(const PartitionedProgram& p,
                                                   const Ddg& g);
 

@@ -50,6 +50,18 @@ std::shared_ptr<const ExecutorPlan> PlanCache::get_or_compile(
 PlanCache::CachedPlan PlanCache::get_or_compile_jit(
     const PartitionedProgram& prog, const Ddg& g,
     const CompileOptions& copts) {
+  return lookup(prog, nullptr, g, copts);
+}
+
+PlanCache::CachedPlan PlanCache::get_or_compile_jit(
+    PartitionedProgram&& prog, const Ddg& g, const CompileOptions& copts) {
+  return lookup(prog, &prog, g, copts);
+}
+
+PlanCache::CachedPlan PlanCache::lookup(const PartitionedProgram& prog,
+                                        PartitionedProgram* movable,
+                                        const Ddg& g,
+                                        const CompileOptions& copts) {
   // Hash the graph once; the combined key folds the precomputed value.
   const std::uint64_t graph_hash = structural_hash(g);
   const std::uint64_t hash = structural_hash(prog, graph_hash, copts);
@@ -91,15 +103,24 @@ PlanCache::CachedPlan PlanCache::get_or_compile_jit(
   }
 
   ++misses_;
-  lru_.push_front(Entry{hash, prog, copts, graph_hash, nullptr,
+  lru_.push_front(Entry{hash, {}, copts, graph_hash, nullptr,
                         engine_ ? std::make_shared<JitSlot>() : nullptr});
   const auto self = lru_.begin();
   by_hash_[hash] = self;
   lock.unlock();
 
+  // The O(ops) key is stored outside the lock: nothing reads a building
+  // entry's key (hits wait for the plan, eviction and clear() skip the
+  // entry), and the plan is published under the lock after this write.
+  if (movable != nullptr) {
+    self->key_prog = std::move(*movable);
+  } else {
+    self->key_prog = prog;
+  }
   std::shared_ptr<const ExecutorPlan> plan;
   try {
-    plan = std::make_shared<const ExecutorPlan>(compile(prog, g, copts));
+    plan = std::make_shared<const ExecutorPlan>(
+        compile(self->key_prog, g, copts));
   } catch (...) {
     lock.lock();
     by_hash_.erase(hash);

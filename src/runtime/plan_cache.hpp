@@ -106,6 +106,11 @@ class PlanCache {
   /// plan now and checks kernel() per request.
   CachedPlan get_or_compile_jit(const PartitionedProgram& prog, const Ddg& g,
                                 const CompileOptions& copts = {});
+  /// The same lookup for a caller done with its program (mimdd's decoded
+  /// submit): a miss moves it into the new entry instead of copying it.
+  /// On a hit `prog` is left as it was.
+  CachedPlan get_or_compile_jit(PartitionedProgram&& prog, const Ddg& g,
+                                const CompileOptions& copts = {});
 
   [[nodiscard]] Stats stats() const;
 
@@ -127,6 +132,8 @@ class PlanCache {
   struct Entry {
     std::uint64_t hash = 0;
     // Full structural key, kept to verify hits against hash collisions.
+    // Written once, by the entry's builder before it publishes `plan`;
+    // read only once `plan` is set.
     PartitionedProgram key_prog;
     CompileOptions key_copts;
     /// Cheap pre-filter only — a hit additionally verifies the request's
@@ -137,6 +144,10 @@ class PlanCache {
   };
   using Lru = std::list<Entry>;  ///< front = most recently used
 
+  /// Both get_or_compile_jit overloads: `movable` is &prog when the
+  /// caller gave up its program, null when a miss must copy it.
+  CachedPlan lookup(const PartitionedProgram& prog, PartitionedProgram* movable,
+                    const Ddg& g, const CompileOptions& copts);
   [[nodiscard]] bool matches_locked(const Entry& e,
                                     const PartitionedProgram& prog,
                                     const CompileOptions& copts) const;

@@ -9,8 +9,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -27,6 +27,19 @@ std::uint64_t decode_empty_reply(const std::vector<std::uint8_t>& payload) {
   if (!payload.empty()) throw wire::WireError("unexpected reply payload");
   return 0;
 }
+
+/// What the reader thread hands a waiting request: its reply frame (an
+/// Error frame included), or why the transport failed it.  Only values
+/// cross threads; the exception a failed request throws is made on the
+/// thread that calls get() (see submit_typed).
+struct Outcome {
+  std::optional<wire::Frame> frame;
+  std::string transport_error;  ///< set iff frame is empty
+
+  static Outcome failed(std::string why) {
+    return {std::nullopt, std::move(why)};
+  }
+};
 
 }  // namespace
 
@@ -46,9 +59,8 @@ struct PlanClient::Impl {
   struct Pending {
     wire::FrameType expected = wire::FrameType::Error;
     Clock::time_point enqueued;
-    /// Called exactly once, outside mu: with the reply frame, or with the
-    /// exception that killed the request.
-    std::function<void(wire::Frame*, std::exception_ptr)> complete;
+    /// Fulfilled exactly once, outside mu.
+    std::promise<Outcome> done;
   };
   std::unordered_map<std::uint64_t, Pending> pending;
   bool dead = false;  ///< transport failed; every new submit fails fast
@@ -66,8 +78,7 @@ struct PlanClient::Impl {
       if (dead_reason.empty()) dead_reason = reason;
       orphans.swap(pending);
     }
-    const auto ep = std::make_exception_ptr(wire::WireError(reason));
-    for (auto& [id, p] : orphans) p.complete(nullptr, ep);
+    for (auto& [id, p] : orphans) p.done.set_value(Outcome::failed(reason));
   }
 
   void reader_loop();
@@ -123,7 +134,6 @@ void PlanClient::Impl::reader_loop() {
           Pending p;
           p.expected = wire::FrameType::Pong;
           p.enqueued = Clock::now();
-          p.complete = [](wire::Frame*, std::exception_ptr) {};
           pending.emplace(ping_id, std::move(p));
           probe = true;
         }
@@ -196,28 +206,17 @@ void PlanClient::Impl::reader_loop() {
                  std::to_string(frame->request_id));
         return;
       }
-      if (frame->type == wire::FrameType::Error) {
-        std::exception_ptr ep;
-        try {
-          ep = std::make_exception_ptr(
-              RemoteError(wire::decode_error(frame->payload)));
-        } catch (const wire::WireError&) {
-          ep = std::current_exception();
-        }
-        entry.complete(nullptr, ep);
-        continue;
-      }
-      if (frame->type != entry.expected) {
+      if (frame->type != wire::FrameType::Error &&
+          frame->type != entry.expected) {
         // A well-framed reply of the wrong type is a protocol violation,
         // not a server-side refusal — fatal for the connection.
-        entry.complete(nullptr, std::make_exception_ptr(wire::WireError(
-                                    "unexpected reply frame type " +
-                                    std::to_string(static_cast<int>(
-                                        frame->type)))));
+        entry.done.set_value(Outcome::failed(
+            "unexpected reply frame type " +
+            std::to_string(static_cast<int>(frame->type))));
         fail_all("protocol violation: unexpected reply frame type");
         return;
       }
-      entry.complete(&*frame, nullptr);
+      entry.done.set_value(Outcome{std::move(frame), {}});
     }
   }
 }
@@ -286,13 +285,26 @@ std::future<T> PlanClient::submit_typed(
     wire::FrameType request, wire::FrameType expected_reply,
     std::vector<std::uint8_t> payload,
     T (*decode)(const std::vector<std::uint8_t>&)) {
-  auto prom = std::make_shared<std::promise<T>>();
-  std::future<T> fut = prom->get_future();
+  std::promise<Outcome> done;
+  // Deferred: the reply is decoded — and a failure becomes RemoteError or
+  // wire::WireError — on the thread that calls get().  The reader thread
+  // only ever hands over values, so it never holds (or frees) an
+  // exception object the caller is still reading.
+  auto fut = std::async(
+      std::launch::deferred,
+      [decode](std::future<Outcome> outcome) -> T {
+        Outcome o = outcome.get();
+        if (!o.frame) throw wire::WireError(o.transport_error);
+        if (o.frame->type == wire::FrameType::Error) {
+          throw RemoteError(wire::decode_error(o.frame->payload));
+        }
+        return decode(o.frame->payload);
+      },
+      done.get_future());
   Impl* im = impl_.get();
 
   if (!im || im->fd < 0) {
-    prom->set_exception(
-        std::make_exception_ptr(wire::WireError("client not connected")));
+    done.set_value(Outcome::failed("client not connected"));
     return fut;
   }
 
@@ -300,31 +312,20 @@ std::future<T> PlanClient::submit_typed(
   {
     const std::lock_guard<std::mutex> lk(im->mu);
     if (im->dead) {
-      prom->set_exception(
-          std::make_exception_ptr(wire::WireError(im->dead_reason)));
+      done.set_value(Outcome::failed(im->dead_reason));
       return fut;
     }
     id = im->next_id++;
     Impl::Pending p;
     p.expected = expected_reply;
     p.enqueued = Clock::now();
-    p.complete = [prom, decode](wire::Frame* frame, std::exception_ptr ep) {
-      if (ep) {
-        prom->set_exception(ep);
-        return;
-      }
-      try {
-        prom->set_value(decode(frame->payload));
-      } catch (...) {
-        prom->set_exception(std::current_exception());
-      }
-    };
+    p.done = std::move(done);
     im->pending.emplace(id, std::move(p));
   }
   try {
     const std::lock_guard<std::mutex> lk(im->wmu);
     wire::write_frame(im->fd, request, id, payload);
-  } catch (const wire::WireError&) {
+  } catch (const wire::WireError& e) {
     // The request never left: fail just this future (the reader owns the
     // shared-fate decision for replies already owed).  The entry may
     // already be gone if fail_all raced us — then it was completed.
@@ -339,7 +340,7 @@ std::future<T> PlanClient::submit_typed(
         mine = true;
       }
     }
-    if (mine) orphan.complete(nullptr, std::current_exception());
+    if (mine) orphan.done.set_value(Outcome::failed(e.what()));
   }
   return fut;
 }
@@ -347,13 +348,9 @@ std::future<T> PlanClient::submit_typed(
 std::future<wire::SubmitProgramReply> PlanClient::submit_program_async(
     const PartitionedProgram& program, const Ddg& graph,
     const CompileOptions& copts) {
-  wire::SubmitProgramRequest req;
-  req.program = program;
-  req.graph = graph;
-  req.copts = copts;
   return submit_typed(wire::FrameType::SubmitProgram,
                       wire::FrameType::SubmitProgramReply,
-                      wire::encode_submit_program(req),
+                      wire::encode_submit_program(program, graph, copts),
                       wire::decode_submit_program_reply);
 }
 

@@ -16,7 +16,11 @@
 // pending future, writes the frame, and returns immediately, while one
 // reader thread (started by connect()) demuxes replies by id — they may
 // arrive in any order.  The blocking API above is the async API plus
-// .get().
+// .get().  The futures are deferred: get() (or wait()) waits for the
+// reply and decodes it — or builds the RemoteError / wire::WireError —
+// on the calling thread, so the reader thread never shares an exception
+// object with a caller; wait_for() and wait_until() return
+// std::future_status::deferred without waiting.
 //
 // Threading: a PlanClient is safe for concurrent calls from many threads
 // (writes are serialized, replies demuxed by id).

@@ -836,10 +836,10 @@ void PlanServer::process_task(Task& t) {
           }
           wire::SubmitProgramReply rep;
           try {
-            const wire::SubmitProgramRequest req =
+            wire::SubmitProgramRequest req =
                 wire::decode_submit_program(t.frame.payload);
-            const auto cached =
-                cache_.get_or_compile_jit(req.program, req.graph, req.copts);
+            const auto cached = cache_.get_or_compile_jit(
+                std::move(req.program), req.graph, req.copts);
             const auto& plan = cached.plan;
             rep.threads =
                 static_cast<std::uint32_t>(plan->program().threads.size());

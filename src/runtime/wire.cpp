@@ -210,10 +210,26 @@ ExecutionResult decode_result(Decoder& d) {
 // Messages
 
 std::vector<std::uint8_t> encode_submit_program(const SubmitProgramRequest& m) {
+  return encode_submit_program(m.program, m.graph, m.copts);
+}
+
+std::vector<std::uint8_t> encode_submit_program(
+    const PartitionedProgram& program, const Ddg& graph,
+    const CompileOptions& copts) {
+  // Exact payload size: the layouts written by encode_program (i32 + u32,
+  // then per program i32 + u32 + 21 bytes per op) and encode_ddg (u32,
+  // per node a length-prefixed name + i32, u32, 16 bytes per edge), plus
+  // the opt byte.
+  std::size_t bytes = 8 + 4 + 4 + 16 * graph.num_edges() + 1;
+  for (const ProcessorProgram& pp : program.programs) {
+    bytes += 8 + 21 * pp.ops.size();
+  }
+  for (const Node& n : graph.nodes()) bytes += 8 + n.name.size();
   Encoder e;
-  encode_program(e, m.program);
-  encode_ddg(e, m.graph);
-  e.u8(static_cast<std::uint8_t>(m.copts.opt));
+  e.reserve(bytes);
+  encode_program(e, program);
+  encode_ddg(e, graph);
+  e.u8(static_cast<std::uint8_t>(copts.opt));
   return e.take();
 }
 

@@ -117,6 +117,9 @@ class Encoder {
   /// IEEE-754 bit pattern — bit-exact, NaN payloads and -0.0 included.
   void f64(double v);
   void str(const std::string& s);
+  /// Capacity for `bytes` more bytes, so a payload whose size is known up
+  /// front is written into one allocation.
+  void reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -237,6 +240,11 @@ struct StatsReply {
 
 [[nodiscard]] std::vector<std::uint8_t> encode_submit_program(
     const SubmitProgramRequest& m);
+/// The same payload, encoded straight from the caller's program and graph
+/// (PlanClient::submit_program_async) instead of from copies of them.
+[[nodiscard]] std::vector<std::uint8_t> encode_submit_program(
+    const PartitionedProgram& program, const Ddg& graph,
+    const CompileOptions& copts);
 [[nodiscard]] SubmitProgramRequest decode_submit_program(
     const std::vector<std::uint8_t>& payload);
 

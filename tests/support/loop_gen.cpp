@@ -56,6 +56,84 @@ GeneratedLoop generate_loop(std::uint64_t seed, const LoopGenOptions& opts) {
   return out;
 }
 
+namespace {
+
+/// One random edit; false (and `p` untouched) when the drawn edit does
+/// not apply.
+bool mutate_program(PartitionedProgram& p, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  std::vector<std::size_t> nonempty;
+  for (std::size_t i = 0; i < p.programs.size(); ++i) {
+    if (!p.programs[i].ops.empty()) nonempty.push_back(i);
+  }
+  if (nonempty.empty()) return false;
+  std::vector<Op>& ops = p.programs[nonempty[pick(nonempty.size())]].ops;
+  const std::size_t at = pick(ops.size());
+  switch (rng() % 6) {
+    case 0:  // drop an op
+      ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(at));
+      return true;
+    case 1:  // duplicate an op in place
+      ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(at), ops[at]);
+      return true;
+    case 2:  // swap two adjacent ops
+      if (at + 1 == ops.size()) return false;
+      std::swap(ops[at], ops[at + 1]);
+      return true;
+    case 3: {  // retarget a message, possibly to a processor that is absent
+      std::vector<std::size_t> messages;
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].kind != Op::Kind::Compute) messages.push_back(i);
+      }
+      if (messages.empty()) return false;
+      Op& op = ops[messages[pick(messages.size())]];
+      const int peer = static_cast<int>(pick(
+                           static_cast<std::size_t>(p.processors) + 2)) - 1;
+      if (peer == op.peer) return false;
+      op.peer = peer;
+      return true;
+    }
+    case 4: {  // shift an iteration, possibly below zero
+      const std::int64_t delta = static_cast<std::int64_t>(pick(7)) - 3;
+      if (delta == 0) return false;
+      ops[at].inst.iter += delta;
+      return true;
+    }
+    default: {  // reorder the receives of one channel
+      const Op& probe = ops[at];
+      if (probe.kind != Op::Kind::Receive) return false;
+      std::vector<std::size_t> same;
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].kind == Op::Kind::Receive && ops[i].edge == probe.edge &&
+            ops[i].peer == probe.peer) {
+          same.push_back(i);
+        }
+      }
+      if (same.size() < 2) return false;
+      const std::size_t a = same[pick(same.size())];
+      const std::size_t b = same[pick(same.size())];
+      if (ops[a] == ops[b]) return false;
+      std::swap(ops[a], ops[b]);
+      return true;
+    }
+  }
+}
+
+}  // namespace
+
+PartitionedProgram mutated_program(const PartitionedProgram& p,
+                                   std::mt19937_64& rng) {
+  PartitionedProgram out = p;
+  // Failed draws just draw again, within a bound.
+  const int edits = 1 + static_cast<int>(rng() % 3);
+  for (int done = 0, tries = 0; done < edits && tries < 50; ++tries) {
+    done += mutate_program(out, rng) ? 1 : 0;
+  }
+  return out;
+}
+
 Ddg renamed_copy(const Ddg& g, const std::string& prefix) {
   Ddg copy;
   for (const Node& n : g.nodes()) {

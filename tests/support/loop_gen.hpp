@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <random>
 #include <string>
 
 #include "graph/ddg.hpp"
@@ -52,6 +53,15 @@ struct GeneratedLoop {
 /// Deterministic per seed: equal seeds (and options) produce structurally
 /// identical programs, byte for byte.
 GeneratedLoop generate_loop(std::uint64_t seed, const LoopGenOptions& opts = {});
+
+/// A copy of `p` with one to three seeded random edits of the kinds a
+/// broken lowering or a hostile client produces: drop, duplicate or swap
+/// adjacent ops, retarget a message's peer (possibly to an absent
+/// processor), shift an iteration (possibly below zero), or swap two
+/// receives of one channel.  The validator differential and the compiled
+/// digests draw their mutants from here.
+PartitionedProgram mutated_program(const PartitionedProgram& p,
+                                   std::mt19937_64& rng);
 
 /// A structurally identical copy of `g` with every node renamed by
 /// `prefix` — same latencies, same edges.  structural_hash ignores names,

@@ -1,0 +1,102 @@
+#include "support/reference_validator.hpp"
+
+#include <map>
+#include <sstream>
+#include <tuple>
+#include <vector>
+
+namespace mimd::testsupport {
+
+std::optional<std::string> reference_program_violation(
+    const PartitionedProgram& p, const Ddg& g) {
+  using MsgKey = std::tuple<EdgeId, NodeId, std::int64_t, int, int>;
+  std::map<MsgKey, int> sends, receives;  // key -> count
+  // Per-channel iteration sequences, for the FIFO check.
+  using Chan = std::tuple<EdgeId, int, int>;
+  std::map<Chan, std::vector<std::int64_t>> send_seq, recv_seq;
+  // Added: every compute instance -> the PE that computed it first.
+  std::map<std::pair<NodeId, std::int64_t>, int> computed_on;
+
+  for (const ProcessorProgram& prog : p.programs) {
+    // Program-order tracking of what this processor has available locally:
+    // values it computed and values it received.
+    std::map<std::pair<NodeId, std::int64_t>, bool> local;
+    for (const Op& op : prog.ops) {
+      // Added: no op names a negative iteration.
+      if (op.inst.iter < 0) {
+        std::ostringstream msg;
+        msg << "PE" << prog.proc << ": "
+            << (op.kind == Op::Kind::Compute ? "compute "
+                : op.kind == Op::Kind::Send  ? "send of "
+                                             : "receive of ")
+            << g.node(op.inst.node).name << "@" << op.inst.iter
+            << " has a negative iteration";
+        return msg.str();
+      }
+      switch (op.kind) {
+        case Op::Kind::Compute: {
+          // Added: each compute instance appears once in the program.
+          const auto [first, fresh] =
+              computed_on.try_emplace({op.inst.node, op.inst.iter}, prog.proc);
+          if (!fresh) {
+            std::ostringstream msg;
+            msg << "PE" << prog.proc << ": compute "
+                << g.node(op.inst.node).name << "@" << op.inst.iter
+                << " duplicates the instance computed on PE" << first->second;
+            return msg.str();
+          }
+          for (const EdgeId eid : g.in_edges(op.inst.node)) {
+            const Edge& e = g.edge(eid);
+            const std::int64_t src_iter = op.inst.iter - e.distance;
+            if (src_iter < 0) continue;
+            if (!local.contains({e.src, src_iter})) {
+              std::ostringstream msg;
+              msg << "PE" << prog.proc << ": compute "
+                  << g.node(op.inst.node).name << "@" << op.inst.iter
+                  << " before operand " << g.node(e.src).name << "@"
+                  << src_iter << " is available";
+              return msg.str();
+            }
+          }
+          local[{op.inst.node, op.inst.iter}] = true;
+          break;
+        }
+        case Op::Kind::Send: {
+          if (!local.contains({op.inst.node, op.inst.iter})) {
+            std::ostringstream msg;
+            msg << "PE" << prog.proc << ": send of "
+                << g.node(op.inst.node).name << "@" << op.inst.iter
+                << " before it is computed/received";
+            return msg.str();
+          }
+          ++sends[{op.edge, op.inst.node, op.inst.iter, prog.proc, op.peer}];
+          send_seq[{op.edge, prog.proc, op.peer}].push_back(op.inst.iter);
+          break;
+        }
+        case Op::Kind::Receive: {
+          local[{op.inst.node, op.inst.iter}] = true;
+          ++receives[{op.edge, op.inst.node, op.inst.iter, op.peer, prog.proc}];
+          recv_seq[{op.edge, op.peer, prog.proc}].push_back(op.inst.iter);
+          break;
+        }
+      }
+    }
+  }
+
+  if (sends != receives) {
+    return "send/receive multisets differ (unmatched message)";
+  }
+  for (const auto& [chan, seq] : send_seq) {
+    const auto it = recv_seq.find(chan);
+    if (it == recv_seq.end() || it->second != seq) {
+      std::ostringstream msg;
+      msg << "channel (edge " << std::get<0>(chan) << ", PE"
+          << std::get<1>(chan) << " -> PE" << std::get<2>(chan)
+          << ") violates FIFO order";
+      return msg.str();
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace mimd::testsupport

@@ -1,0 +1,23 @@
+// The reference validator: find_program_violation as it was written on
+// std::map before the flat-table rewrite (partition/partitioned_loop.cpp),
+// kept verbatim apart from the two rejections added with the rewrite —
+// negative iterations and duplicate compute instances.
+//
+// The differential suite (tests/test_program_validator.cpp) runs mutated
+// loop_gen programs through both and requires the same verdict and the
+// same message, so the rewrite keeps every check, the first-violation
+// order and the message text.
+#pragma once
+
+#include <optional>
+#include <string>
+
+#include "graph/ddg.hpp"
+#include "partition/partitioned_loop.hpp"
+
+namespace mimd::testsupport {
+
+std::optional<std::string> reference_program_violation(
+    const PartitionedProgram& p, const Ddg& g);
+
+}  // namespace mimd::testsupport

@@ -2,6 +2,8 @@
 // bit-for-bit sequential oracle.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "partition/compiled_program.hpp"
 #include "partition/lowering.hpp"
 #include "runtime/executor.hpp"
@@ -166,6 +168,45 @@ TEST(CompiledProgram, RejectsFifoInversion) {
   s1.push_back(Op{Op::Kind::Receive, Inst{a, 0}, e, 0});
   s1.push_back(Op{Op::Kind::Compute, Inst{b, 0}, 0, -1});
   EXPECT_THROW((void)compile_program(p, g), ContractViolation);
+}
+
+TEST(CompiledProgram, FusionThatWouldReorderAChannelFallsBackToReceives) {
+  // PE1 receives A@1 before A@0 (the order PE0 sends them) but consumes
+  // A@0 first: fused operands would pop the channel out of order, so
+  // both receives must stay standalone ops into slots.
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  const NodeId b = g.add_node("B");
+  const EdgeId e = g.add_edge(a, b, 0);
+  PartitionedProgram p;
+  p.processors = 2;
+  p.programs.resize(2);
+  p.programs[0].proc = 0;
+  p.programs[1].proc = 1;
+  p.programs[0].ops = {Op{Op::Kind::Compute, Inst{a, 0}, 0, -1},
+                       Op{Op::Kind::Compute, Inst{a, 1}, 0, -1},
+                       Op{Op::Kind::Send, Inst{a, 1}, e, 1},
+                       Op{Op::Kind::Send, Inst{a, 0}, e, 1}};
+  p.programs[1].ops = {Op{Op::Kind::Receive, Inst{a, 1}, e, 0},
+                       Op{Op::Kind::Receive, Inst{a, 0}, e, 0},
+                       Op{Op::Kind::Compute, Inst{b, 0}, 0, -1},
+                       Op{Op::Kind::Compute, Inst{b, 1}, 0, -1}};
+  const ExecutorPlan plan = compile(p, g);
+  EXPECT_EQ(plan.program().count(CompiledOp::Kind::Receive), 2u);
+  expect_equal_values(plan.run(2), run_sequential(g, 2), 2);
+}
+
+TEST(CompiledProgram, ComputeAtTheLargestIterationSaturatesTheCount) {
+  // Any iteration >= 0 passes validation, so a client can send INT64_MAX;
+  // the compiled count must not overflow computing "1 + the largest".
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  PartitionedProgram p;
+  p.processors = 1;
+  p.programs.resize(1);
+  const std::int64_t last = std::numeric_limits<std::int64_t>::max();
+  p.programs[0].ops.push_back(Op{Op::Kind::Compute, Inst{a, last}, 0, -1});
+  EXPECT_EQ(compile_program(p, g).iterations, last);
 }
 
 // ---- Plan reuse and sequential equivalence. ----

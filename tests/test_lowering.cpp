@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baseline/doacross.hpp"
+#include "partition/compiled_program.hpp"
 #include "baseline/sequential.hpp"
 #include "partition/lowering.hpp"
 #include "schedule/cyclic_sched.hpp"
@@ -145,6 +148,106 @@ TEST(ProgramViolation, DetectsFifoInversion) {
   const auto v = find_program_violation(p, g);
   ASSERT_TRUE(v.has_value());
   EXPECT_NE(v->find("FIFO"), std::string::npos);
+}
+
+TEST(ProgramViolation, FifoReportsTheFirstChannelInEdgeOrder) {
+  // Both channels are inverted; program order meets edge 1 first, but
+  // channels are checked in (edge, src, dst) order.
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  const NodeId b = g.add_node("B");
+  const NodeId c = g.add_node("C");
+  const EdgeId ab = g.add_edge(a, b, 0);
+  const EdgeId ac = g.add_edge(a, c, 0);
+  PartitionedProgram p;
+  p.processors = 2;
+  p.programs.resize(2);
+  p.programs[0].proc = 0;
+  p.programs[1].proc = 1;
+  auto& s0 = p.programs[0].ops;
+  auto& s1 = p.programs[1].ops;
+  s0.push_back(Op{Op::Kind::Compute, Inst{a, 0}, 0, -1});
+  s0.push_back(Op{Op::Kind::Compute, Inst{a, 1}, 0, -1});
+  for (const EdgeId e : {ac, ab}) {
+    s0.push_back(Op{Op::Kind::Send, Inst{a, 0}, e, 1});
+    s0.push_back(Op{Op::Kind::Send, Inst{a, 1}, e, 1});
+  }
+  for (const EdgeId e : {ac, ab}) {
+    s1.push_back(Op{Op::Kind::Receive, Inst{a, 1}, e, 0});  // inverted
+    s1.push_back(Op{Op::Kind::Receive, Inst{a, 0}, e, 0});
+  }
+  for (const std::int64_t i : {0, 1}) {
+    s1.push_back(Op{Op::Kind::Compute, Inst{b, i}, 0, -1});
+    s1.push_back(Op{Op::Kind::Compute, Inst{c, i}, 0, -1});
+  }
+  const auto v = find_program_violation(p, g);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, "channel (edge 0, PE0 -> PE1) violates FIFO order");
+}
+
+TEST(ProgramViolation, RejectsNegativeIteration) {
+  // Accepted before the rule existed: the run wrote values[A][size_t(-3)].
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  PartitionedProgram p;
+  p.processors = 1;
+  p.programs.resize(1);
+  p.programs[0].ops.push_back(Op{Op::Kind::Compute, Inst{a, -3}, 0, -1});
+  p.programs[0].ops.push_back(Op{Op::Kind::Compute, Inst{a, 1}, 0, -1});
+  const auto v = find_program_violation(p, g);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, "PE0: compute A@-3 has a negative iteration");
+  EXPECT_THROW((void)compile_program(p, g), ContractViolation);
+}
+
+TEST(ProgramViolation, RejectsNegativeIterationOnMessages) {
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  const NodeId b = g.add_node("B");
+  const EdgeId ab = g.add_edge(a, b, 1);
+  PartitionedProgram p;
+  p.processors = 2;
+  p.programs.resize(2);
+  p.programs[0].proc = 0;
+  p.programs[1].proc = 1;
+  p.programs[1].ops.push_back(Op{Op::Kind::Receive, Inst{a, -1}, ab, 0});
+  const auto v = find_program_violation(p, g);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, "PE1: receive of A@-1 has a negative iteration");
+}
+
+TEST(ProgramViolation, RejectsDuplicateComputeAcrossProcessors) {
+  // Accepted before the rule existed: two threads wrote one result cell.
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  PartitionedProgram p;
+  p.processors = 2;
+  p.programs.resize(2);
+  p.programs[0].proc = 0;
+  p.programs[1].proc = 1;
+  p.programs[0].ops.push_back(Op{Op::Kind::Compute, Inst{a, 0}, 0, -1});
+  p.programs[1].ops.push_back(Op{Op::Kind::Compute, Inst{a, 0}, 0, -1});
+  const auto v = find_program_violation(p, g);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, "PE1: compute A@0 duplicates the instance computed on PE0");
+  EXPECT_THROW((void)compile_program(p, g), ContractViolation);
+}
+
+TEST(ProgramViolation, RejectsDuplicateComputeOnOneProcessor) {
+  const Ddg g = workloads::fig7_loop();
+  PartitionedProgram p = fig7_program(6);
+  ASSERT_EQ(find_program_violation(p, g), std::nullopt);
+  auto& ops = p.programs[0].ops;
+  const auto first = std::find_if(ops.begin(), ops.end(), [](const Op& op) {
+    return op.kind == Op::Kind::Compute;
+  });
+  ASSERT_NE(first, ops.end());
+  ops.push_back(*first);
+  const auto v = find_program_violation(p, g);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_NE(v->find("duplicates the instance computed on PE0"),
+            std::string::npos)
+      << *v;
 }
 
 TEST(Lowering, RandomLoopProgramsAreWellFormed) {

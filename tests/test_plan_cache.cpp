@@ -138,6 +138,25 @@ TEST(PlanCache, SecondRequestHitsAndSharesThePlan) {
   expect_matches_sequential(plan1->run(20), g, 20);
 }
 
+TEST(PlanCache, AMissMovesAnRvalueProgramIntoTheEntry) {
+  const Ddg g = workloads::fig7_loop();
+  const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
+
+  PlanCache cache;
+  PartitionedProgram given = p;
+  const auto plan1 = cache.get_or_compile_jit(std::move(given), g).plan;
+  EXPECT_TRUE(given.programs.empty());  // moved into the entry on the miss
+  // The entry still holds the full key: an equal program hits.
+  PartitionedProgram again = p;
+  const auto plan2 = cache.get_or_compile_jit(std::move(again), g).plan;
+  EXPECT_EQ(plan1.get(), plan2.get());
+  EXPECT_EQ(again, p);  // a hit leaves the caller's program as it was
+  EXPECT_EQ(cache.get_or_compile(p, g).get(), plan1.get());
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  expect_matches_sequential(plan1->run(20), g, 20);
+}
+
 TEST(PlanCache, DifferentOptionsAreDifferentEntries) {
   const Ddg g = workloads::fig7_loop();
   const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);

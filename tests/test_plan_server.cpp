@@ -20,10 +20,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -397,6 +399,141 @@ TEST(PlanServer, FrameTypeThreeGetsAnErrorFrameAndRunsStillServe) {
                            run_reference(gl.graph, gl.iterations),
                            gl.iterations));
   ::close(fd);
+}
+
+/// A raw connection speaking well-framed requests, for replies a
+/// PlanClient would turn into exceptions.
+struct RawConnection {
+  int fd = -1;
+  std::uint64_t next_id = 1;
+
+  explicit RawConnection(const std::string& path) {
+    const sockaddr_un addr = wire::make_unix_addr(path);
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+  }
+  ~RawConnection() { ::close(fd); }
+
+  wire::Frame call(wire::FrameType type,
+                   const std::vector<std::uint8_t>& payload) {
+    const std::uint64_t id = next_id++;
+    wire::write_frame(fd, type, id, payload);
+    std::optional<wire::Frame> reply = wire::read_frame(fd);
+    EXPECT_TRUE(reply.has_value());
+    if (!reply) return {};
+    EXPECT_EQ(reply->request_id, id);
+    return std::move(*reply);
+  }
+
+  std::uint64_t runs_executed() {
+    const wire::Frame f = call(wire::FrameType::Stats, {});
+    EXPECT_EQ(f.type, wire::FrameType::StatsReply);
+    return wire::decode_stats_reply(f.payload).runs_executed;
+  }
+};
+
+TEST(PlanServer, NegativeIterationAndDuplicateComputeGetErrorFrames) {
+  // Both programs passed validation once: the first made a worker write
+  // values[A][size_t(-3)], the second had two workers write one cell.
+  TestServer ts("ps_hostile_programs");
+  RawConnection conn(ts.server.socket_path());
+  Ddg g;
+  const NodeId a = g.add_node("A");
+
+  PartitionedProgram negative;
+  negative.processors = 1;
+  negative.programs.resize(1);
+  negative.programs[0].ops = {Op{Op::Kind::Compute, Inst{a, -3}, 0, -1},
+                              Op{Op::Kind::Compute, Inst{a, 1}, 0, -1}};
+  PartitionedProgram duplicate;
+  duplicate.processors = 2;
+  duplicate.programs.resize(2);
+  duplicate.programs[1].proc = 1;
+  for (ProcessorProgram& pp : duplicate.programs) {
+    pp.ops = {Op{Op::Kind::Compute, Inst{a, 0}, 0, -1}};
+  }
+
+  for (const auto& [program, message] :
+       {std::pair{negative, "PE0: compute A@-3 has a negative iteration"},
+        std::pair{duplicate,
+                  "PE1: compute A@0 duplicates the instance computed on "
+                  "PE0"}}) {
+    const wire::Frame reply =
+        conn.call(wire::FrameType::SubmitProgram,
+                  wire::encode_submit_program(program, g, {}));
+    ASSERT_EQ(reply.type, wire::FrameType::Error);
+    EXPECT_NE(wire::decode_error(reply.payload).find(message),
+              std::string::npos)
+        << wire::decode_error(reply.payload);
+  }
+  EXPECT_EQ(conn.runs_executed(), 0u);
+
+  // The connection keeps serving: a real submit and run on it.
+  const GeneratedLoop gl = generate_loop(67);
+  const wire::Frame sub =
+      conn.call(wire::FrameType::SubmitProgram,
+                wire::encode_submit_program(gl.program, gl.graph, {}));
+  ASSERT_EQ(sub.type, wire::FrameType::SubmitProgramReply);
+  wire::RunRequest run;
+  run.program_id = wire::decode_submit_program_reply(sub.payload).program_id;
+  const wire::Frame ran =
+      conn.call(wire::FrameType::Run, wire::encode_run(run));
+  ASSERT_EQ(ran.type, wire::FrameType::RunReply);
+  EXPECT_TRUE(values_match(wire::decode_run_reply(ran.payload),
+                           run_reference(gl.graph, gl.iterations),
+                           gl.iterations));
+  EXPECT_EQ(conn.runs_executed(), 1u);
+}
+
+/// Resident set of this process, in bytes.
+std::size_t resident_bytes() {
+  long pages = 0;
+  long resident = 0;
+  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%ld %ld", &pages, &resident) != 2) resident = 0;
+    std::fclose(f);
+  }
+  return static_cast<std::size_t>(resident) *
+         static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(PlanServer, FarIterationIsAnsweredWithoutIterationSizedMemory) {
+  // The validator's and compiler's tables are sized from op counts: a
+  // lone Compute at iteration 2^62 costs what any one-op program costs.
+  TestServer ts("ps_far_iteration",
+                [](PlanServerOptions& opts) { opts.enable_jit = false; });
+  RawConnection conn(ts.server.socket_path());
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  constexpr std::int64_t kFar = std::int64_t{1} << 62;
+  PartitionedProgram far;
+  far.processors = 1;
+  far.programs.resize(1);
+  far.programs[0].ops = {Op{Op::Kind::Compute, Inst{a, kFar}, 0, -1}};
+
+  const std::size_t before = resident_bytes();
+  const wire::Frame sub = conn.call(wire::FrameType::SubmitProgram,
+                                    wire::encode_submit_program(far, g, {}));
+  const std::size_t after = resident_bytes();
+  ASSERT_EQ(sub.type, wire::FrameType::SubmitProgramReply);
+  EXPECT_EQ(wire::decode_submit_program_reply(sub.payload).iterations,
+            kFar + 1);
+  EXPECT_LT(after, before + (std::size_t{4} << 20))
+      << "resident set grew from " << before << " to " << after << " bytes";
+
+  // Running it would need a result row of 2^62 values: refused up front,
+  // and the connection keeps serving.
+  wire::RunRequest run;
+  run.program_id = wire::decode_submit_program_reply(sub.payload).program_id;
+  const wire::Frame ran =
+      conn.call(wire::FrameType::Run, wire::encode_run(run));
+  ASSERT_EQ(ran.type, wire::FrameType::Error);
+  EXPECT_NE(wire::decode_error(ran.payload).find("frame limit"),
+            std::string::npos);
+  EXPECT_EQ(conn.runs_executed(), 0u);
 }
 
 TEST(PlanServer, GarbageBytesDropTheConnectionNotTheServer) {

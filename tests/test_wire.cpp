@@ -125,6 +125,23 @@ TEST(Wire, GeneratedProgramRoundTripsExactly) {
   EXPECT_TRUE(structurally_equivalent(back.graph, gl.graph));
 }
 
+TEST(Wire, SubmitPayloadIsEncodedFromTheCallersDataInOneAllocation) {
+  // The client encodes straight from its program and graph, into a
+  // buffer reserved at the payload's exact size.
+  const testsupport::GeneratedLoop gl = testsupport::generate_loop(12);
+  CompileOptions copts;
+  copts.opt = OptLevel::O1;
+  const auto payload =
+      wire::encode_submit_program(gl.program, gl.graph, copts);
+  EXPECT_EQ(payload.capacity(), payload.size());
+  EXPECT_EQ(payload,
+            wire::encode_submit_program({gl.program, gl.graph, copts}));
+  const wire::SubmitProgramRequest back = wire::decode_submit_program(payload);
+  EXPECT_EQ(back.program, gl.program);
+  EXPECT_EQ(back.copts, copts);
+  EXPECT_TRUE(structurally_equivalent(back.graph, gl.graph));
+}
+
 TEST(Wire, RunAndBatchRoundTrip) {
   wire::RunRequest run;
   run.program_id = 99;
