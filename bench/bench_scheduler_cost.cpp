@@ -4,6 +4,9 @@
 //                               O(N) pattern checks in practice
 //   * window-based detection  — the paper's Section-2.3 device
 //   * DOACROSS scheduling     — the baseline compiler
+//   * full_sched                — the scheduling step of a plan-cache
+//                               miss, on the structures the plan service
+//                               serves and on two slow-to-settle loops
 //   * lower / validate / compile — the three O(n) steps between a
 //                               schedule and a runnable plan, on the
 //                               structures the plan service serves
@@ -12,12 +15,21 @@
 // rate column reads as ops per second.
 #include <benchmark/benchmark.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "baseline/doacross.hpp"
 #include "classify/classify.hpp"
 #include "core/parallelizer.hpp"
+#include "ir/dependence.hpp"
+#include "ir/ifconvert.hpp"
+#include "ir/parser.hpp"
+#include "opt/pipeline.hpp"
 #include "partition/compiled_program.hpp"
 #include "partition/lowering.hpp"
 #include "schedule/cyclic_sched.hpp"
+#include "schedule/full_sched.hpp"
 #include "schedule/pattern.hpp"
 #include "workloads/livermore.hpp"
 #include "workloads/paper_examples.hpp"
@@ -88,6 +100,65 @@ void BM_Materialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Materialize)->RangeMultiplier(4)->Range(16, 1024);
+
+// ---- full_sched ----
+// Arg 0 picks one of the six structures of perfbench's mixed-n workload
+// (0 fig7, 1 cytron86, 2 elliptic, 3 LL18, 4 LL6, 5 LL20), normalized as
+// parallelize() normalizes it; arg 1 is p, arg 2 the trip count; k = 1.
+
+Ddg hot_structure(std::int64_t i) {
+  switch (i) {
+    case 0: return workloads::fig7_loop();
+    case 1: return workloads::cytron86_loop();
+    case 2: return workloads::elliptic_filter_loop();
+    case 3: return workloads::livermore18_loop();
+    case 4: return workloads::ll6_linear_recurrence();
+    default: return workloads::ll20_discrete_ordinates();
+  }
+}
+
+void BM_FullSched(benchmark::State& state) {
+  const Unrolled u = normalize_distances(hot_structure(state.range(0)));
+  const Machine m{static_cast<int>(state.range(1)), 1};
+  const std::int64_t n = (state.range(2) + u.factor - 1) / u.factor;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(full_sched(u.graph, m, n));
+  }
+}
+BENCHMARK(BM_FullSched)
+    ->ArgNames({"structure", "p", "n"})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {2, 4}, {16, 64, 512, 2048}})
+    ->Unit(benchmark::kMicrosecond);
+
+/// The first O1 strand of tests/loops/pattern_horizon_<seed>.loop, as
+/// mimdc schedules it; its Cyclic subset settles at p = 4 only after
+/// 8213 (seed 707) or 10960 (seed 810) iterations.
+Ddg horizon_strand(std::int64_t seed) {
+  std::ifstream f(std::string(MIMD_TEST_LOOPS_DIR) + "/pattern_horizon_" +
+                  std::to_string(seed) + ".loop");
+  std::ostringstream source;
+  source << f.rdbuf();
+  const ir::Loop raw = ir::parse_loop(source.str());
+  opt::OptOptions oopts;
+  oopts.level = OptLevel::O1;
+  const opt::PipelineResult o =
+      opt::optimize(raw.has_control_flow() ? ir::if_convert(raw) : raw, oopts);
+  return normalize_distances(ir::analyze_dependences(o.loops.front()).graph)
+      .graph;
+}
+
+void BM_FullSchedHorizonStrand(benchmark::State& state) {
+  const Ddg g = horizon_strand(state.range(0));
+  const Machine m{4, 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(full_sched(g, m, 64));
+  }
+}
+BENCHMARK(BM_FullSchedHorizonStrand)
+    ->ArgName("seed")
+    ->Arg(707)
+    ->Arg(810)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- lower -> find_program_violation -> compile_program ----
 // Arg 0 picks the structure (0 fig7, 1 elliptic, 2 LL18), arg 1 is n;

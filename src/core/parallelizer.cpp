@@ -90,7 +90,12 @@ ParallelizeResult parallelize(const Ddg& loop, const ParallelizeOptions& opts) {
   res.sched = full_sched(res.normalized.graph, opts.machine,
                          res.normalized_iterations, opts.schedule);
   res.program = lower(res.sched.schedule, res.normalized.graph);
-  if (opts.emit_code && res.sched.pattern.has_value()) {
+  if (opts.emit_code && !res.sched.classification.is_doall()) {
+    // A run cut at n carries no pattern; the rendering needs it.
+    if (!res.sched.pattern.has_value()) {
+      res.sched.pattern = steady_state_pattern(
+          res.normalized.graph, opts.machine, opts.schedule.cyclic);
+    }
     res.parbegin_code = emit_parbegin(*res.sched.pattern, res.normalized.graph);
   }
 

@@ -24,7 +24,9 @@ struct ParallelizeOptions {
   /// Trip count of the original loop to materialize.
   std::int64_t iterations = 64;
   FullSchedOptions schedule;
-  /// Emit the PARBEGIN pseudo-code rendering (costs a string build).
+  /// Emit the PARBEGIN pseudo-code rendering (costs a string build, and
+  /// pattern detection when the schedule stopped at n without one; the
+  /// result's sched.pattern is then filled in).
   bool emit_code = true;
 };
 

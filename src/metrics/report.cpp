@@ -17,6 +17,10 @@ FigureComparison compare_on(const Ddg& g, const Machine& m,
                             const FullSchedOptions& opts) {
   FigureComparison cmp;
   cmp.ours = full_sched(g, m, iterations, opts);
+  if (!cmp.ours.pattern.has_value() && !cmp.ours.classification.is_doall()) {
+    // A run cut at n carries no pattern; callers render it.
+    cmp.ours.pattern = steady_state_pattern(g, m, opts.cyclic);
+  }
   cmp.ii_ours = cmp.ours.steady_ii;
   cmp.sp_ours =
       percentage_parallelism_asymptotic(g.body_latency(), cmp.ii_ours);

@@ -28,7 +28,9 @@ struct FigureComparison {
   /// real compiler would emit the sequential loop; sp_ours is clamped to
   /// 0 in that case, ii_ours keeps the raw value for inspection.
   bool ours_degenerated = false;
-  FullSchedResult ours;        ///< full result for rendering / codegen
+  /// Full result for rendering / codegen; carries a pattern unless the
+  /// loop is DOALL (detected on demand when the schedule stopped at n).
+  FullSchedResult ours;
 };
 
 /// Compile-time comparison (no run-time jitter), as in the paper's

@@ -27,8 +27,15 @@ struct Checkpoint {
 
 class Scheduler {
  public:
-  Scheduler(const Ddg& g, const Machine& m, const CyclicSchedOptions& opts)
-      : g_(g), m_(m), opts_(opts), sched_(m.processors) {
+  Scheduler(const Ddg& g, const Machine& m, const CyclicSchedOptions& opts,
+            std::int64_t until, int min_processors)
+      : g_(g),
+        m_(m),
+        opts_(opts),
+        until_(until),
+        min_processors_(min_processors),
+        sched_(m.processors),
+        used_(static_cast<std::size_t>(m.processors), false) {
     MIMD_EXPECTS(g.num_nodes() > 0);
     MIMD_EXPECTS(g.distances_normalized());
     rank_.resize(g.num_nodes());
@@ -96,7 +103,8 @@ class Scheduler {
     const std::int64_t iter_bound =
         horizon_mode ? opts_.horizon_iterations : opts_.max_iterations;
 
-    while (!ready_.empty() && !pattern_.has_value()) {
+    while (!ready_.empty() && !pattern_.has_value() &&
+           (next_checkpoint_ < until_ || processors_used_ < min_processors_)) {
       const auto [iter, rk, v] = *ready_.begin();
       ready_.erase(ready_.begin());
       (void)rk;
@@ -143,6 +151,10 @@ class Scheduler {
     }
     sched_.place(inst, best_proc, best_start,
                  best_start + g_.node(v).latency);
+    if (!used_[static_cast<std::size_t>(best_proc)]) {
+      used_[static_cast<std::size_t>(best_proc)] = true;
+      ++processors_used_;
+    }
     auto& done = done_time_[iter];
     done = std::max(done, best_start + g_.node(v).latency);
     max_seen_iter_ = std::max(max_seen_iter_, iter);
@@ -301,8 +313,12 @@ class Scheduler {
   const Ddg& g_;
   const Machine& m_;
   const CyclicSchedOptions& opts_;
+  const std::int64_t until_;
+  const int min_processors_;
 
   Schedule sched_;
+  std::vector<bool> used_;  ///< processors holding at least one placement
+  int processors_used_ = 0;
   std::vector<int> rank_;
   std::vector<int> indeg0_, indeg1_;
   std::set<ReadyKey> ready_;
@@ -321,8 +337,9 @@ class Scheduler {
 }  // namespace
 
 CyclicSchedResult cyclic_sched(const Ddg& g, const Machine& m,
-                               const CyclicSchedOptions& opts) {
-  return Scheduler(g, m, opts).run();
+                               const CyclicSchedOptions& opts,
+                               std::int64_t until, int min_processors) {
+  return Scheduler(g, m, opts, until, min_processors).run();
 }
 
 }  // namespace mimd

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "graph/ddg.hpp"
@@ -46,9 +47,11 @@ struct CyclicSchedOptions {
   /// Upper bound on unwinding before giving up on pattern detection (the
   /// paper's M is "typically very small, less than 10"; the bound is a
   /// safety net, not a tuning knob).  Generated loops at p = 4 have needed
-  /// up to ~11k iterations to settle (tests/test_full_sched.cpp pins
-  /// two), so the default leaves headroom; full_sched raises
-  /// PatternNotFoundError when it is reached.
+  /// up to ~11k iterations to settle (tests/test_parallelizer.cpp pins
+  /// two), so the default leaves headroom.  full_sched and
+  /// steady_state_pattern raise PatternNotFoundError when a run that
+  /// needs the pattern, or more iterations than the bound, reaches it
+  /// (DESIGN.md, "Pattern detection bound").
   std::int64_t max_iterations = 65536;
   /// If >= 0: ignore pattern detection and simply schedule the first
   /// `horizon_iterations` iterations (used for offline experiments, the
@@ -84,7 +87,16 @@ struct CyclicSchedResult {
 /// Schedule `g` (a normalized-distance, intra-iteration-acyclic DDG —
 /// typically the Cyclic subset) on machine `m`.  Requires at least one
 /// processor and a non-empty graph.
-CyclicSchedResult cyclic_sched(const Ddg& g, const Machine& m,
-                               const CyclicSchedOptions& opts = {});
+///
+/// A run stops at a detected pattern, at the detection bound, or earlier
+/// for a caller that needs only part of the schedule (full_sched): as
+/// soon as iterations [0, until) are all placed (iterations_scheduled >=
+/// until) and at least `min_processors` processors hold a placement.
+/// Every placement is final when made, so a run cut short is a prefix of
+/// the uncut one.  The defaults never cut a run short.
+CyclicSchedResult cyclic_sched(
+    const Ddg& g, const Machine& m, const CyclicSchedOptions& opts = {},
+    std::int64_t until = std::numeric_limits<std::int64_t>::max(),
+    int min_processors = 0);
 
 }  // namespace mimd

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -51,6 +50,13 @@ std::vector<std::int64_t> per_iteration_completion(const Schedule& sched,
   return done;
 }
 
+/// Distinct processors holding at least one of `placements`.
+std::set<int> processors_of(const std::vector<Placement>& placements) {
+  std::set<int> used;
+  for (const Placement& p : placements) used.insert(p.proc);
+  return used;
+}
+
 FullSchedResult schedule_doall(const Ddg& g, const Machine& m,
                                std::int64_t n, Classification cls) {
   const auto order = topo_order_intra(g);
@@ -60,23 +66,51 @@ FullSchedResult schedule_doall(const Ddg& g, const Machine& m,
   FullSchedResult res{std::move(cls), std::nullopt, Schedule(m.processors),
                       n, 0, 0, 0, 0, 0.0};
   schedule_flow_subset(g, m, order, pool, n, res.schedule);
-  std::set<int> used;
-  for (const Placement& p : res.schedule.placements()) used.insert(p.proc);
-  res.processors_used = static_cast<int>(used.size());
+  res.processors_used =
+      static_cast<int>(processors_of(res.schedule.placements()).size());
   res.flow_in_processors = res.processors_used;
   res.steady_ii = measure_steady_ii(res.schedule, n);
   return res;
 }
 
-/// Cyclic-sched's steady-state pattern; PatternNotFoundError when it ran
-/// into its detection bound without one.
-Pattern cyclic_pattern(const Ddg& g, const Machine& m,
-                       const CyclicSchedOptions& opts) {
-  CyclicSchedResult r = cyclic_sched(g, m, opts);
-  if (!r.pattern) {
+/// Cyclic-sched over the whole graph, stopped as soon as iterations
+/// [0, n) are placed unless the pattern shows up first.  This is the
+/// Fold heuristic, and also the Figure-6 pipeline of a loop with no
+/// Flow-in or Flow-out node: its Cyclic subgraph is `g` itself, with the
+/// same ids and edge order, and it has no pools to size.
+FullSchedResult schedule_greedy(const Ddg& g, const Machine& m,
+                                std::int64_t n,
+                                const CyclicSchedOptions& opts,
+                                Classification cls, FlowStrategy strategy) {
+  // Fold counts the processors its schedule uses.  The Figure-6 pipeline
+  // counts those the Cyclic pattern occupies, which can be more than the
+  // first n iterations touch, so its run also goes on until the pattern
+  // shows up or every processor holds a placement.
+  const int settled = strategy == FlowStrategy::Fold ? 0 : m.processors;
+  CyclicSchedResult r = cyclic_sched(g, m, opts, n, settled);
+  const int occupied =
+      static_cast<int>(processors_of(r.schedule.placements()).size());
+  if (!r.pattern.has_value() &&
+      (r.iterations_scheduled < n || occupied < settled)) {
     throw PatternNotFoundError(m.processors, opts.max_iterations);
   }
-  return std::move(*r.pattern);
+
+  FullSchedResult res{std::move(cls), std::nullopt, Schedule(m.processors),
+                      n, 0, 0, 0, 0, 0.0};
+  if (r.pattern.has_value()) {
+    res.schedule = materialize(*r.pattern, m.processors, n);
+    res.pattern = std::move(r.pattern);
+  } else {
+    // Placements are final when made, so this is materialize(pattern, n)
+    // for the pattern a longer run would detect.
+    res.schedule = prefix_schedule(r.schedule.placements(), m.processors, n);
+  }
+  res.processors_used =
+      static_cast<int>(processors_of(res.schedule.placements()).size());
+  res.cyclic_processors =
+      strategy == FlowStrategy::Fold ? res.processors_used : occupied;
+  res.steady_ii = measure_steady_ii(res.schedule, n);
+  return res;
 }
 
 }  // namespace
@@ -91,6 +125,15 @@ PatternNotFoundError::PatternNotFoundError(int processors,
           "bound or schedule on a different processor count"),
       processors_(processors),
       max_iterations_(max_iterations) {}
+
+Pattern steady_state_pattern(const Ddg& g, const Machine& m,
+                             const CyclicSchedOptions& opts) {
+  CyclicSchedResult r = cyclic_sched(g, m, opts);
+  if (!r.pattern) {
+    throw PatternNotFoundError(m.processors, opts.max_iterations);
+  }
+  return std::move(*r.pattern);
+}
 
 double measure_steady_ii(const Schedule& sched, std::int64_t n) {
   if (n <= 0) return 0.0;
@@ -134,32 +177,41 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
   if (cls.is_doall()) {
     return schedule_doall(g, m, iterations, std::move(cls));
   }
+  // Horizon mode never detects a pattern, and every path below needs one
+  // or a run that stops at n: fail as detection does.
+  if (opts.cyclic.horizon_iterations >= 0) {
+    throw PatternNotFoundError(m.processors, opts.cyclic.max_iterations);
+  }
 
-  if (opts.flow_strategy == FlowStrategy::Fold) {
+  const int need = static_cast<int>(!cls.flow_in.empty()) +
+                   static_cast<int>(!cls.flow_out.empty());
+  if (opts.flow_strategy == FlowStrategy::Fold || need == 0) {
     // Section-3 heuristic, realized by scheduling the whole graph greedily:
-    // non-Cyclic nodes flow into idle slots of the Cyclic processors.
-    const Pattern pattern = cyclic_pattern(g, m, opts.cyclic);
-    FullSchedResult res{std::move(cls), pattern,
-                        materialize(pattern, m.processors, iterations),
-                        iterations, 0, 0, 0, 0, 0.0};
-    std::set<int> used;
-    for (const Placement& p : res.schedule.placements()) used.insert(p.proc);
-    res.processors_used = static_cast<int>(used.size());
-    res.cyclic_processors = res.processors_used;
-    res.steady_ii = measure_steady_ii(res.schedule, iterations);
-    return res;
+    // non-Cyclic nodes flow into idle slots of the Cyclic processors.  A
+    // loop with no non-Cyclic node is that same greedy run.
+    return schedule_greedy(g, m, iterations, opts.cyclic, std::move(cls),
+                           opts.flow_strategy);
   }
 
   // --- The paper's Figure-6 pipeline with separate flow pools. ---
+  // Each non-empty flow subset needs a pool of at least one processor
+  // (latency >= 1), and the Cyclic run's processor set only grows.  Once
+  // it holds more than P - need processors the pools cannot fit and the
+  // loop folds whatever the pattern turns out to be, so stop the run
+  // there.  With need >= P it stops by its first placement.
+  const int budget = m.processors - need;
   std::vector<NodeId> old_of_new;
   const Ddg sub = cyclic_subgraph(g, cls, &old_of_new);
-  const Pattern pattern =
-      remap_pattern(cyclic_pattern(sub, m, opts.cyclic), old_of_new);
-
-  // Processors claimed by the Cyclic pattern.
-  std::set<int> cyclic_procs;
-  for (const Placement& p : pattern.prologue) cyclic_procs.insert(p.proc);
-  for (const Placement& p : pattern.kernel) cyclic_procs.insert(p.proc);
+  CyclicSchedResult cyc = cyclic_sched(sub, m, opts.cyclic, 0, budget + 1);
+  const std::set<int> cyclic_procs = processors_of(cyc.schedule.placements());
+  if (static_cast<int>(cyclic_procs.size()) > budget) {
+    return schedule_greedy(g, m, iterations, opts.cyclic, std::move(cls),
+                           FlowStrategy::Fold);
+  }
+  if (!cyc.pattern.has_value()) {
+    throw PatternNotFoundError(m.processors, opts.cyclic.max_iterations);
+  }
+  const Pattern pattern = remap_pattern(*cyc.pattern, old_of_new);
 
   const auto order = topo_order_intra(g);
   const auto flow_in_topo = filter_order(order, cls.flow_in);
@@ -184,9 +236,8 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
   if (static_cast<int>(free_procs.size()) < want_in + want_out) {
     // Not enough spare processors for the Figure-5 pools: fall back to the
     // folding heuristic, which needs no extra processors.
-    FullSchedOptions fold = opts;
-    fold.flow_strategy = FlowStrategy::Fold;
-    return full_sched(g, m, iterations, fold);
+    return schedule_greedy(g, m, iterations, opts.cyclic, std::move(cls),
+                           FlowStrategy::Fold);
   }
   const std::vector<int> pool_in(free_procs.begin(), free_procs.begin() + want_in);
   const std::vector<int> pool_out(free_procs.begin() + want_in,
@@ -215,13 +266,8 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
       shift = std::max(shift, src->finish + m.comm_cost(e) - c.start);
     }
   }
-  std::vector<Placement> shifted = nominal.placements();
-  std::sort(shifted.begin(), shifted.end(),
-            [](const Placement& a, const Placement& b) {
-              return std::tie(a.start, a.proc, a.inst) <
-                     std::tie(b.start, b.proc, b.inst);
-            });
-  for (const Placement& p : shifted) {
+  // A constant shift keeps materialize's (start, proc, inst) order.
+  for (const Placement& p : nominal.placements()) {
     res.schedule.place(p.inst, p.proc, p.start + shift, p.finish + shift);
   }
 
@@ -229,9 +275,8 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
   schedule_flow_subset(g, m, flow_out_topo, pool_out, iterations,
                        res.schedule);
 
-  std::set<int> used;
-  for (const Placement& p : res.schedule.placements()) used.insert(p.proc);
-  res.processors_used = static_cast<int>(used.size());
+  res.processors_used =
+      static_cast<int>(processors_of(res.schedule.placements()).size());
   res.steady_ii = measure_steady_ii(res.schedule, iterations);
   return res;
 }

@@ -21,6 +21,13 @@
 // iteration schedule — the paper declares them out of scope ("Note that if
 // there are no Cyclic nodes, the loop is a DOALL loop") but downstream
 // users still need them handled.
+//
+// Only the requested iterations are scheduled.  A greedy run over the
+// whole graph (Fold, or a loop that is all Cyclic) stops once iterations
+// [0, N) are placed if no pattern has shown up by then, and the
+// SeparateProcessors run stops as soon as the Cyclic part holds more
+// processors than the flow pools could leave it (DESIGN.md, "Scheduling
+// only the requested prefix").
 #pragma once
 
 #include <cstdint>
@@ -38,8 +45,12 @@ namespace mimd {
 
 enum class FlowStrategy { SeparateProcessors, Fold };
 
-/// Thrown by full_sched (and so by parallelize()) when Cyclic-sched finds
-/// no repeating pattern within CyclicSchedOptions::max_iterations.  The
+/// Thrown when Cyclic-sched needs a pattern and finds none within
+/// CyclicSchedOptions::max_iterations: by full_sched (and so by
+/// parallelize()) on the Flow-in/Flow-out pool path, for an all-Cyclic
+/// loop that meets the bound before it occupies every processor, or for
+/// a request of more iterations than the bound, and by
+/// steady_state_pattern.  The
 /// throttle makes detection terminate for every connected graph, but how
 /// long it takes grows with the processor count and the graph's shape
 /// (DESIGN.md, "Pattern detection bound"); the bound is the safety net,
@@ -68,7 +79,11 @@ struct FullSchedResult {
   Classification classification;
   /// The detected steady-state pattern.  For SeparateProcessors its
   /// placements use *original* graph node ids but cover only Cyclic nodes;
-  /// for Fold it covers the whole graph.  Empty for DOALL loops.
+  /// for Fold, and for a loop that is all Cyclic, it covers the whole
+  /// graph.  Empty for DOALL loops, and when a greedy run of the whole
+  /// graph placed iterations [0, N) before detecting it: the schedule is
+  /// then that prefix, and steady_state_pattern(g, m, opts.cyclic)
+  /// returns the pattern a longer run finds.
   std::optional<Pattern> pattern;
   /// Combined schedule of iterations [0, N) over original node ids.
   Schedule schedule;
@@ -85,6 +100,13 @@ struct FullSchedResult {
 FullSchedResult full_sched(const Ddg& g, const Machine& m,
                            std::int64_t iterations,
                            const FullSchedOptions& opts = {});
+
+/// Cyclic-sched's steady-state pattern for the whole of `g`, detected in
+/// full; PatternNotFoundError at the detection bound.  For a non-DOALL
+/// full_sched result without a pattern this is the pattern it would have
+/// carried, and the result's schedule is materialize() of it.
+Pattern steady_state_pattern(const Ddg& g, const Machine& m,
+                             const CyclicSchedOptions& opts = {});
 
 /// Completion-time slope of `sched` between iterations n/2 and n-1 — the
 /// measured asymptotic initiation interval of any finite schedule.

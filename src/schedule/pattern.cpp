@@ -8,14 +8,27 @@
 
 namespace mimd {
 
+Schedule prefix_schedule(std::vector<Placement> placements, int processors,
+                         std::int64_t n) {
+  std::erase_if(placements,
+                [n](const Placement& p) { return p.inst.iter >= n; });
+  std::sort(placements.begin(), placements.end(),
+            [](const Placement& a, const Placement& b) {
+              return std::tie(a.start, a.proc, a.inst) <
+                     std::tie(b.start, b.proc, b.inst);
+            });
+  Schedule sched(processors);
+  for (const Placement& p : placements) {
+    sched.place(p.inst, p.proc, p.start, p.finish);
+  }
+  return sched;
+}
+
 Schedule materialize(const Pattern& pat, int processors, std::int64_t n) {
   MIMD_EXPECTS(n >= 0);
   MIMD_EXPECTS(pat.period_iters >= 1);
 
-  std::vector<Placement> all;
-  for (const Placement& p : pat.prologue) {
-    if (p.inst.iter < n) all.push_back(p);
-  }
+  std::vector<Placement> all = pat.prologue;
   for (std::int64_t rep = 0;; ++rep) {
     const std::int64_t dt = rep * pat.period_cycles;
     const std::int64_t di = rep * pat.period_iters;
@@ -29,15 +42,7 @@ Schedule materialize(const Pattern& pat, int processors, std::int64_t n) {
     }
     if (!any) break;
   }
-
-  std::sort(all.begin(), all.end(), [](const Placement& a, const Placement& b) {
-    return std::tie(a.start, a.proc, a.inst) < std::tie(b.start, b.proc, b.inst);
-  });
-  Schedule sched(processors);
-  for (const Placement& p : all) {
-    sched.place(p.inst, p.proc, p.start, p.finish);
-  }
-  return sched;
+  return prefix_schedule(std::move(all), processors, n);
 }
 
 namespace {

@@ -58,6 +58,13 @@ struct Pattern {
 /// would have produced (prefix property), so it satisfies all dependences.
 Schedule materialize(const Pattern& pat, int processors, std::int64_t n);
 
+/// The placements with iteration < n as a schedule, in (start, proc,
+/// inst) order — the order materialize() emits.  Applied to a greedy run
+/// that placed all of [0, n), it equals materialize() of the pattern a
+/// longer run would detect (prefix property).
+Schedule prefix_schedule(std::vector<Placement> placements, int processors,
+                         std::int64_t n);
+
 /// The paper's configuration-window detector, run offline over a schedule
 /// that extends far enough (e.g. produced with CyclicSched in
 /// run-to-horizon mode).  `window_height` is k+1.  Returns nullopt when no

@@ -199,28 +199,42 @@ ParallelizeOptions p4_options() {
   return opts;
 }
 
+/// The Cyclic subgraph of a normalized strand graph.
+Ddg cyclic_part(const Ddg& g) { return cyclic_subgraph(g, classify(g)); }
+
 // Two generated loops (perfbench cold-compile, seeds 707 and 810) whose
 // first strand's Cyclic subset settles at p = 4 only after 8213 and 10960
 // unwound iterations — past the old 8192 detection bound, where
-// parallelize() tripped a contract.  At the default bound every strand
-// schedules and runs bit-identical to sequential.
+// parallelize() tripped a contract.  At the default bound every strand's
+// Cyclic subset settles, and every strand schedules and runs
+// bit-identical to sequential.
 TEST(Parallelizer, LoopsPastTheOldDetectionBoundScheduleAtP4) {
+  const ParallelizeOptions opts = p4_options();
   for (const char* file :
        {"pattern_horizon_707.loop", "pattern_horizon_810.loop"}) {
     for (const ir::Loop& strand : o1_strands_of(file)) {
       const ParallelizeResult r =
-          parallelize(ir::analyze_dependences(strand).graph, p4_options());
-      ASSERT_TRUE(r.sched.pattern.has_value()) << file;
+          parallelize(ir::analyze_dependences(strand).graph, opts);
+      const Ddg& g = r.normalized.graph;
+      EXPECT_NO_THROW((void)steady_state_pattern(cyclic_part(g), opts.machine))
+          << file;
       const std::int64_t n = r.normalized_iterations;
-      EXPECT_TRUE(values_match(compile(r.program, r.normalized.graph).run(n),
-                               run_reference(r.normalized.graph, n), n))
+      EXPECT_EQ(r.sched.schedule.placements(),
+                materialize(steady_state_pattern(g, opts.machine),
+                            opts.machine.processors, n)
+                    .placements())
+          << file;
+      EXPECT_TRUE(values_match(compile(r.program, g).run(n),
+                               run_reference(g, n), n))
           << file;
     }
   }
 }
 
 // Meeting the bound is a typed error naming the processor count and the
-// bound, not an invariant failure.
+// bound, not an invariant failure.  Detecting the first strands' Cyclic
+// subsets — what parallelize() ran before it decided the Fold fallback
+// early — meets an explicit 8192 bound.
 TEST(Parallelizer, DetectionBoundRaisesPatternNotFoundError) {
   ParallelizeOptions opts = p4_options();
   opts.schedule.cyclic.max_iterations = 8192;
@@ -228,9 +242,13 @@ TEST(Parallelizer, DetectionBoundRaisesPatternNotFoundError) {
        {"pattern_horizon_707.loop", "pattern_horizon_810.loop"}) {
     const std::vector<ir::Loop> strands = o1_strands_of(file);
     ASSERT_FALSE(strands.empty()) << file;
+    const Ddg g = normalize_distances(
+                      ir::analyze_dependences(strands.front()).graph)
+                      .graph;
     try {
-      (void)parallelize(ir::analyze_dependences(strands.front()).graph, opts);
-      ADD_FAILURE() << file << " scheduled within 8192 iterations";
+      (void)steady_state_pattern(cyclic_part(g), opts.machine,
+                                 opts.schedule.cyclic);
+      ADD_FAILURE() << file << " settled within 8192 iterations";
     } catch (const PatternNotFoundError& e) {
       EXPECT_EQ(e.processors(), 4) << file;
       EXPECT_EQ(e.max_iterations(), 8192) << file;
@@ -238,6 +256,35 @@ TEST(Parallelizer, DetectionBoundRaisesPatternNotFoundError) {
       EXPECT_NE(what.find("8192"), std::string::npos) << what;
       EXPECT_NE(what.find("4 processors"), std::string::npos) << what;
     }
+  }
+}
+
+// full_sched itself raises it only for a request of more iterations than
+// the bound that meets the bound first; up to the bound it returns the
+// prefix.
+TEST(Parallelizer, RequestPastTheBoundRaisesPatternNotFoundError) {
+  const std::vector<ir::Loop> strands =
+      o1_strands_of("pattern_horizon_707.loop");
+  ASSERT_FALSE(strands.empty());
+  const Ddg g =
+      normalize_distances(ir::analyze_dependences(strands.front()).graph)
+          .graph;
+  const Machine m{4, 1};
+  FullSchedOptions opts;
+  opts.cyclic.max_iterations = 32;
+  const FullSchedResult r = full_sched(g, m, 32, opts);
+  EXPECT_FALSE(r.pattern.has_value());
+  EXPECT_EQ(r.schedule.size(), g.num_nodes() * 32);
+
+  try {
+    (void)full_sched(g, m, 33, opts);
+    ADD_FAILURE() << "33 iterations scheduled under a bound of 32";
+  } catch (const PatternNotFoundError& e) {
+    EXPECT_EQ(e.processors(), 4);
+    EXPECT_EQ(e.max_iterations(), 32);
+    EXPECT_NE(std::string(e.what()).find("within 32 iterations"),
+              std::string::npos)
+        << e.what();
   }
 }
 

@@ -561,6 +561,7 @@ int main(int argc, char** argv) {
     opts.iterations = n;
     opts.schedule.flow_strategy =
         fold ? FlowStrategy::Fold : FlowStrategy::SeparateProcessors;
+    opts.emit_code = want_code;
     const ParallelizeResult r = parallelize(dep.graph, opts);
     std::cerr << "mimdc: steady state " << r.cycles_per_iteration
               << " cycles/iteration, Sp " << r.percentage_parallelism
