@@ -2,12 +2,15 @@
 //
 // The paper's premise is that partitioned loops win only when
 // cross-processor communication is cheap relative to compute; these
-// benchmarks measure exactly the per-message overhead the SPSC ring adds,
-// at the smallest payloads the runtime ever ships:
+// benchmarks measure exactly the per-message overhead a channel adds, at
+// the smallest payloads the runtime ever ships.  A channel is single-use
+// (runtime/spsc_ring.hpp): a run builds it holding exactly the values it
+// carries, so the two channel legs build a fresh one per batch of kBatch
+// messages, outside the timed region:
 //
-//  * PerMessage_Spsc   — uncontended send+receive round on one thread: the
-//                        pure bookkeeping cost of a message (two
-//                        cache-resident atomics);
+//  * PerMessage_Spsc   — uncontended send+receive rounds on one thread:
+//                        the pure bookkeeping cost of a message (one
+//                        release-store, one acquire-load);
 //  * Stream_Spsc       — a real producer thread streaming a batch through
 //                        a channel to the consumer;
 //  * Executor_Spsc     — the whole threaded runtime on fig7 at
@@ -16,8 +19,9 @@
 //  * PlanCompile/Run   — what ExecutorPlan amortizes: compile() cost vs a
 //                        reused plan's run() cost.
 //
-// tools/bench_runner.py records these as BENCH_bench_channel_transport.json;
-// EXPERIMENTS.md ("Transports") keeps the recorded numbers.
+// Run it with --benchmark_format=json --benchmark_out=<file> to keep a
+// snapshot that tools/bench_diff.py can compare; EXPERIMENTS.md
+// ("Transports") keeps the recorded numbers.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -32,27 +36,32 @@ namespace {
 
 using namespace mimd;
 
+/// Messages per channel in the two channel legs.
+constexpr std::int64_t kBatch = 8192;
+
 // ---- Pure per-message overhead, uncontended. ----
 
 void BM_PerMessage_Spsc(benchmark::State& state) {
-  SpscChannel c(1024);
-  std::int64_t i = 0;
   for (auto _ : state) {
-    c.send({i, 1.0});
-    benchmark::DoNotOptimize(c.receive());
-    ++i;
+    state.PauseTiming();
+    SpscChannel c(kBatch);
+    state.ResumeTiming();
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      c.send({i, 1.0});
+      benchmark::DoNotOptimize(c.receive());
+    }
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_PerMessage_Spsc);
 
 // ---- Cross-thread streaming through one channel. ----
 
-constexpr std::int64_t kBatch = 8192;
-
 void BM_Stream_Spsc(benchmark::State& state) {
   for (auto _ : state) {
-    SpscChannel c(1024);
+    state.PauseTiming();
+    SpscChannel c(kBatch);
+    state.ResumeTiming();
     std::thread producer([&] {
       for (std::int64_t i = 0; i < kBatch; ++i) c.send({i, 0.5});
     });

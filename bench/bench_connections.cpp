@@ -20,8 +20,7 @@
 //                             the compute ceiling — pipelining amortizes
 //                             framing, not execution.
 //
-// tools/bench_runner.py records BENCH_bench_connections.json; the
-// recorded numbers live in EXPERIMENTS.md ("Wire protocol v2 A/B").
+// The recorded numbers live in EXPERIMENTS.md ("Wire protocol v2 A/B").
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

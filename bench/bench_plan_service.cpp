@@ -5,8 +5,10 @@
 // naive server pays the full pipeline per request; the plan service pays
 // it once per *structure*:
 //
-//  * Request_ColdCompileSpawn — compile(prog, g) + spawn-per-run run():
-//                               the pre-service cost of every request;
+//  * Request_ColdCompileSpawn — compile(prog, g) + a run on a fresh
+//                               WorkerPool (its threads spawned for the
+//                               run and joined after it): the
+//                               pre-service cost of every request;
 //  * Request_CachedPooled     — PlanCache::get_or_compile + pooled run():
 //                               the steady-state service cost (first
 //                               iteration compiles, the rest hit).
@@ -14,7 +16,8 @@
 //                               small n;
 //  * Run_Spawn / Run_Pooled   — the pool's own contribution, isolated
 //                               (plan held constant, only the thread
-//                               acquisition differs);
+//                               acquisition differs: a fresh pool per
+//                               run vs one persistent pool);
 //  * Run_PooledPinned         — affinity pinning on top of the pool
 //                               (RunOptions::pin_threads; on one-core CI
 //                               containers this measures overhead, not
@@ -41,8 +44,7 @@
 //                               InterpretedPooled the exact --jit=off
 //                               baseline (cached plan + pooled run).
 //
-// tools/bench_runner.py records BENCH_bench_plan_service.json; the
-// cold-vs-cached and pool-vs-spawn ratios live in EXPERIMENTS.md
+// The cold-vs-cached and pool-vs-spawn ratios live in EXPERIMENTS.md
 // ("Plan service A/B"), the native-vs-interpreted ratio in "JIT A/B".
 #include <benchmark/benchmark.h>
 
@@ -86,10 +88,21 @@ Fig7Request& fig7_request() {
   return r;
 }
 
+/// Run `plan` on threads spawned for this run alone: a fresh pool, joined
+/// when it leaves scope.
+ExecutionResult run_on_fresh_threads(const ExecutorPlan& plan,
+                                     std::int64_t n) {
+  WorkerPool pool;
+  RunOptions opts;
+  opts.pool = &pool;
+  return plan.run(n, opts);
+}
+
 void BM_Request_ColdCompileSpawn(benchmark::State& state) {
   Fig7Request& f = fig7_request();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(compile(f.prog, f.g).run(f.n));
+    benchmark::DoNotOptimize(
+        run_on_fresh_threads(compile(f.prog, f.g), f.n));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -132,7 +145,7 @@ void BM_Run_Spawn(benchmark::State& state) {
   const ExecutorPlan& plan = fig7_plan();
   Fig7Request& f = fig7_request();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.run(f.n));
+    benchmark::DoNotOptimize(run_on_fresh_threads(plan, f.n));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -9,9 +9,8 @@
 // pass's effect (slots vs slots_ssa) so a slot-reuse regression shows up
 // in the recorded JSON, not just in wall time.
 //
-// tools/bench_runner.py records these as BENCH_bench_runtime_threads.json;
-// tools/bench_diff.py diffs two snapshots (CI keeps the previous run's
-// artifact for exactly that).
+// Run it with --benchmark_format=json --benchmark_out=<file> to keep a
+// snapshot; tools/bench_diff.py diffs two of them.
 #include <benchmark/benchmark.h>
 
 #include <map>

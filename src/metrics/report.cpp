@@ -4,6 +4,7 @@
 
 #include "baseline/doacross.hpp"
 #include "baseline/sequential.hpp"
+#include "graph/unwind.hpp"
 #include "metrics/metrics.hpp"
 #include "partition/lowering.hpp"
 #include "schedule/component_sched.hpp"
@@ -16,12 +17,17 @@ FigureComparison compare_on(const Ddg& g, const Machine& m,
                             std::int64_t iterations,
                             const FullSchedOptions& opts) {
   FigureComparison cmp;
-  cmp.ours = full_sched(g, m, iterations, opts);
+  // Our scheduler needs distances in {0, 1}: schedule the unwound loop
+  // (an exact copy when g is already normalized), as parallelize() does,
+  // and report per original iteration.
+  const Unrolled u = normalize_distances(g);
+  cmp.ours = full_sched(u.graph, m, (iterations + u.factor - 1) / u.factor,
+                        opts);
   if (!cmp.ours.pattern.has_value() && !cmp.ours.classification.is_doall()) {
     // A run cut at n carries no pattern; callers render it.
-    cmp.ours.pattern = steady_state_pattern(g, m, opts.cyclic);
+    cmp.ours.pattern = steady_state_pattern(u.graph, m, opts.cyclic);
   }
-  cmp.ii_ours = cmp.ours.steady_ii;
+  cmp.ii_ours = cmp.ours.steady_ii / static_cast<double>(u.factor);
   cmp.sp_ours =
       percentage_parallelism_asymptotic(g.body_latency(), cmp.ii_ours);
   if (cmp.sp_ours < 0.0) {
@@ -29,6 +35,7 @@ FigureComparison compare_on(const Ddg& g, const Machine& m,
     cmp.sp_ours = 0.0;
   }
 
+  // DOACROSS accepts any distance: it runs on the original loop.
   const DoacrossResult doa = doacross(g, m, iterations);
   cmp.ii_doacross = doa.steady_ii;
   cmp.doacross_degenerated = doa.degenerated_to_sequential;

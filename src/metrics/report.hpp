@@ -17,7 +17,7 @@
 namespace mimd {
 
 struct FigureComparison {
-  double ii_ours = 0.0;        ///< steady cycles/iteration, our algorithm
+  double ii_ours = 0.0;        ///< steady cycles per original iteration, ours
   double ii_doacross = 0.0;    ///< steady cycles/iteration, DOACROSS
   double sp_ours = 0.0;        ///< asymptotic percentage parallelism
   double sp_doacross = 0.0;    ///< ditto, clamped at 0 on degeneration
@@ -30,11 +30,16 @@ struct FigureComparison {
   bool ours_degenerated = false;
   /// Full result for rendering / codegen; carries a pattern unless the
   /// loop is DOALL (detected on demand when the schedule stopped at n).
+  /// It schedules the loop actually partitioned: the unwound one when
+  /// the input's distances exceed 1 (graph/unwind.hpp).
   FullSchedResult ours;
 };
 
 /// Compile-time comparison (no run-time jitter), as in the paper's
-/// Section 3 examples.
+/// Section 3 examples.  `g` may carry any dependence distance: ours runs
+/// on the distance-normalized loop over ceil(iterations / factor)
+/// unwound iterations, exactly as parallelize() does, DOACROSS on `g`
+/// itself; both II figures are per original iteration.
 FigureComparison compare_on(const Ddg& g, const Machine& m,
                             std::int64_t iterations,
                             const FullSchedOptions& opts = {});

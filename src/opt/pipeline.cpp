@@ -12,6 +12,13 @@
 
 namespace mimd::opt {
 
+namespace {
+
+/// Round-robin rounds before the pipeline gives up on a fixed point.
+constexpr int kMaxRounds = 8;
+
+}  // namespace
+
 PipelineResult optimize(const ir::Loop& loop, const OptOptions& opts) {
   PipelineResult res;
   if (opts.level == OptLevel::Off) {
@@ -28,7 +35,7 @@ PipelineResult optimize(const ir::Loop& loop, const OptOptions& opts) {
 
   ir::Loop cur = loop;
   res.reached_fixed_point = false;
-  for (res.rounds = 0; res.rounds < opts.max_rounds; ++res.rounds) {
+  for (res.rounds = 0; res.rounds < kMaxRounds; ++res.rounds) {
     int round_rewrites = 0;
     for (std::size_t i = 0; i < passes.size(); ++i) {
       const ir::DependenceResult deps = ir::analyze_dependences(cur);
@@ -44,15 +51,11 @@ PipelineResult optimize(const ir::Loop& loop, const OptOptions& opts) {
   }
 
   res.stats.push_back(PassStats{"fission"});
-  if (opts.enable_fission) {
-    res.loops = fission(cur);
-    if (res.loops.size() > 1) {
-      res.stats.back().rewrites = static_cast<int>(res.loops.size());
-    }
-    res.stats.back().rounds_run = 1;
-  } else {
-    res.loops = {std::move(cur)};
+  res.loops = fission(cur);
+  if (res.loops.size() > 1) {
+    res.stats.back().rewrites = static_cast<int>(res.loops.size());
   }
+  res.stats.back().rounds_run = 1;
   return res;
 }
 

@@ -3,10 +3,12 @@
 //
 // Scalar passes (fold-constants -> strength-reduce -> dce) run in order,
 // round-robin, until a full round applies zero rewrites (fixed point) or
-// max_rounds is hit; dependence analysis is recomputed before every pass
+// 8 rounds have run; dependence analysis is recomputed before every pass
 // invocation so no pass sees a stale DDG.  Fission runs once at the end
 // — it changes the program's shape (1 loop -> N strands), so it can't
-// participate in the round-robin.
+// participate in the round-robin.  Every O1 caller gets the strands; one
+// that needs a single loop (`mimdc --c`, which emits one artifact per
+// source) refuses a source that splits.
 //
 // OptLevel::Off returns the input untouched with empty stats: `--opt=off`
 // must reproduce pre-mid-end behavior bit-for-bit.
@@ -23,10 +25,6 @@ namespace mimd::opt {
 
 struct OptOptions {
   OptLevel level = OptLevel::O1;
-  /// Fission can be disabled independently: `mimdc --c` needs one
-  /// compilable artifact per source file, so it folds but never splits.
-  bool enable_fission = true;
-  int max_rounds = 8;
 };
 
 struct PipelineResult {

@@ -111,52 +111,40 @@ std::optional<RolledShape> detect_period(const CompiledThread& t) {
 }
 
 /// Emit the channel type + send/recv functions: a double-carrying
-/// power-of-two ring; exact sizing (ring_capacity of the channel's total
-/// message count) means a send never finds the ring full.
+/// single-use buffer of exactly the channel's message count
+/// (ring_capacity), so a send is never refused and never waits.
 void emit_channel_runtime(std::ostringstream& out) {
-  out << "/* Lock-free SPSC value ring — the C11 mirror of the in-process\n"
-         " * executor's runtime/spsc_ring.hpp: producer and consumer\n"
-         " * cursors on separate cache lines, each side caching the\n"
-         " * other's cursor; release-stores publish progress, acquire-\n"
-         " * loads observe it.  Exact capacity makes send wait-free. */\n"
+  out << "/* Single-use SPSC value buffer — the C11 mirror of the in-process\n"
+         " * executor's runtime/spsc_ring.hpp, holding exactly the values\n"
+         " * the channel carries in one run: a send is one store plus a\n"
+         " * release-publish and never waits; a receive acquire-loads the\n"
+         " * producer's cursor, cached on its own cache line, and waits\n"
+         " * spin-then-yield. */\n"
       << "typedef struct {\n"
       << "  double* buf;\n"
-      << "  long long mask;\n"
       << "  _Alignas(64) _Atomic long long head; /* producer line */\n"
-      << "  long long cached_tail;\n"
-      << "  _Alignas(64) _Atomic long long tail; /* consumer line */\n"
+      << "  _Alignas(64) long long tail;         /* consumer line */\n"
       << "  long long cached_head;\n"
       << "  _Alignas(64) char pad_;\n"
       << "} chan_t;\n"
       << "static void chan_send(chan_t* c, double v) {\n"
       << "  long long head = atomic_load_explicit(&c->head, "
          "memory_order_relaxed);\n"
-      << "  while (head - c->cached_tail > c->mask) { /* full: only if "
-         "capped */\n"
-      << "    sched_yield();\n"
-      << "    c->cached_tail = atomic_load_explicit(&c->tail, "
-         "memory_order_acquire);\n"
-      << "  }\n"
-      << "  c->buf[head & c->mask] = v;\n"
+      << "  c->buf[head] = v;\n"
       << "  atomic_store_explicit(&c->head, head + 1, "
          "memory_order_release);\n"
       << "}\n"
       << "static double chan_recv(chan_t* c) {\n"
-      << "  long long tail = atomic_load_explicit(&c->tail, "
-         "memory_order_relaxed);\n"
-      << "  if (c->cached_head == tail) { /* looks empty: refresh, wait "
-         "*/\n"
+      << "  if (c->cached_head == c->tail) { /* looks drained: refresh, "
+         "wait */\n"
       << "    long long spin = 0;\n"
       << "    do {\n"
       << "      if ((++spin & 63) == 0) sched_yield();\n"
       << "      c->cached_head = atomic_load_explicit(&c->head, "
          "memory_order_acquire);\n"
-      << "    } while (c->cached_head == tail);\n"
+      << "    } while (c->cached_head == c->tail);\n"
       << "  }\n"
-      << "  double v = c->buf[tail & c->mask];\n"
-      << "  atomic_store_explicit(&c->tail, tail + 1, "
-         "memory_order_release);\n"
-      << "  return v;\n"
+      << "  return c->buf[c->tail++];\n"
       << "}\n\n";
 }
 
@@ -178,13 +166,13 @@ void emit_kernel_combine(std::ostringstream& out, const Ddg& g, NodeId v,
 
 /// One compiled op as C.  `iter_expr` is the op's iteration as a C
 /// expression — a literal in straight-line code, `(base + r * shift)` in a
-/// rolled steady state.  In shared-object mode (`shared`) computed values
-/// go to the caller's row-major matrix through the per-call context, and
-/// InitialValue operands that carry the library's default pre-loop value
-/// load from the caller's init vector instead of being baked as literals.
+/// rolled steady state.  Computed values go to the caller's row-major
+/// matrix through the per-call context, and InitialValue operands that
+/// carry the library's default pre-loop value load from the caller's init
+/// vector instead of being baked as literals.
 void emit_op(std::ostringstream& out, const CompiledThread& t,
              const CompiledOp& op, const Ddg& g,
-             const std::string& iter_expr, const char* note, bool shared) {
+             const std::string& iter_expr, const char* note) {
   switch (op.kind) {
     case CompiledOp::Kind::Compute: {
       out << "  { /* " << g.node(op.node).name << "[" << iter_expr << "]"
@@ -213,7 +201,7 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
             const auto& ins = g.in_edges(op.node);
             const NodeId src =
                 j < ins.size() ? g.edge(ins[j]).src : NodeId{0};
-            if (shared && j < ins.size() &&
+            if (j < ins.size() &&
                 std::bit_cast<std::uint64_t>(r.initial) ==
                     std::bit_cast<std::uint64_t>(initial_value(src))) {
               out << "init[" << src << "];\n";
@@ -226,12 +214,8 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
         operand_exprs.push_back("a" + std::to_string(j));
       }
       emit_kernel_combine(out, g, op.node, "i", "    ", operand_exprs);
-      out << "    s[" << op.slot << "] = acc;\n";
-      if (shared) {
-        out << "    k->R[" << op.node << "LL * k->n + i] = acc;\n  }\n";
-      } else {
-        out << "    R[" << op.node << "][i] = acc;\n  }\n";
-      }
+      out << "    s[" << op.slot << "] = acc;\n"
+          << "    k->R[" << op.node << "LL * k->n + i] = acc;\n  }\n";
       break;
     }
     case CompiledOp::Kind::Send:
@@ -247,217 +231,139 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
   }
 }
 
-}  // namespace
+/// One PE function per compiled thread, each with its fixed slot array;
+/// the periodic steady state rolled into a real loop where detect_period
+/// finds one, straight-line code otherwise.
+void emit_pe_function(std::ostringstream& out, const CompiledThread& t,
+                      const Ddg& g) {
+  out << "static void* pe" << t.proc << "_main(void* arg) {\n"
+      << "  kctx_t* k = (kctx_t*)arg;\n"
+      << "  chan_t* chans = k->chans;\n"
+      << "  const double* init = k->init;\n"
+      << "  (void)chans; (void)init;\n"
+      << "  double s[" << (t.num_slots == 0 ? 1 : t.num_slots) << "]; /* "
+      << t.num_slots_ssa << " values, " << t.num_slots
+      << " after liveness reuse */\n";
+  const auto shape = detect_period(t);
+  const auto straight = [&](std::size_t from, std::size_t to) {
+    for (std::size_t j = from; j < to; ++j) {
+      emit_op(out, t, t.ops[j], g, std::to_string(t.ops[j].iter), "");
+    }
+  };
+  if (!shape.has_value()) {
+    straight(0, t.ops.size());
+  } else {
+    straight(0, shape->prologue);
+    // Steady state, rolled: the paper's per-processor subloop.
+    out << "  for (long long r = 0; r < " << shape->reps
+        << "; ++r) { /* steady state: " << shape->period << " ops, +"
+        << shape->iter_shift << " iteration(s) per trip */\n";
+    for (std::size_t j = shape->prologue;
+         j < shape->prologue + shape->period; ++j) {
+      const CompiledOp& op = t.ops[j];
+      const std::string expr = "(" + std::to_string(op.iter) + " + r * " +
+                               std::to_string(shape->iter_shift) + ")";
+      emit_op(out, t, op, g, expr, " (rolled)");
+    }
+    out << "  }\n";
+    // Epilogue, straight-line (empty when the run divides evenly).
+    straight(shape->prologue +
+                 static_cast<std::size_t>(shape->reps) * shape->period,
+             t.ops.size());
+  }
+  out << "  return 0;\n}\n\n";
+}
 
-std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
-                           const CEmitOptions& opts) {
-  // main() compares every (node, i < N) entry, so N is exactly the
-  // compiled iteration count; a program computing nothing has no N.
-  MIMD_EXPECTS(cp.iterations >= 1);
-  const std::int64_t iterations = cp.iterations;
+/// The kernel: constants, channel runtime, per-call context, PE
+/// functions, and the four exported entries.  Every artifact contains
+/// exactly this text.
+void emit_kernel(std::ostringstream& out, const CompiledProgram& cp,
+                 const Ddg& g) {
   const std::size_t nchans = cp.channels.size();
   const std::size_t nthreads = cp.threads.size();
-  const bool shared = opts.shared_object;
-  // A loadable kernel has no main() to self-check in; its loader
-  // (runtime/jit_compiler.cpp) validates differentially instead.
-  const bool self_check = opts.self_check && !shared;
-
-  std::ostringstream out;
-  out << "/* Generated by mimd-pattern-sched: partitioned MIMD loop"
-      << (shared ? " (loadable kernel)" : "") << ".\n"
-      << " * Lowered from the same CompiledProgram the in-process executor\n"
-      << " * runs: per-thread slot arrays ("
-      << cp.total_slots() << " slots total, " << cp.total_slots_ssa()
-      << " before liveness reuse) and lock-free C11 SPSC value rings.\n";
-  if (shared) {
-    out << " * Build: cc -O2 -std=c11 -shared -fPIC this_file.c\n"
-        << " * Entries: mimd_kernel_ctx_create(n, init, R) wires a per-call\n"
-        << " * context that runs the compiled iterations with init[v] as\n"
-        << " * node v's pre-loop value, writing node v, iteration i to\n"
-        << " * R[v * n + i]; the caller enters mimd_kernel_run_on(ctx, t)\n"
-        << " * once per thread t, all concurrently, then\n"
-        << " * mimd_kernel_ctx_destroy(ctx).  mimd_kernel_info is the\n"
-        << " * loader's ABI handshake. */\n";
-  } else {
-    out << " * Build: cc -O2 -std=c11 -pthread this_file.c\n";
-    if (self_check) {
-      out << " * Exit status 0 and a final \"OK\" line mean the parallel\n"
-          << " * execution matched sequential execution bit for bit. */\n";
-    } else {
-      out << " * Self-check SKIPPED (--no-check): standalone benchmark\n"
-          << " * artifact — prints parallel wall time and a result fold;\n"
-          << " * validate the loop once with the checking emission first. "
-             "*/\n";
-    }
-  }
-  out << "#include <sched.h>\n"
-      << "#include <stdatomic.h>\n";
-  if (shared) {
-    out << "#include <stdlib.h>\n";
-  } else {
-    out << "#include <pthread.h>\n"
-        << "#include <stdio.h>\n";
-    if (!self_check) {
-      out << "#include <time.h>\n";
-    }
-  }
-  out << "\n#define N " << iterations << "LL\n"
+  out << "\n#define N " << cp.iterations << "LL\n"
       << "#define NODES " << g.num_nodes() << "\n\n";
-  if (!shared) {
-    if (self_check) {
-      out << "/* R[v][i]: written only by the thread computing (v, i);\n"
-          << " * SEQ[v][i]: the in-program sequential recompute. */\n"
-          << "static double R[NODES][N];\n"
-          << "static double SEQ[NODES][N];\n\n";
-    } else {
-      out << "/* R[v][i]: written only by the thread computing (v, i). */\n"
-          << "static double R[NODES][N];\n\n";
-    }
-  }
-
   emit_channel_runtime(out);
 
-  if (shared) {
-    // Per-call context: channel rings (storage + cursors) and the
-    // caller's buffers.  calloc-zeroed state is exactly the valid empty-
-    // ring state the static emission relies on, and heap-allocating it
-    // per call makes one loaded kernel reentrant.
-    out << "/* Per-call context: every piece of mutable state, so one\n"
-        << " * loaded kernel can serve concurrent invocations. */\n"
-        << "typedef struct {\n";
-    for (std::size_t c = 0; c < nchans; ++c) {
-      const ChannelDesc& d = cp.channels[c];
-      out << "  double chan" << c << "_buf[" << ring_capacity(d.messages)
-          << "]; /* edge " << d.edge << ", PE" << d.src_proc << " -> PE"
-          << d.dst_proc << ", " << d.messages << " messages */\n";
-    }
-    out << "  chan_t chans[" << (nchans == 0 ? 1 : nchans) << "];\n"
-        << "  double* R;          /* caller's NODES x n row-major matrix "
-           "*/\n"
-        << "  long long n;        /* row stride (>= N) */\n"
-        << "  const double* init; /* caller's per-node pre-loop values */\n"
-        << "} kctx_t;\n\n";
-  } else {
-    // Channel storage: one static buffer per channel, sized by the shared
-    // ring_capacity policy (runtime/spsc_ring.hpp) from the channel's
-    // exact message count — the same capacity the in-process executor
-    // would give its SpscChannel for this program.
-    for (std::size_t c = 0; c < nchans; ++c) {
-      const ChannelDesc& d = cp.channels[c];
-      out << "static double chan" << c << "_buf["
-          << ring_capacity(d.messages) << "]; /* edge " << d.edge << ", PE"
-          << d.src_proc << " -> PE" << d.dst_proc << ", " << d.messages
-          << " messages */\n";
-    }
-    out << "static chan_t chans[" << (nchans == 0 ? 1 : nchans) << "];\n\n";
+  // Per-call context: channel buffers (storage + cursors) and the
+  // caller's buffers.  calloc-zeroed state is exactly the valid empty-
+  // channel state, and heap-allocating it per call makes one loaded
+  // kernel reentrant.
+  out << "/* Per-call context: every piece of mutable state, so one\n"
+      << " * loaded kernel can serve concurrent invocations. */\n"
+      << "typedef struct {\n";
+  for (std::size_t c = 0; c < nchans; ++c) {
+    const ChannelDesc& d = cp.channels[c];
+    out << "  double chan" << c << "_buf[" << ring_capacity(d.messages)
+        << "]; /* edge " << d.edge << ", PE" << d.src_proc << " -> PE"
+        << d.dst_proc << ", " << d.messages << " messages */\n";
   }
+  out << "  chan_t chans[" << (nchans == 0 ? 1 : nchans) << "];\n"
+      << "  double* R;          /* caller's NODES x n row-major matrix "
+         "*/\n"
+      << "  long long n;        /* row stride (>= N) */\n"
+      << "  const double* init; /* caller's per-node pre-loop values */\n"
+      << "} kctx_t;\n\n";
 
-  // One function per compiled thread, each with its fixed slot array.
-  for (const CompiledThread& t : cp.threads) {
-    out << "static void* pe" << t.proc << "_main(void* arg) {\n";
-    if (shared) {
-      // Local aliases keep the per-op emission textually identical to the
-      // standalone mode's file-static storage.
-      out << "  kctx_t* k = (kctx_t*)arg;\n"
-          << "  chan_t* chans = k->chans;\n"
-          << "  const double* init = k->init;\n"
-          << "  (void)chans; (void)init;\n";
-    } else {
-      out << "  (void)arg;\n";
-    }
-    out << "  double s[" << (t.num_slots == 0 ? 1 : t.num_slots)
-        << "]; /* " << t.num_slots_ssa << " values, " << t.num_slots
-        << " after liveness reuse */\n";
-    const auto shape =
-        opts.roll_steady_state ? detect_period(t) : std::nullopt;
-    if (!shape.has_value()) {
-      for (const CompiledOp& op : t.ops) {
-        emit_op(out, t, op, g, std::to_string(op.iter), "", shared);
-      }
-    } else {
-      // Prologue, straight-line.
-      for (std::size_t j = 0; j < shape->prologue; ++j) {
-        emit_op(out, t, t.ops[j], g, std::to_string(t.ops[j].iter), "",
-                shared);
-      }
-      // Steady state, rolled: the paper's per-processor subloop.
-      out << "  for (long long r = 0; r < " << shape->reps
-          << "; ++r) { /* steady state: " << shape->period << " ops, +"
-          << shape->iter_shift << " iteration(s) per trip */\n";
-      for (std::size_t j = shape->prologue;
-           j < shape->prologue + shape->period; ++j) {
-        const CompiledOp& op = t.ops[j];
-        const std::string expr = "(" + std::to_string(op.iter) + " + r * " +
-                                 std::to_string(shape->iter_shift) + ")";
-        emit_op(out, t, op, g, expr, " (rolled)", shared);
-      }
-      out << "  }\n";
-      // Epilogue, straight-line (empty when the run divides evenly).
-      for (std::size_t j = shape->prologue +
-                           static_cast<std::size_t>(shape->reps) *
-                               shape->period;
-           j < t.ops.size(); ++j) {
-        emit_op(out, t, t.ops[j], g, std::to_string(t.ops[j].iter), "",
-                shared);
-      }
-    }
-    out << "  return 0;\n}\n\n";
+  for (const CompiledThread& t : cp.threads) emit_pe_function(out, t, g);
+
+  // The ABI handshake constant and the entry functions a loader dlsym()s.
+  // Symbols are exported by default in a plain -shared build; the file is
+  // C, so no mangling.  The host allocates one context per run, enters
+  // run_on once per compiled thread on its own (pooled) workers — all ids
+  // concurrently, the PE bodies rendezvous through the ctx's channels —
+  // then destroys the context.
+  out << "/* ABI handshake for the loader: version, result rows,\n"
+      << " * compiled iteration count, thread count. */\n"
+      << "typedef struct {\n"
+      << "  long long abi_version;\n"
+      << "  long long nodes;\n"
+      << "  long long iterations;\n"
+      << "  long long threads;\n"
+      << "} mimd_kernel_info_t;\n"
+      << "const mimd_kernel_info_t mimd_kernel_info = {" << kKernelAbiVersion
+      << ", NODES, N, " << nthreads << "};\n\n"
+      << "void* mimd_kernel_ctx_create(long long n, const double* init, "
+         "double* R) {\n"
+      << "  if (n < N || !init || !R) return 0;\n"
+      << "  kctx_t* k = (kctx_t*)calloc(1, sizeof(kctx_t));\n"
+      << "  if (!k) return 0; /* zeroed = valid empty-channel state */\n";
+  for (std::size_t c = 0; c < nchans; ++c) {
+    out << "  k->chans[" << c << "].buf = k->chan" << c << "_buf;\n";
   }
-
-  if (shared) {
-    // Loadable-kernel entry points: the ABI handshake constant and the
-    // entry functions the loader dlsym()s.  Symbols are exported by
-    // default in a plain -shared build; the file is C, so no mangling.
-    // The host allocates one context per run, enters run_on once per
-    // compiled thread on its own (pooled) workers — all ids concurrently,
-    // the PE bodies rendezvous through the ctx's rings — then destroys
-    // the context.
-    out << "/* ABI handshake for the loader: version, result rows,\n"
-        << " * compiled iteration count, thread count. */\n"
-        << "typedef struct {\n"
-        << "  long long abi_version;\n"
-        << "  long long nodes;\n"
-        << "  long long iterations;\n"
-        << "  long long threads;\n"
-        << "} mimd_kernel_info_t;\n"
-        << "const mimd_kernel_info_t mimd_kernel_info = {"
-        << kKernelAbiVersion << ", NODES, N, " << nthreads << "};\n\n"
-        << "void* mimd_kernel_ctx_create(long long n, const double* init, "
-           "double* R) {\n"
-        << "  if (n < N || !init || !R) return 0;\n"
-        << "  kctx_t* k = (kctx_t*)calloc(1, sizeof(kctx_t));\n"
-        << "  if (!k) return 0; /* zeroed = valid empty-ring state */\n";
-    for (std::size_t c = 0; c < nchans; ++c) {
-      out << "  k->chans[" << c << "].buf = k->chan" << c << "_buf;\n"
-          << "  k->chans[" << c << "].mask = "
-          << ring_capacity(cp.channels[c].messages) - 1 << ";\n";
-    }
-    out << "  k->R = R;\n"
-        << "  k->n = n;\n"
-        << "  k->init = init;\n"
-        << "  return k;\n}\n\n"
-        << "int mimd_kernel_run_on(void* ctx, long long thread_id) {\n"
-        << "  kctx_t* k = (kctx_t*)ctx;\n"
-        << "  if (!k || thread_id < 0 || thread_id >= " << nthreads
-        << ") return 1;\n"
-        << "  switch (thread_id) {\n";
-    for (std::size_t i = 0; i < nthreads; ++i) {
-      // run_on indexes compiled threads in program order; the PE number
-      // in the function name is diagnostic only.
-      out << "  case " << i << ": pe" << cp.threads[i].proc
-          << "_main(k); break;\n";
-    }
-    out << "  default: return 1;\n  }\n  return 0;\n}\n\n"
-        << "void mimd_kernel_ctx_destroy(void* ctx) {\n"
-        << "  free(ctx);\n"
-        << "}\n";
-    return out.str();
+  out << "  k->R = R;\n"
+      << "  k->n = n;\n"
+      << "  k->init = init;\n"
+      << "  return k;\n}\n\n"
+      << "int mimd_kernel_run_on(void* ctx, long long thread_id) {\n"
+      << "  kctx_t* k = (kctx_t*)ctx;\n"
+      << "  if (!k || thread_id < 0 || thread_id >= " << nthreads
+      << ") return 1;\n"
+      << "  switch (thread_id) {\n";
+  for (std::size_t i = 0; i < nthreads; ++i) {
+    // run_on indexes compiled threads in program order; the PE number in
+    // the function name is diagnostic only.
+    out << "  case " << i << ": pe" << cp.threads[i].proc
+        << "_main(k); break;\n";
   }
+  out << "  default: return 1;\n  }\n  return 0;\n}\n\n"
+      << "void mimd_kernel_ctx_destroy(void* ctx) {\n"
+      << "  free(ctx);\n"
+      << "}\n";
+}
 
-  if (self_check) {
-    // Sequential reference: same kernel, same fold order, node order from
-    // the library's own intra-iteration topological sort.
-    out << "static void sequential(void) {\n"
+/// A program's driver: one pthread per compiled thread entering
+/// mimd_kernel_run_on, then the self-check (`checked`) or the timing
+/// report.
+void emit_driver(std::ostringstream& out, const CompiledProgram& cp,
+                 const Ddg& g, bool checked) {
+  const std::size_t nthreads = cp.threads.size();
+  out << "\n/* ---- Driver: one thread per mimd_kernel_run_on entry ---- */\n";
+  if (checked) {
+    // Sequential reference: same combine, same fold order, node order
+    // from the library's own intra-iteration topological sort.
+    out << "static double SEQ[NODES][N];\n\n"
+        << "static void sequential(void) {\n"
         << "  for (long long i = 0; i < N; ++i) {\n";
     for (const NodeId v : topo_order_intra(g)) {
       std::vector<std::string> operand_exprs;
@@ -475,46 +381,123 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
     }
     out << "  }\n}\n\n";
   }
-
-  out << "int main(void) {\n";
-  for (std::size_t c = 0; c < nchans; ++c) {
-    out << "  chans[" << c << "].buf = chan" << c << "_buf;\n"
-        << "  chans[" << c << "].mask = "
-        << ring_capacity(cp.channels[c].messages) - 1 << ";\n";
+  out << "typedef struct {\n"
+      << "  void* ctx;\n"
+      << "  long long id;\n"
+      << "} pe_arg_t;\n\n"
+      << "static void* pe_thread(void* p) {\n"
+      << "  pe_arg_t* a = (pe_arg_t*)p;\n"
+      << "  (void)mimd_kernel_run_on(a->ctx, a->id);\n"
+      << "  return 0;\n}\n\n"
+      << "int main(void) {\n"
+      << "  static const double init[NODES] = {";
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    out << (v == 0 ? "" : ", ") << fmt_double(initial_value(v));
   }
-  out << "  pthread_t th[" << (nthreads == 0 ? 1 : nthreads) << "];\n"
-      << "  int t = 0;\n";
-  if (!self_check) {
+  out << "};\n"
+      << "  double* R = (double*)calloc((size_t)NODES * (size_t)N, "
+         "sizeof(double));\n"
+      << "  void* ctx = R ? mimd_kernel_ctx_create(N, init, R) : 0;\n"
+      << "  if (!ctx) { printf(\"OUT OF MEMORY\\n\"); return 1; }\n"
+      << "  pthread_t th[" << nthreads << "];\n"
+      << "  pe_arg_t arg[" << nthreads << "];\n";
+  if (!checked) {
     out << "  struct timespec t0, t1;\n"
         << "  clock_gettime(CLOCK_MONOTONIC, &t0);\n";
   }
-  for (const CompiledThread& t : cp.threads) {
-    out << "  pthread_create(&th[t++], 0, pe" << t.proc << "_main, 0);\n";
-  }
-  out << "  for (int j = 0; j < t; ++j) pthread_join(th[j], 0);\n\n";
-  if (self_check) {
-    out << "  sequential();\n"
+  out << "  for (long long t = 0; t < " << nthreads << "; ++t) {\n"
+      << "    arg[t].ctx = ctx;\n"
+      << "    arg[t].id = t;\n"
+      << "    if (pthread_create(&th[t], 0, pe_thread, &arg[t]) != 0) {\n"
+      << "      printf(\"pthread_create failed\\n\");\n"
+      << "      return 1;\n"
+      << "    }\n"
+      << "  }\n"
+      << "  for (long long t = 0; t < " << nthreads
+      << "; ++t) pthread_join(th[t], 0);\n";
+  if (checked) {
+    out << "  mimd_kernel_ctx_destroy(ctx);\n\n"
+        << "  sequential();\n"
         << "  long long bad = 0;\n"
         << "  for (int v = 0; v < NODES; ++v)\n"
         << "    for (long long i = 0; i < N; ++i)\n"
-        << "      if (R[v][i] != SEQ[v][i]) ++bad;\n"
+        << "      if (R[v * N + i] != SEQ[v][i]) ++bad;\n"
+        << "  free(R);\n"
         << "  if (bad) { printf(\"MISMATCH %lld\\n\", bad); return 1; }\n"
         << "  printf(\"OK\\n\");\n  return 0;\n}\n";
   } else {
-    // Standalone-benchmark epilogue: wall time around the parallel
-    // section plus a fold of every computed value, so the compiler cannot
-    // discard the work and two runs of one binary are comparable.
+    // Timing epilogue: wall time around the parallel section plus a fold
+    // of every computed value, so the compiler cannot discard the work
+    // and two runs of one binary are comparable.
     out << "  clock_gettime(CLOCK_MONOTONIC, &t1);\n"
+        << "  mimd_kernel_ctx_destroy(ctx);\n"
         << "  double secs = (double)(t1.tv_sec - t0.tv_sec) +\n"
         << "                1e-9 * (double)(t1.tv_nsec - t0.tv_nsec);\n"
         << "  double fold = 0.0;\n"
-        << "  for (int v = 0; v < NODES; ++v)\n"
-        << "    for (long long i = 0; i < N; ++i)\n"
-        << "      fold += R[v][i];\n"
+        << "  for (long long j = 0; j < (long long)NODES * N; ++j) "
+           "fold += R[j];\n"
+        << "  free(R);\n"
         << "  printf(\"PARALLEL %lld iterations  %.9f s  fold %.17g  "
            "(self-check skipped)\\n\",\n"
         << "         N, secs, fold);\n"
         << "  return 0;\n}\n";
+  }
+}
+
+}  // namespace
+
+std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
+                           const CEmitOptions& opts) {
+  // The self-check compares every (node, i < N) entry, so N is exactly
+  // the compiled iteration count; a program computing nothing has no N.
+  MIMD_EXPECTS(cp.iterations >= 1);
+  const CArtifact artifact = opts.artifact;
+  const bool kernel_only = artifact == CArtifact::Kernel;
+
+  std::ostringstream out;
+  out << "/* Generated by mimd-pattern-sched: partitioned MIMD loop"
+      << (kernel_only ? " (loadable kernel)" : "") << ".\n"
+      << " * Lowered from the same CompiledProgram the in-process executor\n"
+      << " * runs: per-thread slot arrays (" << cp.total_slots()
+      << " slots total, " << cp.total_slots_ssa()
+      << " before liveness reuse)\n"
+      << " * and single-use C11 SPSC value buffers.\n";
+  switch (artifact) {
+    case CArtifact::Kernel:
+      out << " * Build: cc -O2 -std=c11 -shared -fPIC this_file.c\n"
+          << " * Entries: mimd_kernel_ctx_create(n, init, R) wires a "
+             "per-call\n"
+          << " * context that runs the compiled iterations with init[v] as\n"
+          << " * node v's pre-loop value, writing node v, iteration i to\n"
+          << " * R[v * n + i]; the caller enters mimd_kernel_run_on(ctx, t)\n"
+          << " * once per thread t, all concurrently, then\n"
+          << " * mimd_kernel_ctx_destroy(ctx).  mimd_kernel_info is the\n"
+          << " * loader's ABI handshake. */\n";
+      break;
+    case CArtifact::CheckedProgram:
+      out << " * Build: cc -O2 -std=c11 -pthread this_file.c\n"
+          << " * Exit status 0 and a final \"OK\" line mean the parallel\n"
+          << " * execution matched sequential execution bit for bit. */\n";
+      break;
+    case CArtifact::TimingProgram:
+      out << " * Build: cc -O2 -std=c11 -pthread this_file.c\n"
+          << " * Self-check SKIPPED (--no-check): standalone benchmark\n"
+          << " * artifact — prints parallel wall time and a result fold;\n"
+          << " * validate the loop once with the checking emission first. "
+             "*/\n";
+      break;
+  }
+  out << "#include <sched.h>\n"
+      << "#include <stdatomic.h>\n"
+      << "#include <stdlib.h>\n";
+  if (!kernel_only) {
+    out << "#include <pthread.h>\n"
+        << "#include <stdio.h>\n";
+    if (artifact == CArtifact::TimingProgram) out << "#include <time.h>\n";
+  }
+  emit_kernel(out, cp, g);
+  if (!kernel_only) {
+    emit_driver(out, cp, g, artifact == CArtifact::CheckedProgram);
   }
   return out.str();
 }

@@ -1,25 +1,31 @@
-// C code generation: emit a complete, compilable C11 + pthreads program
-// that executes a partitioned loop on real threads — the final artifact a
-// parallelizing compiler of the paper's era would hand to the system
-// compiler.
+// C code generation: emit compilable C11 that executes a partitioned loop
+// on real threads — the final artifact a parallelizing compiler of the
+// paper's era would hand to the system compiler.
 //
 // The backend consumes the same CompiledProgram the in-process executor
 // runs (partition/compiled_program.hpp): one lowering pipeline, no private
-// name-to-slot or name-to-channel resolution here.  Layout of the
-// generated program:
+// name-to-slot or name-to-channel resolution here.  Every artifact is
+// built around one kernel:
 //  * one fixed-size slot array per thread (`double s[num_slots]`, sized by
 //    the liveness-based reuse pass — O(live values), not O(ops));
 //  * one value-carrying channel per (edge, src proc, dst proc) pair: a C11
-//    `stdatomic.h` single-producer/single-consumer ring mirroring
-//    runtime/spsc_ring.hpp — cache-line-separated cursors,
-//    acquire/release publication, spin-then-yield waits — sized to the
-//    channel's exact message count by the ring_capacity policy that
-//    header shares with the executor, so sends never block;
-//  * one thread per processor running its compiled op sequence; computed
-//    values are also stored to a global results array R[node][iter]
+//    `stdatomic.h` single-use SPSC buffer mirroring runtime/spsc_ring.hpp,
+//    holding exactly the channel's message count (ring_capacity, the
+//    sizing that header shares with the executor) — a send is one store
+//    plus a release-publish and never waits, a receive waits
+//    spin-then-yield on its own cache line;
+//  * one PE function per compiled thread running its op sequence, each
+//    thread's periodic steady state rolled into a real `for` loop like
+//    the paper's Figure 7(e) (straight-line code where no period is
+//    found); computed values go to the caller's row-major result matrix
 //    (single writer per entry);
-//  * a main() that runs the threads, recomputes everything sequentially,
-//    and reports "OK" iff the parallel values match bit for bit.
+//  * all mutable state in one heap-allocated context per call, so a
+//    loaded kernel is reentrant, plus the four exported entries below.
+// A program (`mimdc --c`) is that kernel, byte for byte, plus a driver:
+// a main() that starts one pthread per compiled thread, each entering
+// mimd_kernel_run_on, then recomputes everything sequentially and prints
+// "OK" iff the parallel values match bit for bit (or, as a timing
+// program, prints the parallel wall time and a fold of the results).
 //
 // Node semantics: the same synthetic combine the in-process executors use
 // (runtime/kernels.hpp, work knob 0), emitted as C — identical operations
@@ -33,33 +39,25 @@
 
 namespace mimd {
 
-/// The mimd_kernel_info.abi_version a shared_object kernel exports and
-/// the loader (runtime/jit_compiler.cpp) requires.
+/// The mimd_kernel_info.abi_version a kernel exports and the loader
+/// (runtime/jit_compiler.cpp) requires.
 inline constexpr long long kKernelAbiVersion = 2;
 
-struct CEmitOptions {
-  /// Detect each thread's periodic steady state (the pattern made it
-  /// periodic by construction) and emit it as a real `for` loop — prologue
-  /// straight-line, kernel rolled, epilogue straight-line — like the
-  /// paper's Figure 7(e).  Streams without at least three detected
-  /// repetitions fall back to fully unrolled straight-line code, which is
-  /// always correct.
-  bool roll_steady_state = true;
-  /// Emit the sequential recompute + bitwise comparison into main()
-  /// (default).  false (`mimdc --c --no-check`): skip the self-validation
-  /// entirely — no SEQ array, no sequential() function — and emit a
-  /// timing harness instead (CLOCK_MONOTONIC around the parallel section,
-  /// a fold of the results printed so the work is observably live), so
-  /// the emitted artifact serves as a standalone benchmark.  Validate a
-  /// loop once with the default before timing it with --no-check.
-  bool self_check = true;
-  /// Emit a loadable kernel instead of a standalone program (the JIT
-  /// backend, runtime/jit_compiler.hpp): no main(), no self-check, no
-  /// static result/channel storage.  All mutable state (channel rings +
-  /// cursors, result pointer) lives in a heap-allocated context, so one
-  /// loaded kernel is reentrant.  The caller owns the thread team, so a
-  /// host runs the kernel's PE bodies on its own persistent worker pool.
-  /// Exports
+/// What emit_c_program produces.
+enum class CArtifact {
+  /// The kernel plus a self-checking driver: main() runs the parallel
+  /// threads, recomputes sequentially, and prints "OK" (exit 0) iff every
+  /// value matches bit for bit, "MISMATCH <count>" (exit 1) otherwise.
+  CheckedProgram,
+  /// The kernel plus a timing driver (`mimdc --c --no-check`): no
+  /// sequential recompute; CLOCK_MONOTONIC around the parallel section and
+  /// a fold of the results printed, so the work is observably live and
+  /// the artifact serves as a standalone benchmark.  Validate a loop once
+  /// with CheckedProgram before timing it.
+  TimingProgram,
+  /// The loadable kernel alone (the JIT backend, runtime/jit_compiler.hpp):
+  /// no main(), no thread creation — the caller owns the threads, so a
+  /// host runs the PE bodies on its own worker pool.  Exports
   ///
   ///   const mimd_kernel_info_t mimd_kernel_info
   ///     = {abi_version, nodes, iterations, threads} (four long longs), so
@@ -76,16 +74,18 @@ struct CEmitOptions {
   ///     compiled thread `thread_id`'s whole op stream on the calling
   ///     thread; enter exactly once per thread_id in [0, threads), all
   ///     ids concurrently (the PE bodies rendezvous through the ctx's
-  ///     channel rings, so running them sequentially deadlocks); 0 on
-  ///     success, nonzero on a bad argument;
+  ///     channels, so running them sequentially deadlocks); 0 on success,
+  ///     nonzero on a bad argument;
   ///   void mimd_kernel_ctx_destroy(void* ctx) — release the context
   ///     after every run_on returned.
-  ///
-  /// Incompatible with self_check; rolling applies as usual.
-  bool shared_object = false;
+  Kernel,
 };
 
-/// Emit the full C translation unit executing `cp` (compiled from the
+struct CEmitOptions {
+  CArtifact artifact = CArtifact::CheckedProgram;
+};
+
+/// Emit the C translation unit executing `cp` (compiled from the
 /// partitioned program via compile_program) over cp.iterations of `g` —
 /// the emitted self-check compares every (node, i < cp.iterations) value,
 /// so the count is not a free parameter.  cp must compute at least one

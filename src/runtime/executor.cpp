@@ -64,11 +64,11 @@ void execute(const CompiledProgram& cp, const Ddg& g,
     }
   };
 
-  // One task per compiled thread, in the spawn (= pinning) order frozen
-  // at compile() time.  Spawn-vs-pool and the rotating pinned-slice
-  // policy live in run_indexed_gang (runtime/worker_pool.hpp), shared
-  // with the JIT's pooled kernel dispatch so both executors place
-  // compiled thread i identically.
+  // One task per compiled thread, in the (pinning) order frozen at
+  // compile() time.  The pool choice and the rotating pinned-slice policy
+  // live in run_indexed_gang (runtime/worker_pool.hpp), shared with the
+  // JIT's pooled kernel dispatch so both executors place compiled thread
+  // i identically.
   run_indexed_gang(opts.pool, cp.threads.size(), opts.pin_threads,
                    [&](std::size_t i) { worker(cp.threads[i]); });
 }
@@ -95,10 +95,10 @@ ExecutionResult ExecutorPlan::run(std::int64_t n,
   std::vector<std::unique_ptr<SpscChannel>> chans;
   chans.reserve(compiled_.channels.size());
   for (const ChannelDesc& c : compiled_.channels) {
-    // ring_capacity is the shared policy: the generated-C backend sizes
-    // its emitted rings with the same call.
-    chans.push_back(std::make_unique<SpscChannel>(
-        ring_capacity(c.messages, opts.channel_capacity)));
+    // ring_capacity is the shared sizing: the generated-C backend sizes
+    // its emitted buffers with the same call.
+    chans.push_back(
+        std::make_unique<SpscChannel>(ring_capacity(c.messages)));
   }
   const auto t0 = std::chrono::steady_clock::now();
   execute(compiled_, graph_, chans, opts, res);

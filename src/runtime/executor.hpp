@@ -1,5 +1,5 @@
-// Threaded MIMD executor: runs a PartitionedProgram on real std::threads,
-// one per processor, communicating through point-to-point FIFO channels —
+// Threaded MIMD executor: runs a PartitionedProgram on real threads, one
+// per processor, communicating through point-to-point FIFO channels —
 // the closest thing to the paper's target machine available on a
 // shared-memory multicore (per-value message passing, asynchronous
 // processors, no global clock).
@@ -12,8 +12,11 @@
 // compile() lowers the interpreted program to the slot-resolved
 // CompiledProgram form (partition/compiled_program.hpp): dense channel
 // ids, per-thread flat slot arrays, and pre-resolved operand descriptors —
-// no associative lookups remain on the run() path.  Every channel is a
-// lock-free SPSC ring (runtime/spsc_ring.hpp).
+// no associative lookups remain on the run() path.  Every run builds
+// fresh channels, each a single-use SPSC buffer holding exactly the values
+// it carries over the run (runtime/spsc_ring.hpp): a send never waits,
+// only a receive does.  The threads are a WorkerPool's: the caller's, or
+// the process pool (runtime/worker_pool.hpp).
 //
 // Memory discipline (race freedom by construction):
 //  * results[v][i] is written by exactly the thread that computes (v, i);
@@ -44,32 +47,19 @@ class WorkerPool;
 
 struct RunOptions {
   KernelOptions kernel;
-  /// Borrow threads from this persistent pool instead of spawning one
-  /// std::thread per compiled thread for the run (runtime/worker_pool.hpp
-  /// — the plan-service hot path; bench_plan_service measures the gap).
-  /// Null (default): spawn-per-run, the historical behavior.  Non-owning;
-  /// the pool must outlive the run.  Results are bit-identical either way.
+  /// The persistent pool whose workers run the compiled threads
+  /// (runtime/worker_pool.hpp).  Null (default): the process pool,
+  /// process_pool(), built on first use.  Non-owning; the pool must
+  /// outlive the run.  Results are bit-identical on any pool.
   WorkerPool* pool = nullptr;
   /// Pin each compiled thread i to CPU ((slice + i) mod allowed CPUs) for
   /// the duration of the run — the compiled thread order was frozen at
   /// compile() time for exactly this, and the per-run rotating slice
   /// gives concurrent pinned runs disjoint CPU ranges instead of stacking
-  /// them all on the first cores.  Works on both the pool and the spawn
-  /// path; masks restored afterwards; silently a no-op where unsupported
-  /// (affinity_supported()).  A placement hint only: results are
-  /// bit-identical pinned or not.
+  /// them all on the first cores.  Masks restored afterwards; silently a
+  /// no-op where unsupported (affinity_supported()).  A placement hint
+  /// only: results are bit-identical pinned or not.
   bool pin_threads = false;
-  /// 0 (default): size each ring to its exact message count,
-  /// so sends never block.  > 0: cap ring capacity at the next power of
-  /// two >= this value — bounded memory with spin-then-yield backpressure.
-  /// CAVEAT: a cap below a channel's in-flight high-water mark can
-  /// deadlock even a validator-approved program (a full channel's sender
-  /// circularly waiting on a consumer blocked elsewhere); after 30 s the
-  /// stalled ring aborts the process with a diagnostic (std::terminate —
-  /// the error fires on a worker thread whose blocked peers cannot be
-  /// unwound) rather than spin silently.  Intended for tests and
-  /// benchmarks that deliberately exercise backpressure.
-  std::int64_t channel_capacity = 0;
 
   RunOptions() = default;
   // NOLINTNEXTLINE(google-explicit-constructor) — existing call sites pass
@@ -87,11 +77,11 @@ class ExecutorPlan {
   /// Execute the compiled iterations: `n` must equal
   /// program().iterations (ContractViolation otherwise, before any thread
   /// starts — a plan must not hand back rows it never computed).  Mid-run
-  /// channel violations (FIFO tag mismatch — which a compiled program
-  /// cannot trigger — or a capped ring stalled 30 s) are fatal: they fire
-  /// on a worker thread, where the escaping exception is std::terminate
-  /// with the violation message, because a failed worker cannot unwind
-  /// the peers blocked on its channels.
+  /// channel violations (a FIFO tag mismatch or a send past its buffer,
+  /// neither of which a compiled program can trigger) are fatal: they
+  /// fire on a worker thread, where the escaping exception is
+  /// std::terminate with the violation message, because a failed worker
+  /// cannot unwind the peers blocked on its channels.
   [[nodiscard]] ExecutionResult run(std::int64_t n,
                                     const RunOptions& opts = {}) const;
 
@@ -108,7 +98,7 @@ class ExecutorPlan {
 
 /// Validate (find_program_violation) and compile `prog` into a reusable
 /// plan.  Channel table, slot resolution (liveness-based reuse), and
-/// thread spawn order are all fixed here, amortized across every
+/// thread order are all fixed here, amortized across every
 /// subsequent run().  `copts` does not change the plan: it names the
 /// mid-end that produced `prog`, which only the cache key needs
 /// (CompileOptions::opt, folded by structural_hash).

@@ -46,10 +46,14 @@ namespace mimd {
 
 namespace {
 
+/// Background-compile queue bound; excess enqueues are dropped (the slot
+/// reverts to Empty and a later cache hit re-enqueues).
+constexpr std::size_t kJitQueueCapacity = 64;
+
 #ifndef MIMD_JIT_DISABLED_REASON
 
-std::string scratch_root(const JitOptions& opts) {
-  if (!opts.scratch_dir.empty()) return opts.scratch_dir;
+/// Scratch directory for .c/.so artifacts: $TMPDIR, else /tmp.
+std::string scratch_root() {
   if (const char* t = std::getenv("TMPDIR"); t != nullptr && *t != '\0') {
     return t;
   }
@@ -57,10 +61,10 @@ std::string scratch_root(const JitOptions& opts) {
 }
 
 /// A fresh scratch-path stem, unique within and across processes.
-std::string scratch_stem(const JitOptions& opts) {
+std::string scratch_stem() {
   static std::atomic<std::uint64_t> counter{0};
   std::ostringstream s;
-  s << scratch_root(opts) << "/mimd-jit-" << ::getpid() << "-"
+  s << scratch_root() << "/mimd-jit-" << ::getpid() << "-"
     << counter.fetch_add(1);
   return s.str();
 }
@@ -86,13 +90,12 @@ std::string read_excerpt(const std::string& path, std::size_t max_bytes) {
   return text;
 }
 
-/// cc -O2 -std=c11 -shared -fPIC -pthread <extra> -o so c 2> err.
+/// cc -O2 -std=c11 -shared -fPIC -pthread -o so c 2> err.
 /// Returns the system() status; nonzero means "read err".
 int run_toolchain(const JitOptions& opts, const ScratchFiles& f) {
   std::ostringstream cmd;
-  cmd << opts.cc << " -O2 -std=c11 -shared -fPIC -pthread";
-  if (!opts.extra_flags.empty()) cmd << ' ' << opts.extra_flags;
-  cmd << " -o " << f.so << ' ' << f.c << " 2> " << f.err;
+  cmd << opts.cc << " -O2 -std=c11 -shared -fPIC -pthread -o " << f.so
+      << ' ' << f.c << " 2> " << f.err;
   return std::system(cmd.str().c_str());  // NOLINT(cert-env33-c)
 }
 
@@ -101,13 +104,13 @@ struct ProbeResult {
   std::string reason;
 };
 
-/// Compile + load + call a trivial kernel once per (cc, extra_flags)
-/// pair, process-wide.  Many PlanCaches (test suites construct dozens)
-/// share one probe; the map is tiny and never shrinks.
+/// Compile + load + call a trivial kernel once per cc, process-wide.
+/// Many PlanCaches (test suites construct dozens) share one probe; the
+/// map is tiny and never shrinks.
 const ProbeResult& probe_toolchain(const JitOptions& opts) {
   static std::mutex mu;
   static std::map<std::string, ProbeResult> cache;
-  const std::string key = opts.cc + "\x1f" + opts.extra_flags;
+  const std::string& key = opts.cc;
 
   const std::lock_guard<std::mutex> lock(mu);
   const auto it = cache.find(key);
@@ -115,7 +118,7 @@ const ProbeResult& probe_toolchain(const JitOptions& opts) {
 
   ProbeResult r;
   ScratchFiles f;
-  const std::string stem = scratch_stem(opts);
+  const std::string stem = scratch_stem();
   f.c = stem + ".c";
   f.so = stem + ".so";
   f.err = stem + ".err";
@@ -156,7 +159,7 @@ const ProbeResult& probe_toolchain(const JitOptions& opts) {
 }  // namespace
 
 bool jit_run_eligible(const RunOptions& opts) {
-  return opts.kernel.work_per_cycle == 0 && opts.channel_capacity == 0;
+  return opts.kernel.work_per_cycle == 0;
 }
 
 #ifdef MIMD_JIT_DISABLED_REASON
@@ -234,8 +237,8 @@ ExecutionResult JitKernel::run_pooled(std::int64_t n, WorkerPool* pool,
     throw JitError("native kernel rejected ctx_create");
   }
   // One gang, one task per compiled thread, placed exactly like an
-  // interpreted run: pool workers when available, rotating pinned CPU
-  // slices when requested.  Tasks must not throw on pool threads, so
+  // interpreted run: the caller's pool or the process pool, rotating
+  // pinned CPU slices when requested.  Tasks must not throw, so
   // per-thread failures are collected and raised after the join.
   std::atomic<int> bad{0};
   const auto t0 = std::chrono::steady_clock::now();
@@ -260,14 +263,11 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
   const ProbeResult& probe = probe_toolchain(opts);
   if (!probe.ok) throw JitError(probe.reason);
 
-  CEmitOptions eopts;
-  eopts.shared_object = true;
-  eopts.self_check = false;
-  const std::string source = emit_c_program(plan.program(), plan.graph(),
-                                            eopts);
+  const std::string source = emit_c_program(
+      plan.program(), plan.graph(), CEmitOptions{CArtifact::Kernel});
 
   ScratchFiles f;
-  const std::string stem = scratch_stem(opts);
+  const std::string stem = scratch_stem();
   f.c = stem + ".c";
   f.so = stem + ".so";
   f.err = stem + ".err";
@@ -365,7 +365,7 @@ void JitEngine::enqueue(std::shared_ptr<JitSlot> slot,
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (!stop_ && queue_.size() < opts_.queue_capacity) {
+    if (!stop_ && queue_.size() < kJitQueueCapacity) {
       queue_.push_back(Job{std::move(slot), std::move(plan)});
       cv_.notify_one();
       return;

@@ -1,5 +1,5 @@
 // JIT-compiled native plans: the C backend (partition/c_codegen.hpp,
-// CEmitOptions::shared_object) re-emits a CompiledProgram as a loadable
+// CArtifact::Kernel) re-emits a CompiledProgram as a loadable
 // shared-object kernel, the system toolchain compiles it (`cc -O2 -shared
 // -fPIC -pthread`), and dlopen() turns it into a function pointer the
 // serving stack can call instead of interpreting CompiledOps per
@@ -18,12 +18,14 @@
 //    the compiler thread writes the kernel pointer, then release-stores
 //    Ready; readers acquire-load the state before touching the pointer.
 //  * JitEngine — one low-priority background compiler thread over a
-//    bounded queue, deduplicating by slot state (a slot is enqueued at
-//    most once; concurrent first requests CAS Empty -> Queued and only
-//    one wins).  Toolchain availability is probed once per (cc, flags)
-//    pair process-wide and cached, so constructing many engines (tests)
-//    costs one probe total.  A failed compile marks the slot Failed
-//    permanently — the interpreted plan keeps serving; no retry storms.
+//    bounded queue (64 jobs), deduplicating by slot state (a slot is
+//    enqueued at most once; concurrent first requests CAS Empty -> Queued
+//    and only one wins).  Toolchain availability is probed once per
+//    compiler process-wide and cached, so constructing many engines
+//    (tests) costs one probe total.  A failed compile marks the slot
+//    Failed permanently — the interpreted plan keeps serving; no retry
+//    storms.  Scratch .c/.so files go to $TMPDIR (or /tmp) and are
+//    unlinked right after dlopen.
 //
 // Degradation: hosts without a working toolchain, builds with
 // MIMD_ENABLE_JIT=OFF (-DMIMD_JIT_DISABLED), and ThreadSanitizer builds
@@ -56,17 +58,8 @@ class JitError : public std::runtime_error {
 };
 
 struct JitOptions {
-  /// Toolchain driver; probed once per (cc, extra_flags) process-wide.
+  /// Toolchain driver; probed once per driver process-wide.
   std::string cc = "cc";
-  /// Extra flags appended verbatim to the compile command (sanitizer
-  /// builds would pass matching instrumentation flags here).
-  std::string extra_flags;
-  /// Scratch directory for .c/.so artifacts; empty = $TMPDIR or /tmp.
-  /// Artifacts are unlinked right after dlopen.
-  std::string scratch_dir;
-  /// Background-compile queue bound; excess enqueues are dropped (the
-  /// slot reverts to Empty and a later cache hit re-enqueues).
-  std::size_t queue_capacity = 64;
 };
 
 /// A loaded native kernel.  Immutable and thread-compatible: run_pooled()
@@ -80,11 +73,11 @@ class JitKernel {
   JitKernel& operator=(const JitKernel&) = delete;
 
   /// Execute the compiled iterations (n == iterations(); ContractViolation
-  /// otherwise, before any thread starts) on caller-provided threads: one context, one gang of
-  /// threads() tasks dispatched through run_indexed_gang
-  /// (runtime/worker_pool.hpp) — `pool`'s persistent workers when
-  /// non-null (no pthread_create anywhere on the warm path), fresh
-  /// threads otherwise.  `pin_threads` applies the same rotating
+  /// otherwise, before any thread starts) on pool threads: one context,
+  /// one gang of threads() tasks dispatched through run_indexed_gang
+  /// (runtime/worker_pool.hpp) — `pool`'s persistent workers, or the
+  /// process pool when null (no pthread_create anywhere on the warm
+  /// path).  `pin_threads` applies the same rotating
   /// CPU-slice pinning as the interpreted executor.  Initial values are
   /// the library defaults (initial_value(v)), matching the interpreted
   /// executor; the result is bit-identical with ExecutorPlan::run on a
@@ -121,15 +114,15 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
                                              const JitOptions& opts = {});
 
 /// True iff a native kernel computes exactly what plan.run(n, opts)
-/// would: default kernel (work_per_cycle 0) and uncapped channels.
+/// would: the default kernel (work_per_cycle 0).
 /// pin_threads does not disqualify a run — the kernel executes on
 /// caller-provided threads (run_pooled), so the pool's rotating
 /// CPU-slice pinning applies to native runs exactly as it does to
 /// interpreted ones.
 [[nodiscard]] bool jit_run_eligible(const RunOptions& opts);
 
-/// Probe (once per (cc, extra_flags), cached process-wide) whether this
-/// toolchain can produce a loadable kernel.
+/// Probe (once per cc, cached process-wide) whether this toolchain can
+/// produce a loadable kernel.
 [[nodiscard]] bool jit_available(const JitOptions& opts = {});
 /// Empty string when available; otherwise the pinned reason ("no working
 /// C toolchain: ...", the MIMD_ENABLE_JIT=OFF message, or the

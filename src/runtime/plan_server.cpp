@@ -28,6 +28,14 @@ namespace mimd {
 
 namespace {
 
+/// listen(2) backlog of every listener.
+constexpr int kListenBacklog = 64;
+/// Stop reading a connection whose un-flushed reply bytes exceed the high
+/// watermark; resume below the low one (hysteresis, so a slow reader does
+/// not flap the interest mask per frame).
+constexpr std::size_t kWriteHighWatermark = 8u << 20;
+constexpr std::size_t kWriteLowWatermark = 1u << 20;
+
 /// Size a run's result on the wire: the result matrix (nodes x
 /// iterations doubles) plus per-row/message overhead.  Overflow-proof —
 /// decode_run accepts any i64 iteration count, and a wrapped estimate
@@ -71,9 +79,6 @@ RunOptions to_run_options(const wire::RemoteRunOptions& o, WorkerPool* pool) {
   r.pin_threads = o.pin_threads;
   r.kernel.work_per_cycle = o.work_per_cycle;
   r.pool = pool;
-  // channel_capacity deliberately stays 0 (exact ring sizing): a remote
-  // cap could stall a daemon worker for 30 s and then abort the process
-  // (see RunOptions::channel_capacity).
   return r;
 }
 
@@ -156,7 +161,7 @@ void PlanServer::start() {
       throw std::runtime_error("bind(" + opts_.socket_path +
                                ") failed: " + std::strerror(err));
     }
-    if (::listen(fd, opts_.listen_backlog) != 0) {
+    if (::listen(fd, kListenBacklog) != 0) {
       const int err = errno;
       ::close(fd);
       ::unlink(opts_.socket_path.c_str());
@@ -178,7 +183,7 @@ void PlanServer::start() {
                               opts_.tcp_address + "'");
       }
       const auto [fd, port] =
-          wire::listen_tcp(ep.host, ep.port, opts_.listen_backlog);
+          wire::listen_tcp(ep.host, ep.port, kListenBacklog);
       tcp_port = port;
       auto l = std::make_unique<Listener>();
       l->fd = fd;
@@ -319,8 +324,8 @@ void PlanServer::stop() {
   if (!opts_.socket_path.empty()) ::unlink(opts_.socket_path.c_str());
 }
 
-PlanServerStats PlanServer::stats() const {
-  PlanServerStats s;
+wire::StatsReply PlanServer::stats() const {
+  wire::StatsReply s;
   s.cache = cache_.stats();
   s.pool_workers = pool_.num_workers();
   s.pool_gangs = pool_.gangs_run();
@@ -335,6 +340,10 @@ PlanServerStats PlanServer::stats() const {
       registry_quota_trips_.load(std::memory_order_relaxed);
   s.quota_disconnects = quota_disconnects_.load(std::memory_order_relaxed);
   s.accept_backoffs = accept_backoffs_.load(std::memory_order_relaxed);
+  s.jit_enabled = s.cache.jit_enabled ? 1 : 0;
+  s.jit_compiles = s.cache.jit_compiles;
+  s.jit_failures = s.cache.jit_failures;
+  s.jit_in_flight = s.cache.jit_in_flight;
   s.jit_native_runs = jit_runs_.native.load(std::memory_order_relaxed);
   s.jit_interpreted_runs =
       jit_runs_.interpreted.load(std::memory_order_relaxed);
@@ -615,14 +624,13 @@ void PlanServer::on_frame(const std::shared_ptr<Connection>& conn,
 bool PlanServer::update_pause_locked(Connection& c) {
   const std::size_t depth = static_cast<std::size_t>(c.in_flight);
   if (!c.read_paused) {
-    if ((opts_.write_high_watermark > 0 &&
-         c.wqueue_bytes > opts_.write_high_watermark) ||
+    if (c.wqueue_bytes > kWriteHighWatermark ||
         (opts_.max_pipeline_depth > 0 &&
          depth >= opts_.max_pipeline_depth)) {
       c.read_paused = true;
     }
   } else {
-    if (c.wqueue_bytes <= opts_.write_low_watermark &&
+    if (c.wqueue_bytes <= kWriteLowWatermark &&
         (opts_.max_pipeline_depth == 0 ||
          depth < opts_.max_pipeline_depth)) {
       c.read_paused = false;
@@ -899,28 +907,8 @@ void PlanServer::process_task(Task& t) {
           break;
         }
         case wire::FrameType::Stats: {
-          const PlanServerStats s = stats();
-          wire::StatsReply rep;
-          rep.cache = s.cache;
-          rep.pool_workers = s.pool_workers;
-          rep.pool_gangs = s.pool_gangs;
-          rep.connections_accepted = s.connections_accepted;
-          rep.connections_active = s.connections_active;
-          rep.programs_registered = s.programs_registered;
-          rep.runs_executed = s.runs_executed;
-          rep.frame_quota_trips = s.frame_quota_trips;
-          rep.registry_quota_trips = s.registry_quota_trips;
-          rep.quota_disconnects = s.quota_disconnects;
-          rep.accept_backoffs = s.accept_backoffs;
-          rep.jit_enabled = s.cache.jit_enabled ? 1 : 0;
-          rep.jit_compiles = s.cache.jit_compiles;
-          rep.jit_failures = s.cache.jit_failures;
-          rep.jit_in_flight = s.cache.jit_in_flight;
-          rep.jit_native_runs = s.jit_native_runs;
-          rep.jit_interpreted_runs = s.jit_interpreted_runs;
-          rep.jit_ineligible_runs = s.jit_ineligible_runs;
           reply_type = wire::FrameType::StatsReply;
-          reply = wire::encode_stats_reply(rep);
+          reply = wire::encode_stats_reply(stats());
           break;
         }
         case wire::FrameType::Shutdown: {

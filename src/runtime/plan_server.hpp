@@ -33,11 +33,11 @@
 // have several handlers in flight at once).  Requests dispatch freely and
 // reply out of order, tagged with their request id.
 //
-// Backpressure: a connection whose write queue is above
-// `write_high_watermark`, or with `max_pipeline_depth` requests already
-// decoded-but-unanswered, has EPOLLIN dropped from its interest mask until
-// it drains — a slow reader stalls only itself, never the loop or another
-// tenant.
+// Backpressure: a connection with more than 8 MiB of replies unflushed,
+// or with `max_pipeline_depth` requests already decoded-but-unanswered,
+// has EPOLLIN dropped from its interest mask until it drains (below 1 MiB
+// and the depth) — a slow reader stalls only itself, never the loop or
+// another tenant.
 //
 // Graceful shutdown drains in-flight runs: stop() unregisters the
 // listeners, then half-closes (SHUT_RD) every connection.  The loop keeps
@@ -78,7 +78,6 @@ struct PlanServerOptions {
   std::size_t cache_capacity = PlanCache::kDefaultCapacity;
   /// Pre-warmed pool workers (the pool still grows on demand).
   std::size_t initial_workers = 0;
-  int listen_backlog = 64;
   /// Unlink a pre-existing socket file before binding.  Off by default so
   /// two daemons cannot silently fight over one path.
   bool remove_existing = false;
@@ -117,11 +116,6 @@ struct PlanServerOptions {
   int max_quota_strikes = 8;
 
   // -- Event-loop backpressure -------------------------------------------
-  /// Stop reading a connection whose un-flushed reply bytes exceed the
-  /// high watermark; resume below the low one (hysteresis, so a slow
-  /// reader does not flap the interest mask per frame).
-  std::size_t write_high_watermark = 8u << 20;
-  std::size_t write_low_watermark = 1u << 20;
   /// Decoded-but-unanswered requests one connection may have in flight
   /// before the loop stops reading it — bounds what a pipelining tenant
   /// can queue into the handler pool.
@@ -134,31 +128,6 @@ struct PlanServerOptions {
   /// doubles from initial to max while exhaustion persists.
   int accept_backoff_initial_ms = 10;
   int accept_backoff_max_ms = 1000;
-};
-
-/// Everything the Stats frame reports (runtime/wire.hpp mirrors this).
-struct PlanServerStats {
-  PlanCache::Stats cache;
-  std::size_t pool_workers = 0;
-  std::uint64_t pool_gangs = 0;
-  std::uint64_t connections_accepted = 0;
-  std::uint64_t connections_active = 0;
-  std::uint64_t programs_registered = 0;
-  std::uint64_t runs_executed = 0;
-  std::uint64_t frame_quota_trips = 0;
-  std::uint64_t registry_quota_trips = 0;
-  std::uint64_t quota_disconnects = 0;
-  std::uint64_t accept_backoffs = 0;
-  /// Runs served native vs interpreted *while JIT was live* (both stay 0
-  /// with --jit=off or an unusable toolchain; cache.jit_* carries the
-  /// compile-side counters).
-  std::uint64_t jit_native_runs = 0;
-  std::uint64_t jit_interpreted_runs = 0;
-  /// Runs that had a published kernel but went interpreted anyway — the
-  /// request's shape (work knob) or iteration count fell outside what the
-  /// kernel implements.  The counter that answers "why isn't my warm
-  /// traffic native?".
-  std::uint64_t jit_ineligible_runs = 0;
 };
 
 class PlanServer {
@@ -199,7 +168,9 @@ class PlanServer {
   [[nodiscard]] std::uint16_t tcp_port() const;
   [[nodiscard]] bool running() const;
 
-  [[nodiscard]] PlanServerStats stats() const;
+  /// Everything the Stats frame reports, read once; the frame encodes
+  /// exactly this record.
+  [[nodiscard]] wire::StatsReply stats() const;
 
   /// The shared halves, exposed for in-process tests and benches.
   [[nodiscard]] PlanCache& cache() { return cache_; }

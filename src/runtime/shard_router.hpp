@@ -10,7 +10,8 @@
 // structure (bench/bench_plan_service.cpp's A/B proves this with the
 // shards' miss counters).
 //
-// The ring: each shard contributes `vnodes_per_shard` points, hashed from
+// The ring: each shard contributes 64 points (vnodes — enough to keep
+// the max/mean shard load under ~1.3x for small fleets), hashed from
 // its *endpoint string* (not its index), so the placement of every
 // existing shard's points is independent of list order and of shards
 // added later.  Adding one shard to an N-shard fleet therefore remaps
@@ -57,12 +58,8 @@ struct ShardRouterOptions {
   int timeout_ms = 0;
   /// Connect attempts per shard before it is declared dead.
   int connect_attempts = 3;
-  /// Backoff between connect attempts, doubling from initial to max.
+  /// Backoff between connect attempts, doubling from this up to 200 ms.
   int connect_backoff_initial_ms = 10;
-  int connect_backoff_max_ms = 200;
-  /// Ring points per shard.  More vnodes = smoother key distribution;
-  /// 64 keeps the max/mean shard load under ~1.3x for small fleets.
-  std::size_t vnodes_per_shard = 64;
   /// How long a dead shard is skipped before the router probes it again.
   int dead_cooldown_ms = 1000;
 };

@@ -191,9 +191,7 @@ struct SubmitProgramReply {
 };
 
 /// The remotely settable subset of RunOptions.  The pool is always the
-/// server's shared pool, and channel_capacity stays server-side at 0
-/// (exact ring sizing): a remote client must not be able to pick a cap
-/// that stalls a daemon worker (see RunOptions::channel_capacity).
+/// server's shared pool.
 struct RemoteRunOptions {
   bool pin_threads = false;
   int work_per_cycle = 0;
@@ -207,6 +205,8 @@ struct RunRequest {
   RemoteRunOptions opts;
 };
 
+/// The one stats record: PlanServer::stats() fills it, and the Stats
+/// frame encodes it as is (cache.jit_* travel as the jit_* fields below).
 struct StatsReply {
   PlanCache::Stats cache;
   std::uint64_t pool_workers = 0;

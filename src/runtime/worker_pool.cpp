@@ -83,32 +83,29 @@ unsigned claim_pin_slice(unsigned width) {
   return pin_slice.fetch_add(width, std::memory_order_relaxed);
 }
 
+WorkerPool& process_pool() {
+  static WorkerPool pool;
+  return pool;
+}
+
 void run_indexed_gang(WorkerPool* pool, std::size_t count, bool pin,
                       const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   const unsigned slice =
       pin ? claim_pin_slice(static_cast<unsigned>(count)) : 0;
-  const auto make_task = [&, slice](std::size_t i) {
-    return [&body, pin, slice, i] {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    tasks.emplace_back([&body, pin, slice, i] {
       CpuAffinityMask saved;
       const bool pinned =
           pin && pin_current_thread_to_cpu(
                      slice + static_cast<unsigned>(i), &saved);
       body(i);
       if (pinned) restore_current_thread_affinity(saved);
-    };
-  };
-  if (pool != nullptr) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) tasks.push_back(make_task(i));
-    pool->run_gang(std::move(tasks));
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) threads.emplace_back(make_task(i));
-    for (std::thread& t : threads) t.join();
+    });
   }
+  (pool != nullptr ? *pool : process_pool()).run_gang(std::move(tasks));
 }
 
 // ---- WorkerPool ----

@@ -1,15 +1,17 @@
-// Persistent worker pool for the threaded executor — the "spawn once,
-// serve many runs" half of the plan service (the other half is
-// runtime/plan_cache.hpp).
+// Persistent worker pool — the only source of the threads a run executes
+// on, and the "spawn once, serve many runs" half of the plan service (the
+// other half is runtime/plan_cache.hpp).
 //
-// ExecutorPlan::run() historically spawned one fresh std::thread per
-// compiled thread on every call; at the small-n request sizes a plan
-// service handles, thread creation dominates the run itself — the exact
+// At the small-n request sizes a plan service handles, creating a thread
+// per compiled thread per run would dominate the run itself — the exact
 // overhead inversion McKenney's *Is Parallel Programming Hard* warns
 // about for fine-grained parallel runtimes.  A WorkerPool keeps its
 // threads alive across runs, so a run costs two condvar handoffs per
-// worker instead of a clone()/join() pair (RunOptions::pool selects it;
-// bench_plan_service measures the gap).
+// worker instead of a clone()/join() pair.  A run names its pool
+// (RunOptions::pool — mimdd's PlanServer passes its own) or borrows the
+// process pool, process_pool(), built on first use.  A pool's threads do
+// not survive fork(), so a process that forks (mimdd --daemonize) builds
+// every pool it runs on after the fork.
 //
 // Scheduling unit: the *gang*.  A compiled program's threads communicate
 // through blocking channels, so a run's tasks must all be in flight
@@ -27,8 +29,7 @@
 // and finishes, and its freed workers then complete the front gang's
 // claim — no circular wait, for any mix of concurrent run_gang() callers.
 //
-// CPU-affinity pinning rides on the pool (and on spawn-per-run): the
-// compiled thread order was frozen at compile() time precisely so thread
+// CPU-affinity pinning rides on the pool: the compiled thread order was frozen at compile() time precisely so thread
 // i of a plan can be bound to CPU (i mod cores) run after run
 // (RunOptions::pin_threads).  The Linux implementation uses
 // pthread_setaffinity_np behind the portable shim below; elsewhere
@@ -79,13 +80,17 @@ void restore_current_thread_affinity(const CpuAffinityMask& mask);
 
 class WorkerPool;
 
-/// Run `count` indexed tasks as one gang — on `pool`'s workers when
-/// non-null, else one fresh thread per task — returning when all have
-/// finished.  With `pin`, each task's executing thread is pinned to CPU
-/// (slice + i) for the task's duration (one claim_pin_slice(count) per
-/// call) and the previous mask is restored afterwards.  This is the one
-/// spawn-vs-pool + pinning policy shared by the interpreted executor and
-/// the JIT's pooled kernel dispatch.  `body(i)` must not throw.
+/// The pool a run given no pool borrows: one per process, built on first
+/// use, joined at exit.
+[[nodiscard]] WorkerPool& process_pool();
+
+/// Run `count` indexed tasks as one gang on `pool`'s workers — the
+/// process pool when `pool` is null — returning when all have finished.
+/// With `pin`, each task's executing thread is pinned to CPU (slice + i)
+/// for the task's duration (one claim_pin_slice(count) per call) and the
+/// previous mask is restored afterwards.  This is the one pool + pinning
+/// policy shared by the interpreted executor and the JIT's pooled kernel
+/// dispatch.  `body(i)` must not throw.
 void run_indexed_gang(WorkerPool* pool, std::size_t count, bool pin,
                       const std::function<void(std::size_t)>& body);
 
@@ -94,8 +99,8 @@ void run_indexed_gang(WorkerPool* pool, std::size_t count, bool pin,
 /// call run_gang() concurrently; gangs are claimed FIFO.
 ///
 /// Tasks must not throw — they run on pool threads where an escaping
-/// exception is std::terminate, exactly as on the spawn-per-run path
-/// (see ExecutorPlan::run's contract on mid-run channel violations).
+/// exception is std::terminate (see ExecutorPlan::run's contract on
+/// mid-run channel violations).
 class WorkerPool {
  public:
   /// Workers are spawned lazily as gangs demand them; `initial_workers`

@@ -3,7 +3,8 @@
 // built-in bitwise self-check (parallel vs sequential) decide.  The
 // backend consumes the same CompiledProgram the in-process executor runs,
 // so these tests also pin the unified lowering pipeline: slot arrays sized
-// by the liveness pass and value-carrying C11-atomic SPSC rings.
+// by the liveness pass, value-carrying C11-atomic single-use SPSC buffers,
+// and one kernel emission shared by the programs and the JIT.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -159,18 +160,30 @@ TEST(CCodegen, RandomLoopsSelfValidateUnderBothTransports) {
   }
 }
 
+/// Occurrences of `needle` in `src`.
+std::size_t count_of(const std::string& src, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t p = src.find(needle); p != std::string::npos;
+       p = src.find(needle, p + 1)) {
+    ++n;
+  }
+  return n;
+}
+
 TEST(CCodegen, RollsTheSteadyStateIntoARealLoop) {
   const Ddg g = workloads::fig7_loop();
   const CompiledProgram cp = pattern_compiled(g, Machine{2, 2}, 40);
   const std::string src = emit_c_program(cp, g);
   EXPECT_NE(src.find("for (long long r = 0;"), std::string::npos);
   EXPECT_NE(src.find("steady state:"), std::string::npos);
-  // Rolled output is dramatically smaller than the unrolled one.
-  CEmitOptions flat_opts;
-  flat_opts.roll_steady_state = false;
-  const std::string flat = emit_c_program(cp, g, flat_opts);
-  EXPECT_EQ(flat.find("for (long long r = 0;"), std::string::npos);
-  EXPECT_LT(src.size(), flat.size() / 2);
+  // Rolled output is dramatically smaller than one block per op: compute
+  // blocks open with "{ /*" and sends are single chan_send lines.
+  std::size_t ops = 0;
+  for (const CompiledThread& t : cp.threads) ops += t.ops.size();
+  const std::size_t emitted =
+      count_of(src, "  { /*") + count_of(src, "  chan_send(&");
+  EXPECT_LT(emitted, ops / 2) << emitted << " op blocks for " << ops
+                              << " compiled ops";
 }
 
 // Start-aligned rolling: detect_period used to end-align the repetitions
@@ -231,24 +244,84 @@ TEST(CCodegen, RolledLivermoreProgramSelfValidatesOnBothTransports) {
 }
 
 TEST(CCodegen, RingCapacitiesFollowTheSharedPolicy) {
+  // Every channel buffer in the per-call context holds exactly the
+  // channel's message count — the size the executor's SpscChannel gets.
   const Ddg g = workloads::fig7_loop();
   const CompiledProgram cp = pattern_compiled(g, Machine{2, 2}, 24);
   const std::string src = emit_c_program(cp, g);
   ASSERT_FALSE(cp.channels.empty());
+  const std::size_t ctx_begin = src.find("typedef struct {\n  double chan0");
+  const std::size_t ctx_end = src.find("} kctx_t;");
+  ASSERT_NE(ctx_begin, std::string::npos);
+  ASSERT_NE(ctx_end, std::string::npos);
+  const std::string ctx = src.substr(ctx_begin, ctx_end - ctx_begin);
   for (std::size_t c = 0; c < cp.channels.size(); ++c) {
+    ASSERT_GE(cp.channels[c].messages, 1);
     const std::string decl =
-        "static double chan" + std::to_string(c) + "_buf[" +
-        std::to_string(ring_capacity(cp.channels[c].messages)) + "]";
-    EXPECT_NE(src.find(decl), std::string::npos) << decl;
+        "  double chan" + std::to_string(c) + "_buf[" +
+        std::to_string(cp.channels[c].messages) + "];";
+    EXPECT_NE(ctx.find(decl), std::string::npos) << decl;
+    EXPECT_EQ(ring_capacity(cp.channels[c].messages),
+              static_cast<std::size_t>(cp.channels[c].messages));
+  }
+  EXPECT_EQ(src.find("static double chan0_buf"), std::string::npos);
+}
+
+// A send is one store plus a release-publish: no loop, no wait, no mask.
+TEST(CCodegen, EmittedSendNeverWaits) {
+  const Ddg g = workloads::fig7_loop();
+  const std::string src =
+      emit_c_program(pattern_compiled(g, Machine{2, 2}, 24), g);
+  const std::size_t begin = src.find("static void chan_send(");
+  ASSERT_NE(begin, std::string::npos);
+  const std::size_t end = src.find("\n}\n", begin);
+  ASSERT_NE(end, std::string::npos);
+  const std::string send = src.substr(begin, end - begin);
+  EXPECT_EQ(send.find("while"), std::string::npos) << send;
+  EXPECT_EQ(send.find("for"), std::string::npos) << send;
+  EXPECT_EQ(send.find("sched_yield"), std::string::npos) << send;
+  EXPECT_EQ(src.find("mask"), std::string::npos);
+  EXPECT_NE(send.find("memory_order_release"), std::string::npos) << send;
+}
+
+// One kernel emission: both programs contain the JIT's kernel — channel
+// runtime, per-call context, PE functions and the four exported entries —
+// byte for byte, followed by their own driver.
+TEST(CCodegen, ProgramsEmbedTheKernelByteForByte) {
+  for (const std::uint64_t seed : {3u, 7u}) {
+    const testsupport::GeneratedLoop gl = testsupport::generate_loop(seed);
+    const CompiledProgram cp = compile_program(gl.program, gl.graph);
+    const std::string kernel =
+        emit_c_program(cp, gl.graph, CEmitOptions{CArtifact::Kernel});
+    const std::size_t body = kernel.find("\n#define N ");
+    ASSERT_NE(body, std::string::npos);
+    const std::string kernel_body = kernel.substr(body);
+    EXPECT_NE(kernel_body.find("static void* pe"), std::string::npos);
+    EXPECT_NE(kernel_body.find("void mimd_kernel_ctx_destroy(void* ctx)"),
+              std::string::npos);
+    for (const CArtifact program :
+         {CArtifact::CheckedProgram, CArtifact::TimingProgram}) {
+      const std::string src =
+          emit_c_program(cp, gl.graph, CEmitOptions{program});
+      const std::size_t at = src.find(kernel_body);
+      ASSERT_NE(at, std::string::npos) << gl.tag;
+      // Exactly once, and everything after it is the driver.
+      EXPECT_EQ(src.find(kernel_body, at + 1), std::string::npos);
+      const std::string driver = src.substr(at + kernel_body.size());
+      EXPECT_NE(driver.find("int main(void)"), std::string::npos);
+      EXPECT_NE(driver.find("mimd_kernel_run_on(a->ctx, a->id)"),
+                std::string::npos);
+      EXPECT_EQ(driver.find("chan_send"), std::string::npos);
+      EXPECT_EQ(driver.find("chan_recv"), std::string::npos);
+    }
   }
 }
 
 TEST(CCodegen, NoCheckModeEmitsATimingHarnessInsteadOfTheRecompute) {
   const Ddg g = workloads::fig7_loop();
   const CompiledProgram cp = pattern_compiled(g, Machine{2, 2}, 24);
-  CEmitOptions opts;
-  opts.self_check = false;
-  const std::string src = emit_c_program(cp, g, opts);
+  const std::string src =
+      emit_c_program(cp, g, CEmitOptions{CArtifact::TimingProgram});
   // No sequential recompute, no comparison storage...
   EXPECT_EQ(src.find("SEQ"), std::string::npos);
   EXPECT_EQ(src.find("sequential"), std::string::npos);
@@ -269,9 +342,10 @@ TEST(CCodegen, NoCheckProgramCompilesAndRunsOnBothTransports) {
   if (!have_c_toolchain()) GTEST_SKIP() << "no C toolchain available";
   const Ddg g = workloads::fig7_loop();
   const CompiledProgram cp = pattern_compiled(g, Machine{2, 2}, 24);
-  CEmitOptions opts;
-  opts.self_check = false;
-  EXPECT_EQ(compile_and_run(emit_c_program(cp, g, opts), "nocheck"), 0);
+  EXPECT_EQ(compile_and_run(
+                emit_c_program(cp, g, CEmitOptions{CArtifact::TimingProgram}),
+                "nocheck"),
+            0);
 }
 
 TEST(CCodegen, RejectsProgramComputingNothing) {

@@ -239,15 +239,6 @@ TEST(ExecutorPlan, BothTransportsMatchSequential) {
   expect_equal_values(plan.run(n), run_sequential(g, n), n);
 }
 
-TEST(ExecutorPlan, CappedRingsExerciseBackpressureAndStayCorrect) {
-  const Ddg g = workloads::fig7_loop();
-  const std::int64_t n = 60;
-  const ExecutorPlan plan = compile(fig7_program(g, n), g);
-  RunOptions opts;
-  opts.channel_capacity = 2;  // rings of 2 instead of exact message counts
-  expect_equal_values(plan.run(n, opts), run_sequential(g, n), n);
-}
-
 TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
   for (const std::uint64_t seed : {3u, 12u, 19u}) {
     const Ddg g = workloads::random_connected_cyclic_loop(seed);

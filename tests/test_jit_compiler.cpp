@@ -44,9 +44,8 @@ using testsupport::generate_loop;
 TEST(JitCompiler, SharedObjectSourceIsAKernelNotAProgram) {
   const GeneratedLoop gl = generate_loop(2000);
   const ExecutorPlan plan = compile(gl.program, gl.graph);
-  CEmitOptions opts;
-  opts.shared_object = true;
-  const std::string src = emit_c_program(plan.program(), gl.graph, opts);
+  const std::string src = emit_c_program(plan.program(), gl.graph,
+                                         CEmitOptions{CArtifact::Kernel});
   EXPECT_NE(src.find("void* mimd_kernel_ctx_create(long long n"),
             std::string::npos);
   EXPECT_NE(src.find("int mimd_kernel_run_on(void* ctx"), std::string::npos);
@@ -234,12 +233,11 @@ TEST(JitCompiler, PooledContextLifecycleIsLeakFreeAcrossRepeatRuns) {
   }
 }
 
-// The run-site gate: only a default-shaped run (no synthetic work,
-// default rings) may be served natively — those knobs change observable
-// behavior or timing semantics the kernel does not implement.  Pinning is
-// not a shape question: the caller provides the kernel's threads, so the
-// rotating CPU-slice policy applies to native runs exactly as to
-// interpreted ones.
+// The run-site gate: only a default-shaped run (no synthetic work) may
+// be served natively — the work knob changes timing semantics the kernel
+// does not implement.  Pinning is not a shape question: the caller
+// provides the kernel's threads, so the rotating CPU-slice policy
+// applies to native runs exactly as to interpreted ones.
 TEST(JitCompiler, RunEligibilityGate) {
   RunOptions o;
   EXPECT_TRUE(jit_run_eligible(o));
@@ -247,9 +245,6 @@ TEST(JitCompiler, RunEligibilityGate) {
   EXPECT_TRUE(jit_run_eligible(o));
   o = RunOptions{};
   o.kernel.work_per_cycle = 8;
-  EXPECT_FALSE(jit_run_eligible(o));
-  o = RunOptions{};
-  o.channel_capacity = 4;
   EXPECT_FALSE(jit_run_eligible(o));
 }
 

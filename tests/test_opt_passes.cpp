@@ -278,16 +278,6 @@ TEST(Pipeline, ReachesFixedPointAcrossPassInterplay) {
   EXPECT_EQ(ir::to_string(*res.loops[0].body[0].rhs), "(A[i-1] + A[i-1])");
 }
 
-TEST(Pipeline, FissionDisabledKeepsOneLoop) {
-  const ir::Loop loop =
-      parsed("for i:\n  A[i] = A[i-1]\n  B[i] = B[i-1]\n");
-  opt::OptOptions opts;
-  opts.enable_fission = false;
-  const opt::PipelineResult res = opt::optimize(loop, opts);
-  EXPECT_EQ(res.loops.size(), 1u);
-  EXPECT_EQ(res.loops[0].body.size(), 2u);
-}
-
 // ---------------------------------------------------------------------------
 // Evaluator sanity
 

@@ -784,7 +784,7 @@ TEST(PlanServer, FrameRateQuotaStrikesOutRepeatOffenders) {
   EXPECT_THROW((void)flooder.run(id), wire::WireError);
 
   // In-process stats (no connection, no token spent): both counters.
-  const PlanServerStats stats = ts.server.stats();
+  const wire::StatsReply stats = ts.server.stats();
   EXPECT_EQ(stats.frame_quota_trips, 2u);
   EXPECT_EQ(stats.quota_disconnects, 1u);
 

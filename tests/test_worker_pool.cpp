@@ -1,7 +1,7 @@
 // The plan service's pool half: gang execution, growth, concurrent gangs
 // (the FIFO-claim deadlock-freedom invariant, replayed under TSan in CI),
-// pooled runs bit-identical to spawn-per-run on both transports, and the
-// CPU-affinity shim behind RunOptions::pin_threads.
+// runs on a caller's pool bit-identical to runs on the process pool, and
+// the CPU-affinity shim behind RunOptions::pin_threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -120,19 +120,36 @@ TEST(WorkerPool, ConcurrentGangsFromManyCallersComplete) {
 // ---- Pooled executor runs ----
 
 TEST(WorkerPool, PooledRunIsBitIdenticalToSpawnOnBothTransports) {
+  // A caller's pool and the process pool a pool-less run borrows give
+  // the same bytes.
   const std::int64_t n = 40;
   const ExecutorPlan plan = fig7_plan(n);
   WorkerPool pool;
-  const ExecutionResult spawned = plan.run(n);
+  const ExecutionResult on_process_pool = plan.run(n);
 
   RunOptions pooled_opts;
   pooled_opts.pool = &pool;
   const ExecutionResult pooled_first = plan.run(n, pooled_opts);
   const ExecutionResult pooled_again = plan.run(n, pooled_opts);
 
-  expect_identical(pooled_first, spawned, n);
-  expect_identical(pooled_again, spawned, n);  // reuse changes nothing
+  expect_identical(pooled_first, on_process_pool, n);
+  expect_identical(pooled_again, on_process_pool, n);  // reuse: no change
   EXPECT_EQ(pool.gangs_run(), 2u);
+}
+
+TEST(WorkerPool, PoolLessRunsShareTheProcessPool) {
+  // A run given no pool borrows the process pool: every run is one gang
+  // on it, and after the first run its workers are reused, not added.
+  const std::int64_t n = 24;
+  const ExecutorPlan plan = fig7_plan(n);
+  WorkerPool& shared = process_pool();
+  const std::uint64_t gangs_before = shared.gangs_run();
+  const ExecutionResult first = plan.run(n);
+  const std::size_t workers = shared.num_workers();
+  EXPECT_GE(workers, plan.program().threads.size());
+  for (int r = 1; r < 20; ++r) expect_identical(plan.run(n), first, n);
+  EXPECT_EQ(shared.gangs_run(), gangs_before + 20);
+  EXPECT_EQ(shared.num_workers(), workers);
 }
 
 TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {
@@ -179,8 +196,8 @@ TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {
 // Replay it with an in-process fake kernel whose "threads" rendezvous
 // through the context, proving run_indexed_gang co-schedules the whole
 // gang (a dispatcher running tasks one at a time would deadlock) and
-// funnels every index to its own slot exactly once, pooled or spawned,
-// pinned or not.
+// funnels every index to its own slot exactly once, on a caller's pool or
+// the process pool, pinned or not.
 TEST(WorkerPool, IndexedGangCoSchedulesAStubKernelsThreads) {
   constexpr std::size_t kThreads = 3;
   struct FakeCtx {
@@ -205,7 +222,7 @@ TEST(WorkerPool, IndexedGangCoSchedulesAStubKernelsThreads) {
                        });
       for (std::size_t i = 0; i < kThreads; ++i) {
         EXPECT_EQ(ctx.runs[i].load(), 1)
-            << "thread " << i << (use_pool ? " pooled" : " spawned")
+            << "thread " << i << (use_pool ? " own pool" : " process pool")
             << (pin ? " pinned" : "");
       }
     }
@@ -247,11 +264,11 @@ TEST(Affinity, PinnedRunsAreBitIdenticalPooledAndSpawned) {
 
   RunOptions pinned;
   pinned.pin_threads = true;
-  expect_identical(plan.run(n, pinned), unpinned, n);  // spawn path
+  expect_identical(plan.run(n, pinned), unpinned, n);  // process pool
 
   WorkerPool pool;
   pinned.pool = &pool;
-  expect_identical(plan.run(n, pinned), unpinned, n);  // pool path
+  expect_identical(plan.run(n, pinned), unpinned, n);  // caller's pool
   // A later unpinned pooled run still matches: workers restored their
   // masks after the pinned gang.
   RunOptions pooled_plain;

@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Diff two BENCH_<name>.json snapshots (tools/bench_runner.py output).
+"""Diff two BENCH_<name>.json snapshots.
+
+A snapshot is a google-benchmark target's own JSON report:
+    build/bench/bench_<name> --benchmark_format=json \\
+        --benchmark_out=BENCH_bench_<name>.json
 
 Each side is either a single BENCH_<name>.json file or a directory
 containing any number of them (files are matched across sides by their
@@ -7,10 +11,9 @@ basename).  Prints a per-benchmark delta table and flags every benchmark
 whose chosen metric regressed by more than the threshold.
 
 Exit status: 0 when nothing regressed past the threshold (missing
-counterparts are reported but don't fail), 1 otherwise.  CI runs this as a
-non-gating step (continue-on-error) against the previous run's artifact —
-shared-runner timings are a trend record, not a pass/fail oracle; run
-locally with a quiet machine before trusting a small delta.
+counterparts are reported but don't fail), 1 otherwise.  Timings are a
+trend record, not a pass/fail oracle: run both sides on one quiet
+machine before trusting a small delta.
 
 Usage:
     tools/bench_diff.py BASE NEW [--metric real_time|cpu_time]

@@ -9,9 +9,12 @@
 //     --dot       print the dependence graph (Graphviz, classified colors)
 //     --schedule  print the first cycles of the combined schedule
 //     --code      print the PARBEGIN pseudo-code        (default)
-//     --c         print a compilable C11+pthreads program (slot arrays +
-//                 SPSC rings, lowered from the same CompiledProgram --run
-//                 executes; compiled stats go to stderr)
+//     --c         print a compilable C11+pthreads program: the native
+//                 kernel the JIT loads (slot arrays + single-use SPSC
+//                 buffers, lowered from the same CompiledProgram --run
+//                 executes) plus a main() that runs one pthread per
+//                 compiled thread and self-checks against a sequential
+//                 recompute (compiled stats go to stderr)
 //     --compare   print the comparison against DOACROSS
 //     --run       execute the partitioned program on real threads and
 //                 validate bit-for-bit against sequential execution
@@ -60,8 +63,8 @@
 //                 separately scheduled loops; off hands the parsed
 //                 program straight to the partitioner.  The level is
 //                 part of the plan-cache key, locally and daemon-side.
-//                 Fission is disabled under --c (one compilable artifact
-//                 per source file).
+//                 --c emits one artifact per source file, so it refuses
+//                 a loop that fission splits into several strands.
 //     --dump-passes
 //                 print per-pass rewrite stats (rounds to fixed point,
 //                 rewrites per pass, strands) to stderr
@@ -139,16 +142,12 @@ struct FrontEndResult {
   mimd::opt::PipelineResult pipe;  ///< per-pass stats for --dump-passes
 };
 
-FrontEndResult front_end(const std::string& source, mimd::OptLevel level,
-                         bool enable_fission) {
+FrontEndResult front_end(const std::string& source, mimd::OptLevel level) {
   using namespace mimd;
   const ir::Loop raw = ir::parse_loop(source);
   const ir::Loop loop = raw.has_control_flow() ? ir::if_convert(raw) : raw;
-  opt::OptOptions oopts;
-  oopts.level = level;
-  oopts.enable_fission = enable_fission;
   FrontEndResult fe;
-  fe.pipe = opt::optimize(loop, oopts);
+  fe.pipe = opt::optimize(loop, opt::OptOptions{level});
   fe.strands = fe.pipe.loops;
   return fe;
 }
@@ -227,7 +226,7 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
   std::vector<std::string> labels;
   jobs.reserve(files.size());
   for (const std::string& f : files) {
-    const FrontEndResult fe = front_end(read_all(f), copts.opt, true);
+    const FrontEndResult fe = front_end(read_all(f), copts.opt);
     if (dump_passes) {
       std::cerr << fs::path(f).filename().string() << ":\n"
                 << mimd::opt::format_stats(fe.pipe);
@@ -523,12 +522,10 @@ int main(int argc, char** argv) {
   try {
     // --c emits exactly one compilable artifact, so a loop that fission
     // (or DCE cutting a bridge) splits into independent strands cannot
-    // be emitted as C.  Run fission anyway to detect the split and fail
-    // with a diagnostic rather than tripping the scheduler's
-    // connected-graph precondition.  Every other mode handles strands
-    // (each is scheduled, run and validated separately).
-    const FrontEndResult fe =
-        front_end(read_all(path), copts.opt, /*enable_fission=*/true);
+    // be emitted as C: fail with a diagnostic rather than tripping the
+    // scheduler's connected-graph precondition.  Every other mode
+    // handles strands (each is scheduled, run and validated separately).
+    const FrontEndResult fe = front_end(read_all(path), copts.opt);
     if (dump_passes) std::cerr << opt::format_stats(fe.pipe);
     if (want_c && fe.strands.size() > 1) {
       std::cerr << "mimdc: --c emits one program, but optimization split "
@@ -622,8 +619,8 @@ int main(int argc, char** argv) {
                 << " slots (" << cp.total_slots_ssa()
                 << " before liveness reuse)\n";
       if (want_c) {
-        CEmitOptions eopts;
-        eopts.self_check = !no_check;
+        const CEmitOptions eopts{no_check ? CArtifact::TimingProgram
+                                          : CArtifact::CheckedProgram};
         std::cout << emit_c_program(cp, r.normalized.graph, eopts);
       }
       if (want_run) {

@@ -116,7 +116,9 @@ void write_pidfile(const std::string& path, pid_t pid) {
 /// threads for --workers) is constructed HERE, in the process that will
 /// serve — never before a fork().  Threads do not survive fork(): a pool
 /// built in the parent would report num_workers() == N in the child while
-/// owning zero live workers, and every run would block forever.
+/// owning zero live workers, and every run would block forever.  The
+/// process pool (runtime/worker_pool.hpp) is never built here at all:
+/// every run the server executes names the server's own pool.
 int run_server(const mimd::PlanServerOptions& opts, const std::string& pidfile,
                const std::string& port_file,
                const std::function<void(bool ok)>& on_ready, bool verbose) {
@@ -176,7 +178,7 @@ int run_server(const mimd::PlanServerOptions& opts, const std::string& pidfile,
   watcher.join();
   server.stop();
   if (verbose) {
-    const mimd::PlanServerStats s = server.stats();
+    const mimd::wire::StatsReply s = server.stats();
     std::cerr << "mimdd: stopped after " << s.connections_accepted
               << " connection(s), " << s.runs_executed << " run(s), "
               << s.cache.hits << " cache hit(s) / " << s.cache.misses
