@@ -7,6 +7,11 @@
 //   * full_sched                — the scheduling step of a plan-cache
 //                               miss, on the structures the plan service
 //                               serves and on two slow-to-settle loops
+//   * parallelize               — the client's whole half of a mixed-n
+//                               miss: normalize, full_sched, lower
+//   * horizon-strand detection  — steady_state_pattern on the Cyclic
+//                               subsets that settle only after thousands
+//                               of iterations
 //   * lower / validate / compile — the three O(n) steps between a
 //                               schedule and a runnable plan, on the
 //                               structures the plan service serves
@@ -99,7 +104,7 @@ void BM_Materialize(benchmark::State& state) {
         materialize(*r.pattern, m.processors, state.range(0)));
   }
 }
-BENCHMARK(BM_Materialize)->RangeMultiplier(4)->Range(16, 1024);
+BENCHMARK(BM_Materialize)->RangeMultiplier(4)->Range(16, 1024)->Arg(2048);
 
 // ---- full_sched ----
 // Arg 0 picks one of the six structures of perfbench's mixed-n workload
@@ -158,6 +163,40 @@ BENCHMARK(BM_FullSchedHorizonStrand)
     ->ArgName("seed")
     ->Arg(707)
     ->Arg(810)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Full pattern detection on the Cyclic subset of a horizon strand at
+/// p = 4: 8214 (seed 707) or 10970 (seed 810) unwound iterations.
+void BM_DetectHorizonStrand(benchmark::State& state) {
+  const Ddg strand = horizon_strand(state.range(0));
+  const Ddg sub = cyclic_subgraph(strand, classify(strand));
+  const Machine m{4, 1};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(steady_state_pattern(sub, m));
+  }
+}
+BENCHMARK(BM_DetectHorizonStrand)
+    ->ArgName("seed")
+    ->Arg(707)
+    ->Arg(810)
+    ->Unit(benchmark::kMillisecond);
+
+/// parallelize() as mixed-n's client calls it: the six structures (same
+/// numbering as BM_FullSched), Machine{p, 1}, n original iterations, no
+/// pseudo-code.
+void BM_Parallelize(benchmark::State& state) {
+  const Ddg g = hot_structure(state.range(0));
+  ParallelizeOptions popts;
+  popts.machine = Machine{static_cast<int>(state.range(1)), 1};
+  popts.iterations = state.range(2);
+  popts.emit_code = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(parallelize(g, popts));
+  }
+}
+BENCHMARK(BM_Parallelize)
+    ->ArgNames({"structure", "p", "n"})
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5}, {2, 4}, {64, 512, 2048}})
     ->Unit(benchmark::kMicrosecond);
 
 // ---- lower -> find_program_violation -> compile_program ----

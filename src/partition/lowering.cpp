@@ -1,7 +1,6 @@
 #include "partition/lowering.hpp"
 
-#include <algorithm>
-#include <tuple>
+#include <vector>
 
 namespace mimd {
 
@@ -13,14 +12,20 @@ PartitionedProgram lower(const Schedule& sched, const Ddg& g) {
     prog.programs[static_cast<std::size_t>(p)].proc = p;
   }
 
-  std::vector<Placement> order = sched.placements();
-  std::sort(order.begin(), order.end(),
-            [](const Placement& a, const Placement& b) {
-              return std::tie(a.start, a.proc, a.inst) <
-                     std::tie(b.start, b.proc, b.inst);
-            });
+  // Every placement lowers to one Compute plus its messages.
+  std::vector<std::size_t> computes(static_cast<std::size_t>(sched.processors()));
+  for (const Placement& pl : sched.placements()) {
+    ++computes[static_cast<std::size_t>(pl.proc)];
+  }
+  for (int p = 0; p < sched.processors(); ++p) {
+    prog.programs[static_cast<std::size_t>(p)].ops.reserve(
+        computes[static_cast<std::size_t>(p)]);
+  }
 
-  for (const Placement& pl : order) {
+  // A placement's ops go to its own processor only, and each processor's
+  // placements were appended in start order, so append order yields the
+  // programs a sort by (start, proc, inst) would.
+  for (const Placement& pl : sched.placements()) {
     auto& ops = prog.programs[static_cast<std::size_t>(pl.proc)].ops;
 
     // Receives for cross-processor operands.

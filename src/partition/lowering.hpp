@@ -4,7 +4,9 @@
 // inserted").
 //
 // Placement rules:
-//  * ops appear on their processor in start-time order;
+//  * ops appear on their processor in start-time order — the order the
+//    schedule appended that processor's placements in, so lower() walks
+//    the placements as they are, without sorting them;
 //  * a Send is inserted immediately after the producing Compute, one per
 //    cross-processor consumer instance present in the schedule;
 //  * a Receive is inserted immediately before the consuming Compute, one

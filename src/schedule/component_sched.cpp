@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <tuple>
 
 #include "graph/algorithms.hpp"
 
@@ -95,14 +94,9 @@ Schedule materialize(const ComponentSchedResult& r, int processors,
     const auto& placed = part.placements();
     all.insert(all.end(), placed.begin(), placed.end());
   }
-  std::sort(all.begin(), all.end(), [](const Placement& a, const Placement& b) {
-    return std::tie(a.start, a.proc, a.inst) < std::tie(b.start, b.proc, b.inst);
-  });
-  Schedule merged(processors);
-  for (const Placement& p : all) {
-    merged.place(p.inst, p.proc, p.start, p.finish);
-  }
-  return merged;
+  // Components hold disjoint processors, so each processor's placements
+  // come from one component, in start order: merge them.
+  return prefix_schedule(all, processors, n);
 }
 
 }  // namespace mimd

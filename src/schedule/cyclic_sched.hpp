@@ -12,10 +12,20 @@
 //
 // Pattern detection: after every iteration becomes fully scheduled we
 // serialize the complete scheduler state relative to the current time
-// origin (per-processor next-free offsets, every scheduled instance that
-// still has unscheduled successors, and the ready queue).  Two equal
-// signatures mean the scheduler — a deterministic machine — will repeat
-// everything in between forever (the constructive form of Lemmas 5-7).
+// origin (per-processor next-free offsets, the recent iterations'
+// completion times the throttle reads, and every scheduled instance that
+// still has unscheduled successors; the ready queue is the same at every
+// checkpoint and is left out).  Two equal signatures mean the scheduler —
+// a deterministic machine — will repeat everything in between forever
+// (the constructive form of Lemmas 5-7).  A signature is a flat byte
+// string: each value a zigzag varint, each variable-length section behind
+// its length, so equal strings mean equal states.
+//
+// The queue always serves the lowest incomplete iteration, so iterations
+// complete in order and every per-instance count (predecessors and
+// successors still unplaced, the ready set) lives in a ring of four
+// iteration rows indexed by node and rank: nothing is allocated per
+// instance (DESIGN.md, "Dense schedule tables").
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "schedule/full_sched.hpp"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,11 +49,19 @@ std::vector<std::int64_t> per_iteration_completion(const Schedule& sched,
   return done;
 }
 
-/// Distinct processors holding at least one of `placements`.
-std::set<int> processors_of(const std::vector<Placement>& placements) {
-  std::set<int> used;
-  for (const Placement& p : placements) used.insert(p.proc);
+/// Which processors hold at least one placement of `sched`.  A
+/// placement finishes after it starts, at or after cycle 0, so a
+/// processor is in use exactly when its next free cycle is past 0.
+std::vector<bool> processors_of(const Schedule& sched) {
+  std::vector<bool> used(static_cast<std::size_t>(sched.processors()));
+  for (int p = 0; p < sched.processors(); ++p) {
+    used[static_cast<std::size_t>(p)] = sched.next_free(p) > 0;
+  }
   return used;
+}
+
+int count_used(const std::vector<bool>& used) {
+  return static_cast<int>(std::count(used.begin(), used.end(), true));
 }
 
 FullSchedResult schedule_doall(const Ddg& g, const Machine& m,
@@ -66,8 +73,7 @@ FullSchedResult schedule_doall(const Ddg& g, const Machine& m,
   FullSchedResult res{std::move(cls), std::nullopt, Schedule(m.processors),
                       n, 0, 0, 0, 0, 0.0};
   schedule_flow_subset(g, m, order, pool, n, res.schedule);
-  res.processors_used =
-      static_cast<int>(processors_of(res.schedule.placements()).size());
+  res.processors_used = count_used(processors_of(res.schedule));
   res.flow_in_processors = res.processors_used;
   res.steady_ii = measure_steady_ii(res.schedule, n);
   return res;
@@ -88,8 +94,7 @@ FullSchedResult schedule_greedy(const Ddg& g, const Machine& m,
   // shows up or every processor holds a placement.
   const int settled = strategy == FlowStrategy::Fold ? 0 : m.processors;
   CyclicSchedResult r = cyclic_sched(g, m, opts, n, settled);
-  const int occupied =
-      static_cast<int>(processors_of(r.schedule.placements()).size());
+  const int occupied = count_used(processors_of(r.schedule));
   if (!r.pattern.has_value() &&
       (r.iterations_scheduled < n || occupied < settled)) {
     throw PatternNotFoundError(m.processors, opts.max_iterations);
@@ -105,8 +110,7 @@ FullSchedResult schedule_greedy(const Ddg& g, const Machine& m,
     // for the pattern a longer run would detect.
     res.schedule = prefix_schedule(r.schedule.placements(), m.processors, n);
   }
-  res.processors_used =
-      static_cast<int>(processors_of(res.schedule.placements()).size());
+  res.processors_used = count_used(processors_of(res.schedule));
   res.cyclic_processors =
       strategy == FlowStrategy::Fold ? res.processors_used : occupied;
   res.steady_ii = measure_steady_ii(res.schedule, n);
@@ -203,8 +207,9 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
   std::vector<NodeId> old_of_new;
   const Ddg sub = cyclic_subgraph(g, cls, &old_of_new);
   CyclicSchedResult cyc = cyclic_sched(sub, m, opts.cyclic, 0, budget + 1);
-  const std::set<int> cyclic_procs = processors_of(cyc.schedule.placements());
-  if (static_cast<int>(cyclic_procs.size()) > budget) {
+  const std::vector<bool> cyclic_procs = processors_of(cyc.schedule);
+  const int cyclic_used = count_used(cyclic_procs);
+  if (cyclic_used > budget) {
     return schedule_greedy(g, m, iterations, opts.cyclic, std::move(cls),
                            FlowStrategy::Fold);
   }
@@ -231,7 +236,7 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
 
   std::vector<int> free_procs;
   for (int p = 0; p < m.processors; ++p) {
-    if (!cyclic_procs.contains(p)) free_procs.push_back(p);
+    if (!cyclic_procs[static_cast<std::size_t>(p)]) free_procs.push_back(p);
   }
   if (static_cast<int>(free_procs.size()) < want_in + want_out) {
     // Not enough spare processors for the Figure-5 pools: fall back to the
@@ -244,9 +249,7 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
                                   free_procs.begin() + want_in + want_out);
 
   FullSchedResult res{std::move(cls), pattern, Schedule(m.processors),
-                      iterations, 0,
-                      static_cast<int>(cyclic_procs.size()), want_in,
-                      want_out, 0.0};
+                      iterations, 0, cyclic_used, want_in, want_out, 0.0};
 
   // 1. Flow-in, ASAP round-robin.
   schedule_flow_subset(g, m, flow_in_topo, pool_in, iterations, res.schedule);
@@ -275,8 +278,7 @@ FullSchedResult full_sched(const Ddg& g, const Machine& m,
   schedule_flow_subset(g, m, flow_out_topo, pool_out, iterations,
                        res.schedule);
 
-  res.processors_used =
-      static_cast<int>(processors_of(res.schedule.placements()).size());
+  res.processors_used = count_used(processors_of(res.schedule));
   res.steady_ii = measure_steady_ii(res.schedule, iterations);
   return res;
 }

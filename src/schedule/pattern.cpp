@@ -1,6 +1,7 @@
 #include "schedule/pattern.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -8,41 +9,114 @@
 
 namespace mimd {
 
-Schedule prefix_schedule(std::vector<Placement> placements, int processors,
-                         std::int64_t n) {
-  std::erase_if(placements,
-                [n](const Placement& p) { return p.inst.iter >= n; });
-  std::sort(placements.begin(), placements.end(),
-            [](const Placement& a, const Placement& b) {
-              return std::tie(a.start, a.proc, a.inst) <
-                     std::tie(b.start, b.proc, b.inst);
-            });
-  Schedule sched(processors);
-  for (const Placement& p : placements) {
+namespace {
+
+bool by_start_then_inst(const Placement& a, const Placement& b) {
+  return std::tie(a.start, a.inst) < std::tie(b.start, b.inst);
+}
+
+/// A schedule of the placements in `timelines` (one per processor) in
+/// (start, proc) order.  A timeline that Schedule::place appended is in
+/// start order already, and a valid schedule has at most one placement
+/// per (start, proc), so merging the timelines gives exactly the order a
+/// sort of every placement by (start, proc, inst) would; a timeline out
+/// of start order (a hand-built pattern) is sorted first.
+Schedule merge_timelines(std::vector<std::vector<Placement>>& timelines) {
+  const std::size_t procs = timelines.size();
+  std::size_t total = 0;
+  for (auto& line : timelines) {
+    if (!std::is_sorted(line.begin(), line.end(), by_start_then_inst)) {
+      std::sort(line.begin(), line.end(), by_start_then_inst);
+    }
+    total += line.size();
+  }
+  Schedule sched(static_cast<int>(procs));
+  sched.reserve(total);
+  std::vector<std::size_t> next(procs, 0);
+  for (std::size_t placed = 0; placed < total; ++placed) {
+    std::size_t best = procs;  // ties go to the lowest processor
+    for (std::size_t q = 0; q < procs; ++q) {
+      if (next[q] < timelines[q].size() &&
+          (best == procs || timelines[q][next[q]].start <
+                                timelines[best][next[best]].start)) {
+        best = q;
+      }
+    }
+    const Placement& p = timelines[best][next[best]++];
     sched.place(p.inst, p.proc, p.start, p.finish);
   }
   return sched;
 }
 
+/// The placements below iteration n bucketed by processor, each bucket
+/// in input order, with room for `extra[q]` more placements on q.
+std::vector<std::vector<Placement>> timelines_of(
+    const std::vector<Placement>& placements, int processors, std::int64_t n,
+    const std::vector<std::size_t>& extra) {
+  std::vector<std::size_t> count = extra;
+  for (const Placement& p : placements) {
+    MIMD_EXPECTS(p.proc >= 0 && p.proc < processors);
+    count[static_cast<std::size_t>(p.proc)] += p.inst.iter < n;
+  }
+  std::vector<std::vector<Placement>> lines(
+      static_cast<std::size_t>(processors));
+  for (std::size_t q = 0; q < lines.size(); ++q) lines[q].reserve(count[q]);
+  for (const Placement& p : placements) {
+    if (p.inst.iter < n) lines[static_cast<std::size_t>(p.proc)].push_back(p);
+  }
+  return lines;
+}
+
+}  // namespace
+
+Schedule prefix_schedule(const std::vector<Placement>& placements,
+                         int processors, std::int64_t n) {
+  MIMD_EXPECTS(processors >= 1);
+  std::vector<std::vector<Placement>> lines = timelines_of(
+      placements, processors, n,
+      std::vector<std::size_t>(static_cast<std::size_t>(processors), 0));
+  return merge_timelines(lines);
+}
+
 Schedule materialize(const Pattern& pat, int processors, std::int64_t n) {
   MIMD_EXPECTS(n >= 0);
   MIMD_EXPECTS(pat.period_iters >= 1);
+  MIMD_EXPECTS(processors >= 1);
 
-  std::vector<Placement> all = pat.prologue;
-  for (std::int64_t rep = 0;; ++rep) {
+  // Each processor's timeline: its prologue placements, then its kernel
+  // placements shifted by one period per repetition.  Repetition `rep`
+  // is expanded while some kernel instance lands below n, that is while
+  // rep * period_iters < n - (the kernel's lowest iteration).
+  std::int64_t reps = 0;
+  if (!pat.kernel.empty()) {
+    std::int64_t lowest = pat.kernel.front().inst.iter;
+    for (const Placement& p : pat.kernel) {
+      lowest = std::min(lowest, p.inst.iter);
+    }
+    if (lowest < n) reps = (n - lowest - 1) / pat.period_iters + 1;
+  }
+  const std::vector<std::vector<Placement>> kernel = timelines_of(
+      pat.kernel, processors, std::numeric_limits<std::int64_t>::max(),
+      std::vector<std::size_t>(static_cast<std::size_t>(processors), 0));
+  std::vector<std::size_t> kernel_room(kernel.size());
+  for (std::size_t q = 0; q < kernel.size(); ++q) {
+    kernel_room[q] = kernel[q].size() * static_cast<std::size_t>(reps);
+  }
+  std::vector<std::vector<Placement>> lines =
+      timelines_of(pat.prologue, processors, n, kernel_room);
+  for (std::int64_t rep = 0; rep < reps; ++rep) {
     const std::int64_t dt = rep * pat.period_cycles;
     const std::int64_t di = rep * pat.period_iters;
-    bool any = false;
-    for (const Placement& p : pat.kernel) {
-      const std::int64_t iter = p.inst.iter + di;
-      if (iter >= n) continue;
-      any = true;
-      all.push_back(Placement{Inst{p.inst.node, iter}, p.proc, p.start + dt,
-                              p.finish + dt});
+    for (std::size_t q = 0; q < kernel.size(); ++q) {
+      for (const Placement& p : kernel[q]) {
+        const std::int64_t iter = p.inst.iter + di;
+        if (iter >= n) continue;
+        lines[q].push_back(Placement{Inst{p.inst.node, iter}, p.proc,
+                                     p.start + dt, p.finish + dt});
+      }
     }
-    if (!any) break;
   }
-  return prefix_schedule(std::move(all), processors, n);
+  return merge_timelines(lines);
 }
 
 namespace {
@@ -176,23 +250,20 @@ std::optional<Pattern> detect_pattern_window(const Schedule& sched,
 }
 
 std::string render_kernel(const Pattern& pat, const Ddg& g, int processors) {
-  Schedule s(processors);
-  std::vector<Placement> sorted = pat.kernel;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Placement& a, const Placement& b) {
-              return std::tie(a.start, a.proc) < std::tie(b.start, b.proc);
-            });
-  std::int64_t lo = sorted.empty() ? 0 : sorted.front().start;
+  // Re-base so the kernel renders from cycle 0.
+  std::int64_t lo = pat.kernel.empty() ? 0 : pat.kernel.front().start;
   std::int64_t hi = lo;
-  // Re-base so the kernel renders from cycle 0.  Placements can interleave
-  // across processors; Schedule's append contract holds because each
-  // processor's ops keep their relative order.
-  for (const Placement& p : sorted) hi = std::max(hi, p.finish);
-  Schedule view(processors);
-  for (const Placement& p : sorted) {
-    view.place(p.inst, p.proc, p.start - lo, p.finish - lo);
+  for (const Placement& p : pat.kernel) {
+    lo = std::min(lo, p.start);
+    hi = std::max(hi, p.finish);
   }
-  (void)s;
+  std::vector<Placement> rebased = pat.kernel;
+  for (Placement& p : rebased) {
+    p.start -= lo;
+    p.finish -= lo;
+  }
+  const Schedule view = prefix_schedule(
+      rebased, processors, std::numeric_limits<std::int64_t>::max());
   return render(view, g, 0, hi - lo);
 }
 

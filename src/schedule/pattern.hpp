@@ -15,6 +15,10 @@
 //    sliding P x (k+1) "configuration" window compared modulo iteration
 //    shift — implemented offline over a finished schedule, and verified by
 //    re-checking that the candidate kernel actually tiles the tail.
+//
+// `materialize` and `prefix_schedule` build the schedule of a request by
+// merging per-processor timelines, each already in start order, instead
+// of sorting every placement (DESIGN.md, "Dense schedule tables").
 #pragma once
 
 #include <optional>
@@ -56,14 +60,19 @@ struct Pattern {
 /// prologue placements plus shifted kernel repetitions, dropping instances
 /// with iteration >= n.  The result is exactly what the greedy scheduler
 /// would have produced (prefix property), so it satisfies all dependences.
+/// Placements come in (start, proc, inst) order: each processor's
+/// timeline (its prologue, then its shifted kernel copies) is already in
+/// start order for a pattern Cyclic-sched detected, so the timelines are
+/// merged, not sorted; a timeline out of start order is sorted first.
 Schedule materialize(const Pattern& pat, int processors, std::int64_t n);
 
 /// The placements with iteration < n as a schedule, in (start, proc,
-/// inst) order — the order materialize() emits.  Applied to a greedy run
-/// that placed all of [0, n), it equals materialize() of the pattern a
-/// longer run would detect (prefix property).
-Schedule prefix_schedule(std::vector<Placement> placements, int processors,
-                         std::int64_t n);
+/// inst) order — the order materialize() emits — by the same merge of
+/// per-processor timelines.  Applied to a greedy run that placed all of
+/// [0, n), it equals materialize() of the pattern a longer run would
+/// detect (prefix property).
+Schedule prefix_schedule(const std::vector<Placement>& placements,
+                         int processors, std::int64_t n);
 
 /// The paper's configuration-window detector, run offline over a schedule
 /// that extends far enough (e.g. produced with CyclicSched in

@@ -1,6 +1,7 @@
 #include "schedule/schedule.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace mimd {
@@ -15,10 +16,37 @@ void Schedule::place(const Inst& inst, int proc, std::int64_t start,
   MIMD_EXPECTS(proc >= 0 && proc < processors());
   MIMD_EXPECTS(finish > start);
   MIMD_EXPECTS(start >= next_free_[proc]);  // append-only timeline
-  MIMD_EXPECTS(!index_.contains(inst));
-  index_.emplace(inst, placements_.size());
+  MIMD_EXPECTS(inst.node != kInvalidNode && inst.iter >= 0);
+  if (inst.node >= columns_) {
+    // Row 0 alone is cheap to re-lay, so the first iteration sizes the
+    // table exactly; later growth doubles, keeping relayouts logarithmic.
+    widen(rows_ <= 1 ? inst.node + std::size_t{1}
+                     : std::max(inst.node + std::size_t{1}, 2 * columns_));
+  }
+  const auto row = static_cast<std::uint64_t>(inst.iter);
+  if (row >= rows_) {
+    MIMD_EXPECTS(row < index_.max_size() / columns_);
+    rows_ = row + 1;
+    index_.resize(rows_ * columns_, -1);
+  }
+  std::int32_t& cell = index_[row * columns_ + inst.node];
+  MIMD_EXPECTS(cell < 0);  // not placed yet
+  MIMD_ENSURES(placements_.size() <
+               static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()));
+  cell = static_cast<std::int32_t>(placements_.size());
   placements_.push_back(Placement{inst, proc, start, finish});
   next_free_[proc] = finish;
+}
+
+void Schedule::widen(std::size_t columns) {
+  std::vector<std::int32_t> wider(rows_ * columns, -1);
+  for (std::uint64_t r = 0; r < rows_; ++r) {
+    std::copy_n(index_.begin() + static_cast<std::ptrdiff_t>(r * columns_),
+                columns_,
+                wider.begin() + static_cast<std::ptrdiff_t>(r * columns));
+  }
+  index_ = std::move(wider);
+  columns_ = columns;
 }
 
 std::int64_t Schedule::next_free(int proc) const {
@@ -26,28 +54,16 @@ std::int64_t Schedule::next_free(int proc) const {
   return next_free_[proc];
 }
 
-std::optional<Placement> Schedule::lookup(const Inst& inst) const {
-  const auto it = index_.find(inst);
-  if (it == index_.end()) return std::nullopt;
-  return placements_[it->second];
-}
-
 std::vector<Placement> Schedule::on_processor(int proc) const {
   std::vector<Placement> out;
   for (const Placement& p : placements_) {
     if (p.proc == proc) out.push_back(p);
   }
-  std::sort(out.begin(), out.end(),
-            [](const Placement& a, const Placement& b) {
-              return a.start < b.start;
-            });
   return out;
 }
 
 std::int64_t Schedule::makespan() const {
-  std::int64_t m = 0;
-  for (const Placement& p : placements_) m = std::max(m, p.finish);
-  return m;
+  return *std::max_element(next_free_.begin(), next_free_.end());
 }
 
 std::optional<std::string> find_dependence_violation(const Ddg& g,

@@ -2,12 +2,21 @@
 // node instances to (processor, start cycle).  Per-processor timelines are
 // append-only — Cyclic-sched never back-fills idle slots, which is what
 // makes its future behaviour a function of a bounded window of recent state
-// (the linchpin of the pattern-existence proof, Section 2.3).
+// (the linchpin of the pattern-existence proof, Section 2.3).  So each
+// processor's placements are appended in start order, and (start, proc)
+// names at most one placement.
+//
+// Instances are indexed by a dense table, row = iteration, column = node
+// id, each cell the placement's position or -1: every schedule the
+// pipeline builds covers iterations [0, n) of every node it places, so a
+// lookup is a bounds check plus one load and the table costs 4 bytes per
+// cell (DESIGN.md, "Dense schedule tables").  A schedule placing a few
+// instances of far-apart iterations still pays for every row below them.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/ddg.hpp"
@@ -33,15 +42,20 @@ class Schedule {
   explicit Schedule(int processors);
 
   /// Append a placement. Enforces: valid processor, non-overlap (the
-  /// processor's timeline only moves forward), instance not yet placed.
+  /// processor's timeline only moves forward), a valid node id and a
+  /// non-negative iteration, instance not yet placed.
   void place(const Inst& inst, int proc, std::int64_t start,
              std::int64_t finish);
 
   [[nodiscard]] int processors() const { return static_cast<int>(next_free_.size()); }
   [[nodiscard]] std::int64_t next_free(int proc) const;
-  [[nodiscard]] std::optional<Placement> lookup(const Inst& inst) const;
+  [[nodiscard]] std::optional<Placement> lookup(const Inst& inst) const {
+    const std::int32_t at = position(inst);
+    if (at < 0) return std::nullopt;
+    return placements_[static_cast<std::size_t>(at)];
+  }
   [[nodiscard]] bool contains(const Inst& inst) const {
-    return index_.contains(inst);
+    return position(inst) >= 0;
   }
 
   /// All placements, in the order they were made (= scheduler decision
@@ -53,15 +67,31 @@ class Schedule {
   /// Placements on one processor, in start order (== append order).
   [[nodiscard]] std::vector<Placement> on_processor(int proc) const;
 
-  /// Completion time of everything placed so far.
+  /// Completion time of everything placed so far: the latest next_free,
+  /// since each processor's last placement finishes last.
   [[nodiscard]] std::int64_t makespan() const;
 
   /// Count of placed instances.
   [[nodiscard]] std::size_t size() const { return placements_.size(); }
 
+  /// Make room for `placements` placements in all.
+  void reserve(std::size_t placements) { placements_.reserve(placements); }
+
  private:
+  /// Position of `inst` in placements_, or -1 if it is not placed.
+  [[nodiscard]] std::int32_t position(const Inst& inst) const {
+    const auto row = static_cast<std::uint64_t>(inst.iter);
+    if (row >= rows_ || inst.node >= columns_) return -1;
+    return index_[row * columns_ + inst.node];
+  }
+  /// Widen every row to at least `columns` cells.
+  void widen(std::size_t columns);
+
   std::vector<Placement> placements_;
-  std::unordered_map<Inst, std::size_t, InstHash> index_;
+  /// index_[iter * columns_ + node]: position in placements_, or -1.
+  std::vector<std::int32_t> index_;
+  std::size_t columns_ = 0;
+  std::uint64_t rows_ = 0;
   std::vector<std::int64_t> next_free_;
 };
 

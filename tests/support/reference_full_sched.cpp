@@ -8,9 +8,8 @@
 
 #include "classify/classify.hpp"
 #include "graph/algorithms.hpp"
-#include "schedule/cyclic_sched.hpp"
 #include "schedule/flow_sched.hpp"
-#include "schedule/pattern.hpp"
+#include "support/reference_schedule.hpp"
 
 namespace mimd::testsupport {
 
@@ -62,7 +61,7 @@ FullSchedResult schedule_doall(const Ddg& g, const Machine& m,
 /// into its detection bound without one.
 Pattern cyclic_pattern(const Ddg& g, const Machine& m,
                        const CyclicSchedOptions& opts) {
-  CyclicSchedResult r = cyclic_sched(g, m, opts);
+  CyclicSchedResult r = reference_cyclic_sched(g, m, opts);
   if (!r.pattern) {
     throw PatternNotFoundError(m.processors, opts.max_iterations);
   }
@@ -86,9 +85,10 @@ FullSchedResult reference_full_sched(const Ddg& g, const Machine& m,
     // Section-3 heuristic, realized by scheduling the whole graph greedily:
     // non-Cyclic nodes flow into idle slots of the Cyclic processors.
     const Pattern pattern = cyclic_pattern(g, m, opts.cyclic);
-    FullSchedResult res{std::move(cls), pattern,
-                        materialize(pattern, m.processors, iterations),
-                        iterations, 0, 0, 0, 0, 0.0};
+    FullSchedResult res{
+        std::move(cls), pattern,
+        reference_materialize(pattern, m.processors, iterations), iterations,
+        0, 0, 0, 0, 0.0};
     std::set<int> used;
     for (const Placement& p : res.schedule.placements()) used.insert(p.proc);
     res.processors_used = static_cast<int>(used.size());
@@ -149,7 +149,8 @@ FullSchedResult reference_full_sched(const Ddg& g, const Machine& m,
 
   // 2. Cyclic placements, shifted right by the smallest constant that
   //    satisfies every Flow-in -> Cyclic dependence.
-  const Schedule nominal = materialize(pattern, m.processors, iterations);
+  const Schedule nominal =
+      reference_materialize(pattern, m.processors, iterations);
   std::int64_t shift = 0;
   for (const Placement& c : nominal.placements()) {
     for (const EdgeId eid : g.in_edges(c.inst.node)) {

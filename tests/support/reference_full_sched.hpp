@@ -3,7 +3,10 @@
 // verbatim apart from its name.  Every non-DOALL path detects the
 // pattern in full and materializes it: the SeparateProcessors path runs
 // the Cyclic subgraph to its pattern before deciding whether the flow
-// pools fit, and Fold runs the whole graph to its pattern.
+// pools fit, and Fold runs the whole graph to its pattern.  Detection and
+// materialization go through the frozen copies in
+// tests/support/reference_schedule.hpp (hash-map Cyclic-sched, sort-based
+// materialize), not through the library's dense-table versions.
 //
 // The prefix differential (tests/test_prefix_differential.cpp) runs both
 // on the same inputs and requires the same placements in the same order,

@@ -5,9 +5,11 @@
 #include "baseline/doacross.hpp"
 #include "partition/compiled_program.hpp"
 #include "baseline/sequential.hpp"
+#include "graph/unwind.hpp"
 #include "partition/lowering.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
+#include "support/reference_schedule.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
 
@@ -76,6 +78,51 @@ TEST(Lowering, ProgramsOrderedByStartTimePerProcessor) {
       last = pl->start;
     }
   }
+}
+
+// lower() walks placements in append order.  Two schedules with the same
+// per-processor timelines, appended in different cross-processor
+// interleavings, must lower to the same programs — and to what the
+// sort-based lowering makes of the original.
+TEST(Lowering, CrossProcessorInterleavingDoesNotChangeThePrograms) {
+  const Ddg g = normalize_distances(workloads::elliptic_filter_loop()).graph;
+  const FullSchedResult r = full_sched(g, Machine{3, 1}, 40);
+  const Schedule& original = r.schedule;
+  const int procs = original.processors();
+  std::vector<std::vector<Placement>> lines;
+  for (int q = 0; q < procs; ++q) lines.push_back(original.on_processor(q));
+
+  Schedule by_processor(procs);  // all of PE0, then all of PE1, ...
+  for (const auto& line : lines) {
+    for (const Placement& p : line) {
+      by_processor.place(p.inst, p.proc, p.start, p.finish);
+    }
+  }
+  Schedule reversed(procs);  // the last processor's timeline first
+  for (auto line = lines.rbegin(); line != lines.rend(); ++line) {
+    for (const Placement& p : *line) {
+      reversed.place(p.inst, p.proc, p.start, p.finish);
+    }
+  }
+  Schedule round_robin(procs);  // one placement per processor in turn
+  for (std::size_t i = 0, left = original.size(); left > 0; ++i) {
+    for (const auto& line : lines) {
+      if (i < line.size()) {
+        round_robin.place(line[i].inst, line[i].proc, line[i].start,
+                          line[i].finish);
+        --left;
+      }
+    }
+  }
+  ASSERT_NE(by_processor.placements(), original.placements());
+  ASSERT_NE(reversed.placements(), by_processor.placements());
+
+  const PartitionedProgram want = testsupport::reference_lower(original, g);
+  EXPECT_GT(want.count(Op::Kind::Send), 0u);
+  EXPECT_TRUE(lower(original, g) == want);
+  EXPECT_TRUE(lower(by_processor, g) == want);
+  EXPECT_TRUE(lower(reversed, g) == want);
+  EXPECT_TRUE(lower(round_robin, g) == want);
 }
 
 TEST(ProgramViolation, DetectsComputeBeforeOperand) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/algorithms.hpp"
 #include "graph/unwind.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/pattern.hpp"
+#include "support/reference_schedule.hpp"
 #include "workloads/livermore.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
@@ -79,6 +82,54 @@ TEST(Materialize, TruncationDropsOnlyHighIterations) {
     EXPECT_EQ(b->start, a.start);
     EXPECT_EQ(b->proc, a.proc);
   }
+}
+
+// materialize merges per-processor timelines instead of sorting every
+// placement; a timeline out of start order (possible only in a hand-built
+// pattern) is sorted first, so the result still equals the sort-based
+// expansion.
+TEST(Materialize, KernelOutOfStartOrderMatchesTheSortBasedExpansion) {
+  const Pattern detected = detect(workloads::fig7_loop(), Machine{2, 2});
+  Pattern reversed = detected;  // each processor's kernel backwards
+  std::reverse(reversed.kernel.begin(), reversed.kernel.end());
+  std::reverse(reversed.prologue.begin(), reversed.prologue.end());
+  for (const std::int64_t n : {0, 1, 7, 40}) {
+    SCOPED_TRACE(n);
+    const auto want = testsupport::reference_materialize(detected, 2, n);
+    EXPECT_EQ(materialize(detected, 2, n).placements(), want.placements());
+    EXPECT_EQ(materialize(reversed, 2, n).placements(), want.placements());
+    EXPECT_EQ(testsupport::reference_materialize(reversed, 2, n).placements(),
+              want.placements());
+  }
+
+  // A kernel longer than its period: on PE0 each repetition's second
+  // placement starts after the next repetition's first, so the timeline
+  // in expansion order is 0, 5, 3, 8, 6, ... and has to be sorted.
+  Pattern overlapping;
+  overlapping.kernel = {Placement{Inst{0, 0}, 0, 0, 1},
+                        Placement{Inst{1, 0}, 0, 5, 6},
+                        Placement{Inst{2, 0}, 1, 2, 4}};
+  overlapping.period_iters = 1;
+  overlapping.period_cycles = 3;
+  const Schedule got = materialize(overlapping, 2, 4);
+  EXPECT_EQ(got.placements(),
+            testsupport::reference_materialize(overlapping, 2, 4).placements());
+  std::vector<std::int64_t> pe0;
+  for (const Placement& p : got.on_processor(0)) pe0.push_back(p.start);
+  EXPECT_EQ(pe0, (std::vector<std::int64_t>{0, 3, 5, 6, 8, 9, 11, 14}));
+}
+
+TEST(PrefixSchedule, MergesTimelinesLikeTheSortBasedVersion) {
+  const Ddg g = normalize_distances(workloads::elliptic_filter_loop()).graph;
+  const CyclicSchedResult r = cyclic_sched(g, Machine{3, 1});
+  std::vector<Placement> all = r.schedule.placements();
+  for (const std::int64_t n : {1, 9, 64}) {
+    EXPECT_EQ(prefix_schedule(all, 3, n).placements(),
+              testsupport::reference_prefix_schedule(all, 3, n).placements());
+  }
+  std::reverse(all.begin(), all.end());  // every timeline backwards
+  EXPECT_EQ(prefix_schedule(all, 3, 64).placements(),
+            testsupport::reference_prefix_schedule(all, 3, 64).placements());
 }
 
 TEST(WindowDetector, AgreesWithStateSignatureDetector) {

@@ -7,12 +7,19 @@
 // A result that carries a pattern carries the reference's; one that
 // stopped at n without a pattern must be materialize() of the pattern
 // steady_state_pattern detects, and that pattern must be the reference's.
+// The reference runs on frozen copies of the hash-map Cyclic-sched and
+// the sort-based materialize, prefix_schedule and lower
+// (tests/support/reference_schedule.hpp), so the library's dense tables
+// and timeline merges are compared with the code they replaced; on the
+// generated loops and the hot structures the lowered programs must agree
+// op for op as well.
 //
 // Inputs: generated `.loop` programs through the O1 mid-end at p = 2 and
 // p = 4, the O1 strands of the committed `.loop` files, the six
 // structures perfbench's mixed-n workload serves, at five processor
-// counts and its 32 trip counts, and random all-Cyclic graphs at tiny
-// trip counts.
+// counts and its 32 trip counts, random all-Cyclic graphs at tiny trip
+// counts, and the Cyclic subsets of the two slow-to-settle strands in
+// tests/loops/pattern_horizon_*.loop, detected in full.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,14 +35,18 @@
 #include <utility>
 #include <vector>
 
+#include "classify/classify.hpp"
 #include "graph/unwind.hpp"
 #include "ir/dependence.hpp"
 #include "ir/ifconvert.hpp"
 #include "ir/parser.hpp"
 #include "opt/pipeline.hpp"
+#include "partition/lowering.hpp"
+#include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
 #include "support/loop_gen.hpp"
 #include "support/reference_full_sched.hpp"
+#include "support/reference_schedule.hpp"
 #include "workloads/livermore.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
@@ -43,7 +54,9 @@
 namespace mimd {
 namespace {
 
+using testsupport::reference_cyclic_sched;
 using testsupport::reference_full_sched;
+using testsupport::reference_lower;
 
 /// What one scheduler made of one input: a result or an error.
 struct Outcome {
@@ -78,6 +91,10 @@ struct Tally {
   /// Inputs on which the reference raised an error and full_sched
   /// returned a schedule.
   std::vector<std::string> error_to_prefix;
+  /// When set, the lowered programs of every input that both schedule
+  /// are compared too, and counted in `lowered`.
+  bool compare_lowered = false;
+  int lowered = 0;
 };
 
 /// Cached steady_state_pattern per (graph, machine) for inputs swept over
@@ -124,6 +141,13 @@ void check_input(const std::string& name, const Ddg& g, const Machine& m,
   EXPECT_EQ(got.flow_in_processors, want.flow_in_processors);
   EXPECT_EQ(got.flow_out_processors, want.flow_out_processors);
   EXPECT_EQ(got.steady_ii, want.steady_ii);
+  if (tally.compare_lowered) {
+    ++tally.lowered;
+    const PartitionedProgram now_prog = lower(got.schedule, g);
+    const PartitionedProgram ref_prog = reference_lower(want.schedule, g);
+    EXPECT_TRUE(now_prog == ref_prog)
+        << now_prog.total_ops() << " ops vs " << ref_prog.total_ops();
+  }
 
   if (!want.pattern.has_value()) {
     EXPECT_TRUE(want.classification.is_doall());
@@ -187,6 +211,7 @@ std::string report(const Tally& t) {
 
 TEST(PrefixDifferential, GeneratedLoopsAtP2AndP4) {
   Tally tally;
+  tally.compare_lowered = true;
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     const testsupport::GeneratedIrLoop gen = testsupport::random_ir_loop(seed);
     const std::vector<Ddg> strands = o1_strand_graphs(gen.source);
@@ -199,6 +224,7 @@ TEST(PrefixDifferential, GeneratedLoopsAtP2AndP4) {
   }
   std::cout << report(tally) << "\n";
   EXPECT_GE(tally.inputs, 600);
+  EXPECT_EQ(tally.lowered, tally.inputs - tally.errors);
   EXPECT_GT(tally.with_pattern, 0);
   EXPECT_GT(tally.cut_at_n, 0);
   EXPECT_EQ(tally.error_to_prefix, std::vector<std::string>{});
@@ -258,6 +284,7 @@ TEST(PrefixDifferential, HotStructuresAtEveryProcessorCountAndTripCount) {
     trips.push_back(std::lround(16.0 * std::pow(128.0, j / 31.0)));
   }
   Tally tally;
+  tally.compare_lowered = true;
   PatternCache cache;
   for (const auto& [name, g] : structures) {
     for (const int p : {1, 2, 3, 4, 8}) {
@@ -268,9 +295,40 @@ TEST(PrefixDifferential, HotStructuresAtEveryProcessorCountAndTripCount) {
   }
   std::cout << report(tally) << "\n";
   EXPECT_EQ(tally.inputs, 6 * 5 * 32);
+  EXPECT_EQ(tally.lowered, tally.inputs);
   EXPECT_GT(tally.with_pattern, 0);
   EXPECT_GT(tally.cut_at_n, 0);
   EXPECT_EQ(tally.error_to_prefix, std::vector<std::string>{});
+}
+
+// The two strands whose Cyclic subsets settle only after thousands of
+// iterations at p = 4: Cyclic-sched detected in full must stop at the
+// same checkpoint with the same schedule and the same Pattern as the
+// hash-map reference, every field included.
+TEST(PrefixDifferential, HorizonStrandCyclicSubsetsDetectTheReferencePattern) {
+  const Machine m{4, 1};
+  for (const char* seed : {"707", "810"}) {
+    SCOPED_TRACE(seed);
+    std::ifstream in(std::string(MIMD_TEST_LOOPS_DIR) + "/pattern_horizon_" +
+                     seed + ".loop");
+    std::ostringstream source;
+    source << in.rdbuf();
+    const Ddg strand =
+        normalize_distances(o1_strand_graphs(source.str()).front()).graph;
+    const Ddg sub = cyclic_subgraph(strand, classify(strand), nullptr);
+    const CyclicSchedResult now = cyclic_sched(sub, m);
+    const CyclicSchedResult ref = reference_cyclic_sched(sub, m);
+    ASSERT_TRUE(ref.pattern.has_value());
+    ASSERT_TRUE(now.pattern.has_value());
+    std::cout << "pattern_horizon_" << seed << ": pattern after "
+              << ref.iterations_scheduled << " iterations, "
+              << ref.pattern->prologue.size() << " prologue + "
+              << ref.pattern->kernel.size() << " kernel placements\n";
+    EXPECT_GT(ref.iterations_scheduled, 8000);
+    EXPECT_EQ(now.iterations_scheduled, ref.iterations_scheduled);
+    EXPECT_TRUE(same_pattern(*now.pattern, *ref.pattern));
+    EXPECT_TRUE(now.schedule.placements() == ref.schedule.placements());
+  }
 }
 
 // Loops that are all Cyclic, at trip counts so small that the first n

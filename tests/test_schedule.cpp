@@ -58,6 +58,98 @@ TEST(Schedule, OnProcessorIsTimeSorted) {
   EXPECT_EQ(ops[1].inst.node, 2u);
 }
 
+// The dense index widens its rows when a node id above every earlier one
+// arrives, whether the table holds one iteration or several; every
+// placement made before a widening stays reachable.
+TEST(Schedule, NodeIdsFirstSeenOutOfOrderAndAboveEveryEarlierId) {
+  Schedule s(2);
+  s.place(Inst{5, 0}, 0, 0, 1);
+  s.place(Inst{2, 0}, 1, 0, 1);
+  s.place(Inst{9, 1}, 0, 1, 2);  // widens a two-row table
+  s.place(Inst{0, 1}, 1, 1, 3);
+  s.place(Inst{40, 3}, 0, 4, 6);  // widens past double the width
+  s.place(Inst{7, 3}, 1, 3, 4);
+  const std::vector<Inst> placed = {{5, 0}, {2, 0}, {9, 1},
+                                    {0, 1}, {40, 3}, {7, 3}};
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    const auto p = s.lookup(placed[i]);
+    ASSERT_TRUE(p.has_value()) << i;
+    EXPECT_EQ(p->inst, placed[i]);
+    EXPECT_EQ(*p, s.placements()[i]);
+  }
+  for (const Inst& never : {Inst{2, 1}, Inst{5, 3}, Inst{9, 0}, Inst{39, 3},
+                            Inst{0, 2}, Inst{40, 0}}) {
+    EXPECT_FALSE(s.lookup(never).has_value()) << never.node << "@" << never.iter;
+  }
+}
+
+TEST(Schedule, LookupsPastTheLastIterationAndOfUnplacedInstances) {
+  Schedule s(1);
+  EXPECT_FALSE(s.lookup(Inst{0, 0}).has_value());  // empty table
+  s.place(Inst{0, 0}, 0, 0, 1);
+  s.place(Inst{1, 2}, 0, 1, 2);
+  EXPECT_FALSE(s.lookup(Inst{0, 3}).has_value());
+  EXPECT_FALSE(s.lookup(Inst{1, 1'000'000'000'000}).has_value());
+  EXPECT_FALSE(s.lookup(Inst{0, 1}).has_value());  // row exists, unplaced
+  EXPECT_FALSE(s.lookup(Inst{1, 0}).has_value());
+  EXPECT_FALSE(s.lookup(Inst{7, 0}).has_value());  // beyond every column
+  EXPECT_FALSE(s.lookup(Inst{0, -1}).has_value());
+  EXPECT_FALSE(s.lookup(Inst{kInvalidNode, 0}).has_value());
+  EXPECT_TRUE(s.lookup(Inst{1, 2}).has_value());
+}
+
+TEST(Schedule, ContainsExactlyThePlacedInstances) {
+  Schedule s(3);
+  for (std::int64_t i = 0; i < 6; ++i) {
+    for (NodeId v = 0; v < 4; ++v) {
+      if ((v + static_cast<NodeId>(i)) % 2 == 0) {
+        const int proc = static_cast<int>(v % 3);
+        s.place(Inst{v, i}, proc, s.next_free(proc), s.next_free(proc) + 1);
+      }
+    }
+  }
+  EXPECT_EQ(s.size(), 12u);
+  for (std::int64_t i = -1; i < 8; ++i) {
+    for (NodeId v = 0; v < 6; ++v) {
+      const bool placed = i >= 0 && i < 6 && v < 4 &&
+                          (v + static_cast<NodeId>(i)) % 2 == 0;
+      EXPECT_EQ(s.contains(Inst{v, i}), placed) << v << "@" << i;
+    }
+  }
+}
+
+TEST(Schedule, DuplicateAfterTheTableGrowsIsStillAContractViolation) {
+  Schedule s(2);
+  s.place(Inst{3, 2}, 0, 0, 1);
+  s.place(Inst{10, 5}, 1, 0, 1);  // wider and taller
+  const std::vector<Placement> before = s.placements();
+  EXPECT_THROW(s.place(Inst{3, 2}, 1, 5, 6), ContractViolation);
+  EXPECT_THROW(s.place(Inst{10, 5}, 0, 5, 6), ContractViolation);
+  EXPECT_EQ(s.placements(), before);
+  EXPECT_EQ(s.next_free(0), 1);
+  EXPECT_EQ(s.next_free(1), 1);
+}
+
+TEST(Schedule, RejectsNegativeIterationAndInvalidNode) {
+  Schedule s(1);
+  EXPECT_THROW(s.place(Inst{0, -1}, 0, 0, 1), ContractViolation);
+  EXPECT_THROW(s.place(Inst{kInvalidNode, 0}, 0, 0, 1), ContractViolation);
+  EXPECT_EQ(s.size(), 0u);
+}
+
+TEST(Schedule, PlacementsStayInAppendOrder) {
+  Schedule s(3);
+  const std::vector<Placement> made = {
+      {Inst{4, 1}, 2, 0, 3}, {Inst{0, 0}, 0, 1, 2}, {Inst{2, 0}, 1, 0, 5},
+      {Inst{1, 3}, 0, 2, 4}, {Inst{3, 0}, 2, 3, 4}, {Inst{0, 2}, 1, 9, 10},
+      {Inst{6, 0}, 0, 4, 8}};
+  for (const Placement& p : made) s.place(p.inst, p.proc, p.start, p.finish);
+  EXPECT_EQ(s.placements(), made);
+  EXPECT_EQ(s.on_processor(0),
+            (std::vector<Placement>{made[1], made[3], made[6]}));
+  EXPECT_EQ(s.makespan(), 10);
+}
+
 TEST(Schedule, MakespanIsMaxFinish) {
   Schedule s(2);
   EXPECT_EQ(s.makespan(), 0);
