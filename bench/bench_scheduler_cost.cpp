@@ -232,6 +232,9 @@ void BM_Lower(benchmark::State& state) {
 }
 BENCHMARK(BM_Lower)->Apply(partition_args);
 
+/// find_program_violation is compile_program's own check-and-compile walk
+/// (it builds the compiled ops and drops them), so this row times that
+/// shared walk without slot reuse.
 void BM_ValidateProgram(benchmark::State& state) {
   const ParallelizeResult r = partition_input(state);
   for (auto _ : state) {
@@ -243,7 +246,7 @@ void BM_ValidateProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateProgram)->Apply(partition_args);
 
-/// compile_program includes its own validation pass.
+/// The shared walk plus slot reuse: everything a submit miss compiles.
 void BM_CompileProgram(benchmark::State& state) {
   const ParallelizeResult r = partition_input(state);
   for (auto _ : state) {

@@ -1,6 +1,6 @@
 #include "partition/c_codegen.hpp"
 
-#include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <sstream>
@@ -34,20 +34,6 @@ struct RolledShape {
   std::int64_t iter_shift = 0;
 };
 
-bool operand_equal_shifted(const OperandRef& a, const OperandRef& b,
-                           std::int64_t di) {
-  if (a.kind != b.kind) return false;
-  switch (a.kind) {
-    case OperandRef::Kind::LocalSlot:
-      return a.index == b.index;
-    case OperandRef::Kind::ChannelRecv:
-      return a.index == b.index && b.iter - a.iter == di;
-    case OperandRef::Kind::InitialValue:
-      return a.initial == b.initial;
-  }
-  return false;
-}
-
 /// Two compiled ops are a periodic pair iff they touch the same slots and
 /// channels and differ only by the iteration shift `di`.  Boundary
 /// instances (whose operands were resolved to InitialValue, or whose sends
@@ -62,13 +48,9 @@ bool ops_equal_shifted(const CompiledThread& t, std::size_t ia,
       b.iter - a.iter != di) {
     return false;
   }
-  for (std::uint32_t j = 0; j < a.num_operands; ++j) {
-    if (!operand_equal_shifted(t.operands[a.first_operand + j],
-                               t.operands[b.first_operand + j], di)) {
-      return false;
-    }
-  }
-  return true;
+  return std::equal(t.operands.begin() + a.first_operand,
+                    t.operands.begin() + a.first_operand + a.num_operands,
+                    t.operands.begin() + b.first_operand);
 }
 
 /// Find the smallest period p whose repetitions cover the longest window
@@ -167,9 +149,8 @@ void emit_kernel_combine(std::ostringstream& out, const Ddg& g, NodeId v,
 /// One compiled op as C.  `iter_expr` is the op's iteration as a C
 /// expression — a literal in straight-line code, `(base + r * shift)` in a
 /// rolled steady state.  Computed values go to the caller's row-major
-/// matrix through the per-call context, and InitialValue operands that
-/// carry the library's default pre-loop value load from the caller's init
-/// vector instead of being baked as literals.
+/// matrix through the per-call context; an InitialValue operand is the
+/// literal initial_value(node).
 void emit_op(std::ostringstream& out, const CompiledThread& t,
              const CompiledOp& op, const Ddg& g,
              const std::string& iter_expr, const char* note) {
@@ -184,38 +165,16 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
       for (std::uint32_t j = 0; j < op.num_operands; ++j) {
         const OperandRef& r = t.operands[op.first_operand + j];
         out << "    double a" << j << " = ";
-        switch (r.kind) {
-          case OperandRef::Kind::LocalSlot:
-            out << "s[" << r.index << "];\n";
-            break;
-          case OperandRef::Kind::ChannelRecv:
-            out << "chan_recv(&chans[" << r.index << "]);\n";
-            break;
-          case OperandRef::Kind::InitialValue: {
-            // Compute operands follow the graph's in-edge order, so
-            // operand j's producing node is the j-th in-edge's source.
-            // Route it through the kernel's init vector iff the compiled
-            // constant is (bitwise) that node's default initial value;
-            // anything else stays a literal, so a plan compiled against
-            // bespoke initials keeps its exact semantics.
-            const auto& ins = g.in_edges(op.node);
-            const NodeId src =
-                j < ins.size() ? g.edge(ins[j]).src : NodeId{0};
-            if (j < ins.size() &&
-                std::bit_cast<std::uint64_t>(r.initial) ==
-                    std::bit_cast<std::uint64_t>(initial_value(src))) {
-              out << "init[" << src << "];\n";
-            } else {
-              out << fmt_double(r.initial) << ";\n";
-            }
-            break;
-          }
+        if (r.kind == OperandRef::Kind::LocalSlot) {
+          out << "s[" << r.index << "];\n";
+        } else {
+          out << fmt_double(initial_value(r.index)) << ";\n";
         }
         operand_exprs.push_back("a" + std::to_string(j));
       }
       emit_kernel_combine(out, g, op.node, "i", "    ", operand_exprs);
       out << "    s[" << op.slot << "] = acc;\n"
-          << "    k->R[" << op.node << "LL * k->n + i] = acc;\n  }\n";
+          << "    k->R[" << op.node << "LL * N + i] = acc;\n  }\n";
       break;
     }
     case CompiledOp::Kind::Send:
@@ -239,8 +198,7 @@ void emit_pe_function(std::ostringstream& out, const CompiledThread& t,
   out << "static void* pe" << t.proc << "_main(void* arg) {\n"
       << "  kctx_t* k = (kctx_t*)arg;\n"
       << "  chan_t* chans = k->chans;\n"
-      << "  const double* init = k->init;\n"
-      << "  (void)chans; (void)init;\n"
+      << "  (void)chans;\n"
       << "  double s[" << (t.num_slots == 0 ? 1 : t.num_slots) << "]; /* "
       << t.num_slots_ssa << " values, " << t.num_slots
       << " after liveness reuse */\n";
@@ -299,10 +257,7 @@ void emit_kernel(std::ostringstream& out, const CompiledProgram& cp,
         << d.dst_proc << ", " << d.messages << " messages */\n";
   }
   out << "  chan_t chans[" << (nchans == 0 ? 1 : nchans) << "];\n"
-      << "  double* R;          /* caller's NODES x n row-major matrix "
-         "*/\n"
-      << "  long long n;        /* row stride (>= N) */\n"
-      << "  const double* init; /* caller's per-node pre-loop values */\n"
+      << "  double* R; /* caller's NODES x N row-major matrix */\n"
       << "} kctx_t;\n\n";
 
   for (const CompiledThread& t : cp.threads) emit_pe_function(out, t, g);
@@ -323,17 +278,14 @@ void emit_kernel(std::ostringstream& out, const CompiledProgram& cp,
       << "} mimd_kernel_info_t;\n"
       << "const mimd_kernel_info_t mimd_kernel_info = {" << kKernelAbiVersion
       << ", NODES, N, " << nthreads << "};\n\n"
-      << "void* mimd_kernel_ctx_create(long long n, const double* init, "
-         "double* R) {\n"
-      << "  if (n < N || !init || !R) return 0;\n"
+      << "void* mimd_kernel_ctx_create(double* R) {\n"
+      << "  if (!R) return 0;\n"
       << "  kctx_t* k = (kctx_t*)calloc(1, sizeof(kctx_t));\n"
       << "  if (!k) return 0; /* zeroed = valid empty-channel state */\n";
   for (std::size_t c = 0; c < nchans; ++c) {
     out << "  k->chans[" << c << "].buf = k->chan" << c << "_buf;\n";
   }
   out << "  k->R = R;\n"
-      << "  k->n = n;\n"
-      << "  k->init = init;\n"
       << "  return k;\n}\n\n"
       << "int mimd_kernel_run_on(void* ctx, long long thread_id) {\n"
       << "  kctx_t* k = (kctx_t*)ctx;\n"
@@ -390,14 +342,9 @@ void emit_driver(std::ostringstream& out, const CompiledProgram& cp,
       << "  (void)mimd_kernel_run_on(a->ctx, a->id);\n"
       << "  return 0;\n}\n\n"
       << "int main(void) {\n"
-      << "  static const double init[NODES] = {";
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    out << (v == 0 ? "" : ", ") << fmt_double(initial_value(v));
-  }
-  out << "};\n"
       << "  double* R = (double*)calloc((size_t)NODES * (size_t)N, "
          "sizeof(double));\n"
-      << "  void* ctx = R ? mimd_kernel_ctx_create(N, init, R) : 0;\n"
+      << "  void* ctx = R ? mimd_kernel_ctx_create(R) : 0;\n"
       << "  if (!ctx) { printf(\"OUT OF MEMORY\\n\"); return 1; }\n"
       << "  pthread_t th[" << nthreads << "];\n"
       << "  pe_arg_t arg[" << nthreads << "];\n";
@@ -465,14 +412,12 @@ std::string emit_c_program(const CompiledProgram& cp, const Ddg& g,
   switch (artifact) {
     case CArtifact::Kernel:
       out << " * Build: cc -O2 -std=c11 -shared -fPIC this_file.c\n"
-          << " * Entries: mimd_kernel_ctx_create(n, init, R) wires a "
-             "per-call\n"
-          << " * context that runs the compiled iterations with init[v] as\n"
-          << " * node v's pre-loop value, writing node v, iteration i to\n"
-          << " * R[v * n + i]; the caller enters mimd_kernel_run_on(ctx, t)\n"
-          << " * once per thread t, all concurrently, then\n"
-          << " * mimd_kernel_ctx_destroy(ctx).  mimd_kernel_info is the\n"
-          << " * loader's ABI handshake. */\n";
+          << " * Entries: mimd_kernel_ctx_create(R) wires a per-call\n"
+          << " * context that runs the compiled iterations, writing node v,\n"
+          << " * iteration i to R[v * N + i]; the caller enters\n"
+          << " * mimd_kernel_run_on(ctx, t) once per thread t, all\n"
+          << " * concurrently, then mimd_kernel_ctx_destroy(ctx).\n"
+          << " * mimd_kernel_info is the loader's ABI handshake. */\n";
       break;
     case CArtifact::CheckedProgram:
       out << " * Build: cc -O2 -std=c11 -pthread this_file.c\n"

@@ -14,11 +14,13 @@
 //    sizing that header shares with the executor) — a send is one store
 //    plus a release-publish and never waits, a receive waits
 //    spin-then-yield on its own cache line;
-//  * one PE function per compiled thread running its op sequence, each
-//    thread's periodic steady state rolled into a real `for` loop like
-//    the paper's Figure 7(e) (straight-line code where no period is
-//    found); computed values go to the caller's row-major result matrix
-//    (single writer per entry);
+//  * one PE function per compiled thread running its op sequence — one
+//    statement per compiled op, a receive popping its channel into a
+//    slot — each thread's periodic steady state rolled into a real `for`
+//    loop like the paper's Figure 7(e) (straight-line code where no
+//    period is found); pre-loop operand values are literals of
+//    initial_value(node), and computed values go to the caller's
+//    row-major result matrix (single writer per entry);
 //  * all mutable state in one heap-allocated context per call, so a
 //    loaded kernel is reentrant, plus the four exported entries below.
 // A program (`mimdc --c`) is that kernel, byte for byte, plus a driver:
@@ -41,7 +43,7 @@ namespace mimd {
 
 /// The mimd_kernel_info.abi_version a kernel exports and the loader
 /// (runtime/jit_compiler.cpp) requires.
-inline constexpr long long kKernelAbiVersion = 2;
+inline constexpr long long kKernelAbiVersion = 3;
 
 /// What emit_c_program produces.
 enum class CArtifact {
@@ -62,14 +64,15 @@ enum class CArtifact {
   ///   const mimd_kernel_info_t mimd_kernel_info
   ///     = {abi_version, nodes, iterations, threads} (four long longs), so
   ///     a loader can validate the ABI and bounds before the first call;
-  ///   void* mimd_kernel_ctx_create(long long n, const double* init,
-  ///                                double* R)  — allocate + wire one
-  ///     per-call context that runs the compiled iterations with
-  ///     `init[v]` as node v's pre-loop value, writing every computed
-  ///     value to the row-major result matrix `R[v * n + i]` (caller
-  ///     allocates NODES * n doubles, zero-filled so uncomputed entries
-  ///     match the interpreted executor's zero rows); NULL on bad args or
-  ///     allocation failure;
+  ///   void* mimd_kernel_ctx_create(double* R) — allocate + wire one
+  ///     per-call context that runs the compiled iterations, writing
+  ///     every computed value to the row-major result matrix
+  ///     `R[v * iterations + i]` (caller allocates nodes * iterations
+  ///     doubles, zero-filled so uncomputed entries match the interpreted
+  ///     executor's zero rows); NULL on a null R or allocation failure.
+  ///     A run asks for exactly the compiled iterations, so the row
+  ///     stride is that count, and every pre-loop value is the library's
+  ///     initial_value(node), emitted as a literal;
   ///   int mimd_kernel_run_on(void* ctx, long long thread_id) — execute
   ///     compiled thread `thread_id`'s whole op stream on the calling
   ///     thread; enter exactly once per thread_id in [0, threads), all

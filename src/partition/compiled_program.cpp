@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <sstream>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "partition/flat_map.hpp"
-#include "runtime/kernels.hpp"
 
 namespace mimd {
 
@@ -28,220 +30,244 @@ struct ChanKeyHash {
   }
 };
 
-/// Dense channel ids, assigned in Send first-appearance order (processor
-/// order, then program order) so compilation is deterministic.
-struct ChannelTable {
-  detail::FlatMap<ChanKey, ChannelId, ChanKeyHash> ids;
-  std::vector<ChannelDesc> descs;
+using ChannelIds = detail::FlatMap<ChanKey, ChannelId, ChanKeyHash>;
 
-  [[nodiscard]] ChannelId at(EdgeId e, int src, int dst) {
-    const ChannelId* id = ids.find(ChanKey{e, src, dst});
-    MIMD_ENSURES(id != nullptr);
-    return *id;
+struct ProcHash {
+  std::uint64_t operator()(int proc) const {
+    return detail::hash_words(static_cast<std::uint32_t>(proc), 0);
   }
 };
 
-ChannelTable build_channel_table(const PartitionedProgram& prog) {
-  ChannelTable t{detail::FlatMap<ChanKey, ChannelId, ChanKeyHash>(
-                     prog.count(Op::Kind::Send)),
-                 {}};
+/// The channel of a receive that no send feeds.  Rule 2 rejects every
+/// program holding one, so no compiled program returned keeps this id.
+constexpr ChannelId kNoChannel = std::numeric_limits<ChannelId>::max();
+
+/// One Send or Receive as the message checks see it: the channel
+/// (edge, src -> dst) and the producing instance it carries.
+struct Message {
+  EdgeId edge = 0;
+  int src = -1;
+  int dst = -1;
+  Inst inst;
+};
+
+bool same_channel(const Message& a, const Message& b) {
+  return a.edge == b.edge && a.src == b.src && a.dst == b.dst;
+}
+
+bool channel_less(const Message& a, const Message& b) {
+  return std::tie(a.edge, a.src, a.dst) < std::tie(b.edge, b.src, b.dst);
+}
+
+std::string describe(const Op& op, const Ddg& g) {
+  std::ostringstream s;
+  s << (op.kind == Op::Kind::Compute ? "compute "
+        : op.kind == Op::Kind::Send  ? "send of "
+                                     : "receive of ")
+    << g.node(op.inst.node).name << "@" << op.inst.iter;
+  return s.str();
+}
+
+/// The multiset and FIFO checks over every message of the program.
+/// Sorting by channel (stably, so each channel keeps program order) puts
+/// every channel's sends and receives side by side: equal multisets mean
+/// the two sorted arrays agree channel by channel, and FIFO means each
+/// channel's iteration sequence is the same on both sides.
+std::optional<std::string> find_message_violation(
+    std::vector<Message>& sends, std::vector<Message>& receives) {
+  static constexpr const char* kUnmatched =
+      "send/receive multisets differ (unmatched message)";
+  if (sends.size() != receives.size()) return kUnmatched;
+  std::stable_sort(sends.begin(), sends.end(), channel_less);
+  std::stable_sort(receives.begin(), receives.end(), channel_less);
+
+  // Every channel must pass the multiset check before any FIFO verdict
+  // counts: remember the first out-of-order channel, keep checking.
+  const Message* out_of_order = nullptr;
+  std::vector<Inst> sent, received;
+  for (std::size_t i = 0; i < sends.size();) {
+    std::size_t end = i;
+    while (end < sends.size() && same_channel(sends[end], sends[i])) ++end;
+    for (std::size_t k = i; k < end; ++k) {
+      if (!same_channel(receives[k], sends[i])) return kUnmatched;
+    }
+    if (end < receives.size() && same_channel(receives[end], sends[i])) {
+      return kUnmatched;
+    }
+    bool in_order = true;
+    for (std::size_t k = i; k < end && in_order; ++k) {
+      in_order = sends[k].inst == receives[k].inst;
+    }
+    if (!in_order) {
+      sent.clear();
+      received.clear();
+      for (std::size_t k = i; k < end; ++k) {
+        sent.push_back(sends[k].inst);
+        received.push_back(receives[k].inst);
+      }
+      std::sort(sent.begin(), sent.end());
+      std::sort(received.begin(), received.end());
+      if (sent != received) return kUnmatched;
+      for (std::size_t k = i; k < end && out_of_order == nullptr; ++k) {
+        if (sends[k].inst.iter != receives[k].inst.iter) {
+          out_of_order = &sends[i];
+        }
+      }
+    }
+    i = end;
+  }
+  if (out_of_order != nullptr) {
+    std::ostringstream msg;
+    msg << "channel (edge " << out_of_order->edge << ", PE"
+        << out_of_order->src << " -> PE" << out_of_order->dst
+        << ") violates FIFO order";
+    return msg.str();
+  }
+  return std::nullopt;
+}
+
+/// The one walk behind find_program_violation and compile_program: checks
+/// the rules in their documented order (partitioned_loop.hpp) and compiles
+/// every op of `prog` into `cp` as it passes.  Returns the first violation;
+/// `cp` is complete, apart from slot reuse, only when there is none.
+std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
+                                             const Ddg& g,
+                                             CompiledProgram& cp) {
+  // Rule 0: one program per processor id.  Two programs with one id would
+  // share that processor's channels — two producers or two consumers on a
+  // single-producer single-consumer buffer.
+  detail::FlatMap<int, char, ProcHash> procs(prog.programs.size());
+  for (const ProcessorProgram& p : prog.programs) {
+    if (!procs.try_emplace(p.proc, 0).second) {
+      return "PE" + std::to_string(p.proc) +
+             ": two processor programs share this processor id";
+    }
+  }
+
+  // Dense channel ids, assigned in Send first-appearance order (processor
+  // order, then program order) so compilation is deterministic.  The same
+  // pass sizes the walk's tables.
+  cp.processors = prog.processors;
+  ChannelIds chan_ids(prog.programs.size());
+  std::size_t computes = 0;
+  std::size_t send_ops = 0;
+  std::size_t receive_ops = 0;
   for (const ProcessorProgram& p : prog.programs) {
     for (const Op& op : p.ops) {
-      if (op.kind != Op::Kind::Send) continue;
+      if (op.kind == Op::Kind::Compute) {
+        ++computes;
+        continue;
+      }
+      if (op.kind == Op::Kind::Receive) {
+        ++receive_ops;
+        continue;
+      }
+      ++send_ops;
       const auto [id, fresh] =
-          t.ids.try_emplace(ChanKey{op.edge, p.proc, op.peer},
-                            static_cast<ChannelId>(t.descs.size()));
-      if (fresh) t.descs.push_back(ChannelDesc{op.edge, p.proc, op.peer, 0});
-      ++t.descs[*id].messages;
+          chan_ids.try_emplace(ChanKey{op.edge, p.proc, op.peer},
+                               static_cast<ChannelId>(cp.channels.size()));
+      if (fresh) {
+        cp.channels.push_back(ChannelDesc{op.edge, p.proc, op.peer, 0});
+      }
+      ++cp.channels[*id].messages;
     }
   }
-  return t;
-}
 
-/// The channel of every Send/Receive op of one processor program (unused
-/// for Computes), resolved once and shared by both compile attempts and
-/// the pop-order check.
-std::vector<ChannelId> resolve_channels(const ProcessorProgram& p,
-                                        ChannelTable& chans) {
-  std::vector<ChannelId> chan(p.ops.size(), 0);
-  for (std::size_t i = 0; i < p.ops.size(); ++i) {
-    const Op& op = p.ops[i];
-    if (op.kind == Op::Kind::Send) {
-      chan[i] = chans.at(op.edge, p.proc, op.peer);
-    } else if (op.kind == Op::Kind::Receive) {
-      chan[i] = chans.at(op.edge, op.peer, p.proc);
-    }
-  }
-  return chan;
-}
-
-/// Identifies a receive waiting to be fused into the Compute operand that
-/// consumes it.
-struct PendingKey {
-  EdgeId edge = 0;
-  Inst inst;
-
-  friend bool operator==(const PendingKey&, const PendingKey&) = default;
-};
-
-struct PendingKeyHash {
-  std::uint64_t operator()(const PendingKey& k) const {
-    return detail::hash_words(k.edge, k.inst.node,
-                              static_cast<std::uint64_t>(k.inst.iter));
-  }
-};
-
-/// Compile one processor program.  With `fuse`, receives become ChannelRecv
-/// operands of their consuming Compute; returns false when fusion cannot be
-/// proven order-safe, in which case the caller retries without fusion
-/// (standalone Receive ops into slots — always possible for a validated
-/// program).
-bool compile_thread(const ProcessorProgram& p, const Ddg& g,
-                    const std::vector<ChannelId>& chan, bool fuse,
-                    CompiledThread& out) {
-  out = CompiledThread{};
-  out.proc = p.proc;
-  std::size_t receives = 0;
-  std::size_t operands = 0;
-  for (const Op& op : p.ops) {
-    if (op.kind == Op::Kind::Receive) ++receives;
-    if (op.kind == Op::Kind::Compute) {
-      operands += g.in_edges(op.inst.node).size();
-    }
-  }
-  out.ops.reserve(fuse ? p.ops.size() - receives : p.ops.size());
-  out.operands.reserve(operands);
-  // (node, iteration) -> the slot holding that value on this thread.
-  detail::InstMap provider(p.ops.size());
-  const auto provide = [&](const Inst& v, SlotId slot) {
-    *provider.try_emplace(v, slot).first = slot;
-  };
-  // Fuse mode: per (edge, producing instance), the channel of the
-  // earliest receive no operand has consumed yet.  Compute instances are
-  // unique, so each key has exactly one consuming operand; a later
-  // receive of a key already present can only stay unconsumed.
-  detail::FlatMap<PendingKey, std::optional<ChannelId>, PendingKeyHash>
-      pending(fuse ? receives : 0);
-  std::size_t unconsumed = 0;
-
-  for (std::size_t i = 0; i < p.ops.size(); ++i) {
-    const Op& op = p.ops[i];
-    switch (op.kind) {
-      case Op::Kind::Compute: {
-        CompiledOp c;
-        c.kind = CompiledOp::Kind::Compute;
-        c.node = op.inst.node;
-        c.iter = op.inst.iter;
-        c.first_operand = static_cast<std::uint32_t>(out.operands.size());
-        for (const EdgeId eid : g.in_edges(op.inst.node)) {
-          const Edge& e = g.edge(eid);
-          const std::int64_t src_iter = op.inst.iter - e.distance;
-          OperandRef ref;
-          if (src_iter < 0) {
-            ref.kind = OperandRef::Kind::InitialValue;
-            ref.initial = initial_value(e.src);
-          } else if (const SlotId* slot = provider.find(Inst{e.src, src_iter});
-                     slot != nullptr) {
-            ref.kind = OperandRef::Kind::LocalSlot;
-            ref.index = *slot;
-          } else if (fuse) {
-            // Consume the earliest pending receive carrying this value.
-            std::optional<ChannelId>* recv =
-                pending.find(PendingKey{eid, Inst{e.src, src_iter}});
-            if (recv == nullptr || !*recv) return false;  // no source
-            ref.kind = OperandRef::Kind::ChannelRecv;
-            ref.index = **recv;
-            ref.iter = src_iter;
-            recv->reset();
-            --unconsumed;
-          } else {
-            // find_program_violation guarantees availability; in non-fused
-            // mode every receive materialized a slot.
-            MIMD_UNREACHABLE("validated operand has no local provider");
+  // Rule 1, op by op in processor then program order.  Every compute
+  // instance -> the index (into prog.programs) of the one program allowed
+  // to compute it.
+  detail::InstMap computed_by(computes);
+  std::vector<Message> sends, receives;
+  sends.reserve(send_ops);
+  receives.reserve(receive_ops);
+  for (std::uint32_t pi = 0; pi < prog.programs.size(); ++pi) {
+    const ProcessorProgram& p = prog.programs[pi];
+    CompiledThread t;
+    t.proc = p.proc;
+    t.ops.reserve(p.ops.size());
+    // (node, iteration) -> the slot holding that value: exactly what this
+    // processor has computed or received so far, the set an operand or a
+    // sent value must be in.
+    detail::InstMap provider(p.ops.size());
+    const auto provide = [&](const Inst& v, SlotId slot) {
+      *provider.try_emplace(v, slot).first = slot;
+    };
+    for (const Op& op : p.ops) {
+      const auto violation = [&](const std::string& what) {
+        return "PE" + std::to_string(p.proc) + ": " + describe(op, g) + what;
+      };
+      if (op.inst.iter < 0) return violation(" has a negative iteration");
+      CompiledOp c;
+      c.node = op.inst.node;
+      c.iter = op.inst.iter;
+      switch (op.kind) {
+        case Op::Kind::Compute: {
+          const auto [owner, fresh] = computed_by.try_emplace(op.inst, pi);
+          if (!fresh) {
+            return violation(" duplicates the instance computed on PE" +
+                             std::to_string(prog.programs[*owner].proc));
           }
-          out.operands.push_back(ref);
+          c.kind = CompiledOp::Kind::Compute;
+          c.first_operand = static_cast<std::uint32_t>(t.operands.size());
+          for (const EdgeId eid : g.in_edges(op.inst.node)) {
+            const Edge& e = g.edge(eid);
+            const std::int64_t src_iter = op.inst.iter - e.distance;
+            if (src_iter < 0) {
+              t.operands.push_back({OperandRef::Kind::InitialValue, e.src});
+              continue;
+            }
+            const SlotId* slot = provider.find(Inst{e.src, src_iter});
+            if (slot == nullptr) {
+              return violation(" before operand " + g.node(e.src).name + "@" +
+                               std::to_string(src_iter) + " is available");
+            }
+            t.operands.push_back({OperandRef::Kind::LocalSlot, *slot});
+          }
+          c.num_operands =
+              static_cast<std::uint32_t>(t.operands.size()) - c.first_operand;
+          c.slot = t.num_slots++;
+          provide(op.inst, c.slot);
+          // Any iteration >= 0 is admitted; saturate instead of
+          // overflowing on INT64_MAX (such a plan can never be run).
+          cp.iterations = std::max(
+              cp.iterations,
+              op.inst.iter == std::numeric_limits<std::int64_t>::max()
+                  ? op.inst.iter
+                  : op.inst.iter + 1);
+          break;
         }
-        c.num_operands = static_cast<std::uint32_t>(out.operands.size()) -
-                         c.first_operand;
-        c.slot = out.num_slots++;
-        provide(op.inst, c.slot);
-        out.ops.push_back(c);
-        break;
-      }
-      case Op::Kind::Send: {
-        const SlotId* slot = provider.find(op.inst);
-        // A send of a value that only exists as a pending fused receive
-        // (receive-then-forward) needs the value in a slot: retry unfused.
-        if (slot == nullptr) return false;
-        CompiledOp s;
-        s.kind = CompiledOp::Kind::Send;
-        s.node = op.inst.node;
-        s.iter = op.inst.iter;
-        s.slot = *slot;
-        s.chan = chan[i];
-        out.ops.push_back(s);
-        break;
-      }
-      case Op::Kind::Receive: {
-        if (fuse) {
-          (void)pending.try_emplace(PendingKey{op.edge, op.inst}, chan[i]);
-          ++unconsumed;
-        } else {
-          CompiledOp r;
-          r.kind = CompiledOp::Kind::Receive;
-          r.node = op.inst.node;
-          r.iter = op.inst.iter;
-          r.chan = chan[i];
-          r.slot = out.num_slots++;
-          provide(op.inst, r.slot);
-          out.ops.push_back(r);
+        case Op::Kind::Send: {
+          const SlotId* slot = provider.find(op.inst);
+          if (slot == nullptr) {
+            return violation(" before it is computed/received");
+          }
+          c.kind = CompiledOp::Kind::Send;
+          c.slot = *slot;
+          c.chan = *chan_ids.find(ChanKey{op.edge, p.proc, op.peer});
+          sends.push_back(Message{op.edge, p.proc, op.peer, op.inst});
+          break;
         }
-        break;
-      }
-    }
-  }
-  // A receive nothing consumes cannot be fused away: it must still pop its
-  // message or later tags on the channel would misalign.
-  return unconsumed == 0;
-}
-
-/// Per-channel pop sequences (iteration tags), indexed by ChannelId.
-using PopSequences = std::vector<std::vector<std::int64_t>>;
-
-/// The pop sequences the compiled thread will execute, in execution order.
-PopSequences compiled_pop_sequences(const CompiledThread& t,
-                                    std::size_t channels) {
-  PopSequences seq(channels);
-  for (const CompiledOp& op : t.ops) {
-    if (op.kind == CompiledOp::Kind::Receive) {
-      seq[op.chan].push_back(op.iter);
-    } else if (op.kind == CompiledOp::Kind::Compute) {
-      for (std::uint32_t i = 0; i < op.num_operands; ++i) {
-        const OperandRef& r = t.operands[op.first_operand + i];
-        if (r.kind == OperandRef::Kind::ChannelRecv) {
-          seq[r.index].push_back(r.iter);
+        case Op::Kind::Receive: {
+          const ChannelId* chan =
+              chan_ids.find(ChanKey{op.edge, op.peer, p.proc});
+          c.kind = CompiledOp::Kind::Receive;
+          c.chan = chan != nullptr ? *chan : kNoChannel;
+          c.slot = t.num_slots++;
+          provide(op.inst, c.slot);
+          receives.push_back(Message{op.edge, op.peer, p.proc, op.inst});
+          break;
         }
       }
+      t.ops.push_back(c);
     }
+    if (!t.ops.empty()) cp.threads.push_back(std::move(t));
   }
-  return seq;
-}
-
-/// The pop sequences the interpreted program performs (its Receive order).
-PopSequences interpreted_pop_sequences(const ProcessorProgram& p,
-                                       const std::vector<ChannelId>& chan,
-                                       std::size_t channels) {
-  PopSequences seq(channels);
-  for (std::size_t i = 0; i < p.ops.size(); ++i) {
-    if (p.ops[i].kind == Op::Kind::Receive) {
-      seq[chan[i]].push_back(p.ops[i].inst.iter);
-    }
-  }
-  return seq;
+  // Rules 2 and 3, once every processor has passed rule 1.
+  return find_message_violation(sends, receives);
 }
 
 /// Liveness-based slot reassignment over one thread's straight-line op
-/// stream.  compile_thread assigned SSA slots (each compute/receive writes
+/// stream.  check_and_compile assigned SSA slots (each compute/receive writes
 /// a fresh one); here every slot is returned to a free list at its last
 /// read, and writes draw from that list, so num_slots shrinks from one per
 /// value instance to the thread's maximum number of simultaneously live
@@ -421,46 +447,21 @@ std::size_t CompiledProgram::total_slots_ssa() const {
   return n;
 }
 
+std::optional<std::string> find_program_violation(const PartitionedProgram& p,
+                                                  const Ddg& g) {
+  CompiledProgram discarded;
+  return check_and_compile(p, g, discarded);
+}
+
 CompiledProgram compile_program(const PartitionedProgram& prog,
                                 const Ddg& g) {
-  if (const auto violation = find_program_violation(prog, g)) {
+  CompiledProgram cp;
+  if (const auto violation = check_and_compile(prog, g, cp)) {
     detail::contract_fail("compiled lowering", violation->c_str());
   }
-
-  CompiledProgram cp;
-  cp.processors = prog.processors;
-  ChannelTable chans = build_channel_table(prog);
-  cp.channels = std::move(chans.descs);
-  const std::size_t channels = cp.channels.size();
-
-  for (const ProcessorProgram& p : prog.programs) {
-    if (p.ops.empty()) continue;
-    const std::vector<ChannelId> chan = resolve_channels(p, chans);
-    CompiledThread t;
-    // Fused receives must preserve each channel's pop order; lowering's
-    // receive-immediately-before-consumer placement always does, but a
-    // hand-built program may not — verify, and fall back to standalone
-    // receives when fusion would reorder a channel.
-    const bool fused = compile_thread(p, g, chan, /*fuse=*/true, t) &&
-                       compiled_pop_sequences(t, channels) ==
-                           interpreted_pop_sequences(p, chan, channels);
-    if (!fused) {
-      const bool ok = compile_thread(p, g, chan, /*fuse=*/false, t);
-      MIMD_ENSURES(ok);
-    }
+  for (CompiledThread& t : cp.threads) {
     t.num_slots_ssa = t.num_slots;
     reuse_slots(t);
-    for (const CompiledOp& op : t.ops) {
-      // The validator admits any iteration >= 0; saturate instead of
-      // overflowing on INT64_MAX (such a plan can never be run).
-      if (op.kind == CompiledOp::Kind::Compute) {
-        cp.iterations = std::max(
-            cp.iterations,
-            op.iter == std::numeric_limits<std::int64_t>::max() ? op.iter
-                                                                : op.iter + 1);
-      }
-    }
-    cp.threads.push_back(std::move(t));
   }
   return cp;
 }

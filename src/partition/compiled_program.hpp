@@ -4,15 +4,17 @@
 // The interpreted form (partitioned_loop.hpp) identifies values by
 // (node, iteration) and channels by the (edge, src proc, dst proc) triple;
 // executing it forces the runtime to probe associative containers on every
-// operand and every message.  Compilation replaces both:
+// operand and every message.  Compilation replaces both and keeps
+// everything else: each processor program compiles op for op, in its own
+// order, into one CompiledOp per source op (the paper's per-processor
+// sequence of computes, SENDs and RECEIVEs, Figs. 7(e) and 10):
 //
 //  * channels get a dense ChannelId (index into a flat channel table), in
-//    first-use order across the program;
-//  * every value a processor holds locally lives in a per-thread flat slot
-//    array (one double per slot), and every Compute operand becomes an
-//    OperandRef — LocalSlot (read a slot), ChannelRecv (pop the next
-//    message from a channel, tag-checked), or InitialValue (a pre-loop
-//    constant baked in at compile time).
+//    first-send order across the program;
+//  * every value a processor holds locally (computed or received) lives in
+//    a per-thread flat slot array (one double per slot), and every Compute
+//    operand becomes an OperandRef — LocalSlot (read a slot) or
+//    InitialValue (the producing node's pre-loop value, initial_value(node)).
 //
 // Slot assignment is first SSA-style (each compute/receive writes a fresh
 // slot), then a liveness pass reassigns slots with a free list so
@@ -21,9 +23,13 @@
 // to the free list at its last read (DESIGN.md, "Unified lowering and slot
 // reuse").
 //
-// `find_program_violation` remains the validator: compile_program() runs it
-// first and throws ContractViolation on any ill-formed input, so a program
-// that compiles is by construction race-free and FIFO-consistent.
+// Validation and compilation are one walk (DESIGN.md, "Validation and
+// compilation on flat tables"): the table that resolves an operand to its
+// slot is the validator's "computed or received earlier on this processor"
+// set, so an operand with no slot is a violation, not a separate check.
+// find_program_violation returns that walk's verdict and compile_program
+// throws ContractViolation with it, so a program that compiles is by
+// construction race-free and FIFO-consistent.
 #pragma once
 
 #include <cstdint>
@@ -50,14 +56,14 @@ struct ChannelDesc {
 
 /// A compiled Compute operand, resolved at lowering time.
 struct OperandRef {
-  enum class Kind : std::uint8_t { LocalSlot, ChannelRecv, InitialValue };
+  enum class Kind : std::uint8_t { LocalSlot, InitialValue };
   Kind kind = Kind::LocalSlot;
-  /// LocalSlot: slot index.  ChannelRecv: channel index.
+  /// LocalSlot: slot index.  InitialValue: the producing node, whose
+  /// pre-loop value every tier reads as initial_value(node)
+  /// (runtime/kernels.hpp).
   std::uint32_t index = 0;
-  /// ChannelRecv: producing iteration (the FIFO tag the message must carry).
-  std::int64_t iter = 0;
-  /// InitialValue: the constant.
-  double initial = 0.0;
+
+  friend bool operator==(const OperandRef&, const OperandRef&) = default;
 };
 
 struct CompiledOp {
@@ -77,7 +83,8 @@ struct CompiledOp {
   std::uint32_t num_operands = 0;
 };
 
-/// The straight-line program one thread executes.
+/// The straight-line program one thread executes: ops[i] is the compiled
+/// form of the source program's op i.
 struct CompiledThread {
   int proc = 0;
   /// Size of this thread's slot array after slot reuse: the number of
@@ -158,14 +165,11 @@ struct CompileOptions {
 /// alone is a probability, not a guarantee.
 [[nodiscard]] bool structurally_equivalent(const Ddg& a, const Ddg& b);
 
-/// Compile `prog` (validated against `g` with find_program_violation) into
-/// the slot-resolved form.  Throws ContractViolation — with the validator's
-/// message — if the program is ill-formed.
-///
-/// Receives are fused into their consuming Compute operand (ChannelRecv)
-/// whenever the fusion provably preserves the per-channel pop order; the
-/// rare unfusable receive (only reachable from hand-built programs) is kept
-/// as a standalone Receive op writing a slot.
+/// Compile `prog` into the slot-resolved form, checking it against `g` in
+/// the same walk.  Throws ContractViolation — with find_program_violation's
+/// message — if the program is ill-formed.  Every source op becomes one
+/// compiled op in the same place: a Receive pops its channel into a slot,
+/// and the computes that read the value read that slot.
 CompiledProgram compile_program(const PartitionedProgram& prog,
                                 const Ddg& g);
 

@@ -54,6 +54,8 @@ struct PartitionedProgram {
 
 /// Structural validation.  A well-formed program satisfies, in the order
 /// they are checked:
+///  0. no two processor programs share a processor id (two programs with
+///     one id would put two producers or two consumers on one channel);
 ///  1. per op, in processor then program order:
 ///     * no op names a negative iteration;
 ///     * no Compute instance appears twice in the whole program (on one
@@ -67,9 +69,11 @@ struct PartitionedProgram {
 ///  3. channels, in (edge, src, dst) order, are FIFO: each channel's send
 ///     iteration sequence equals its receive iteration sequence.
 /// Returns a message for the first violation found, or nullopt if the
-/// program is well-formed.  Linear in ops apart from sorting the messages
-/// by channel; every table is sized from op counts (DESIGN.md, "Compiled
-/// runtime").
+/// program is well-formed.  This is the verdict of compile_program's own
+/// walk (partition/compiled_program.hpp, which defines it): rule 1 is
+/// checked while each op compiles.  Linear in ops apart from sorting the
+/// messages by channel; every table is sized from op counts (DESIGN.md,
+/// "Validation and compilation on flat tables").
 std::optional<std::string> find_program_violation(const PartitionedProgram& p,
                                                   const Ddg& g);
 

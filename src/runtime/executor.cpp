@@ -15,8 +15,8 @@ namespace mimd {
 namespace {
 
 /// The hot path.  Every name was resolved at compile() time: operands
-/// read flat slots, initial values are baked-in constants, and channels
-/// are dense indices.
+/// read flat slots or a node's pre-loop value, and channels are dense
+/// indices.
 void execute(const CompiledProgram& cp, const Ddg& g,
              const std::vector<std::unique_ptr<SpscChannel>>& chans,
              const RunOptions& opts, ExecutionResult& res) {
@@ -30,20 +30,9 @@ void execute(const CompiledProgram& cp, const Ddg& g,
           operands.clear();
           for (std::uint32_t i = 0; i < op.num_operands; ++i) {
             const OperandRef& ref = t.operands[op.first_operand + i];
-            switch (ref.kind) {
-              case OperandRef::Kind::LocalSlot:
-                operands.push_back(slots[ref.index]);
-                break;
-              case OperandRef::Kind::InitialValue:
-                operands.push_back(ref.initial);
-                break;
-              case OperandRef::Kind::ChannelRecv: {
-                const ChannelMessage m = chans[ref.index]->receive();
-                MIMD_ENSURES(m.iter == ref.iter);  // FIFO tag check
-                operands.push_back(m.value);
-                break;
-              }
-            }
+            operands.push_back(ref.kind == OperandRef::Kind::LocalSlot
+                                   ? slots[ref.index]
+                                   : initial_value(ref.index));
           }
           const double v = synthetic_value(g, op.node, op.iter, operands,
                                            kernel);

@@ -9,10 +9,11 @@
 //   compile(prog, g) -> ExecutorPlan      (once; validates, resolves names)
 //   plan.run(n, opts) -> ExecutionResult  (repeatable; hot path only)
 //
-// compile() lowers the interpreted program to the slot-resolved
-// CompiledProgram form (partition/compiled_program.hpp): dense channel
-// ids, per-thread flat slot arrays, and pre-resolved operand descriptors —
-// no associative lookups remain on the run() path.  Every run builds
+// compile() checks and lowers the interpreted program in one walk to the
+// slot-resolved CompiledProgram form (partition/compiled_program.hpp):
+// dense channel ids, per-thread flat slot arrays, and pre-resolved operand
+// descriptors, one compiled op per source op — no associative lookups
+// remain on the run() path.  Every run builds
 // fresh channels, each a single-use SPSC buffer holding exactly the values
 // it carries over the run (runtime/spsc_ring.hpp): a send never waits,
 // only a receive does.  The threads are a WorkerPool's: the caller's, or
@@ -77,11 +78,14 @@ class ExecutorPlan {
   /// Execute the compiled iterations: `n` must equal
   /// program().iterations (ContractViolation otherwise, before any thread
   /// starts — a plan must not hand back rows it never computed).  Mid-run
-  /// channel violations (a FIFO tag mismatch or a send past its buffer,
-  /// neither of which a compiled program can trigger) are fatal: they
-  /// fire on a worker thread, where the escaping exception is
-  /// std::terminate with the violation message, because a failed worker
-  /// cannot unwind the peers blocked on its channels.
+  /// channel violations (a FIFO tag mismatch or a send past its buffer)
+  /// are fatal: they fire on a worker thread, where the escaping exception
+  /// is std::terminate with the violation message, because a failed
+  /// worker cannot unwind the peers blocked on its channels.  A compiled
+  /// program cannot trigger one: the validator's rules give every channel
+  /// one producing and one consuming thread (one program per processor
+  /// id), exactly its send count in receives, and FIFO order.  A program
+  /// can still deadlock (ROADMAP item 3); that hangs instead.
   [[nodiscard]] ExecutionResult run(std::int64_t n,
                                     const RunOptions& opts = {}) const;
 
@@ -96,8 +100,9 @@ class ExecutorPlan {
   Ddg graph_;  ///< owned copy: a plan outlives its inputs
 };
 
-/// Validate (find_program_violation) and compile `prog` into a reusable
-/// plan.  Channel table, slot resolution (liveness-based reuse), and
+/// Validate and compile `prog` into a reusable plan, in one walk
+/// (compile_program; ContractViolation with find_program_violation's
+/// message if it is ill-formed).  Channel table, slot resolution (liveness-based reuse), and
 /// thread order are all fixed here, amortized across every
 /// subsequent run().  `copts` does not change the plan: it names the
 /// mid-end that produced `prog`, which only the cache key needs

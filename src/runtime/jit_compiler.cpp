@@ -198,16 +198,6 @@ JitKernel::~JitKernel() {
 
 namespace {
 
-/// The library-default pre-loop values, node-indexed — what the kernel
-/// receives as its `init` vector.
-std::vector<double> kernel_init_vector(std::int64_t nodes) {
-  std::vector<double> init(static_cast<std::size_t>(nodes));
-  for (std::size_t v = 0; v < init.size(); ++v) {
-    init[v] = initial_value(static_cast<NodeId>(v));
-  }
-  return init;
-}
-
 /// Unpack the kernel's row-major flat matrix into per-node rows.
 ExecutionResult unpack_flat(const std::vector<double>& flat,
                             std::int64_t nodes, std::int64_t n) {
@@ -227,12 +217,11 @@ ExecutionResult unpack_flat(const std::vector<double>& flat,
 ExecutionResult JitKernel::run_pooled(std::int64_t n, WorkerPool* pool,
                                       bool pin_threads) const {
   MIMD_EXPECTS(n == iterations_);
-  const std::vector<double> init = kernel_init_vector(nodes_);
   // Zero-filled flat matrix: entries no processor computes stay 0.0,
   // matching the interpreted executor's zero-resized rows bit for bit.
   std::vector<double> flat(static_cast<std::size_t>(nodes_) *
                            static_cast<std::size_t>(n));
-  void* ctx = ctx_create_(n, init.data(), flat.data());
+  void* ctx = ctx_create_(flat.data());
   if (ctx == nullptr) {
     throw JitError("native kernel rejected ctx_create");
   }

@@ -78,10 +78,11 @@ class JitKernel {
   /// (runtime/worker_pool.hpp) — `pool`'s persistent workers, or the
   /// process pool when null (no pthread_create anywhere on the warm
   /// path).  `pin_threads` applies the same rotating
-  /// CPU-slice pinning as the interpreted executor.  Initial values are
-  /// the library defaults (initial_value(v)), matching the interpreted
-  /// executor; the result is bit-identical with ExecutorPlan::run on a
-  /// jit_run_eligible RunOptions.  Throws JitError if the kernel rejects
+  /// CPU-slice pinning as the interpreted executor.  Pre-loop values are
+  /// the library's initial_value(v), emitted into the kernel as literals
+  /// exactly as the interpreted executor reads them; the result is
+  /// bit-identical with ExecutorPlan::run on a jit_run_eligible
+  /// RunOptions.  Throws JitError if the kernel rejects
   /// the context or a thread entry.
   [[nodiscard]] ExecutionResult run_pooled(std::int64_t n, WorkerPool* pool,
                                            bool pin_threads = false) const;
@@ -95,7 +96,7 @@ class JitKernel {
                                                       const JitOptions&);
   JitKernel() = default;
 
-  using CtxCreateFn = void* (*)(long long, const double*, double*);
+  using CtxCreateFn = void* (*)(double*);
   using RunOnFn = int (*)(void*, long long);
   using CtxDestroyFn = void (*)(void*);
   void* handle_ = nullptr;

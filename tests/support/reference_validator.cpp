@@ -1,6 +1,7 @@
 #include "support/reference_validator.hpp"
 
 #include <map>
+#include <set>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -16,6 +17,17 @@ std::optional<std::string> reference_program_violation(
   std::map<Chan, std::vector<std::int64_t>> send_seq, recv_seq;
   // Added: every compute instance -> the PE that computed it first.
   std::map<std::pair<NodeId, std::int64_t>, int> computed_on;
+
+  // Added: one program per processor id, checked before any op.
+  std::set<int> procs;
+  for (const ProcessorProgram& prog : p.programs) {
+    if (!procs.insert(prog.proc).second) {
+      std::ostringstream msg;
+      msg << "PE" << prog.proc
+          << ": two processor programs share this processor id";
+      return msg.str();
+    }
+  }
 
   for (const ProcessorProgram& prog : p.programs) {
     // Program-order tracking of what this processor has available locally:

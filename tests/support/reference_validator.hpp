@@ -1,12 +1,13 @@
 // The reference validator: find_program_violation as it was written on
-// std::map before the flat-table rewrite (partition/partitioned_loop.cpp),
-// kept verbatim apart from the two rejections added with the rewrite —
-// negative iterations and duplicate compute instances.
+// std::map before the flat-table rewrite, kept verbatim apart from the
+// rejections added since — negative iterations and duplicate compute
+// instances (with the rewrite), and processor programs sharing an id
+// (with the single check-and-compile walk, partition/compiled_program.cpp).
 //
 // The differential suite (tests/test_program_validator.cpp) runs mutated
 // loop_gen programs through both and requires the same verdict and the
-// same message, so the rewrite keeps every check, the first-violation
-// order and the message text.
+// same message, so a rewrite keeps every check, the first-violation order
+// and the message text.
 #pragma once
 
 #include <optional>

@@ -39,22 +39,38 @@ void expect_equal_values(const ExecutionResult& a,
 
 // ---- Compilation: name resolution happens at lowering time. ----
 
-TEST(CompiledProgram, ResolvesChannelsDenselyAndFusesReceives) {
+TEST(CompiledProgram, ResolvesChannelsDenselyAndKeepsOneOpPerSourceOp) {
   const Ddg g = workloads::fig7_loop();
   const PartitionedProgram p = fig7_program(g, 20);
   const CompiledProgram cp = compile_program(p, g);
 
   EXPECT_EQ(cp.processors, p.processors);
   EXPECT_EQ(cp.iterations, 20);
-  // Every Compute survives; every Send keeps its channel; every Receive is
-  // fused into a ChannelRecv operand (lowering places receives immediately
-  // before their consumer, which is always fusable).
+  // Every source op compiles to one op of its kind, in its place: a
+  // Receive stays a Receive that pops its channel into a slot.
   EXPECT_EQ(cp.count(CompiledOp::Kind::Compute), p.count(Op::Kind::Compute));
   EXPECT_EQ(cp.count(CompiledOp::Kind::Send), p.count(Op::Kind::Send));
-  EXPECT_EQ(cp.count(CompiledOp::Kind::Receive), 0u);
+  EXPECT_EQ(cp.count(CompiledOp::Kind::Receive), p.count(Op::Kind::Receive));
+  EXPECT_GT(cp.count(CompiledOp::Kind::Receive), 0u);
+  std::size_t thread = 0;
+  for (const ProcessorProgram& pp : p.programs) {
+    if (pp.ops.empty()) continue;
+    ASSERT_LT(thread, cp.threads.size());
+    const CompiledThread& t = cp.threads[thread++];
+    EXPECT_EQ(t.proc, pp.proc);
+    ASSERT_EQ(t.ops.size(), pp.ops.size());
+    for (std::size_t i = 0; i < t.ops.size(); ++i) {
+      EXPECT_EQ(static_cast<int>(t.ops[i].kind),
+                static_cast<int>(pp.ops[i].kind));
+      EXPECT_EQ(t.ops[i].node, pp.ops[i].inst.node);
+      EXPECT_EQ(t.ops[i].iter, pp.ops[i].inst.iter);
+    }
+  }
+  EXPECT_EQ(thread, cp.threads.size());
 
   // Dense channel table: one entry per distinct (edge, src, dst), message
-  // counts summing to the program's sends.
+  // counts summing to the program's sends; every Send and Receive names a
+  // channel in it.
   EXPECT_GT(cp.channels.size(), 0u);
   std::int64_t messages = 0;
   for (const ChannelDesc& c : cp.channels) {
@@ -62,19 +78,13 @@ TEST(CompiledProgram, ResolvesChannelsDenselyAndFusesReceives) {
     messages += c.messages;
   }
   EXPECT_EQ(static_cast<std::size_t>(messages), p.count(Op::Kind::Send));
-
-  // ChannelRecv operands reference valid channels; exactly as many as the
-  // interpreted program had receives.
-  std::size_t recv_operands = 0;
   for (const CompiledThread& t : cp.threads) {
-    for (const OperandRef& r : t.operands) {
-      if (r.kind == OperandRef::Kind::ChannelRecv) {
-        EXPECT_LT(r.index, cp.channels.size());
-        ++recv_operands;
+    for (const CompiledOp& op : t.ops) {
+      if (op.kind != CompiledOp::Kind::Compute) {
+        EXPECT_LT(op.chan, cp.channels.size());
       }
     }
   }
-  EXPECT_EQ(recv_operands, p.count(Op::Kind::Receive));
 }
 
 TEST(CompiledProgram, SlotArraysAreDenseAndInBounds) {
@@ -170,10 +180,10 @@ TEST(CompiledProgram, RejectsFifoInversion) {
   EXPECT_THROW((void)compile_program(p, g), ContractViolation);
 }
 
-TEST(CompiledProgram, FusionThatWouldReorderAChannelFallsBackToReceives) {
+TEST(CompiledProgram, ConsumersReadingOutOfChannelOrderRunBitIdentical) {
   // PE1 receives A@1 before A@0 (the order PE0 sends them) but consumes
-  // A@0 first: fused operands would pop the channel out of order, so
-  // both receives must stay standalone ops into slots.
+  // A@0 first: the receives pop the channel in program order, into
+  // slots, and the computes read those slots in theirs.
   Ddg g;
   const NodeId a = g.add_node("A");
   const NodeId b = g.add_node("B");

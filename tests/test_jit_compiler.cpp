@@ -46,7 +46,7 @@ TEST(JitCompiler, SharedObjectSourceIsAKernelNotAProgram) {
   const ExecutorPlan plan = compile(gl.program, gl.graph);
   const std::string src = emit_c_program(plan.program(), gl.graph,
                                          CEmitOptions{CArtifact::Kernel});
-  EXPECT_NE(src.find("void* mimd_kernel_ctx_create(long long n"),
+  EXPECT_NE(src.find("void* mimd_kernel_ctx_create(double* R)"),
             std::string::npos);
   EXPECT_NE(src.find("int mimd_kernel_run_on(void* ctx"), std::string::npos);
   EXPECT_NE(src.find("void mimd_kernel_ctx_destroy(void* ctx)"),

@@ -297,6 +297,46 @@ TEST(ProgramViolation, RejectsDuplicateComputeOnOneProcessor) {
       << *v;
 }
 
+TEST(ProgramViolation, RejectsTwoProgramsSharingAProcessorId) {
+  // Accepted before the rule existed: both PE0 programs ran as threads
+  // producing on the one (edge, PE0 -> PE1) channel, and a run could
+  // abort the process on the receive's FIFO tag check.
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  const NodeId b = g.add_node("B");
+  const EdgeId ab = g.add_edge(a, b, 0);
+  PartitionedProgram p;
+  p.processors = 2;
+  p.programs.resize(3);
+  p.programs[0].ops = {Op{Op::Kind::Compute, Inst{a, 0}, 0, -1},
+                       Op{Op::Kind::Send, Inst{a, 0}, ab, 1}};
+  p.programs[1].ops = {Op{Op::Kind::Compute, Inst{a, 1}, 0, -1},
+                       Op{Op::Kind::Send, Inst{a, 1}, ab, 1}};
+  p.programs[2].proc = 1;
+  p.programs[2].ops = {Op{Op::Kind::Receive, Inst{a, 0}, ab, 0},
+                       Op{Op::Kind::Receive, Inst{a, 1}, ab, 0},
+                       Op{Op::Kind::Compute, Inst{b, 0}, 0, -1},
+                       Op{Op::Kind::Compute, Inst{b, 1}, 0, -1}};
+  const auto v = find_program_violation(p, g);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, "PE0: two processor programs share this processor id");
+  EXPECT_THROW((void)compile_program(p, g), ContractViolation);
+
+  // The rule runs before the per-op rules: an earlier op's violation
+  // does not mask it.
+  p.programs[0].ops.insert(p.programs[0].ops.begin(),
+                           Op{Op::Kind::Compute, Inst{a, -1}, 0, -1});
+  EXPECT_EQ(find_program_violation(p, g),
+            "PE0: two processor programs share this processor id");
+
+  // Numbered apart, the same two producers are well-formed.
+  p.programs[0].ops.erase(p.programs[0].ops.begin());
+  p.processors = 3;
+  p.programs[1].proc = 2;
+  p.programs[2].ops[1].peer = 2;
+  EXPECT_EQ(find_program_violation(p, g), std::nullopt);
+}
+
 TEST(Lowering, RandomLoopProgramsAreWellFormed) {
   for (const std::uint64_t seed : {1, 4, 9}) {
     const Ddg g = workloads::random_connected_cyclic_loop(seed);

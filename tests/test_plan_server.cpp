@@ -488,6 +488,55 @@ TEST(PlanServer, NegativeIterationAndDuplicateComputeGetErrorFrames) {
   EXPECT_EQ(conn.runs_executed(), 1u);
 }
 
+TEST(PlanServer, ProgramsSharingAProcessorIdGetAnErrorFrame) {
+  // Accepted before the rule existed: the two PE0 programs became two
+  // threads producing on one channel, and a Run could abort the whole
+  // daemon on the receive's FIFO tag check.
+  TestServer ts("ps_shared_proc");
+  RawConnection conn(ts.server.socket_path());
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  const NodeId b = g.add_node("B");
+  const EdgeId ab = g.add_edge(a, b, 0);
+  PartitionedProgram shared;
+  shared.processors = 2;
+  shared.programs.resize(3);
+  shared.programs[0].ops = {Op{Op::Kind::Compute, Inst{a, 0}, 0, -1},
+                            Op{Op::Kind::Send, Inst{a, 0}, ab, 1}};
+  shared.programs[1].ops = {Op{Op::Kind::Compute, Inst{a, 1}, 0, -1},
+                            Op{Op::Kind::Send, Inst{a, 1}, ab, 1}};
+  shared.programs[2].proc = 1;
+  shared.programs[2].ops = {Op{Op::Kind::Receive, Inst{a, 0}, ab, 0},
+                            Op{Op::Kind::Receive, Inst{a, 1}, ab, 0},
+                            Op{Op::Kind::Compute, Inst{b, 0}, 0, -1},
+                            Op{Op::Kind::Compute, Inst{b, 1}, 0, -1}};
+  const wire::Frame reply =
+      conn.call(wire::FrameType::SubmitProgram,
+                wire::encode_submit_program(shared, g, {}));
+  ASSERT_EQ(reply.type, wire::FrameType::Error);
+  EXPECT_NE(wire::decode_error(reply.payload)
+                .find("PE0: two processor programs share this processor id"),
+            std::string::npos)
+      << wire::decode_error(reply.payload);
+  EXPECT_EQ(conn.runs_executed(), 0u);
+
+  // The connection keeps serving: a real submit and run on it.
+  const GeneratedLoop gl = generate_loop(69);
+  const wire::Frame sub =
+      conn.call(wire::FrameType::SubmitProgram,
+                wire::encode_submit_program(gl.program, gl.graph, {}));
+  ASSERT_EQ(sub.type, wire::FrameType::SubmitProgramReply);
+  wire::RunRequest run;
+  run.program_id = wire::decode_submit_program_reply(sub.payload).program_id;
+  const wire::Frame ran =
+      conn.call(wire::FrameType::Run, wire::encode_run(run));
+  ASSERT_EQ(ran.type, wire::FrameType::RunReply);
+  EXPECT_TRUE(values_match(wire::decode_run_reply(ran.payload),
+                           run_reference(gl.graph, gl.iterations),
+                           gl.iterations));
+  EXPECT_EQ(conn.runs_executed(), 1u);
+}
+
 /// Resident set of this process, in bytes.
 std::size_t resident_bytes() {
   long pages = 0;
