@@ -192,10 +192,13 @@ void emit_op(std::ostringstream& out, const CompiledThread& t,
 
 /// One PE function per compiled thread, each with its fixed slot array;
 /// the periodic steady state rolled into a real loop where detect_period
-/// finds one, straight-line code otherwise.
-void emit_pe_function(std::ostringstream& out, const CompiledThread& t,
-                      const Ddg& g) {
-  out << "static void* pe" << t.proc << "_main(void* arg) {\n"
+/// finds one, straight-line code otherwise.  The function is named by the
+/// thread's index (the value mimd_kernel_run_on switches on), never by its
+/// processor id, which a client may choose freely (negative ids included).
+void emit_pe_function(std::ostringstream& out, std::size_t index,
+                      const CompiledThread& t, const Ddg& g) {
+  out << "/* PE" << t.proc << " */\n"
+      << "static void* pe" << index << "_main(void* arg) {\n"
       << "  kctx_t* k = (kctx_t*)arg;\n"
       << "  chan_t* chans = k->chans;\n"
       << "  (void)chans;\n"
@@ -260,7 +263,9 @@ void emit_kernel(std::ostringstream& out, const CompiledProgram& cp,
       << "  double* R; /* caller's NODES x N row-major matrix */\n"
       << "} kctx_t;\n\n";
 
-  for (const CompiledThread& t : cp.threads) emit_pe_function(out, t, g);
+  for (std::size_t i = 0; i < nthreads; ++i) {
+    emit_pe_function(out, i, cp.threads[i], g);
+  }
 
   // The ABI handshake constant and the entry functions a loader dlsym()s.
   // Symbols are exported by default in a plain -shared build; the file is
@@ -293,10 +298,8 @@ void emit_kernel(std::ostringstream& out, const CompiledProgram& cp,
       << ") return 1;\n"
       << "  switch (thread_id) {\n";
   for (std::size_t i = 0; i < nthreads; ++i) {
-    // run_on indexes compiled threads in program order; the PE number in
-    // the function name is diagnostic only.
-    out << "  case " << i << ": pe" << cp.threads[i].proc
-        << "_main(k); break;\n";
+    out << "  case " << i << ": pe" << i << "_main(k); break; /* PE"
+        << cp.threads[i].proc << " */\n";
   }
   out << "  default: return 1;\n  }\n  return 0;\n}\n\n"
       << "void mimd_kernel_ctx_destroy(void* ctx) {\n"

@@ -42,23 +42,6 @@ struct ProcHash {
 /// program holding one, so no compiled program returned keeps this id.
 constexpr ChannelId kNoChannel = std::numeric_limits<ChannelId>::max();
 
-/// One Send or Receive as the message checks see it: the channel
-/// (edge, src -> dst) and the producing instance it carries.
-struct Message {
-  EdgeId edge = 0;
-  int src = -1;
-  int dst = -1;
-  Inst inst;
-};
-
-bool same_channel(const Message& a, const Message& b) {
-  return a.edge == b.edge && a.src == b.src && a.dst == b.dst;
-}
-
-bool channel_less(const Message& a, const Message& b) {
-  return std::tie(a.edge, a.src, a.dst) < std::tie(b.edge, b.src, b.dst);
-}
-
 std::string describe(const Op& op, const Ddg& g) {
   std::ostringstream s;
   s << (op.kind == Op::Kind::Compute ? "compute "
@@ -68,63 +51,90 @@ std::string describe(const Op& op, const Ddg& g) {
   return s.str();
 }
 
-/// The multiset and FIFO checks over every message of the program.
-/// Sorting by channel (stably, so each channel keeps program order) puts
-/// every channel's sends and receives side by side: equal multisets mean
-/// the two sorted arrays agree channel by channel, and FIFO means each
-/// channel's iteration sequence is the same on both sides.
-std::optional<std::string> find_message_violation(
-    std::vector<Message>& sends, std::vector<Message>& receives) {
-  static constexpr const char* kUnmatched =
-      "send/receive multisets differ (unmatched message)";
-  if (sends.size() != receives.size()) return kUnmatched;
-  std::stable_sort(sends.begin(), sends.end(), channel_less);
-  std::stable_sort(receives.begin(), receives.end(), channel_less);
+/// Rules 2-3's view of the program's messages: each side's producing
+/// instances, bucketed by channel id as the walk meets them (a counting
+/// sort whose counts are the send counts), so channel c's sends and its
+/// receives both sit at [start[c], start[c + 1]) in program order.
+class MessageBuckets {
+ public:
+  explicit MessageBuckets(const std::vector<ChannelDesc>& channels)
+      : start_(channels.size() + 1, 0) {
+    for (std::size_t c = 0; c < channels.size(); ++c) {
+      start_[c + 1] =
+          start_[c] + static_cast<std::size_t>(channels[c].messages);
+    }
+    next_send_.assign(start_.begin(), start_.end() - 1);
+    next_receive_ = next_send_;
+    sent_.resize(start_.back());
+    received_.resize(start_.back());
+  }
 
-  // Every channel must pass the multiset check before any FIFO verdict
-  // counts: remember the first out-of-order channel, keep checking.
-  const Message* out_of_order = nullptr;
-  std::vector<Inst> sent, received;
-  for (std::size_t i = 0; i < sends.size();) {
-    std::size_t end = i;
-    while (end < sends.size() && same_channel(sends[end], sends[i])) ++end;
-    for (std::size_t k = i; k < end; ++k) {
-      if (!same_channel(receives[k], sends[i])) return kUnmatched;
+  void send(ChannelId c, const Inst& v) { sent_[next_send_[c]++] = v; }
+
+  void receive(ChannelId c, const Inst& v) {
+    ++receives_;
+    // No send on this channel, or more receives than sends: the multisets
+    // differ whatever else holds.
+    if (c == kNoChannel || next_receive_[c] == start_[c + 1]) {
+      overflow_ = true;
+      return;
     }
-    if (end < receives.size() && same_channel(receives[end], sends[i])) {
-      return kUnmatched;
-    }
-    bool in_order = true;
-    for (std::size_t k = i; k < end && in_order; ++k) {
-      in_order = sends[k].inst == receives[k].inst;
-    }
-    if (!in_order) {
-      sent.clear();
-      received.clear();
-      for (std::size_t k = i; k < end; ++k) {
-        sent.push_back(sends[k].inst);
-        received.push_back(receives[k].inst);
-      }
-      std::sort(sent.begin(), sent.end());
-      std::sort(received.begin(), received.end());
-      if (sent != received) return kUnmatched;
-      for (std::size_t k = i; k < end && out_of_order == nullptr; ++k) {
-        if (sends[k].inst.iter != receives[k].inst.iter) {
-          out_of_order = &sends[i];
-        }
-      }
-    }
-    i = end;
+    received_[next_receive_[c]++] = v;
   }
-  if (out_of_order != nullptr) {
-    std::ostringstream msg;
-    msg << "channel (edge " << out_of_order->edge << ", PE"
-        << out_of_order->src << " -> PE" << out_of_order->dst
-        << ") violates FIFO order";
-    return msg.str();
+
+  /// The multiset and FIFO checks.  Equal totals and no overflowing
+  /// channel mean every channel received exactly as many values as it
+  /// was sent; then equal multisets mean equal sorted buckets, and FIFO
+  /// means each channel's iteration sequence is the same on both sides.
+  /// The FIFO verdict names the out-of-order channel first in (edge, src,
+  /// dst) order, and counts only once every channel passed the multiset
+  /// check.
+  std::optional<std::string> find_violation(
+      const std::vector<ChannelDesc>& channels) {
+    static constexpr const char* kUnmatched =
+        "send/receive multisets differ (unmatched message)";
+    if (overflow_ || receives_ != sent_.size()) return kUnmatched;
+    const auto key = [](const ChannelDesc& d) {
+      return std::tie(d.edge, d.src_proc, d.dst_proc);
+    };
+    const ChannelDesc* out_of_order = nullptr;
+    for (std::size_t c = 0; c < channels.size(); ++c) {
+      const auto s0 = sent_.begin() + static_cast<std::ptrdiff_t>(start_[c]);
+      const auto s1 =
+          sent_.begin() + static_cast<std::ptrdiff_t>(start_[c + 1]);
+      const auto r0 =
+          received_.begin() + static_cast<std::ptrdiff_t>(start_[c]);
+      const auto r1 =
+          received_.begin() + static_cast<std::ptrdiff_t>(start_[c + 1]);
+      if (std::equal(s0, s1, r0)) continue;
+      const bool fifo = std::equal(
+          s0, s1, r0,
+          [](const Inst& a, const Inst& b) { return a.iter == b.iter; });
+      std::sort(s0, s1);
+      std::sort(r0, r1);
+      if (!std::equal(s0, s1, r0)) return kUnmatched;
+      if (!fifo &&
+          (out_of_order == nullptr || key(channels[c]) < key(*out_of_order))) {
+        out_of_order = &channels[c];
+      }
+    }
+    if (out_of_order != nullptr) {
+      std::ostringstream msg;
+      msg << "channel (edge " << out_of_order->edge << ", PE"
+          << out_of_order->src_proc << " -> PE" << out_of_order->dst_proc
+          << ") violates FIFO order";
+      return msg.str();
+    }
+    return std::nullopt;
   }
-  return std::nullopt;
-}
+
+ private:
+  std::vector<std::size_t> start_;
+  std::vector<std::size_t> next_send_, next_receive_;
+  std::vector<Inst> sent_, received_;
+  std::size_t receives_ = 0;
+  bool overflow_ = false;
+};
 
 /// The one walk behind find_program_violation and compile_program: checks
 /// the rules in their documented order (partitioned_loop.hpp) and compiles
@@ -150,19 +160,10 @@ std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
   cp.processors = prog.processors;
   ChannelIds chan_ids(prog.programs.size());
   std::size_t computes = 0;
-  std::size_t send_ops = 0;
-  std::size_t receive_ops = 0;
   for (const ProcessorProgram& p : prog.programs) {
     for (const Op& op : p.ops) {
-      if (op.kind == Op::Kind::Compute) {
-        ++computes;
-        continue;
-      }
-      if (op.kind == Op::Kind::Receive) {
-        ++receive_ops;
-        continue;
-      }
-      ++send_ops;
+      if (op.kind == Op::Kind::Compute) ++computes;
+      if (op.kind != Op::Kind::Send) continue;
       const auto [id, fresh] =
           chan_ids.try_emplace(ChanKey{op.edge, p.proc, op.peer},
                                static_cast<ChannelId>(cp.channels.size()));
@@ -177,9 +178,7 @@ std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
   // instance -> the index (into prog.programs) of the one program allowed
   // to compute it.
   detail::InstMap computed_by(computes);
-  std::vector<Message> sends, receives;
-  sends.reserve(send_ops);
-  receives.reserve(receive_ops);
+  MessageBuckets messages(cp.channels);
   for (std::uint32_t pi = 0; pi < prog.programs.size(); ++pi) {
     const ProcessorProgram& p = prog.programs[pi];
     CompiledThread t;
@@ -244,7 +243,7 @@ std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
           c.kind = CompiledOp::Kind::Send;
           c.slot = *slot;
           c.chan = *chan_ids.find(ChanKey{op.edge, p.proc, op.peer});
-          sends.push_back(Message{op.edge, p.proc, op.peer, op.inst});
+          messages.send(c.chan, op.inst);
           break;
         }
         case Op::Kind::Receive: {
@@ -254,7 +253,7 @@ std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
           c.chan = chan != nullptr ? *chan : kNoChannel;
           c.slot = t.num_slots++;
           provide(op.inst, c.slot);
-          receives.push_back(Message{op.edge, op.peer, p.proc, op.inst});
+          messages.receive(c.chan, op.inst);
           break;
         }
       }
@@ -263,7 +262,7 @@ std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
     if (!t.ops.empty()) cp.threads.push_back(std::move(t));
   }
   // Rules 2 and 3, once every processor has passed rule 1.
-  return find_message_violation(sends, receives);
+  return messages.find_violation(cp.channels);
 }
 
 /// Liveness-based slot reassignment over one thread's straight-line op

@@ -47,7 +47,7 @@ namespace mimd {
 namespace {
 
 /// Background-compile queue bound; excess enqueues are dropped (the slot
-/// reverts to Empty and a later cache hit re-enqueues).
+/// reverts to Empty and the entry's next run re-enqueues).
 constexpr std::size_t kJitQueueCapacity = 64;
 
 #ifndef MIMD_JIT_DISABLED_REASON
@@ -346,7 +346,7 @@ void JitEngine::enqueue(std::shared_ptr<JitSlot> slot,
                         std::shared_ptr<const ExecutorPlan> plan) {
   if (!available_ || slot == nullptr || plan == nullptr) return;
   // Claim the slot: only the Empty -> Queued transition enqueues, so a
-  // structure requested from N threads at once compiles exactly once.
+  // structure run from N threads at once compiles exactly once.
   int expected = JitSlot::kEmpty;
   if (!slot->state_.compare_exchange_strong(expected, JitSlot::kQueued,
                                             std::memory_order_acq_rel)) {
@@ -361,8 +361,8 @@ void JitEngine::enqueue(std::shared_ptr<JitSlot> slot,
     }
     ++dropped_;
   }
-  // Queue full (or shutting down): release the claim so a later cache
-  // hit can retry.
+  // Queue full (or shutting down): release the claim so the entry's next
+  // run can retry.
   slot->state_.store(JitSlot::kEmpty, std::memory_order_release);
 }
 

@@ -19,13 +19,20 @@
 //    Ready; readers acquire-load the state before touching the pointer.
 //  * JitEngine — one low-priority background compiler thread over a
 //    bounded queue (64 jobs), deduplicating by slot state (a slot is
-//    enqueued at most once; concurrent first requests CAS Empty -> Queued
-//    and only one wins).  Toolchain availability is probed once per
-//    compiler process-wide and cached, so constructing many engines
-//    (tests) costs one probe total.  A failed compile marks the slot
-//    Failed permanently — the interpreted plan keeps serving; no retry
-//    storms.  Scratch .c/.so files go to $TMPDIR (or /tmp) and are
-//    unlinked right after dlopen.
+//    enqueued at most once; concurrent enqueues CAS Empty -> Queued and
+//    only one wins).  What gets enqueued, and when, is PlanCache's rule:
+//    an entry's second kernel-eligible run, or an explicit pre-warm.
+//    Toolchain availability is probed once per compiler process-wide and
+//    cached, so constructing many engines (tests) costs one probe total.
+//    A failed compile marks the slot Failed permanently — the interpreted
+//    plan keeps serving; no retry storms.  Scratch .c/.so files go to
+//    $TMPDIR (or /tmp) and are unlinked right after dlopen.
+//
+// A compile is not free for the requests it runs beside: the worker is
+// SCHED_IDLE, but the `cc` it starts (100-200 ms of -O2) takes the CPU
+// that gang threads give up when they yield in a receive wait, so every
+// concurrent run slows while it compiles.  That is why only plans that run
+// again are compiled.
 //
 // Degradation: hosts without a working toolchain, builds with
 // MIMD_ENABLE_JIT=OFF (-DMIMD_JIT_DISABLED), and ThreadSanitizer builds
@@ -131,10 +138,12 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
 [[nodiscard]] std::string jit_unavailable_reason(const JitOptions& opts = {});
 
 /// The atomically-published kernel slot a cache entry holds next to its
-/// interpreted plan.  Single writer (the engine thread) drives
+/// interpreted plan, and the entry's count of kernel-eligible runs (the
+/// count PlanCache admits compiles by).  The state runs
 ///   Empty -> Queued -> Compiling -> Ready | Failed,
-/// with Queued claimed by CAS so concurrent first requests enqueue once.
-/// Failed is terminal; a dropped enqueue reverts to Empty.
+/// with Queued claimed by CAS so concurrent enqueues of one slot queue it
+/// once, and every later transition made by the engine thread.  Failed is
+/// terminal; a dropped enqueue reverts to Empty.
 class JitSlot {
  public:
   /// The published kernel, or null while Empty/Queued/Compiling/Failed.
@@ -143,6 +152,11 @@ class JitSlot {
   /// so the compile's result is never published into a dead slot.
   [[nodiscard]] bool in_flight() const;
   [[nodiscard]] bool failed() const;
+  /// Count one kernel-eligible run of the slot's plan; returns the count
+  /// including this run.
+  std::uint64_t count_run() {
+    return runs_.fetch_add(1, std::memory_order_relaxed) + 1;
+  }
 
  private:
   friend class JitEngine;
@@ -150,6 +164,7 @@ class JitSlot {
   enum State : int { kEmpty = 0, kQueued, kCompiling, kReady, kFailed };
 
   std::atomic<int> state_{kEmpty};
+  std::atomic<std::uint64_t> runs_{0};
   /// Written by the engine thread strictly before the release-store of
   /// kReady; read only after an acquire-load observes kReady.
   std::shared_ptr<const JitKernel> kernel_;

@@ -93,13 +93,7 @@ PlanCache::CachedPlan PlanCache::lookup(const PartitionedProgram& prog,
     }
     ++hits_;
     lru_.splice(lru_.begin(), lru_, it->second);  // touch: most recent
-    CachedPlan hit{e.plan, e.jit};
-    lock.unlock();
-    // A full queue may have dropped this entry's enqueue (slot reverted
-    // to Empty); retry on the hit path until it sticks.  The CAS inside
-    // enqueue makes this a no-op for slots already queued or resolved.
-    if (engine_ && hit.jit) engine_->enqueue(hit.jit, hit.plan);
-    return hit;
+    return CachedPlan{e.plan, e.jit};
   }
 
   ++misses_;
@@ -134,13 +128,22 @@ PlanCache::CachedPlan PlanCache::lookup(const PartitionedProgram& prog,
   CachedPlan built{plan, self->jit};
   evict_to_capacity_locked();
   built_.notify_all();
-  lock.unlock();
-
-  // Queue the background native compile only after the interpreted plan
-  // is published: the caller gets its (interpreted) answer now, the
-  // kernel arrives whenever the low-priority worker gets to it.
-  if (engine_ && built.jit) engine_->enqueue(built.jit, built.plan);
   return built;
+}
+
+std::shared_ptr<const JitKernel> PlanCache::kernel_for_run(
+    const CachedPlan& entry, const RunOptions& opts) {
+  if (entry.jit == nullptr) return nullptr;
+  std::shared_ptr<const JitKernel> kernel = entry.jit->kernel();
+  if (kernel == nullptr && engine_ && jit_run_eligible(opts) &&
+      entry.jit->count_run() >= 2) {
+    engine_->enqueue(entry.jit, entry.plan);
+  }
+  return kernel;
+}
+
+void PlanCache::prewarm(const CachedPlan& entry) {
+  if (engine_) engine_->enqueue(entry.jit, entry.plan);
 }
 
 PlanCache::Stats PlanCache::stats() const {

@@ -31,14 +31,19 @@
 // the table can transiently exceed capacity by the number of in-flight
 // compiles.
 //
-// JIT (PR 7): with JitConfig::enabled each entry carries, next to the
+// JIT: with JitConfig::enabled each entry carries, next to the
 // interpreted plan, an atomically-published native-kernel slot
-// (runtime/jit_compiler.hpp).  A miss enqueues a background compile and
-// serves interpreted immediately; later hits see the published kernel.
-// Entries whose kernel compile is still in flight are pinned against
-// eviction *and* clear() — evicting one would publish a freshly-built
-// kernel into a slot nobody can reach — which also guarantees the
-// interpreted plan outlives the background compile that reads it.
+// (runtime/jit_compiler.hpp).  Lookups never compile native code.  Each
+// run asks kernel_for_run() for its kernel, and that one call is the
+// admission rule: the entry's second kernel-eligible run queues the
+// background compile, and runs after the publish go native.  A `cc -O2`
+// costs 100-200 ms of CPU taken from every concurrent run, and it pays
+// back only if the plan runs again — so a plan run once never starts the
+// compiler, whatever connection or batch it came from.  prewarm() queues
+// a compile at once, for callers that know a plan will run (mimdc
+// --batch --jit).  Entries whose kernel compile is in flight are pinned
+// against eviction *and* clear() — evicting one would publish a
+// freshly-built kernel into a slot the cache can no longer reach.
 #pragma once
 
 #include <condition_variable>
@@ -80,16 +85,11 @@ class PlanCache {
   PlanCache(std::size_t capacity, const JitConfig& jit);
 
   /// What a lookup hands back: the interpreted plan (always present) and
-  /// the entry's kernel slot (null when JIT is off).  kernel() is the
-  /// moment-in-time native kernel — null until the background compile
-  /// publishes, then stable for the entry's lifetime.
+  /// the entry's kernel slot (null when JIT is off).  A run gets its
+  /// kernel through kernel_for_run().
   struct CachedPlan {
     std::shared_ptr<const ExecutorPlan> plan;
     std::shared_ptr<JitSlot> jit;
-
-    [[nodiscard]] std::shared_ptr<const JitKernel> kernel() const {
-      return jit ? jit->kernel() : nullptr;
-    }
   };
 
   /// The shared plan for this structure: compiled now if absent, returned
@@ -100,10 +100,8 @@ class PlanCache {
       const PartitionedProgram& prog, const Ddg& g,
       const CompileOptions& copts = {});
 
-  /// get_or_compile plus the entry's kernel slot.  With JIT enabled, a
-  /// miss (or a hit whose earlier enqueue was dropped by a full queue)
-  /// queues a background native compile; the caller runs the interpreted
-  /// plan now and checks kernel() per request.
+  /// get_or_compile plus the entry's kernel slot.  Queues nothing: a
+  /// caller that runs the plan asks kernel_for_run() per run.
   CachedPlan get_or_compile_jit(const PartitionedProgram& prog, const Ddg& g,
                                 const CompileOptions& copts = {});
   /// The same lookup for a caller done with its program (mimdd's decoded
@@ -112,6 +110,20 @@ class PlanCache {
   CachedPlan get_or_compile_jit(PartitionedProgram&& prog, const Ddg& g,
                                 const CompileOptions& copts = {});
 
+  /// The kernel for one run of `entry` under `opts`: the published
+  /// kernel, or null (dispatch_resolved then picks the tier).  A
+  /// jit_run_eligible run counts toward the entry; from the entry's second
+  /// such run, while no kernel is published, the call queues the native
+  /// compile (the slot's CAS keeps it to one, and a compile dropped by a
+  /// full queue is queued again by the next run).
+  std::shared_ptr<const JitKernel> kernel_for_run(const CachedPlan& entry,
+                                                  const RunOptions& opts);
+
+  /// Queue `entry`'s native compile now, whatever its run count: the
+  /// pre-warm hook for a caller that knows the plan will run, followed by
+  /// wait_jit_idle().  A no-op when JIT is off or unavailable.
+  void prewarm(const CachedPlan& entry);
+
   [[nodiscard]] Stats stats() const;
 
   /// True iff JIT was configured on and the toolchain probe succeeded.
@@ -119,7 +131,8 @@ class PlanCache {
   /// Why not: empty when available, "JIT not configured" for a plain
   /// cache, else the engine's pinned reason.
   [[nodiscard]] std::string jit_unavailable_reason() const;
-  /// Drain the background compile queue — pre-warm and test hook.
+  /// Drain the background compile queue — pre-warm and test hook;
+  /// serving paths never wait.
   void wait_jit_idle();
 
   /// Drop every *built* entry (in-flight compiles finish and publish as

@@ -879,11 +879,13 @@ void PlanServer::process_task(Task& t) {
                                      ? req.iterations
                                      : plan->program().iterations;
           check_reply_fits_frame(estimated_result_bytes(*plan, n));
-          // Native once the background compile has published (bit-
-          // identical with the interpreted run); interpreted meanwhile.
-          const ExecutionResult result = dispatch_resolved(
-              *plan, entry.kernel(), n, to_run_options(req.opts, &pool_),
-              jit_counters);
+          // Native once a compile has published (bit-identical with the
+          // interpreted run), interpreted meanwhile; the cache call counts
+          // this run and queues the compile on the entry's second.
+          const RunOptions ropts = to_run_options(req.opts, &pool_);
+          const ExecutionResult result =
+              dispatch_resolved(*plan, cache_.kernel_for_run(entry, ropts), n,
+                                ropts, jit_counters);
           runs_executed_.fetch_add(1, std::memory_order_relaxed);
           reply_type = wire::FrameType::RunReply;
           reply = wire::encode_run_reply(result);

@@ -96,8 +96,8 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
       opts.pool = &pool;
       const std::int64_t n =
           job.iterations > 0 ? job.iterations : plan->program().iterations;
-      report.results[i] =
-          dispatch_resolved(*plan, cached.kernel(), n, opts, &counters);
+      report.results[i] = dispatch_resolved(
+          *plan, cache.kernel_for_run(cached, opts), n, opts, &counters);
     });
   } catch (...) {
     error = std::current_exception();

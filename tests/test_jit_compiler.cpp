@@ -2,8 +2,8 @@
 // (IEEE-754) drop-in for the interpreted ExecutorPlan — same values, same
 // zero rows, no tolerance — and the machinery around it must degrade, not
 // break: a missing toolchain serves interpreted forever, N concurrent
-// first requests compile exactly once, and eviction never unloads a
-// kernel a caller still holds.
+// second runs compile exactly once, and eviction never unloads a kernel a
+// caller still holds.
 //
 // Every test that needs a real compiler probes first (jit_available) and
 // GTEST_SKIPs with the pinned reason otherwise, so the suite is green on
@@ -107,7 +107,7 @@ TEST(JitCompiler, RepeatRunsAreIdentical) {
 
 // No toolchain is a mode, not an error: probes say why, jit_compile
 // throws JitError, and a PlanCache configured with the broken toolchain
-// serves interpreted plans forever with kernel() == nullptr.
+// serves interpreted plans forever with no kernel, however often they run.
 TEST(JitCompiler, MissingToolchainDegradesGracefully) {
   JitOptions opts;
   opts.cc = "/nonexistent/mimd-jit-no-such-cc";
@@ -126,7 +126,9 @@ TEST(JitCompiler, MissingToolchainDegradesGracefully) {
   const PlanCache::CachedPlan cached =
       cache.get_or_compile_jit(gl.program, gl.graph);
   ASSERT_NE(cached.plan, nullptr);
-  EXPECT_EQ(cached.kernel(), nullptr);
+  for (int run = 0; run < 3; ++run) {
+    EXPECT_EQ(cache.kernel_for_run(cached, RunOptions{}), nullptr);
+  }
   cache.wait_jit_idle();  // must not hang: nothing was ever queued
   EXPECT_EQ(cache.stats().jit_compiles, 0u);
   const ExecutionResult r = cached.plan->run(gl.iterations);
@@ -134,8 +136,8 @@ TEST(JitCompiler, MissingToolchainDegradesGracefully) {
                            gl.iterations));
 }
 
-// N threads racing the first request for one structure must cost exactly
-// one background compile (the Empty -> Queued CAS is the dedup).
+// N threads racing the second run of one structure must cost exactly one
+// background compile (the Empty -> Queued CAS is the dedup).
 TEST(JitCompiler, ConcurrentFirstRequestsCompileExactlyOnce) {
   PlanCache::JitConfig cfg;
   cfg.enabled = true;
@@ -144,6 +146,9 @@ TEST(JitCompiler, ConcurrentFirstRequestsCompileExactlyOnce) {
     GTEST_SKIP() << "jit unavailable: " << cache.jit_unavailable_reason();
   }
   const GeneratedLoop gl = generate_loop(2101);
+  // The first run: counted, queues nothing.
+  (void)cache.kernel_for_run(cache.get_or_compile_jit(gl.program, gl.graph),
+                             RunOptions{});
   constexpr int kThreads = 8;
   std::atomic<int> null_plans{0};
   std::vector<std::thread> threads;
@@ -153,6 +158,7 @@ TEST(JitCompiler, ConcurrentFirstRequestsCompileExactlyOnce) {
       const PlanCache::CachedPlan c =
           cache.get_or_compile_jit(gl.program, gl.graph);
       if (c.plan == nullptr) ++null_plans;
+      (void)cache.kernel_for_run(c, RunOptions{});
     });
   }
   for (std::thread& t : threads) t.join();
@@ -165,7 +171,8 @@ TEST(JitCompiler, ConcurrentFirstRequestsCompileExactlyOnce) {
 
   const PlanCache::CachedPlan warm =
       cache.get_or_compile_jit(gl.program, gl.graph);
-  const std::shared_ptr<const JitKernel> kernel = warm.kernel();
+  const std::shared_ptr<const JitKernel> kernel =
+      cache.kernel_for_run(warm, RunOptions{});
   ASSERT_NE(kernel, nullptr);
   EXPECT_TRUE(values_match(kernel->run_pooled(gl.iterations, nullptr),
                            run_reference(gl.graph, gl.iterations),
@@ -185,10 +192,13 @@ TEST(JitCompiler, EvictionUnloadsKernelOnlyAfterCallersFinish) {
   const GeneratedLoop a = generate_loop(2102);
   const GeneratedLoop b = generate_loop(2103);
 
-  (void)cache.get_or_compile_jit(a.program, a.graph);
-  cache.wait_jit_idle();  // A's kernel published; entry no longer pinned
   PlanCache::CachedPlan ca = cache.get_or_compile_jit(a.program, a.graph);
-  std::shared_ptr<const JitKernel> kernel = ca.kernel();
+  (void)cache.kernel_for_run(ca, RunOptions{});
+  (void)cache.kernel_for_run(ca, RunOptions{});  // A's second run queues it
+  cache.wait_jit_idle();  // A's kernel published; entry no longer pinned
+  ca = cache.get_or_compile_jit(a.program, a.graph);
+  std::shared_ptr<const JitKernel> kernel =
+      cache.kernel_for_run(ca, RunOptions{});
   ASSERT_NE(kernel, nullptr);
   std::weak_ptr<const JitKernel> weak = kernel;
   ca = PlanCache::CachedPlan{};  // keep only the kernel itself
@@ -204,6 +214,44 @@ TEST(JitCompiler, EvictionUnloadsKernelOnlyAfterCallersFinish) {
   kernel.reset();
   EXPECT_TRUE(weak.expired())
       << "kernel outlived its last reference (leak)";
+}
+
+// A client numbers its processors freely (the validator asks only that
+// ids be distinct), so the emitted function names must not depend on them.
+// Named after processor ids, ids -1 and 1 emitted `pe-1_main`, which cc
+// rejects: the JIT failed that structure on every compile.
+TEST(JitCompiler, NegativeProcessorIdsCompileAndRunBitIdentical) {
+  REQUIRE_JIT();
+  Ddg g;
+  const NodeId a = g.add_node("A");
+  const NodeId b = g.add_node("B");
+  const EdgeId ab = g.add_edge(a, b, 0);
+  (void)g.add_edge(a, a, 1);
+  (void)g.add_edge(b, b, 1);
+  PartitionedProgram prog;
+  prog.processors = 2;
+  prog.programs.resize(2);
+  prog.programs[0].proc = -1;
+  prog.programs[1].proc = 1;
+  for (std::int64_t i = 0; i < 3; ++i) {
+    prog.programs[0].ops.push_back(Op{Op::Kind::Compute, Inst{a, i}, 0, -1});
+    prog.programs[0].ops.push_back(Op{Op::Kind::Send, Inst{a, i}, ab, 1});
+    prog.programs[1].ops.push_back(Op{Op::Kind::Receive, Inst{a, i}, ab, -1});
+    prog.programs[1].ops.push_back(Op{Op::Kind::Compute, Inst{b, i}, 0, -1});
+  }
+  const ExecutorPlan plan = compile(prog, g);
+  const std::string src = emit_c_program(plan.program(), g,
+                                         CEmitOptions{CArtifact::Kernel});
+  EXPECT_EQ(src.find("pe-"), std::string::npos);
+  std::shared_ptr<const JitKernel> kernel;
+  try {
+    kernel = jit_compile(plan);
+  } catch (const JitError& e) {
+    FAIL() << "jit_compile failed: " << e.what();
+  }
+  const ExecutionResult native = kernel->run_pooled(3, nullptr);
+  EXPECT_TRUE(values_match(native, plan.run(3), 3));
+  EXPECT_TRUE(values_match(native, run_reference(g, 3), 3));
 }
 
 // The kernel context lifecycle (create -> run_on xN -> destroy) under the

@@ -1,9 +1,13 @@
 // The plan service's cache half: structural hashing (stability, value
 // relevance, name blindness), hit/miss/eviction accounting, single-compile
 // deduplication under concurrency (the suite the CI TSan job replays),
-// and run_batch pushing many loops through one cache + pool.
+// the JIT admission rule (a native compile on a plan's second run; the
+// CI ASan+UBSan job runs these with the JIT on), and run_batch pushing
+// many loops through one cache + pool.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -301,6 +305,130 @@ TEST(PlanCache, ConcurrentRequestsCompileEachStructureOnce) {
                 seen[static_cast<std::size_t>(t) * programs.size() + j].get());
     }
   }
+}
+
+// ---- JIT admission: a native compile only for a plan that runs twice ----
+
+/// A JIT-enabled cache, or null when this build or host has no usable
+/// toolchain (the caller skips).
+std::unique_ptr<PlanCache> jit_cache(std::size_t capacity = 8) {
+  PlanCache::JitConfig cfg;
+  cfg.enabled = true;
+  auto cache = std::make_unique<PlanCache>(capacity, cfg);
+  if (!cache->jit_available()) return nullptr;
+  return cache;
+}
+
+#define REQUIRE_JIT_CACHE(cache)                                       \
+  do {                                                                 \
+    if ((cache) == nullptr) {                                          \
+      GTEST_SKIP() << "jit unavailable: " << jit_unavailable_reason(); \
+    }                                                                  \
+  } while (false)
+
+TEST(PlanCacheJit, APlanRunOnceNeverQueuesACompile) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
+  // A miss and a hit queue nothing; neither does the one run.
+  const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
+  (void)cache->get_or_compile_jit(p, g);
+  EXPECT_EQ(cache->kernel_for_run(entry, RunOptions{}), nullptr);
+  cache->wait_jit_idle();
+  const PlanCache::Stats s = cache->stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.jit_compiles, 0u);
+  EXPECT_EQ(s.jit_failures, 0u);
+  EXPECT_EQ(s.jit_in_flight, 0u);
+}
+
+TEST(PlanCacheJit, TheSecondRunQueuesOneCompileAndTheThirdRunsNative) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
+  const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
+  EXPECT_EQ(cache->kernel_for_run(entry, RunOptions{}), nullptr);
+  cache->wait_jit_idle();
+  EXPECT_EQ(cache->stats().jit_compiles, 0u);
+
+  EXPECT_EQ(cache->kernel_for_run(entry, RunOptions{}), nullptr);
+  cache->wait_jit_idle();
+  EXPECT_EQ(cache->stats().jit_compiles, 1u);
+  EXPECT_EQ(cache->stats().jit_in_flight, 0u);
+
+  const std::shared_ptr<const JitKernel> kernel =
+      cache->kernel_for_run(entry, RunOptions{});
+  ASSERT_NE(kernel, nullptr);
+  JitRunCounters counters;
+  const ExecutionResult native =
+      dispatch_resolved(*entry.plan, kernel, 20, RunOptions{}, &counters);
+  EXPECT_EQ(counters.native.load(), 1u);
+  EXPECT_TRUE(values_match(native, entry.plan->run(20), 20));
+  expect_matches_sequential(native, g, 20);
+  cache->wait_jit_idle();
+  EXPECT_EQ(cache->stats().jit_compiles, 1u);  // runs after it queue none
+}
+
+TEST(PlanCacheJit, EightThreadsRacingTheSecondRunCostOneCompile) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
+  (void)cache->kernel_for_run(cache->get_or_compile_jit(p, g), RunOptions{});
+
+  constexpr int kThreads = 8;
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) std::this_thread::yield();
+      (void)cache->kernel_for_run(entry, RunOptions{});
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  cache->wait_jit_idle();
+  const PlanCache::Stats s = cache->stats();
+  EXPECT_EQ(s.jit_compiles, 1u);
+  EXPECT_EQ(s.jit_failures, 0u);
+  EXPECT_EQ(s.jit_in_flight, 0u);
+}
+
+TEST(PlanCacheJit, ARunTheKernelCannotServeDoesNotCount) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
+  const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
+  RunOptions busy;
+  busy.kernel.work_per_cycle = 8;  // not jit_run_eligible
+  for (int i = 0; i < 3; ++i) (void)cache->kernel_for_run(entry, busy);
+  (void)cache->kernel_for_run(entry, RunOptions{});
+  cache->wait_jit_idle();
+  EXPECT_EQ(cache->stats().jit_compiles, 0u);  // one eligible run so far
+
+  (void)cache->kernel_for_run(entry, RunOptions{});
+  cache->wait_jit_idle();
+  EXPECT_EQ(cache->stats().jit_compiles, 1u);
+}
+
+TEST(PlanCacheJit, PrewarmQueuesAtOnce) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
+  const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
+  cache->prewarm(entry);
+  cache->wait_jit_idle();
+  EXPECT_EQ(cache->stats().jit_compiles, 1u);
+  const std::shared_ptr<const JitKernel> kernel =
+      cache->kernel_for_run(entry, RunOptions{});  // its first run
+  ASSERT_NE(kernel, nullptr);
+  expect_matches_sequential(kernel->run_pooled(20, nullptr), g, 20);
 }
 
 // ---- run_batch: the end-to-end plan service ----

@@ -210,6 +210,65 @@ TEST(PlanServer, ConcurrentClientsShareOnePlanAcrossConnections) {
             static_cast<std::uint64_t>(kClients) + 1);  // + this observer
 }
 
+// The JIT admission rule, seen from the daemon: a structure submitted,
+// run once and dropped never starts the compiler.
+TEST(PlanServer, APlanRunOnceNeverStartsTheCompiler) {
+  TestServer ts("ps_jit_once");
+  if (!ts.server.cache().jit_available()) {
+    GTEST_SKIP() << "jit unavailable: "
+                 << ts.server.cache().jit_unavailable_reason();
+  }
+  const GeneratedLoop gl = generate_loop(71);
+  PlanClient client = PlanClient::connect(ts.server.socket_path());
+  const std::uint64_t id =
+      client.submit_program(gl.program, gl.graph).program_id;
+  EXPECT_TRUE(values_match(client.run(id),
+                           run_reference(gl.graph, gl.iterations),
+                           gl.iterations));
+  client.drop_program(id);
+  ts.server.cache().wait_jit_idle();
+  const wire::StatsReply s = client.stats();
+  EXPECT_EQ(s.jit_compiles, 0u);
+  EXPECT_EQ(s.jit_failures, 0u);
+  EXPECT_EQ(s.jit_in_flight, 0u);
+}
+
+// ...but the structure's second run queues its compile, whichever
+// connection runs it; the run after the publish is native and
+// bit-identical.
+TEST(PlanServer, ASecondConnectionsRunOfTheSameStructureQueuesTheCompile) {
+  TestServer ts("ps_jit_second");
+  if (!ts.server.cache().jit_available()) {
+    GTEST_SKIP() << "jit unavailable: "
+                 << ts.server.cache().jit_unavailable_reason();
+  }
+  const GeneratedLoop gl = generate_loop(72);
+  const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
+  {
+    PlanClient first = PlanClient::connect(ts.server.socket_path());
+    const std::uint64_t id =
+        first.submit_program(gl.program, gl.graph).program_id;
+    EXPECT_TRUE(values_match(first.run(id), seq, gl.iterations));
+    first.drop_program(id);
+  }
+  PlanClient second = PlanClient::connect(ts.server.socket_path());
+  const std::uint64_t id =
+      second.submit_program(gl.program, renamed_copy(gl.graph, "b_"))
+          .program_id;
+  EXPECT_TRUE(values_match(second.run(id), seq, gl.iterations));
+  ts.server.cache().wait_jit_idle();
+  const wire::StatsReply queued = second.stats();
+  EXPECT_EQ(queued.cache.misses, 1u);
+  EXPECT_EQ(queued.jit_compiles, 1u);
+  EXPECT_EQ(queued.jit_failures, 0u);
+  EXPECT_EQ(queued.jit_native_runs, 0u);
+
+  EXPECT_TRUE(values_match(second.run(id), seq, gl.iterations));
+  const wire::StatsReply after = second.stats();
+  EXPECT_EQ(after.jit_native_runs, 1u);
+  EXPECT_EQ(after.jit_compiles, 1u);
+}
+
 // Sustained mixed traffic: M clients x R requests over a handful of
 // program structures, every reply validated.  This is the TSan target for
 // the concurrent-connection path.

@@ -75,8 +75,9 @@
 //                 (with a note) when no C toolchain is available.  With
 //                 --batch: pre-warm every loop's kernel through the
 //                 background compiler before the timed run.  With
-//                 --connect/--fleet the *daemon* decides (mimdd --jit);
-//                 mimdc surfaces its native/interpreted counters.
+//                 --connect/--fleet the *daemon* decides (mimdd --jit:
+//                 a plan's second run queues its compile); mimdc
+//                 surfaces its native/interpreted counters.
 //
 // Example:
 //   echo 'for i:
@@ -347,9 +348,11 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       if (cache.jit_available()) {
         // Pre-warm: queue every unique structure's native compile and
         // drain the background worker, so the timed batch below measures
-        // warm kernels rather than compile latency.
+        // warm kernels rather than compile latency.  Explicit, because a
+        // lookup or a first run never queues one.
         for (const BatchJob& job : jobs) {
-          cache.get_or_compile_jit(job.program, job.graph, job.copts);
+          cache.prewarm(
+              cache.get_or_compile_jit(job.program, job.graph, job.copts));
         }
         cache.wait_jit_idle();
       } else {

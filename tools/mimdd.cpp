@@ -33,8 +33,10 @@
 //     --max-frame-rate F per-connection sustained frames/s (0 = unlimited)
 //     --frame-burst F    token-bucket burst for --max-frame-rate
 //     --quota-strikes N  over-quota replies before disconnect (0 = never)
-//     --jit[=on|off]     background-compile registered plans to dlopen'd
-//                        native kernels (runtime/jit_compiler.hpp); ON by
+//     --jit[=on|off]     background-compile a registered plan to a
+//                        dlopen'd native kernel (runtime/jit_compiler.hpp)
+//                        on its second run, whatever connection runs it;
+//                        a plan run once never starts the compiler.  ON by
 //                        default — degrades to interpreted-only when the
 //                        host has no usable toolchain.  --jit=off
 //                        restores pure interpreted serving exactly.

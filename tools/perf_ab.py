@@ -12,17 +12,19 @@ already holds the same commit is reused), builds each once through its
 own perfbench/run.py, then runs the seeds in order, each for
 BENCHMARK.json's run_seconds, alternating which side goes first: the
 parent runs first on odd seeds, the change on even ones.  Every run's
-JSON result line is appended, with its side, seed and commit, to
---work/<workload>.jsonl (<workload>-traced.jsonl with --trace 1) as soon
-as it finishes, and the tables are printed at the end.
+JSON result line is appended, with its side, seed, commit and the host's
+CPU steal share over the run (from /proc/stat's `cpu` line, read before
+and after), to --work/<workload>.jsonl (<workload>-traced.jsonl with
+--trace 1) as soon as it finishes, and the tables are printed at the end.
 
 --results prints the same tables from such files without running
 anything.  --self-test checks the statistics on canned results and
 exits 0 on success.
 
 Tables (markdown):
-  * per seed, for BENCHMARK.json's end-to-end metrics: each side's value
-    and failed/attempted;
+  * per seed, for BENCHMARK.json's end-to-end metrics: each side's value,
+    failed/attempted, and each side's steal share ("n/a" for records made
+    before it was stored);
   * per metric: each side's median [first quartile, third quartile]
     (linear interpolation between order statistics), how many pairs the
     change won, the median change, the parent's interquartile range over
@@ -109,6 +111,11 @@ def paired(records, workload):
     return {s: v for s, v in sorted(by_seed.items()) if len(v) == 2}
 
 
+def steal_text(record):
+    share = record.get("steal")
+    return "n/a" if share is None else "{:.1f}%".format(100 * share)
+
+
 def value(record, name):
     result = record["result"] or {}
     metric = result.get("metrics", {}).get(name)
@@ -142,6 +149,7 @@ def tables(records, workload, specs):
     for name, _, _, _ in e2e:
         head += ["%s parent" % name, "%s change" % name]
     head.append("failed/attempted (parent, change)")
+    head.append("steal (parent, change)")
     lines.append("| " + " | ".join(head) + " |")
     lines.append("|" + "---|" * len(head))
     totals = {side: [0, 0] for side in SIDES}
@@ -159,6 +167,7 @@ def tables(records, workload, specs):
             totals[side][1] += attempted
             counts.append("%d/%d" % (failed, attempted))
         row.append(" , ".join(counts))
+        row.append(" , ".join(steal_text(sides[side]) for side in SIDES))
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     lines.append("| metric | better | parent median [quartiles] | "
@@ -234,6 +243,29 @@ def run_once(tree, workload, seed, seconds, trace):
     return proc.returncode, result
 
 
+def cpu_times():
+    """/proc/stat's `cpu` line, user through steal, or None where the host
+    has no such file or field."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+    except OSError:
+        return None
+    if len(fields) < 9 or fields[0] != "cpu":
+        return None
+    return [int(x) for x in fields[1:9]]
+
+
+def steal_share(before, after):
+    """The share of all CPU time between two cpu_times() readings that the
+    hypervisor gave to other guests (steal), or None."""
+    if before is None or after is None:
+        return None
+    delta = [a - b for a, b in zip(after, before)]
+    total = sum(delta)
+    return delta[7] / total if total > 0 else None
+
+
 def parse_seeds(text):
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -254,12 +286,14 @@ def run_ab(args, spec):
     for seed in parse_seeds(args.seeds):
         order = SIDES if seed % 2 == 1 else SIDES[::-1]
         for position, side in enumerate(order, 1):
+            before = cpu_times()
             status, result = run_once(trees[side], args.workload, seed,
                                       seconds, args.trace)
             record = {"workload": args.workload, "seed": seed, "side": side,
                       "commit": revs[side], "order": position,
                       "seconds": seconds, "trace": args.trace,
-                      "exit": status, "result": result}
+                      "exit": status, "result": result,
+                      "steal": steal_share(before, cpu_times())}
             with open(log, "a") as f:
                 f.write(json.dumps(record, sort_keys=True) + "\n")
             records.append(record)
@@ -270,13 +304,17 @@ def run_ab(args, spec):
 
 # ---- self-test ------------------------------------------------------------
 
-def canned(seed, side, order, p99, rps, failed=0):
-    return {"workload": "w", "seed": seed, "side": side, "order": order,
-            "commit": side, "exit": 0,
-            "result": {"correct": True, "attempted": 100, "failed": failed,
-                       "metrics": {"latency_p99_us": {"value": p99, "unit": "us"},
-                                   "throughput_rps": {"value": rps,
-                                                      "unit": "req/s"}}}}
+def canned(seed, side, order, p99, rps, failed=0, steal=None):
+    record = {"workload": "w", "seed": seed, "side": side, "order": order,
+              "commit": side, "exit": 0,
+              "result": {"correct": True, "attempted": 100, "failed": failed,
+                         "metrics": {"latency_p99_us": {"value": p99,
+                                                        "unit": "us"},
+                                     "throughput_rps": {"value": rps,
+                                                        "unit": "req/s"}}}}
+    if steal is not None:
+        record["steal"] = steal
+    return record
 
 
 def self_test():
@@ -290,8 +328,13 @@ def self_test():
         change_p99 = 200.0 if seed == 5 else 50.0 + seed
         first, second = ("parent", "change") if seed % 2 else ("change", "parent")
         order = {first: 1, second: 2}
-        records.append(canned(seed, "parent", order["parent"], parent_p99, 10.0))
-        records.append(canned(seed, "change", order["change"], change_p99, 8.0))
+        # Seed 2's records lack the steal share, as records made before it
+        # was stored do.
+        steal = None if seed == 2 else 0.01 * seed
+        records.append(canned(seed, "parent", order["parent"], parent_p99, 10.0,
+                              steal=steal))
+        records.append(canned(seed, "change", order["change"], change_p99, 8.0,
+                              steal=None if steal is None else steal / 2))
     records.append(canned(11, "parent", 1, 1.0, 1.0))  # unpaired: ignored
     seeds = paired(records, "w")
     assert list(seeds) == list(range(1, 11)), seeds
@@ -330,13 +373,20 @@ def self_test():
 
     text = tables(records, "w", specs)
     assert "### `w`: 10 pairs" in text
-    assert "| 1 | parent | 101.0 | 51.000 | 10.000 | 8.000 | 0/100 , 0/100 |" in text, text
+    assert ("| 1 | parent | 101.0 | 51.000 | 10.000 | 8.000 | 0/100 , 0/100 "
+            "| 1.0% , 0.5% |") in text, text
     assert "| 2 | change |" in text
+    assert "| 0/100 , 0/100 | n/a , n/a |" in text, text
+    assert "| steal (parent, change) |" in text, text
     assert "| 9/10 | -46.4% | 4.3% | 25% | claim met |" in text, text
     assert "| 0/10 | -20.0% | 0.0% | 25% | within bound |" in text, text
     assert "parent: 0 of 1000 requests failed" in text
     assert [fmt(x) for x in (12345.6, 123.45, 1.5, 0.0, 0.000234)] == \
         ["12,346", "123.5", "1.500", "0.000", "0.000234"]
+    # /proc/stat's cpu line: user nice system idle iowait irq softirq steal.
+    assert steal_share([0] * 8, [10, 0, 10, 70, 0, 0, 0, 10]) == 0.1
+    assert steal_share(None, [1] * 8) is None
+    assert steal_share([5] * 8, [5] * 8) is None
     assert parse_seeds("9101-9103") == [9101, 9102, 9103]
     assert parse_seeds("7") == [7]
     print("perf_ab self-test: pass")
