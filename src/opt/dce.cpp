@@ -4,9 +4,11 @@
 #include <set>
 #include <vector>
 
+#include "ir/dependence.hpp"
+
 namespace mimd::opt {
 
-int DeadCodeElim::run(ir::Loop& loop, const ir::DependenceResult& deps) {
+int DeadCodeElim::run(ir::Loop& loop) {
   if (loop.outputs.empty()) return 0;  // everything observable
   const std::set<std::string> outs(loop.outputs.begin(), loop.outputs.end());
 
@@ -23,6 +25,7 @@ int DeadCodeElim::run(ir::Loop& loop, const ir::DependenceResult& deps) {
   // whole body would leave nothing to schedule — leave it alone.
   if (work.empty()) return 0;
 
+  const ir::DependenceResult deps = ir::analyze_dependences(loop);
   // stmt_of[node] inverts deps.node_of (one node per statement).
   std::vector<std::size_t> stmt_of(deps.graph.num_nodes(), 0);
   for (std::size_t s = 0; s < n; ++s) {

@@ -6,7 +6,8 @@
 // program is untouched.  Live statements are every definition of an
 // output array, transitively closed over DDG in-edges (the producers
 // dependence analysis says each live statement reads).  Everything else
-// is removed.
+// is removed.  The pass analyzes the loop's dependences itself, and only
+// when it has an output defined to start from.
 //
 // Legality: removing a dead statement never changes how a surviving
 // read resolves.  A statement is dead only if no live statement has a
@@ -26,7 +27,7 @@ namespace mimd::opt {
 class DeadCodeElim final : public Pass {
  public:
   [[nodiscard]] std::string_view name() const override { return "dce"; }
-  int run(ir::Loop& loop, const ir::DependenceResult& deps) override;
+  int run(ir::Loop& loop) override;
 };
 
 }  // namespace mimd::opt

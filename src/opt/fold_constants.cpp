@@ -86,7 +86,7 @@ ir::ExprPtr rewrite(const ir::ExprPtr& e, int& n) {
 
 }  // namespace
 
-int FoldConstants::run(ir::Loop& loop, const ir::DependenceResult&) {
+int FoldConstants::run(ir::Loop& loop) {
   int n = 0;
   for (ir::Stmt& s : loop.body) s.rhs = rewrite(s.rhs, n);
   return n;

@@ -21,7 +21,7 @@ class FoldConstants final : public Pass {
   [[nodiscard]] std::string_view name() const override {
     return "fold-constants";
   }
-  int run(ir::Loop& loop, const ir::DependenceResult& deps) override;
+  int run(ir::Loop& loop) override;
 };
 
 }  // namespace mimd::opt

@@ -1,7 +1,8 @@
-// The rewrite-pass interface: a Pass rewrites a Loop in place, seeing
-// the dependence analysis (IR + DDG) computed for the loop *as it
-// currently stands* — the PassManager in opt/pipeline.hpp re-analyzes
-// before every pass invocation, so a pass never observes a stale graph.
+// The rewrite-pass interface: a Pass rewrites a Loop in place.  A pass
+// that needs the dependence analysis (IR + DDG) computes it itself, on
+// the loop as it stands when the pass runs, and only once it knows it
+// will read it (opt/dce), so no pass observes a stale graph and no pass
+// pays for one it does not read.
 //
 // Contract (PASSES.md has the per-pass legality arguments):
 //   * input is if-converted (assign-only) — asserted by the pipeline;
@@ -15,7 +16,6 @@
 #include <string>
 #include <string_view>
 
-#include "ir/dependence.hpp"
 #include "ir/loop.hpp"
 
 namespace mimd::opt {
@@ -26,9 +26,8 @@ class Pass {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 
-  /// Rewrites `loop` in place; `deps` is the dependence analysis of the
-  /// loop exactly as passed in.  Returns the number of rewrites applied.
-  virtual int run(ir::Loop& loop, const ir::DependenceResult& deps) = 0;
+  /// Rewrites `loop` in place.  Returns the number of rewrites applied.
+  virtual int run(ir::Loop& loop) = 0;
 };
 
 /// Per-pass accounting across all fixed-point rounds.

@@ -4,7 +4,6 @@
 #include <iomanip>
 #include <sstream>
 
-#include "ir/dependence.hpp"
 #include "opt/dce.hpp"
 #include "opt/fission.hpp"
 #include "opt/fold_constants.hpp"
@@ -38,8 +37,7 @@ PipelineResult optimize(const ir::Loop& loop, const OptOptions& opts) {
   for (res.rounds = 0; res.rounds < kMaxRounds; ++res.rounds) {
     int round_rewrites = 0;
     for (std::size_t i = 0; i < passes.size(); ++i) {
-      const ir::DependenceResult deps = ir::analyze_dependences(cur);
-      const int n = passes[i]->run(cur, deps);
+      const int n = passes[i]->run(cur);
       res.stats[i].rewrites += n;
       res.stats[i].rounds_run += 1;
       round_rewrites += n;

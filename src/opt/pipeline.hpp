@@ -3,8 +3,9 @@
 //
 // Scalar passes (fold-constants -> strength-reduce -> dce) run in order,
 // round-robin, until a full round applies zero rewrites (fixed point) or
-// 8 rounds have run; dependence analysis is recomputed before every pass
-// invocation so no pass sees a stale DDG.  Fission runs once at the end
+// 8 rounds have run.  Only the passes that read dependences analyze them
+// (dce, on the loop it is handed, and fission), so no pass sees a stale
+// DDG and the folding passes cost no analysis.  Fission runs once at the end
 // — it changes the program's shape (1 loop -> N strands), so it can't
 // participate in the round-robin.  Every O1 caller gets the strands; one
 // that needs a single loop (`mimdc --c`, which emits one artifact per

@@ -80,7 +80,7 @@ ir::ExprPtr rewrite(const ir::ExprPtr& e, int& n) {
 
 }  // namespace
 
-int StrengthReduce::run(ir::Loop& loop, const ir::DependenceResult&) {
+int StrengthReduce::run(ir::Loop& loop) {
   int n = 0;
   for (ir::Stmt& s : loop.body) s.rhs = rewrite(s.rhs, n);
   return n;

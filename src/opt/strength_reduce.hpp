@@ -27,7 +27,7 @@ class StrengthReduce final : public Pass {
   [[nodiscard]] std::string_view name() const override {
     return "strength-reduce";
   }
-  int run(ir::Loop& loop, const ir::DependenceResult& deps) override;
+  int run(ir::Loop& loop) override;
 };
 
 }  // namespace mimd::opt

@@ -102,11 +102,12 @@ int run_toolchain(const JitOptions& opts, const ScratchFiles& f) {
 struct ProbeResult {
   bool ok = false;
   std::string reason;
+  double seconds = 0.0;  ///< compile + load + call, when ok
 };
 
-/// Compile + load + call a trivial kernel once per cc, process-wide.
-/// Many PlanCaches (test suites construct dozens) share one probe; the
-/// map is tiny and never shrinks.
+/// Compile + load + call a trivial kernel once per cc, process-wide, and
+/// time it.  Many PlanCaches (test suites construct dozens) share one
+/// probe; the map is tiny and never shrinks.
 const ProbeResult& probe_toolchain(const JitOptions& opts) {
   static std::mutex mu;
   static std::map<std::string, ProbeResult> cache;
@@ -130,6 +131,7 @@ const ProbeResult& probe_toolchain(const JitOptions& opts) {
       return cache.emplace(key, std::move(r)).first->second;
     }
   }
+  const auto t0 = std::chrono::steady_clock::now();
   if (run_toolchain(opts, f) != 0) {
     r.reason = "no working C toolchain: '" + opts.cc +
                " -shared' failed: " + read_excerpt(f.err, 300);
@@ -151,6 +153,9 @@ const ProbeResult& probe_toolchain(const JitOptions& opts) {
   }
   ::dlclose(handle);
   r.ok = true;
+  r.seconds = std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count();
   return cache.emplace(key, std::move(r)).first->second;
 }
 
@@ -165,6 +170,8 @@ bool jit_run_eligible(const RunOptions& opts) {
 #ifdef MIMD_JIT_DISABLED_REASON
 
 bool jit_available(const JitOptions&) { return false; }
+
+double jit_probe_seconds(const JitOptions&) { return 0.0; }
 
 std::string jit_unavailable_reason(const JitOptions&) {
   return MIMD_JIT_DISABLED_REASON;
@@ -186,6 +193,10 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan&,
 
 bool jit_available(const JitOptions& opts) {
   return probe_toolchain(opts).ok;
+}
+
+double jit_probe_seconds(const JitOptions& opts) {
+  return probe_toolchain(opts).seconds;
 }
 
 std::string jit_unavailable_reason(const JitOptions& opts) {
@@ -328,6 +339,8 @@ JitEngine::JitEngine(const JitOptions& opts) : opts_(opts) {
   reason_ = jit_unavailable_reason(opts_);
   available_ = reason_.empty();
   if (available_) {
+    expected_compile_seconds_.store(jit_probe_seconds(opts_),
+                                    std::memory_order_relaxed);
     worker_thread_ = std::thread([this] { worker(); });
   }
 }
@@ -402,6 +415,7 @@ void JitEngine::worker() {
 
     job.slot->state_.store(JitSlot::kCompiling, std::memory_order_release);
     bool ok = false;
+    const auto t0 = std::chrono::steady_clock::now();
     try {
       // Publish-subscribe (McKenney): write the pointer, then
       // release-store Ready.  kernel() acquire-loads before reading.
@@ -411,10 +425,21 @@ void JitEngine::worker() {
     } catch (const JitError&) {
       job.slot->state_.store(JitSlot::kFailed, std::memory_order_release);
     }
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
 
     lock.lock();
     busy_ = false;
-    ok ? ++compiles_ : ++failures_;
+    if (ok) {
+      ++compiles_;
+      compile_seconds_ += seconds;
+      expected_compile_seconds_.store(
+          compile_seconds_ / static_cast<double>(compiles_),
+          std::memory_order_relaxed);
+    } else {
+      ++failures_;
+    }
     if (queue_.empty()) idle_.notify_all();
   }
 }

@@ -21,18 +21,22 @@
 //    bounded queue (64 jobs), deduplicating by slot state (a slot is
 //    enqueued at most once; concurrent enqueues CAS Empty -> Queued and
 //    only one wins).  What gets enqueued, and when, is PlanCache's rule:
-//    an entry's second kernel-eligible run, or an explicit pre-warm.
-//    Toolchain availability is probed once per compiler process-wide and
-//    cached, so constructing many engines (tests) costs one probe total.
-//    A failed compile marks the slot Failed permanently — the interpreted
-//    plan keeps serving; no retry storms.  Scratch .c/.so files go to
-//    $TMPDIR (or /tmp) and are unlinked right after dlopen.
+//    the run after an entry's interpreted runs have together taken the
+//    engine's expected compile time, or an explicit pre-warm.  The
+//    expected time is measured: the toolchain probe's compile-and-load
+//    time until the engine publishes a kernel, then the mean wall time of
+//    its published compiles.  Toolchain availability (and the probe's
+//    time) is probed once per compiler process-wide and cached, so
+//    constructing many engines (tests) costs one probe total.  A failed
+//    compile marks the slot Failed permanently — the interpreted plan
+//    keeps serving; no retry storms.  Scratch .c/.so files go to $TMPDIR
+//    (or /tmp) and are unlinked right after dlopen.
 //
 // A compile is not free for the requests it runs beside: the worker is
-// SCHED_IDLE, but the `cc` it starts (100-200 ms of -O2) takes the CPU
+// SCHED_IDLE, but the `cc` it starts (100-300 ms of -O2) takes the CPU
 // that gang threads give up when they yield in a receive wait, so every
-// concurrent run slows while it compiles.  That is why only plans that run
-// again are compiled.
+// concurrent run slows while it compiles.  That is why a plan is compiled
+// only once its interpreted runs have cost as much as a compile.
 //
 // Degradation: hosts without a working toolchain, builds with
 // MIMD_ENABLE_JIT=OFF (-DMIMD_JIT_DISABLED), and ThreadSanitizer builds
@@ -132,14 +136,18 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
 /// Probe (once per cc, cached process-wide) whether this toolchain can
 /// produce a loadable kernel.
 [[nodiscard]] bool jit_available(const JitOptions& opts = {});
+/// The probe's measured compile-and-load wall time, in seconds (0 when
+/// the toolchain is unavailable): a new engine's compile-time estimate.
+[[nodiscard]] double jit_probe_seconds(const JitOptions& opts = {});
 /// Empty string when available; otherwise the pinned reason ("no working
 /// C toolchain: ...", the MIMD_ENABLE_JIT=OFF message, or the
 /// ThreadSanitizer message).
 [[nodiscard]] std::string jit_unavailable_reason(const JitOptions& opts = {});
 
 /// The atomically-published kernel slot a cache entry holds next to its
-/// interpreted plan, and the entry's count of kernel-eligible runs (the
-/// count PlanCache admits compiles by).  The state runs
+/// interpreted plan, and the wall time the entry's kernel-eligible
+/// interpreted runs have taken so far (the sum PlanCache admits compiles
+/// by).  The state runs
 ///   Empty -> Queued -> Compiling -> Ready | Failed,
 /// with Queued claimed by CAS so concurrent enqueues of one slot queue it
 /// once, and every later transition made by the engine thread.  Failed is
@@ -152,10 +160,12 @@ class JitSlot {
   /// so the compile's result is never published into a dead slot.
   [[nodiscard]] bool in_flight() const;
   [[nodiscard]] bool failed() const;
-  /// Count one kernel-eligible run of the slot's plan; returns the count
-  /// including this run.
-  std::uint64_t count_run() {
-    return runs_.fetch_add(1, std::memory_order_relaxed) + 1;
+  /// Add one finished interpreted run's wall time.
+  void add_interpreted_seconds(double seconds) {
+    interpreted_seconds_.fetch_add(seconds, std::memory_order_relaxed);
+  }
+  [[nodiscard]] double interpreted_seconds() const {
+    return interpreted_seconds_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -164,7 +174,7 @@ class JitSlot {
   enum State : int { kEmpty = 0, kQueued, kCompiling, kReady, kFailed };
 
   std::atomic<int> state_{kEmpty};
-  std::atomic<std::uint64_t> runs_{0};
+  std::atomic<double> interpreted_seconds_{0.0};
   /// Written by the engine thread strictly before the release-store of
   /// kReady; read only after an acquire-load observes kReady.
   std::shared_ptr<const JitKernel> kernel_;
@@ -189,6 +199,12 @@ class JitEngine {
   [[nodiscard]] bool available() const { return available_; }
   [[nodiscard]] const std::string& unavailable_reason() const {
     return reason_;
+  }
+  /// What one compile is expected to cost, in wall seconds: the probe's
+  /// time until this engine has published a kernel, then the mean of its
+  /// published compiles' times (a failed compile leaves it unchanged).
+  [[nodiscard]] double expected_compile_seconds() const {
+    return expected_compile_seconds_.load(std::memory_order_relaxed);
   }
 
   /// Queue a background compile of `plan` into `slot` if the slot is
@@ -223,6 +239,8 @@ class JitEngine {
   std::uint64_t compiles_ = 0;
   std::uint64_t failures_ = 0;
   std::uint64_t dropped_ = 0;
+  double compile_seconds_ = 0.0;  ///< sum over the published compiles
+  std::atomic<double> expected_compile_seconds_{0.0};
   std::thread worker_thread_;  ///< started only when available_
 };
 

@@ -1,5 +1,6 @@
 #include "runtime/plan_cache.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -135,11 +136,31 @@ std::shared_ptr<const JitKernel> PlanCache::kernel_for_run(
     const CachedPlan& entry, const RunOptions& opts) {
   if (entry.jit == nullptr) return nullptr;
   std::shared_ptr<const JitKernel> kernel = entry.jit->kernel();
-  if (kernel == nullptr && engine_ && jit_run_eligible(opts) &&
-      entry.jit->count_run() >= 2) {
-    engine_->enqueue(entry.jit, entry.plan);
+  if (kernel != nullptr || engine_ == nullptr || !engine_->available() ||
+      !jit_run_eligible(opts)) {
+    return kernel;
   }
-  return kernel;
+  // Rent or buy: keep interpreting until the earlier runs have cost one
+  // compile, then buy the kernel.
+  if (entry.jit->interpreted_seconds() >=
+      engine_->expected_compile_seconds()) {
+    engine_->enqueue(entry.jit, entry.plan);
+  } else if (!entry.jit->in_flight() && !entry.jit->failed()) {
+    jit_deferred_runs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return nullptr;
+}
+
+void PlanCache::record_run(const CachedPlan& entry, const RunOptions& opts,
+                           double seconds) {
+  if (entry.jit != nullptr && jit_run_eligible(opts) &&
+      entry.jit->kernel() == nullptr) {
+    entry.jit->add_interpreted_seconds(seconds);
+  }
+}
+
+double PlanCache::expected_jit_compile_seconds() const {
+  return engine_ ? engine_->expected_compile_seconds() : 0.0;
 }
 
 void PlanCache::prewarm(const CachedPlan& entry) {
@@ -155,6 +176,9 @@ PlanCache::Stats PlanCache::stats() const {
     s.jit_compiles = js.compiles;
     s.jit_failures = js.failures;
     s.jit_in_flight = js.in_flight;
+    s.jit_compile_estimate_us = static_cast<std::uint64_t>(
+        std::llround(engine_->expected_compile_seconds() * 1e6));
+    s.jit_deferred_runs = jit_deferred_runs_.load(std::memory_order_relaxed);
   }
   const std::lock_guard<std::mutex> lock(mu_);
   s.hits = hits_;

@@ -35,17 +35,23 @@
 // interpreted plan, an atomically-published native-kernel slot
 // (runtime/jit_compiler.hpp).  Lookups never compile native code.  Each
 // run asks kernel_for_run() for its kernel, and that one call is the
-// admission rule: the entry's second kernel-eligible run queues the
-// background compile, and runs after the publish go native.  A `cc -O2`
-// costs 100-200 ms of CPU taken from every concurrent run, and it pays
-// back only if the plan runs again — so a plan run once never starts the
-// compiler, whatever connection or batch it came from.  prewarm() queues
-// a compile at once, for callers that know a plan will run (mimdc
-// --batch --jit).  Entries whose kernel compile is in flight are pinned
-// against eviction *and* clear() — evicting one would publish a
-// freshly-built kernel into a slot the cache can no longer reach.
+// admission rule; record_run() adds each finished interpreted run's wall
+// time to the entry.  The rule is rent-or-buy: a `cc -O2` costs 100-300
+// ms of CPU taken from every concurrent run, so an entry keeps paying per
+// interpreted run until its earlier runs have together taken the
+// engine's expected compile time (JitEngine::expected_compile_seconds,
+// measured, never configured), and the run after that queues the
+// background compile; runs after the publish go native.  The sum is zero
+// before a plan's second run, so a plan run once never starts the
+// compiler, whatever connection or batch it came from, and a plan whose
+// runs are long next to a compile goes native from its second run.
+// prewarm() queues a compile at once, for callers that know a plan will
+// run (mimdc --batch --jit).  Entries whose kernel compile is in flight
+// are pinned against eviction *and* clear() — evicting one would publish
+// a freshly-built kernel into a slot the cache can no longer reach.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -72,6 +78,11 @@ class PlanCache {
     std::uint64_t jit_compiles = 0;   ///< native kernels published
     std::uint64_t jit_failures = 0;   ///< background compiles failed
     std::uint64_t jit_in_flight = 0;  ///< queued + compiling right now
+    /// The engine's expected compile time, rounded to microseconds.
+    std::uint64_t jit_compile_estimate_us = 0;
+    /// Eligible runs served interpreted because their entry's runs had
+    /// not yet taken a compile's time.
+    std::uint64_t jit_deferred_runs = 0;
   };
 
   /// JIT policy for this cache.  Disabled by default: a plain PlanCache
@@ -111,15 +122,26 @@ class PlanCache {
                                 const CompileOptions& copts = {});
 
   /// The kernel for one run of `entry` under `opts`: the published
-  /// kernel, or null (dispatch_resolved then picks the tier).  A
-  /// jit_run_eligible run counts toward the entry; from the entry's second
-  /// such run, while no kernel is published, the call queues the native
-  /// compile (the slot's CAS keeps it to one, and a compile dropped by a
-  /// full queue is queued again by the next run).
+  /// kernel, or null (dispatch_resolved then picks the tier).  While no
+  /// kernel is published, a jit_run_eligible run whose entry's recorded
+  /// interpreted time has reached expected_jit_compile_seconds() queues
+  /// the native compile (the slot's CAS keeps it to one, and a compile
+  /// dropped by a full queue is queued again by the next run); an
+  /// eligible run whose entry has not paid yet counts as deferred.
   std::shared_ptr<const JitKernel> kernel_for_run(const CachedPlan& entry,
                                                   const RunOptions& opts);
 
-  /// Queue `entry`'s native compile now, whatever its run count: the
+  /// Report one finished run of `entry`: its wall time counts toward the
+  /// entry's compile when the run was jit_run_eligible and no kernel is
+  /// published (so it ran interpreted).  run_cached() (plan_service.hpp)
+  /// makes this call for every run the daemon and run_batch serve.
+  void record_run(const CachedPlan& entry, const RunOptions& opts,
+                  double seconds);
+
+  /// The engine's expected compile time, in seconds (0 when JIT is off).
+  [[nodiscard]] double expected_jit_compile_seconds() const;
+
+  /// Queue `entry`'s native compile now, whatever its runs took: the
   /// pre-warm hook for a caller that knows the plan will run, followed by
   /// wait_jit_idle().  A no-op when JIT is off or unavailable.
   void prewarm(const CachedPlan& entry);
@@ -174,6 +196,7 @@ class PlanCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
+  std::atomic<std::uint64_t> jit_deferred_runs_{0};
   /// Non-null iff JitConfig::enabled; owns the background compiler
   /// thread.  Destroyed before the entries (declaration order), so the
   /// worker never outlives the slots it publishes into.

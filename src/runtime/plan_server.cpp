@@ -349,6 +349,8 @@ wire::StatsReply PlanServer::stats() const {
       jit_runs_.interpreted.load(std::memory_order_relaxed);
   s.jit_ineligible_runs =
       jit_runs_.ineligible.load(std::memory_order_relaxed);
+  s.jit_compile_estimate_us = s.cache.jit_compile_estimate_us;
+  s.jit_deferred_runs = s.cache.jit_deferred_runs;
   return s;
 }
 
@@ -880,12 +882,12 @@ void PlanServer::process_task(Task& t) {
                                      : plan->program().iterations;
           check_reply_fits_frame(estimated_result_bytes(*plan, n));
           // Native once a compile has published (bit-identical with the
-          // interpreted run), interpreted meanwhile; the cache call counts
-          // this run and queues the compile on the entry's second.
-          const RunOptions ropts = to_run_options(req.opts, &pool_);
-          const ExecutionResult result =
-              dispatch_resolved(*plan, cache_.kernel_for_run(entry, ropts), n,
-                                ropts, jit_counters);
+          // interpreted run), interpreted meanwhile; run_cached reports
+          // the run to the cache, which queues the compile once the
+          // entry's interpreted runs have taken a compile's time.
+          const ExecutionResult result = run_cached(
+              cache_, entry, n, to_run_options(req.opts, &pool_),
+              jit_counters);
           runs_executed_.fetch_add(1, std::memory_order_relaxed);
           reply_type = wire::FrameType::RunReply;
           reply = wire::encode_run_reply(result);

@@ -81,8 +81,9 @@ struct PlanServerOptions {
   /// Unlink a pre-existing socket file before binding.  Off by default so
   /// two daemons cannot silently fight over one path.
   bool remove_existing = false;
-  /// Background-JIT registered plans to native kernels, each on its
-  /// second run (mimdd --jit=off turns this off).  ON by default: when
+  /// Background-JIT registered plans to native kernels, each once its
+  /// interpreted runs have taken a compile's time (PlanCache's rule;
+  /// mimdd --jit=off turns this off).  ON by default: when
   /// the toolchain probe fails the
   /// cache degrades to interpreted-only, identical to off — so the
   /// default is safe everywhere and fast where the host allows it.

@@ -74,6 +74,15 @@ ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
   return r;
 }
 
+ExecutionResult run_cached(PlanCache& cache, const PlanCache::CachedPlan& entry,
+                           std::int64_t n, const RunOptions& opts,
+                           JitRunCounters* counters) {
+  ExecutionResult r = dispatch_resolved(
+      *entry.plan, cache.kernel_for_run(entry, opts), n, opts, counters);
+  cache.record_run(entry, opts, r.wall_seconds);
+  return r;
+}
+
 BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
                       WorkerPool& pool, std::size_t concurrency) {
   BatchReport report;
@@ -91,13 +100,12 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
       const BatchJob& job = jobs[i];
       const auto cached =
           cache.get_or_compile_jit(job.program, job.graph, job.copts);
-      const auto& plan = cached.plan;
       RunOptions opts = job.ropts;
       opts.pool = &pool;
-      const std::int64_t n =
-          job.iterations > 0 ? job.iterations : plan->program().iterations;
-      report.results[i] = dispatch_resolved(
-          *plan, cache.kernel_for_run(cached, opts), n, opts, &counters);
+      const std::int64_t n = job.iterations > 0
+                                 ? job.iterations
+                                 : cached.plan->program().iterations;
+      report.results[i] = run_cached(cache, cached, n, opts, &counters);
     });
   } catch (...) {
     error = std::current_exception();

@@ -70,6 +70,14 @@ ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
                                   std::int64_t n, const RunOptions& opts,
                                   JitRunCounters* counters);
 
+/// One run of a cached plan, the way the daemon's Run handler and
+/// run_batch serve it: the entry's kernel from cache.kernel_for_run (which
+/// may queue its compile), dispatch_resolved, then cache.record_run with
+/// the run's wall time, so the JIT's admission rule sees every run.
+ExecutionResult run_cached(PlanCache& cache, const PlanCache::CachedPlan& entry,
+                           std::int64_t n, const RunOptions& opts,
+                           JitRunCounters* counters);
+
 struct BatchReport {
   /// One result per job, in job order.
   std::vector<ExecutionResult> results;

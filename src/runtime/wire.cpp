@@ -329,6 +329,8 @@ std::vector<std::uint8_t> encode_stats_reply(const StatsReply& m) {
   e.u64(m.jit_native_runs);
   e.u64(m.jit_interpreted_runs);
   e.u64(m.jit_ineligible_runs);
+  e.u64(m.jit_compile_estimate_us);
+  e.u64(m.jit_deferred_runs);
   return e.take();
 }
 
@@ -357,6 +359,8 @@ StatsReply decode_stats_reply(const std::vector<std::uint8_t>& payload) {
   m.jit_native_runs = d.u64();
   m.jit_interpreted_runs = d.u64();
   m.jit_ineligible_runs = d.u64();
+  m.jit_compile_estimate_us = d.u64();
+  m.jit_deferred_runs = d.u64();
   d.expect_done();
   return m;
 }

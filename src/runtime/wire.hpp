@@ -236,6 +236,11 @@ struct StatsReply {
   /// Runs that had a published kernel but still went interpreted (request
   /// shape outside what the kernel implements).
   std::uint64_t jit_ineligible_runs = 0;
+  /// Why warm traffic is not native yet: the engine's expected compile
+  /// time (µs), and the eligible runs served interpreted because their
+  /// entry's runs had not yet taken that long in total.
+  std::uint64_t jit_compile_estimate_us = 0;
+  std::uint64_t jit_deferred_runs = 0;
 };
 
 [[nodiscard]] std::vector<std::uint8_t> encode_submit_program(

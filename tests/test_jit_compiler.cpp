@@ -2,8 +2,8 @@
 // (IEEE-754) drop-in for the interpreted ExecutorPlan — same values, same
 // zero rows, no tolerance — and the machinery around it must degrade, not
 // break: a missing toolchain serves interpreted forever, N concurrent
-// second runs compile exactly once, and eviction never unloads a kernel a
-// caller still holds.
+// runs that admit a compile compile exactly once, a failed compile moves
+// no estimate, and eviction never unloads a kernel a caller still holds.
 //
 // Every test that needs a real compiler probes first (jit_available) and
 // GTEST_SKIPs with the pinned reason otherwise, so the suite is green on
@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -128,16 +130,18 @@ TEST(JitCompiler, MissingToolchainDegradesGracefully) {
   ASSERT_NE(cached.plan, nullptr);
   for (int run = 0; run < 3; ++run) {
     EXPECT_EQ(cache.kernel_for_run(cached, RunOptions{}), nullptr);
+    cache.record_run(cached, RunOptions{}, 1.0);  // long runs, no compiler
   }
   cache.wait_jit_idle();  // must not hang: nothing was ever queued
   EXPECT_EQ(cache.stats().jit_compiles, 0u);
+  EXPECT_EQ(cache.stats().jit_deferred_runs, 0u);
   const ExecutionResult r = cached.plan->run(gl.iterations);
   EXPECT_TRUE(values_match(r, run_reference(gl.graph, gl.iterations),
                            gl.iterations));
 }
 
-// N threads racing the second run of one structure must cost exactly one
-// background compile (the Empty -> Queued CAS is the dedup).
+// N threads racing the run that admits one structure's compile must cost
+// exactly one background compile (the Empty -> Queued CAS is the dedup).
 TEST(JitCompiler, ConcurrentFirstRequestsCompileExactlyOnce) {
   PlanCache::JitConfig cfg;
   cfg.enabled = true;
@@ -146,9 +150,12 @@ TEST(JitCompiler, ConcurrentFirstRequestsCompileExactlyOnce) {
     GTEST_SKIP() << "jit unavailable: " << cache.jit_unavailable_reason();
   }
   const GeneratedLoop gl = generate_loop(2101);
-  // The first run: counted, queues nothing.
-  (void)cache.kernel_for_run(cache.get_or_compile_jit(gl.program, gl.graph),
-                             RunOptions{});
+  // The first run, reported as long as a compile: it queues nothing, but
+  // every run after it may.
+  const PlanCache::CachedPlan first =
+      cache.get_or_compile_jit(gl.program, gl.graph);
+  (void)cache.kernel_for_run(first, RunOptions{});
+  cache.record_run(first, RunOptions{}, cache.expected_jit_compile_seconds());
   constexpr int kThreads = 8;
   std::atomic<int> null_plans{0};
   std::vector<std::thread> threads;
@@ -194,7 +201,9 @@ TEST(JitCompiler, EvictionUnloadsKernelOnlyAfterCallersFinish) {
 
   PlanCache::CachedPlan ca = cache.get_or_compile_jit(a.program, a.graph);
   (void)cache.kernel_for_run(ca, RunOptions{});
-  (void)cache.kernel_for_run(ca, RunOptions{});  // A's second run queues it
+  // A's first run took a compile's time, so its second run queues it.
+  cache.record_run(ca, RunOptions{}, cache.expected_jit_compile_seconds());
+  (void)cache.kernel_for_run(ca, RunOptions{});
   cache.wait_jit_idle();  // A's kernel published; entry no longer pinned
   ca = cache.get_or_compile_jit(a.program, a.graph);
   std::shared_ptr<const JitKernel> kernel =
@@ -214,6 +223,60 @@ TEST(JitCompiler, EvictionUnloadsKernelOnlyAfterCallersFinish) {
   kernel.reset();
   EXPECT_TRUE(weak.expired())
       << "kernel outlived its last reference (leak)";
+}
+
+// A compile that fails marks its slot Failed and leaves the engine's
+// compile-time estimate where it was: only published compiles move it.
+// The toolchain here builds the probe but refuses every kernel.
+TEST(JitCompiler, AFailedCompileLeavesTheEstimateUnchanged) {
+  REQUIRE_JIT();
+  const std::filesystem::path script =
+      std::filesystem::path(::testing::TempDir()) /
+      "mimd-jit-cc-refuses-kernels.sh";
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\n"
+           "for a; do src=$a; done\n"
+           "if grep -q mimd_kernel_run_on \"$src\"; then\n"
+           "  echo 'kernel refused' >&2\n"
+           "  exit 1\n"
+           "fi\n"
+           "exec cc \"$@\"\n";
+  }
+  std::filesystem::permissions(script, std::filesystem::perms::owner_all);
+  JitOptions opts;
+  opts.cc = script.string();
+  ASSERT_TRUE(jit_available(opts)) << jit_unavailable_reason(opts);
+  const double probe = jit_probe_seconds(opts);
+  ASSERT_GT(probe, 0.0);
+
+  PlanCache::JitConfig cfg;
+  cfg.enabled = true;
+  cfg.options = opts;
+  PlanCache cache(4, cfg);
+  EXPECT_EQ(cache.expected_jit_compile_seconds(), probe);
+  const GeneratedLoop gl = generate_loop(2104);
+  const PlanCache::CachedPlan entry =
+      cache.get_or_compile_jit(gl.program, gl.graph);
+  cache.prewarm(entry);
+  cache.wait_jit_idle();
+  PlanCache::Stats s = cache.stats();
+  EXPECT_EQ(s.jit_compiles, 0u);
+  EXPECT_EQ(s.jit_failures, 1u);
+  EXPECT_EQ(cache.expected_jit_compile_seconds(), probe);
+
+  // Failed is terminal: later runs, however long, stay interpreted, queue
+  // nothing and are not counted as deferred.
+  for (int run = 0; run < 2; ++run) {
+    EXPECT_EQ(cache.kernel_for_run(entry, RunOptions{}), nullptr);
+    cache.record_run(entry, RunOptions{}, 10 * probe);
+  }
+  cache.wait_jit_idle();
+  s = cache.stats();
+  EXPECT_EQ(s.jit_failures, 1u);
+  EXPECT_EQ(s.jit_deferred_runs, 0u);
+  EXPECT_EQ(cache.expected_jit_compile_seconds(), probe);
+  std::filesystem::remove(script);
 }
 
 // A client numbers its processors freely (the validator asks only that

@@ -33,9 +33,7 @@ ir::Loop parsed(const std::string& src) {
 }
 
 /// Runs one scalar pass once and returns the rewrite count.
-int run_pass(opt::Pass& pass, ir::Loop& loop) {
-  return pass.run(loop, ir::analyze_dependences(loop));
-}
+int run_pass(opt::Pass& pass, ir::Loop& loop) { return pass.run(loop); }
 
 std::string rhs_text(const ir::Loop& loop, std::size_t s) {
   return ir::to_string(*loop.body.at(s).rhs);

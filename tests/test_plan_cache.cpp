@@ -1,12 +1,14 @@
 // The plan service's cache half: structural hashing (stability, value
 // relevance, name blindness), hit/miss/eviction accounting, single-compile
 // deduplication under concurrency (the suite the CI TSan job replays),
-// the JIT admission rule (a native compile on a plan's second run; the
-// CI ASan+UBSan job runs these with the JIT on), and run_batch pushing
-// many loops through one cache + pool.
+// the JIT admission rule (a native compile once a plan's interpreted runs
+// have taken a compile's time; the CI ASan+UBSan job runs these with the
+// JIT on), and run_batch pushing many loops through one cache + pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cmath>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -307,7 +309,11 @@ TEST(PlanCache, ConcurrentRequestsCompileEachStructureOnce) {
   }
 }
 
-// ---- JIT admission: a native compile only for a plan that runs twice ----
+// ---- JIT admission: a native compile once the runs have paid for it ----
+//
+// Run durations are reported through record_run, the call run_cached
+// makes with each run's wall time, so no test below depends on how fast
+// this host interprets or compiles.
 
 /// A JIT-enabled cache, or null when this build or host has no usable
 /// toolchain (the caller skips).
@@ -326,30 +332,97 @@ std::unique_ptr<PlanCache> jit_cache(std::size_t capacity = 8) {
     }                                                                  \
   } while (false)
 
+/// One interpreted run of `entry` as run_cached makes it, reported as
+/// having taken `seconds`.
+void interpreted_run(PlanCache& cache, const PlanCache::CachedPlan& entry,
+                     double seconds, const RunOptions& opts = {}) {
+  EXPECT_EQ(cache.kernel_for_run(entry, opts), nullptr);
+  cache.record_run(entry, opts, seconds);
+}
+
 TEST(PlanCacheJit, APlanRunOnceNeverQueuesACompile) {
   const auto cache = jit_cache();
   REQUIRE_JIT_CACHE(cache);
   const Ddg g = workloads::fig7_loop();
   const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
-  // A miss and a hit queue nothing; neither does the one run.
+  // A miss and a hit queue nothing; neither does the one run, however
+  // long it took.
   const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
   (void)cache->get_or_compile_jit(p, g);
-  EXPECT_EQ(cache->kernel_for_run(entry, RunOptions{}), nullptr);
+  interpreted_run(*cache, entry, 10 * cache->expected_jit_compile_seconds());
   cache->wait_jit_idle();
   const PlanCache::Stats s = cache->stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.jit_compiles, 0u);
   EXPECT_EQ(s.jit_failures, 0u);
   EXPECT_EQ(s.jit_in_flight, 0u);
+  EXPECT_EQ(s.jit_deferred_runs, 1u);
 }
 
-TEST(PlanCacheJit, TheSecondRunQueuesOneCompileAndTheThirdRunsNative) {
+TEST(PlanCacheJit, RunsThatStayBelowTheEstimateNeverQueue) {
   const auto cache = jit_cache();
   REQUIRE_JIT_CACHE(cache);
   const Ddg g = workloads::fig7_loop();
   const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
   const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
-  EXPECT_EQ(cache->kernel_for_run(entry, RunOptions{}), nullptr);
+  const double estimate = cache->expected_jit_compile_seconds();
+  ASSERT_GT(estimate, 0.0);
+  // Twenty runs of a fortieth of a compile each: half a compile in all.
+  for (int run = 0; run < 20; ++run) {
+    interpreted_run(*cache, entry, estimate / 40);
+  }
+  cache->wait_jit_idle();
+  const PlanCache::Stats s = cache->stats();
+  EXPECT_EQ(s.jit_compiles, 0u);
+  EXPECT_EQ(s.jit_in_flight, 0u);
+  EXPECT_EQ(s.jit_deferred_runs, 20u);
+}
+
+TEST(PlanCacheJit, TheFirstRunAfterTheSumReachesTheEstimateQueuesOneCompile) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
+  const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
+  const double estimate = cache->expected_jit_compile_seconds();
+  // Four quarters reach the estimate exactly; only the run after the
+  // fourth sees the sum and queues.
+  for (int run = 0; run < 4; ++run) interpreted_run(*cache, entry, estimate / 4);
+  cache->wait_jit_idle();
+  EXPECT_EQ(cache->stats().jit_compiles, 0u);
+  EXPECT_EQ(cache->stats().jit_deferred_runs, 4u);
+
+  interpreted_run(*cache, entry, estimate / 4);  // the fifth queues
+  cache->wait_jit_idle();
+  PlanCache::Stats s = cache->stats();
+  EXPECT_EQ(s.jit_compiles, 1u);
+  EXPECT_EQ(s.jit_failures, 0u);
+  EXPECT_EQ(s.jit_deferred_runs, 4u);
+
+  const std::shared_ptr<const JitKernel> kernel =
+      cache->kernel_for_run(entry, RunOptions{});
+  ASSERT_NE(kernel, nullptr);
+  JitRunCounters counters;
+  const ExecutionResult native =
+      dispatch_resolved(*entry.plan, kernel, 20, RunOptions{}, &counters);
+  EXPECT_EQ(counters.native.load(), 1u);
+  EXPECT_TRUE(values_match(native, entry.plan->run(20), 20));
+  expect_matches_sequential(native, g, 20);
+  cache->wait_jit_idle();
+  s = cache->stats();
+  EXPECT_EQ(s.jit_compiles, 1u);  // runs after it queue none
+  EXPECT_EQ(s.jit_deferred_runs, 4u);
+}
+
+TEST(PlanCacheJit, TheSecondRunQueuesOneCompileAndTheThirdRunsNative) {
+  // A plan whose first run took as long as a compile goes native from
+  // its second run.
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
+  const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
+  interpreted_run(*cache, entry, cache->expected_jit_compile_seconds());
   cache->wait_jit_idle();
   EXPECT_EQ(cache->stats().jit_compiles, 0u);
 
@@ -376,7 +449,8 @@ TEST(PlanCacheJit, EightThreadsRacingTheSecondRunCostOneCompile) {
   REQUIRE_JIT_CACHE(cache);
   const Ddg g = workloads::fig7_loop();
   const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
-  (void)cache->kernel_for_run(cache->get_or_compile_jit(p, g), RunOptions{});
+  interpreted_run(*cache, cache->get_or_compile_jit(p, g),
+                  cache->expected_jit_compile_seconds());
 
   constexpr int kThreads = 8;
   std::atomic<int> waiting{kThreads};
@@ -404,13 +478,19 @@ TEST(PlanCacheJit, ARunTheKernelCannotServeDoesNotCount) {
   const Ddg g = workloads::fig7_loop();
   const PartitionedProgram p = pattern_program(g, Machine{2, 2}, 20);
   const PlanCache::CachedPlan entry = cache->get_or_compile_jit(p, g);
+  const double estimate = cache->expected_jit_compile_seconds();
   RunOptions busy;
   busy.kernel.work_per_cycle = 8;  // not jit_run_eligible
-  for (int i = 0; i < 3; ++i) (void)cache->kernel_for_run(entry, busy);
+  // Ineligible runs neither queue, nor add their time, nor count as
+  // deferred.
+  for (int i = 0; i < 3; ++i) interpreted_run(*cache, entry, estimate, busy);
+  interpreted_run(*cache, entry, estimate / 2);
   (void)cache->kernel_for_run(entry, RunOptions{});
   cache->wait_jit_idle();
-  EXPECT_EQ(cache->stats().jit_compiles, 0u);  // one eligible run so far
+  EXPECT_EQ(cache->stats().jit_compiles, 0u);  // half a compile paid
+  EXPECT_EQ(cache->stats().jit_deferred_runs, 2u);
 
+  cache->record_run(entry, RunOptions{}, estimate / 2);
   (void)cache->kernel_for_run(entry, RunOptions{});
   cache->wait_jit_idle();
   EXPECT_EQ(cache->stats().jit_compiles, 1u);
@@ -429,6 +509,38 @@ TEST(PlanCacheJit, PrewarmQueuesAtOnce) {
       cache->kernel_for_run(entry, RunOptions{});  // its first run
   ASSERT_NE(kernel, nullptr);
   expect_matches_sequential(kernel->run_pooled(20, nullptr), g, 20);
+  EXPECT_EQ(cache->stats().jit_deferred_runs, 0u);
+}
+
+TEST(PlanCacheJit, TheEstimateStartsAtTheProbeAndBecomesTheMeanCompile) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const double probe = jit_probe_seconds();
+  ASSERT_GT(probe, 0.0);
+  EXPECT_EQ(cache->expected_jit_compile_seconds(), probe);
+  EXPECT_EQ(cache->stats().jit_compile_estimate_us,
+            static_cast<std::uint64_t>(std::llround(probe * 1e6)));
+
+  // Two published compiles: the estimate is their mean wall time, which
+  // lies between the probe's few milliseconds and the compiles' own
+  // duration.
+  const Ddg g = workloads::fig7_loop();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const std::int64_t n : {20, 24}) {
+    cache->prewarm(cache->get_or_compile_jit(
+        pattern_program(g, Machine{2, 2}, n), g));
+  }
+  cache->wait_jit_idle();
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  ASSERT_EQ(cache->stats().jit_compiles, 2u);
+  const double mean = cache->expected_jit_compile_seconds();
+  EXPECT_NE(mean, probe);
+  EXPECT_GT(mean, 0.0);
+  EXPECT_LE(2 * mean, elapsed);  // both compiles ran inside the window
+  EXPECT_EQ(cache->stats().jit_compile_estimate_us,
+            static_cast<std::uint64_t>(std::llround(mean * 1e6)));
 }
 
 // ---- run_batch: the end-to-end plan service ----
@@ -465,6 +577,38 @@ TEST(PlanService, BatchMatchesSequentialAndDedupesPlans) {
   EXPECT_EQ(report.cache_stats.misses, 2u);
   EXPECT_EQ(report.cache_stats.hits, 4u);
   EXPECT_GT(report.wall_seconds, 0.0);
+}
+
+// run_batch reports each run's wall time to the cache (run_cached), so a
+// repeated job goes native once its runs have paid for a compile.  The
+// earlier runs are reported as one microsecond short of the estimate; the
+// batch's first run pays the rest, and its second queues the compile.
+TEST(PlanService, ARepeatedJobWhoseRunsPassTheEstimateQueuesOneCompile) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  BatchJob job;
+  job.program = pattern_program(g, Machine{2, 2}, 20);
+  job.graph = g;
+  job.iterations = 20;
+  cache->record_run(cache->get_or_compile_jit(job.program, g), RunOptions{},
+                    cache->expected_jit_compile_seconds() - 1e-6);
+
+  WorkerPool pool;
+  const BatchReport cold = run_batch({job, job}, *cache, pool, 1);
+  cache->wait_jit_idle();
+  PlanCache::Stats s = cache->stats();
+  EXPECT_EQ(s.jit_compiles, 1u);
+  EXPECT_EQ(s.jit_failures, 0u);
+  EXPECT_EQ(s.jit_deferred_runs, 1u);
+  EXPECT_EQ(cold.jit_native_runs, 0u);
+
+  const BatchReport warm = run_batch({job}, *cache, pool, 1);
+  EXPECT_EQ(warm.jit_native_runs, 1u);
+  EXPECT_TRUE(values_match(warm.results[0], cold.results[0], 20));
+  expect_matches_sequential(warm.results[0], g, 20);
+  cache->wait_jit_idle();
+  EXPECT_EQ(cache->stats().jit_compiles, 1u);
 }
 
 TEST(PlanService, BatchIterationsDefaultToTheCompiledCount) {

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -233,14 +234,17 @@ TEST(PlanServer, APlanRunOnceNeverStartsTheCompiler) {
   EXPECT_EQ(s.jit_in_flight, 0u);
 }
 
-// ...but the structure's second run queues its compile, whichever
-// connection runs it; the run after the publish is native and
-// bit-identical.
+// ...but once the structure's interpreted runs have taken a compile's
+// time, the next run queues its compile, whichever connection runs it;
+// the run after the publish is native and bit-identical.  The first
+// connection's run is topped up to the estimate through the server's
+// cache (record_run, the call the Run handler makes with each run's wall
+// time), so the test does not depend on how fast this host interprets.
 TEST(PlanServer, ASecondConnectionsRunOfTheSameStructureQueuesTheCompile) {
   TestServer ts("ps_jit_second");
-  if (!ts.server.cache().jit_available()) {
-    GTEST_SKIP() << "jit unavailable: "
-                 << ts.server.cache().jit_unavailable_reason();
+  PlanCache& cache = ts.server.cache();
+  if (!cache.jit_available()) {
+    GTEST_SKIP() << "jit unavailable: " << cache.jit_unavailable_reason();
   }
   const GeneratedLoop gl = generate_loop(72);
   const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
@@ -251,22 +255,71 @@ TEST(PlanServer, ASecondConnectionsRunOfTheSameStructureQueuesTheCompile) {
     EXPECT_TRUE(values_match(first.run(id), seq, gl.iterations));
     first.drop_program(id);
   }
+  cache.record_run(cache.get_or_compile_jit(gl.program, gl.graph),
+                   RunOptions{}, cache.expected_jit_compile_seconds());
+  cache.wait_jit_idle();
+  EXPECT_EQ(cache.stats().jit_compiles, 0u);
+
   PlanClient second = PlanClient::connect(ts.server.socket_path());
   const std::uint64_t id =
       second.submit_program(gl.program, renamed_copy(gl.graph, "b_"))
           .program_id;
   EXPECT_TRUE(values_match(second.run(id), seq, gl.iterations));
-  ts.server.cache().wait_jit_idle();
+  cache.wait_jit_idle();
   const wire::StatsReply queued = second.stats();
   EXPECT_EQ(queued.cache.misses, 1u);
   EXPECT_EQ(queued.jit_compiles, 1u);
   EXPECT_EQ(queued.jit_failures, 0u);
   EXPECT_EQ(queued.jit_native_runs, 0u);
+  EXPECT_EQ(queued.jit_deferred_runs, 1u);  // the first connection's run
 
   EXPECT_TRUE(values_match(second.run(id), seq, gl.iterations));
   const wire::StatsReply after = second.stats();
   EXPECT_EQ(after.jit_native_runs, 1u);
   EXPECT_EQ(after.jit_compiles, 1u);
+}
+
+// A recurring plan whose runs stay short next to a compile never starts
+// the compiler: its runs are served interpreted and counted as deferred,
+// and the Stats frame carries the estimate they are measured against.
+TEST(PlanServer, ARecurringPlanWithShortRunsIsDeferredNotCompiled) {
+  TestServer ts("ps_jit_short");
+  if (!ts.server.cache().jit_available()) {
+    GTEST_SKIP() << "jit unavailable: "
+                 << ts.server.cache().jit_unavailable_reason();
+  }
+  const GeneratedLoop gl = generate_loop(73);
+  const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
+  PlanClient client = PlanClient::connect(ts.server.socket_path());
+  // A new server's engine has published nothing, so its estimate is the
+  // probe's time, and it holds until a compile publishes.
+  const double estimate = ts.server.cache().expected_jit_compile_seconds();
+  const wire::StatsReply before = client.stats();
+  EXPECT_EQ(before.jit_compile_estimate_us,
+            static_cast<std::uint64_t>(std::llround(estimate * 1e6)));
+  EXPECT_GT(before.jit_compile_estimate_us, 0u);
+  const std::uint64_t id =
+      client.submit_program(gl.program, gl.graph).program_id;
+  constexpr int kRuns = 3;
+  // The wall times the server recorded come back in the replies, bit for
+  // bit; the last run's admission saw the sum of the ones before it.
+  double earlier_seconds = 0.0;
+  for (int run = 0; run < kRuns; ++run) {
+    const ExecutionResult r = client.run(id);
+    EXPECT_TRUE(values_match(r, seq, gl.iterations)) << "run " << run;
+    if (run + 1 < kRuns) earlier_seconds += r.wall_seconds;
+  }
+  if (earlier_seconds >= estimate) {
+    GTEST_SKIP() << "this host took " << earlier_seconds * 1e3 << " ms for "
+                 << kRuns - 1 << " runs, as long as the probe's compile";
+  }
+  ts.server.cache().wait_jit_idle();
+  const wire::StatsReply s = client.stats();
+  EXPECT_EQ(s.jit_compile_estimate_us, before.jit_compile_estimate_us);
+  EXPECT_EQ(s.jit_compiles, 0u);
+  EXPECT_EQ(s.jit_in_flight, 0u);
+  EXPECT_EQ(s.jit_interpreted_runs, static_cast<std::uint64_t>(kRuns));
+  EXPECT_EQ(s.jit_deferred_runs, static_cast<std::uint64_t>(kRuns));
 }
 
 // Sustained mixed traffic: M clients x R requests over a handful of

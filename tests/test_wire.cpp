@@ -180,6 +180,15 @@ TEST(Wire, ResultAndStatsRoundTrip) {
   s.registry_quota_trips = 4;
   s.quota_disconnects = 3;
   s.accept_backoffs = 2;
+  s.jit_enabled = 1;
+  s.jit_compiles = 9;
+  s.jit_failures = 1;
+  s.jit_in_flight = 2;
+  s.jit_native_runs = 30;
+  s.jit_interpreted_runs = 11;
+  s.jit_ineligible_runs = 6;
+  s.jit_compile_estimate_us = 98765;
+  s.jit_deferred_runs = 4;
   const wire::StatsReply s_back =
       wire::decode_stats_reply(wire::encode_stats_reply(s));
   EXPECT_EQ(s_back.cache.hits, 10u);
@@ -191,6 +200,15 @@ TEST(Wire, ResultAndStatsRoundTrip) {
   EXPECT_EQ(s_back.registry_quota_trips, 4u);
   EXPECT_EQ(s_back.quota_disconnects, 3u);
   EXPECT_EQ(s_back.accept_backoffs, 2u);
+  EXPECT_EQ(s_back.jit_enabled, 1u);
+  EXPECT_EQ(s_back.jit_compiles, 9u);
+  EXPECT_EQ(s_back.jit_failures, 1u);
+  EXPECT_EQ(s_back.jit_in_flight, 2u);
+  EXPECT_EQ(s_back.jit_native_runs, 30u);
+  EXPECT_EQ(s_back.jit_interpreted_runs, 11u);
+  EXPECT_EQ(s_back.jit_ineligible_runs, 6u);
+  EXPECT_EQ(s_back.jit_compile_estimate_us, 98765u);
+  EXPECT_EQ(s_back.jit_deferred_runs, 4u);
 }
 
 TEST(Wire, ErrorRoundTrip) {

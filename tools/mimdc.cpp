@@ -76,8 +76,9 @@
 //                 --batch: pre-warm every loop's kernel through the
 //                 background compiler before the timed run.  With
 //                 --connect/--fleet the *daemon* decides (mimdd --jit:
-//                 a plan's second run queues its compile); mimdc
-//                 surfaces its native/interpreted counters.
+//                 a plan's compile is queued once its interpreted runs
+//                 have taken as long as a compile); mimdc surfaces its
+//                 native/interpreted counters.
 //
 // Example:
 //   echo 'for i:

@@ -35,7 +35,9 @@
 //     --quota-strikes N  over-quota replies before disconnect (0 = never)
 //     --jit[=on|off]     background-compile a registered plan to a
 //                        dlopen'd native kernel (runtime/jit_compiler.hpp)
-//                        on its second run, whatever connection runs it;
+//                        once its interpreted runs, from any connection,
+//                        have together taken as long as a compile (the
+//                        measured compile-time estimate --stats prints);
 //                        a plan run once never starts the compiler.  ON by
 //                        default — degrades to interpreted-only when the
 //                        host has no usable toolchain.  --jit=off
@@ -304,9 +306,12 @@ int print_stats(const std::string& endpoint) {
       std::cout << "jit      : enabled, " << s.jit_native_runs
                 << " native runs, " << s.jit_interpreted_runs << " interpreted runs ("
                 << s.jit_ineligible_runs << " had a kernel but were "
-                << "ineligible), " << s.jit_compiles << " compiles ("
+                << "ineligible, " << s.jit_deferred_runs
+                << " deferred until their plan's runs paid for a compile), "
+                << s.jit_compiles << " compiles ("
                 << s.jit_failures << " failed, " << s.jit_in_flight
-                << " in flight)\n";
+                << " in flight), compile estimate "
+                << s.jit_compile_estimate_us << " us\n";
     } else {
       std::cout << "jit      : disabled\n";
     }

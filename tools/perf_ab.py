@@ -12,9 +12,11 @@ already holds the same commit is reused), builds each once through its
 own perfbench/run.py, then runs the seeds in order, each for
 BENCHMARK.json's run_seconds, alternating which side goes first: the
 parent runs first on odd seeds, the change on even ones.  Every run's
-JSON result line is appended, with its side, seed, commit and the host's
+JSON result line is appended, with its side, seed, commit, the host's
 CPU steal share over the run (from /proc/stat's `cpu` line, read before
-and after), to --work/<workload>.jsonl (<workload>-traced.jsonl with
+and after) and the counters of perfbench's `plan cache:` summary line
+(an untraced run's hits, lookups, repeat share, JIT compiles, native runs
+and runs), to --work/<workload>.jsonl (<workload>-traced.jsonl with
 --trace 1) as soon as it finishes, and the tables are printed at the end.
 
 --results prints the same tables from such files without running
@@ -23,8 +25,9 @@ exits 0 on success.
 
 Tables (markdown):
   * per seed, for BENCHMARK.json's end-to-end metrics: each side's value,
-    failed/attempted, and each side's steal share ("n/a" for records made
-    before it was stored);
+    failed/attempted, each side's steal share, and each side's JIT
+    compiles and native runs of all runs ("n/a" for records made before
+    these were stored, and for traced runs, which print no summary line);
   * per metric: each side's median [first quartile, third quartile]
     (linear interpolation between order statistics), how many pairs the
     change won, the median change, the parent's interquartile range over
@@ -39,6 +42,7 @@ Tables (markdown):
 import argparse
 import json
 import math
+import re
 import shutil
 import statistics
 import subprocess
@@ -116,6 +120,31 @@ def steal_text(record):
     return "n/a" if share is None else "{:.1f}%".format(100 * share)
 
 
+# perfbench's untraced summary line (perfbench/src/main.cpp).
+PLAN_CACHE_LINE = re.compile(
+    r"plan cache: hit ratio [0-9.]+ \((?P<hits>\d+) of (?P<lookups>\d+) "
+    r"lookups\), repeat share (?P<repeat_share>[0-9.]+); jit: "
+    r"(?P<jit_compiles>\d+) compiles, (?P<native_runs>\d+) of (?P<runs>\d+) "
+    r"runs native")
+
+
+def plan_cache_counters(stdout):
+    """The counters of the `plan cache:` line in a run's output, or None."""
+    for line in stdout.splitlines():
+        m = PLAN_CACHE_LINE.search(line)
+        if m:
+            return {k: float(v) if k == "repeat_share" else int(v)
+                    for k, v in m.groupdict().items()}
+    return None
+
+
+def jit_text(record):
+    c = record.get("plan_cache")
+    if c is None:
+        return "n/a"
+    return "%d, %d/%d" % (c["jit_compiles"], c["native_runs"], c["runs"])
+
+
 def value(record, name):
     result = record["result"] or {}
     metric = result.get("metrics", {}).get(name)
@@ -150,6 +179,7 @@ def tables(records, workload, specs):
         head += ["%s parent" % name, "%s change" % name]
     head.append("failed/attempted (parent, change)")
     head.append("steal (parent, change)")
+    head.append("jit compiles, native/runs (parent; change)")
     lines.append("| " + " | ".join(head) + " |")
     lines.append("|" + "---|" * len(head))
     totals = {side: [0, 0] for side in SIDES}
@@ -168,6 +198,7 @@ def tables(records, workload, specs):
             counts.append("%d/%d" % (failed, attempted))
         row.append(" , ".join(counts))
         row.append(" , ".join(steal_text(sides[side]) for side in SIDES))
+        row.append(" ; ".join(jit_text(sides[side]) for side in SIDES))
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     lines.append("| metric | better | parent median [quartiles] | "
@@ -240,7 +271,7 @@ def run_once(tree, workload, seed, seconds, trace):
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
         result = None
-    return proc.returncode, result
+    return proc.returncode, result, plan_cache_counters(proc.stdout)
 
 
 def cpu_times():
@@ -287,13 +318,14 @@ def run_ab(args, spec):
         order = SIDES if seed % 2 == 1 else SIDES[::-1]
         for position, side in enumerate(order, 1):
             before = cpu_times()
-            status, result = run_once(trees[side], args.workload, seed,
-                                      seconds, args.trace)
+            status, result, counters = run_once(
+                trees[side], args.workload, seed, seconds, args.trace)
             record = {"workload": args.workload, "seed": seed, "side": side,
                       "commit": revs[side], "order": position,
                       "seconds": seconds, "trace": args.trace,
                       "exit": status, "result": result,
-                      "steal": steal_share(before, cpu_times())}
+                      "steal": steal_share(before, cpu_times()),
+                      "plan_cache": counters}
             with open(log, "a") as f:
                 f.write(json.dumps(record, sort_keys=True) + "\n")
             records.append(record)
@@ -304,7 +336,8 @@ def run_ab(args, spec):
 
 # ---- self-test ------------------------------------------------------------
 
-def canned(seed, side, order, p99, rps, failed=0, steal=None):
+def canned(seed, side, order, p99, rps, failed=0, steal=None,
+           plan_cache=None):
     record = {"workload": "w", "seed": seed, "side": side, "order": order,
               "commit": side, "exit": 0,
               "result": {"correct": True, "attempted": 100, "failed": failed,
@@ -314,6 +347,8 @@ def canned(seed, side, order, p99, rps, failed=0, steal=None):
                                                         "unit": "req/s"}}}}
     if steal is not None:
         record["steal"] = steal
+    if plan_cache is not None:
+        record["plan_cache"] = plan_cache
     return record
 
 
@@ -328,13 +363,18 @@ def self_test():
         change_p99 = 200.0 if seed == 5 else 50.0 + seed
         first, second = ("parent", "change") if seed % 2 else ("change", "parent")
         order = {first: 1, second: 2}
-        # Seed 2's records lack the steal share, as records made before it
-        # was stored do.
+        # Seed 2's records lack the steal share and the plan-cache
+        # counters, as records made before they were stored do.
         steal = None if seed == 2 else 0.01 * seed
+        counters = None if seed == 2 else {
+            "hits": 30, "lookups": 100, "repeat_share": 0.3,
+            "jit_compiles": seed, "native_runs": 2 * seed, "runs": 100}
         records.append(canned(seed, "parent", order["parent"], parent_p99, 10.0,
-                              steal=steal))
+                              steal=steal, plan_cache=counters))
         records.append(canned(seed, "change", order["change"], change_p99, 8.0,
-                              steal=None if steal is None else steal / 2))
+                              steal=None if steal is None else steal / 2,
+                              plan_cache=None if counters is None else
+                              dict(counters, jit_compiles=0, native_runs=0)))
     records.append(canned(11, "parent", 1, 1.0, 1.0))  # unpaired: ignored
     seeds = paired(records, "w")
     assert list(seeds) == list(range(1, 11)), seeds
@@ -374,10 +414,11 @@ def self_test():
     text = tables(records, "w", specs)
     assert "### `w`: 10 pairs" in text
     assert ("| 1 | parent | 101.0 | 51.000 | 10.000 | 8.000 | 0/100 , 0/100 "
-            "| 1.0% , 0.5% |") in text, text
+            "| 1.0% , 0.5% | 1, 2/100 ; 0, 0/100 |") in text, text
     assert "| 2 | change |" in text
-    assert "| 0/100 , 0/100 | n/a , n/a |" in text, text
-    assert "| steal (parent, change) |" in text, text
+    assert "| 0/100 , 0/100 | n/a , n/a | n/a ; n/a |" in text, text
+    assert ("| steal (parent, change) | jit compiles, native/runs "
+            "(parent; change) |") in text, text
     assert "| 9/10 | -46.4% | 4.3% | 25% | claim met |" in text, text
     assert "| 0/10 | -20.0% | 0.0% | 25% | within bound |" in text, text
     assert "parent: 0 of 1000 requests failed" in text
@@ -387,6 +428,14 @@ def self_test():
     assert steal_share([0] * 8, [10, 0, 10, 70, 0, 0, 0, 10]) == 0.1
     assert steal_share(None, [1] * 8) is None
     assert steal_share([5] * 8, [5] * 8) is None
+    out = ("set-up: median of 60 in 0.5 s\n"
+           "plan cache: hit ratio 0.2981 (3376 of 11325 lookups), repeat "
+           "share 0.3011; jit: 137 compiles, 9 of 11325 runs native\n"
+           '{"correct": true}\n')
+    assert plan_cache_counters(out) == {
+        "hits": 3376, "lookups": 11325, "repeat_share": 0.3011,
+        "jit_compiles": 137, "native_runs": 9, "runs": 11325}
+    assert plan_cache_counters('{"correct": true}\n') is None
     assert parse_seeds("9101-9103") == [9101, 9102, 9103]
     assert parse_seeds("7") == [7]
     print("perf_ab self-test: pass")
