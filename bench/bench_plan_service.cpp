@@ -33,14 +33,18 @@
 //                               fleet_misses counter pins that invariant
 //                               while the timing shows what the extra
 //                               shards cost/buy at this request size;
-//  * Jit_VsInterpreted_*      — the PR 7 A/B, a procs x trip-count
-//                               matrix over fig7 (both sides compiled AT
-//                               the benchmarked n): ColdCompile is the
-//                               one-time background cost of building the
-//                               dlopen'd kernel, WarmNativePooled the
+//  * Jit_VsInterpreted_*      — the JIT A/B: a procs x trip-count
+//                               matrix over fig7, plus the six mixed-n
+//                               structures at p = 2 (both sides compiled
+//                               AT the benchmarked n, as parallelize()
+//                               lowers it for mixed-n): ColdCompile is
+//                               the one-time background cost of building
+//                               the dlopen'd kernel, WarmNativePooled the
 //                               steady-state native run on the shared
 //                               pool (compile_seconds counter = the
-//                               latency a background compile hides),
+//                               latency a background compile hides;
+//                               run_overhead = the share of a call spent
+//                               outside the kernel's gang),
 //                               InterpretedPooled the exact --jit=off
 //                               baseline (cached plan + pooled run).
 //
@@ -52,7 +56,9 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 
+#include "core/parallelizer.hpp"
 #include "partition/lowering.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/jit_compiler.hpp"
@@ -199,28 +205,50 @@ BENCHMARK(BM_Jit_VsInterpreted_ColdCompile)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Both sides of the A/B are compiled AT the benchmarked trip count —
-// passing a bigger n to run() only sizes result buffers, the executed
-// iteration count is baked in at compile() time.  At the request default
-// (n=24) per-run fixed costs dominate, so the two are comparable; at
-// realistic trip counts the native steady-state loop pulls away from
-// per-node interpretation.
+// Both sides of the A/B are compiled AT the benchmarked trip count: a
+// plan runs exactly the iteration count it was compiled for.  At small n
+// per-run fixed costs dominate, so the two are comparable; at realistic
+// trip counts the native steady-state loop pulls away from per-node
+// interpretation — where the values do not cross processors every
+// iteration.  Arg 0 picks the structure (0 fig7, 1 cytron86, 2 elliptic,
+// 3 LL18, 4 LL6, 5 LL20, mixed-n's six), arg 1 is p, arg 2 the trip count;
+// k = 1, lowered by parallelize() as mixed-n's client lowers it.
+Ddg hot_structure(std::int64_t i) {
+  switch (i) {
+    case 0: return workloads::fig7_loop();
+    case 1: return workloads::cytron86_loop();
+    case 2: return workloads::elliptic_filter_loop();
+    case 3: return workloads::livermore18_loop();
+    case 4: return workloads::ll6_linear_recurrence();
+    default: return workloads::ll20_discrete_ordinates();
+  }
+}
+
 struct JitAbPair {
   ExecutorPlan plan;
+  std::int64_t n = 0;  ///< the plan's compiled (normalized) trip count
   std::shared_ptr<const JitKernel> kernel;  // null when jit unavailable
   double compile_seconds = 0.0;
 };
 
-JitAbPair& jit_ab_pair(int procs, std::int64_t n) {
+JitAbPair& jit_ab_pair(const benchmark::State& state) {
   // benchmarks run serially
-  static std::map<std::pair<int, std::int64_t>, JitAbPair> pairs;
-  auto it = pairs.find({procs, n});
+  static std::map<std::tuple<std::int64_t, std::int64_t, std::int64_t>,
+                  JitAbPair>
+      pairs;
+  const auto key = std::make_tuple(state.range(0), state.range(1),
+                                   state.range(2));
+  auto it = pairs.find(key);
   if (it == pairs.end()) {
+    ParallelizeOptions popts;
+    popts.machine = Machine{static_cast<int>(state.range(1)), 1};
+    popts.iterations = state.range(2);
+    popts.emit_code = false;
+    const ParallelizeResult r =
+        parallelize(hot_structure(state.range(0)), popts);
     JitAbPair ab;
-    const Ddg g = workloads::fig7_loop();
-    const Machine m{procs, 2};
-    const CyclicSchedResult r = cyclic_sched(g, m);
-    ab.plan = compile(lower(materialize(*r.pattern, m.processors, n), g), g);
+    ab.plan = compile(r.program, r.normalized.graph);
+    ab.n = r.normalized_iterations;
     if (jit_available()) {
       const auto t0 = std::chrono::steady_clock::now();
       ab.kernel = jit_compile(ab.plan);
@@ -228,9 +256,20 @@ JitAbPair& jit_ab_pair(int procs, std::int64_t n) {
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
     }
-    it = pairs.emplace(std::make_pair(procs, n), std::move(ab)).first;
+    it = pairs.emplace(key, std::move(ab)).first;
   }
   return it->second;
+}
+
+void jit_ab_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"structure", "procs", "n"});
+  for (const std::int64_t procs : {1, 2}) {
+    for (const std::int64_t n : {24, 4096}) b->Args({0, procs, n});
+  }
+  for (std::int64_t structure = 0; structure < 6; ++structure) {
+    for (const std::int64_t n : {181, 2048}) b->Args({structure, 2, n});
+  }
+  b->UseRealTime()->Unit(benchmark::kMicrosecond);
 }
 
 void BM_Jit_VsInterpreted_WarmNativePooled(benchmark::State& state) {
@@ -242,43 +281,42 @@ void BM_Jit_VsInterpreted_WarmNativePooled(benchmark::State& state) {
     state.SkipWithError(jit_unavailable_reason().c_str());
     return;
   }
-  const int procs = static_cast<int>(state.range(0));
-  const std::int64_t n = state.range(1);
-  JitAbPair& ab = jit_ab_pair(procs, n);
+  const JitAbPair& ab = jit_ab_pair(state);
   static WorkerPool pool;
+  double kernel_seconds = 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ab.kernel->run_pooled(n, &pool));
+    const ExecutionResult res = ab.kernel->run_pooled(ab.n, &pool);
+    kernel_seconds += res.wall_seconds;
+    benchmark::DoNotOptimize(res);
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  const double call_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  state.SetItemsProcessed(state.iterations() * state.range(2));
   // The one-time latency the background thread hides from request paths.
   state.counters["compile_seconds"] = benchmark::Counter(ab.compile_seconds);
+  // run_pooled's own cost around the gang: the result matrix, the
+  // kernel context and the unpack into per-node rows.
+  state.counters["run_overhead"] =
+      benchmark::Counter(1.0 - kernel_seconds / call_seconds);
 }
-BENCHMARK(BM_Jit_VsInterpreted_WarmNativePooled)
-    ->ArgNames({"procs", "n"})
-    ->ArgsProduct({{1, 2}, {24, 4096}})
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Jit_VsInterpreted_WarmNativePooled)->Apply(jit_ab_args);
 
 void BM_Jit_VsInterpreted_InterpretedPooled(benchmark::State& state) {
   // The exact --jit=off steady state: cached plan, pooled threads.  The
   // WarmNativePooled/this ratio is the JIT's answer to "what does a
   // request cost once the kernel exists?".
-  const int procs = static_cast<int>(state.range(0));
-  const std::int64_t n = state.range(1);
-  const ExecutorPlan& plan = jit_ab_pair(procs, n).plan;
+  const JitAbPair& ab = jit_ab_pair(state);
   static WorkerPool pool;
   RunOptions opts;
   opts.pool = &pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.run(n, opts));
+    benchmark::DoNotOptimize(ab.plan.run(ab.n, opts));
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * state.range(2));
 }
-BENCHMARK(BM_Jit_VsInterpreted_InterpretedPooled)
-    ->ArgNames({"procs", "n"})
-    ->ArgsProduct({{1, 2}, {24, 4096}})
-    ->UseRealTime()
-    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Jit_VsInterpreted_InterpretedPooled)->Apply(jit_ab_args);
 
 // ---- run_batch end to end. ----
 

@@ -15,9 +15,13 @@
 //   * lower / validate / compile — the three O(n) steps between a
 //                               schedule and a runnable plan, on the
 //                               structures the plan service serves
+//   * encode / decode / hash    — the per-op walks of a submit (the
+//                               client's SubmitProgram encode, the
+//                               server's decode, structural_hash) and the
+//                               per-value walks of a run reply
 // Scheduler sizes sweep the random-loop generator's node count; the
-// partition benches sweep the trip count and report items = ops, so the
-// rate column reads as ops per second.
+// partition benches sweep the trip count and report items = ops (values
+// for the run-reply rows), so the rate column reads as items per second.
 #include <benchmark/benchmark.h>
 
 #include <fstream>
@@ -33,6 +37,8 @@
 #include "opt/pipeline.hpp"
 #include "partition/compiled_program.hpp"
 #include "partition/lowering.hpp"
+#include "runtime/executor.hpp"
+#include "runtime/wire.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
 #include "schedule/pattern.hpp"
@@ -256,5 +262,80 @@ void BM_CompileProgram(benchmark::State& state) {
                           static_cast<std::int64_t>(r.program.total_ops()));
 }
 BENCHMARK(BM_CompileProgram)->Apply(partition_args);
+
+// ---- the byte walks of a submit and of a run reply ----
+// Same inputs as the partition rows; the run reply is the sequential
+// reference's result for the program's n, the shape a Run returns.
+
+void set_ops_processed(benchmark::State& state, const ParallelizeResult& r) {
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(r.program.total_ops()));
+}
+
+/// The client's SubmitProgram payload, encoded from its own program.
+void BM_EncodeSubmit(benchmark::State& state) {
+  const ParallelizeResult r = partition_input(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        wire::encode_submit_program(r.program, r.normalized.graph, {}));
+  }
+  set_ops_processed(state, r);
+}
+BENCHMARK(BM_EncodeSubmit)->Apply(partition_args);
+
+/// The server's decode of that payload.
+void BM_DecodeSubmit(benchmark::State& state) {
+  const ParallelizeResult r = partition_input(state);
+  const std::vector<std::uint8_t> payload =
+      wire::encode_submit_program(r.program, r.normalized.graph, {});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::decode_submit_program(payload));
+  }
+  set_ops_processed(state, r);
+}
+BENCHMARK(BM_DecodeSubmit)->Apply(partition_args);
+
+/// The cache / shard key of the request, graph included.
+void BM_StructuralHash(benchmark::State& state) {
+  const ParallelizeResult r = partition_input(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(structural_hash(r.program, r.normalized.graph));
+  }
+  set_ops_processed(state, r);
+}
+BENCHMARK(BM_StructuralHash)->Apply(partition_args);
+
+ExecutionResult run_reply_input(const ParallelizeResult& r) {
+  return run_reference(r.normalized.graph, r.normalized_iterations);
+}
+
+void set_values_processed(benchmark::State& state, const ExecutionResult& res) {
+  std::int64_t values = 0;
+  for (const std::vector<double>& row : res.values) {
+    values += static_cast<std::int64_t>(row.size());
+  }
+  state.SetItemsProcessed(state.iterations() * values);
+}
+
+/// The server's RunReply payload.
+void BM_EncodeRunReply(benchmark::State& state) {
+  const ExecutionResult res = run_reply_input(partition_input(state));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::encode_run_reply(res));
+  }
+  set_values_processed(state, res);
+}
+BENCHMARK(BM_EncodeRunReply)->Apply(partition_args);
+
+/// The client's decode of that payload.
+void BM_DecodeRunReply(benchmark::State& state) {
+  const ExecutionResult res = run_reply_input(partition_input(state));
+  const std::vector<std::uint8_t> payload = wire::encode_run_reply(res);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::decode_run_reply(payload));
+  }
+  set_values_processed(state, res);
+}
+BENCHMARK(BM_DecodeRunReply)->Apply(partition_args);
 
 }  // namespace

@@ -345,37 +345,62 @@ void reuse_slots(CompiledThread& t) {
   t.num_slots = next;
 }
 
-/// SplitMix64 finalizer — the same mixer support/random.cpp builds on.
-/// Each field is mixed before being folded so nearby integers (node ids,
-/// iterations) don't cancel; the fold itself is order-sensitive.
-constexpr std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
+/// The 128-bit product of `a` and `b` folded to 64 bits (high half xor
+/// low half): every output bit depends on every bit of both factors.
+std::uint64_t mul_fold(std::uint64_t a, std::uint64_t b) {
+  const unsigned __int128 p = static_cast<unsigned __int128>(a) * b;
+  return static_cast<std::uint64_t>(p) ^ static_cast<std::uint64_t>(p >> 64);
 }
 
-struct StructuralHasher {
-  std::uint64_t state = 0x2545F4914F6CDD1DULL;
-  void fold(std::uint64_t v) { state = mix64(state ^ mix64(v)); }
-  void fold_signed(std::int64_t v) { fold(static_cast<std::uint64_t>(v)); }
+/// The structural hash's fold (DESIGN.md, "Cache keying").  Each record
+/// (an op, an edge, a node, a header) is packed into three 64-bit words.
+/// The first two meet in one multiply-fold that does not depend on the
+/// state, so consecutive records overlap; the third word and that product
+/// enter the state through a second, chained one, which makes the fold
+/// order-sensitive.  One SplitMix64 finalizer avalanches the result.
+class StructuralHasher {
+ public:
+  void fold(std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+    state_ = mul_fold(c ^ mul_fold(a ^ kA, b ^ kB), state_ ^ kC);
+  }
+
+  [[nodiscard]] std::uint64_t finish() const {
+    std::uint64_t x = state_;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  }
+
+ private:
+  // Odd constants with dense, irregular bit patterns (the first is the
+  // golden ratio's), so a small packed word never makes a factor sparse.
+  static constexpr std::uint64_t kA = 0x9E3779B97F4A7C15ULL;
+  static constexpr std::uint64_t kB = 0xD1B54A32D192ED03ULL;
+  static constexpr std::uint64_t kC = 0x8BB84B93962EACC9ULL;
+  std::uint64_t state_ = 0x2545F4914F6CDD1DULL;
 };
+
+/// Two 32-bit fields in one word, `hi` above `lo`.
+constexpr std::uint64_t pack(std::uint32_t lo, std::uint32_t hi) {
+  return lo | static_cast<std::uint64_t>(hi) << 32;
+}
 
 }  // namespace
 
 std::uint64_t structural_hash(const Ddg& g) {
   StructuralHasher h;
   // Node/edge id order is stable: the graph is append-only.
-  h.fold(g.num_nodes());
-  for (const Node& n : g.nodes()) h.fold_signed(n.latency);
-  h.fold(g.num_edges());
-  for (const Edge& e : g.edges()) {
-    h.fold(e.src);
-    h.fold(e.dst);
-    h.fold_signed(e.distance);
-    h.fold_signed(e.comm_cost);
+  h.fold(g.num_nodes(), g.num_edges(), 0);
+  for (const Node& n : g.nodes()) {
+    h.fold(static_cast<std::uint32_t>(n.latency), 0, 0);
   }
-  return h.state;
+  for (const Edge& e : g.edges()) {
+    h.fold(pack(e.src, e.dst),
+           pack(static_cast<std::uint32_t>(e.distance),
+                static_cast<std::uint32_t>(e.comm_cost)),
+           0);
+  }
+  return h.finish();
 }
 
 bool structurally_equivalent(const Ddg& a, const Ddg& b) {
@@ -405,23 +430,24 @@ std::uint64_t structural_hash(const PartitionedProgram& prog,
                               std::uint64_t graph_hash,
                               const CompileOptions& opts) {
   StructuralHasher h;
-  h.fold(graph_hash);
-  // The partitioned program, in processor then program order.
-  h.fold_signed(prog.processors);
-  h.fold(prog.programs.size());
+  h.fold(graph_hash,
+         pack(static_cast<std::uint32_t>(prog.processors),
+              static_cast<std::uint32_t>(prog.programs.size())),
+         static_cast<std::uint64_t>(opts.opt));
+  // The partitioned program, in processor then program order.  Each
+  // program's op count goes in front of its ops, so the word stream
+  // names exactly one program.
   for (const ProcessorProgram& p : prog.programs) {
-    h.fold_signed(p.proc);
-    h.fold(p.ops.size());
+    h.fold(pack(static_cast<std::uint32_t>(p.proc),
+                static_cast<std::uint32_t>(p.ops.size())),
+           0, 0);
     for (const Op& op : p.ops) {
-      h.fold(static_cast<std::uint64_t>(op.kind));
-      h.fold(op.inst.node);
-      h.fold_signed(op.inst.iter);
-      h.fold(op.edge);
-      h.fold_signed(op.peer);
+      h.fold(pack(op.inst.node, static_cast<std::uint32_t>(op.peer)),
+             static_cast<std::uint64_t>(op.inst.iter),
+             pack(op.edge, static_cast<std::uint32_t>(op.kind)));
     }
   }
-  h.fold(static_cast<std::uint64_t>(opts.opt));
-  return h.state;
+  return h.finish();
 }
 
 std::size_t CompiledProgram::count(CompiledOp::Kind k) const {

@@ -136,9 +136,17 @@ struct CompileOptions {
 /// Stable means: a pure function of that structure — no pointers, no
 /// container iteration order, no per-process salt — so the same loop
 /// hashes identically across runs, processes, and builds.  This is
-/// PlanCache's key (runtime/plan_cache.hpp); the cache additionally
-/// verifies full structural equality on every hit, so a 64-bit collision
-/// can cost a recompile but can never return the wrong plan.
+/// PlanCache's key (runtime/plan_cache.hpp), ShardRouter's routing key
+/// and perfbench's replay check; the cache additionally verifies full
+/// structural equality on every hit, so a 64-bit collision can cost a
+/// recompile but can never return the wrong plan.
+///
+/// The fold packs each op into three 64-bit words (node | peer,
+/// iteration, edge | kind) and mixes them with two 64x64 -> 128-bit
+/// multiply-folds, one of them chained through the running state, so
+/// the hash is op-order-sensitive; one avalanche finishes it (DESIGN.md,
+/// "Cache keying").  About 2 ns per op.  Nothing persists a hash value:
+/// a different fold changes keys, never a plan.
 [[nodiscard]] std::uint64_t structural_hash(const PartitionedProgram& prog,
                                             const Ddg& g,
                                             const CompileOptions& opts = {});

@@ -19,9 +19,10 @@ constexpr std::size_t kVnodesPerShard = 64;
 /// Ceiling of the doubling connect backoff.
 constexpr int kConnectBackoffMaxMs = 200;
 
-/// SplitMix64 finalizer (the same mixer structural_hash builds on) —
-/// ring points must be uniform even though endpoint strings and vnode
-/// indices are anything but.
+/// SplitMix64's output mixer (support/random.hpp's generator;
+/// structural_hash ends with the same avalanche) — ring points must be
+/// uniform even though endpoint strings and vnode indices are anything
+/// but.
 constexpr std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;

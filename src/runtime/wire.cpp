@@ -17,65 +17,16 @@ namespace mimd::wire {
 // ---------------------------------------------------------------------------
 // Primitives
 
-void Encoder::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void Encoder::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v));
-  u32(static_cast<std::uint32_t>(v >> 32));
-}
-
-void Encoder::f64(double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  u64(bits);
-}
-
 void Encoder::str(const std::string& s) {
   if (s.size() > kMaxFramePayload) throw WireError("string too long to encode");
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
-}
-
-std::uint8_t Decoder::u8() {
-  if (pos_ + 1 > size_) throw WireError("truncated payload (u8)");
-  return data_[pos_++];
-}
-
-std::uint32_t Decoder::u32() {
-  if (pos_ + 4 > size_) throw WireError("truncated payload (u32)");
-  std::uint32_t v = static_cast<std::uint32_t>(data_[pos_]) |
-                    static_cast<std::uint32_t>(data_[pos_ + 1]) << 8 |
-                    static_cast<std::uint32_t>(data_[pos_ + 2]) << 16 |
-                    static_cast<std::uint32_t>(data_[pos_ + 3]) << 24;
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Decoder::u64() {
-  const std::uint64_t lo = u32();
-  const std::uint64_t hi = u32();
-  return lo | hi << 32;
-}
-
-double Decoder::f64() {
-  const std::uint64_t bits = u64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
+  std::uint8_t* out = extend(4 + s.size());
+  store_le(out, static_cast<std::uint32_t>(s.size()));
+  std::memcpy(out + 4, s.data(), s.size());
 }
 
 std::string Decoder::str() {
   const std::uint32_t n = u32();
-  if (pos_ + n > size_) throw WireError("truncated payload (string)");
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
+  return std::string(reinterpret_cast<const char*>(block(n)), n);
 }
 
 std::uint32_t Decoder::count(std::size_t min_bytes_per_element) {
@@ -93,6 +44,21 @@ void Decoder::expect_done() const {
 
 // ---------------------------------------------------------------------------
 // Structures
+//
+// The per-op and per-value arrays are fixed-width records: the encoder
+// grows its buffer once per processor program or value row and the
+// decoder checks one block per array (its count() guard already bounded
+// it), so neither touches the buffer's bounds inside the loop.
+
+namespace {
+
+/// One op on the wire: u8 kind, u32 node, i64 iteration, u32 edge, i32
+/// peer.
+constexpr std::size_t kOpBytes = 21;
+/// One edge on the wire: u32 src, u32 dst, i32 distance, i32 comm cost.
+constexpr std::size_t kEdgeBytes = 16;
+
+}  // namespace
 
 void encode_ddg(Encoder& e, const Ddg& g) {
   e.u32(static_cast<std::uint32_t>(g.num_nodes()));
@@ -100,12 +66,15 @@ void encode_ddg(Encoder& e, const Ddg& g) {
     e.str(n.name);
     e.i32(n.latency);
   }
-  e.u32(static_cast<std::uint32_t>(g.num_edges()));
+  std::uint8_t* out = e.extend(4 + kEdgeBytes * g.num_edges());
+  store_le(out, static_cast<std::uint32_t>(g.num_edges()));
+  out += 4;
   for (const Edge& ed : g.edges()) {
-    e.u32(ed.src);
-    e.u32(ed.dst);
-    e.i32(ed.distance);
-    e.i32(ed.comm_cost);
+    store_le(out, ed.src);
+    store_le(out + 4, ed.dst);
+    store_le(out + 8, static_cast<std::uint32_t>(ed.distance));
+    store_le(out + 12, static_cast<std::uint32_t>(ed.comm_cost));
+    out += kEdgeBytes;
   }
 }
 
@@ -124,12 +93,13 @@ Ddg decode_ddg(Decoder& d) {
       throw WireError(std::string("invalid graph node: ") + e.what());
     }
   }
-  const std::uint32_t edges = d.count(16);
-  for (std::uint32_t i = 0; i < edges; ++i) {
-    const NodeId src = d.u32();
-    const NodeId dst = d.u32();
-    const int distance = d.i32();
-    const int comm_cost = d.i32();
+  const std::uint32_t edges = d.count(kEdgeBytes);
+  const std::uint8_t* in = d.block(kEdgeBytes * edges);
+  for (std::uint32_t i = 0; i < edges; ++i, in += kEdgeBytes) {
+    const NodeId src = load_le<std::uint32_t>(in);
+    const NodeId dst = load_le<std::uint32_t>(in + 4);
+    const auto distance = static_cast<int>(load_le<std::uint32_t>(in + 8));
+    const auto comm_cost = static_cast<int>(load_le<std::uint32_t>(in + 12));
     if (src >= nodes || dst >= nodes) throw WireError("edge endpoint out of range");
     try {
       g.add_edge(src, dst, distance, comm_cost);
@@ -144,14 +114,17 @@ void encode_program(Encoder& e, const PartitionedProgram& p) {
   e.i32(p.processors);
   e.u32(static_cast<std::uint32_t>(p.programs.size()));
   for (const ProcessorProgram& pp : p.programs) {
-    e.i32(pp.proc);
-    e.u32(static_cast<std::uint32_t>(pp.ops.size()));
+    std::uint8_t* out = e.extend(8 + kOpBytes * pp.ops.size());
+    store_le(out, static_cast<std::uint32_t>(pp.proc));
+    store_le(out + 4, static_cast<std::uint32_t>(pp.ops.size()));
+    out += 8;
     for (const Op& op : pp.ops) {
-      e.u8(static_cast<std::uint8_t>(op.kind));
-      e.u32(op.inst.node);
-      e.i64(op.inst.iter);
-      e.u32(op.edge);
-      e.i32(op.peer);
+      out[0] = static_cast<std::uint8_t>(op.kind);
+      store_le(out + 1, op.inst.node);
+      store_le(out + 5, static_cast<std::uint64_t>(op.inst.iter));
+      store_le(out + 13, op.edge);
+      store_le(out + 17, static_cast<std::uint32_t>(op.peer));
+      out += kOpBytes;
     }
   }
 }
@@ -159,27 +132,23 @@ void encode_program(Encoder& e, const PartitionedProgram& p) {
 PartitionedProgram decode_program(Decoder& d) {
   PartitionedProgram p;
   p.processors = d.i32();
-  const std::uint32_t nprogs = d.count(8);
-  p.programs.reserve(nprogs);
-  for (std::uint32_t i = 0; i < nprogs; ++i) {
-    ProcessorProgram pp;
+  p.programs.resize(d.count(8));
+  for (ProcessorProgram& pp : p.programs) {
     pp.proc = d.i32();
-    const std::uint32_t nops = d.count(21);  // 1 + 4 + 8 + 4 + 4
-    pp.ops.reserve(nops);
-    for (std::uint32_t j = 0; j < nops; ++j) {
-      Op op;
-      const std::uint8_t kind = d.u8();
-      if (kind > static_cast<std::uint8_t>(Op::Kind::Receive)) {
+    const std::uint32_t nops = d.count(kOpBytes);
+    const std::uint8_t* in = d.block(kOpBytes * nops);
+    pp.ops.resize(nops);
+    for (Op& op : pp.ops) {
+      if (in[0] > static_cast<std::uint8_t>(Op::Kind::Receive)) {
         throw WireError("invalid op kind");
       }
-      op.kind = static_cast<Op::Kind>(kind);
-      op.inst.node = d.u32();
-      op.inst.iter = d.i64();
-      op.edge = d.u32();
-      op.peer = d.i32();
-      pp.ops.push_back(op);
+      op.kind = static_cast<Op::Kind>(in[0]);
+      op.inst.node = load_le<std::uint32_t>(in + 1);
+      op.inst.iter = static_cast<std::int64_t>(load_le<std::uint64_t>(in + 5));
+      op.edge = load_le<std::uint32_t>(in + 13);
+      op.peer = static_cast<int>(load_le<std::uint32_t>(in + 17));
+      in += kOpBytes;
     }
-    p.programs.push_back(std::move(pp));
   }
   return p;
 }
@@ -187,20 +156,28 @@ PartitionedProgram decode_program(Decoder& d) {
 void encode_result(Encoder& e, const ExecutionResult& r) {
   e.u32(static_cast<std::uint32_t>(r.values.size()));
   for (const std::vector<double>& vs : r.values) {
-    e.u32(static_cast<std::uint32_t>(vs.size()));
-    for (const double v : vs) e.f64(v);
+    std::uint8_t* out = e.extend(4 + 8 * vs.size());
+    store_le(out, static_cast<std::uint32_t>(vs.size()));
+    out += 4;
+    for (const double v : vs) {
+      store_le(out, std::bit_cast<std::uint64_t>(v));
+      out += 8;
+    }
   }
   e.f64(r.wall_seconds);
 }
 
 ExecutionResult decode_result(Decoder& d) {
   ExecutionResult r;
-  const std::uint32_t nodes = d.count(4);
-  r.values.resize(nodes);
-  for (std::uint32_t v = 0; v < nodes; ++v) {
+  r.values.resize(d.count(4));
+  for (std::vector<double>& row : r.values) {
     const std::uint32_t n = d.count(8);
-    r.values[v].reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) r.values[v].push_back(d.f64());
+    const std::uint8_t* in = d.block(8 * std::size_t{n});
+    row.resize(n);
+    for (double& v : row) {
+      v = std::bit_cast<double>(load_le<std::uint64_t>(in));
+      in += 8;
+    }
   }
   r.wall_seconds = d.f64();
   return r;
@@ -220,9 +197,9 @@ std::vector<std::uint8_t> encode_submit_program(
   // then per program i32 + u32 + 21 bytes per op) and encode_ddg (u32,
   // per node a length-prefixed name + i32, u32, 16 bytes per edge), plus
   // the opt byte.
-  std::size_t bytes = 8 + 4 + 4 + 16 * graph.num_edges() + 1;
+  std::size_t bytes = 8 + 4 + 4 + kEdgeBytes * graph.num_edges() + 1;
   for (const ProcessorProgram& pp : program.programs) {
-    bytes += 8 + 21 * pp.ops.size();
+    bytes += 8 + kOpBytes * pp.ops.size();
   }
   for (const Node& n : graph.nodes()) bytes += 8 + n.name.size();
   Encoder e;
@@ -293,7 +270,12 @@ RunRequest decode_run(const std::vector<std::uint8_t>& payload) {
 }
 
 std::vector<std::uint8_t> encode_run_reply(const ExecutionResult& m) {
+  // Exact payload size: the row count, per row a count and 8 bytes per
+  // value, and the wall time.
+  std::size_t bytes = 4 + 8;
+  for (const std::vector<double>& vs : m.values) bytes += 4 + 8 * vs.size();
   Encoder e;
+  e.reserve(bytes);
   encode_result(e, m);
   return e.take();
 }
@@ -626,31 +608,21 @@ namespace {
 /// write-queue encoder — one place defines the byte layout.
 void put_header(std::uint8_t* out, FrameType type, std::uint64_t request_id,
                 std::uint32_t len) {
-  out[0] = static_cast<std::uint8_t>(len);
-  out[1] = static_cast<std::uint8_t>(len >> 8);
-  out[2] = static_cast<std::uint8_t>(len >> 16);
-  out[3] = static_cast<std::uint8_t>(len >> 24);
+  store_le(out, len);
   out[4] = static_cast<std::uint8_t>(type);
-  for (int i = 0; i < 8; ++i) {
-    out[5 + i] = static_cast<std::uint8_t>(request_id >> (8 * i));
-  }
+  store_le(out + 5, request_id);
 }
 
 /// The payload length a header announces, before it is trusted.
 std::uint32_t header_length(const std::uint8_t* h) {
-  return static_cast<std::uint32_t>(h[0]) |
-         static_cast<std::uint32_t>(h[1]) << 8 |
-         static_cast<std::uint32_t>(h[2]) << 16 |
-         static_cast<std::uint32_t>(h[3]) << 24;
+  return load_le<std::uint32_t>(h);
 }
 
 /// Type and request id of a header whose length was already checked.
 Frame header_frame(const std::uint8_t* h) {
   Frame f;
   f.type = static_cast<FrameType>(h[4]);
-  for (int i = 0; i < 8; ++i) {
-    f.request_id |= static_cast<std::uint64_t>(h[5 + i]) << (8 * i);
-  }
+  f.request_id = load_le<std::uint64_t>(h + 5);
   return f;
 }
 

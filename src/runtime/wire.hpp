@@ -17,8 +17,9 @@
 // desynchronize the stream.  The client picks request ids (monotonic, per
 // connection); the server echoes a request's id on its reply — including
 // Error replies — so replies may arrive in ANY order and a reader demuxes
-// them by id.  Integers are fixed-width little-endian, assembled bytewise
-// (no aliasing, no host-endianness leaks); doubles travel as their
+// them by id.  Integers are fixed-width little-endian, stored and loaded
+// one field at a time through a byte pointer (store_le / load_le: no
+// struct aliasing, no host-endianness leak); doubles travel as their
 // IEEE-754 bit pattern in a u64, so a value survives the round trip
 // *bit-identically* — the differential suites compare daemon results
 // against in-process and sequential execution with ==, not with a
@@ -44,10 +45,13 @@
 
 #include <sys/un.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -106,20 +110,59 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 // ---------------------------------------------------------------------------
 // Primitive encoding
 
-/// Append-only little-endian byte sink.
+/// Write `v` little-endian at `p`: one copy of the value on a
+/// little-endian host, bytewise shifts on any other, the same bytes on
+/// both.
+template <class U>
+inline void store_le(std::uint8_t* p, U v) {
+  static_assert(std::is_unsigned_v<U>);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+/// Read a little-endian `U` at `p`; the inverse of store_le.
+template <class U>
+[[nodiscard]] inline U load_le(const std::uint8_t* p) {
+  static_assert(std::is_unsigned_v<U>);
+  U v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      v |= static_cast<U>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+/// Append-only little-endian byte sink.  A block whose size is known
+/// (a processor program's ops, a row of values) grows the buffer once
+/// through extend() and is written through the returned pointer.
 class Encoder {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
+  void u8(std::uint8_t v) { *extend(1) = v; }
+  void u32(std::uint32_t v) { store_le(extend(4), v); }
+  void u64(std::uint64_t v) { store_le(extend(8), v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// IEEE-754 bit pattern — bit-exact, NaN payloads and -0.0 included.
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
   void str(const std::string& s);
   /// Capacity for `bytes` more bytes, so a payload whose size is known up
   /// front is written into one allocation.
   void reserve(std::size_t bytes) { buf_.reserve(buf_.size() + bytes); }
+  /// Grow by `bytes` and return where they start.  The pointer is valid
+  /// until the next call that grows the buffer.
+  [[nodiscard]] std::uint8_t* extend(std::size_t bytes) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + bytes);
+    return buf_.data() + at;
+  }
 
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const { return buf_; }
@@ -130,7 +173,9 @@ class Encoder {
 
 /// Bounds-checked cursor over a received payload.  Every read throws
 /// WireError instead of walking past the end, so a truncated or hostile
-/// payload is an exception, never undefined behavior.
+/// payload is an exception, never undefined behavior.  A block whose
+/// size a count() guard fixed is checked once, by block(), and its
+/// fields are read with load_le.
 class Decoder {
  public:
   Decoder(const std::uint8_t* data, std::size_t size)
@@ -138,13 +183,21 @@ class Decoder {
   explicit Decoder(const std::vector<std::uint8_t>& payload)
       : Decoder(payload.data(), payload.size()) {}
 
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint8_t u8() { return *block(1); }
+  std::uint32_t u32() { return load_le<std::uint32_t>(block(4)); }
+  std::uint64_t u64() { return load_le<std::uint64_t>(block(8)); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
+  double f64() { return std::bit_cast<double>(u64()); }
   std::string str();
+
+  /// The next `bytes` bytes, checked once against the payload's end.
+  [[nodiscard]] const std::uint8_t* block(std::size_t bytes) {
+    if (bytes > remaining()) throw WireError("truncated payload");
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += bytes;
+    return p;
+  }
 
   /// Guard for count-prefixed arrays: a claimed element count whose
   /// minimal encoding cannot fit in the remaining bytes is rejected

@@ -4,11 +4,14 @@
 #include <sstream>
 #include <vector>
 
+#include "core/parallelizer.hpp"
 #include "partition/compiled_program.hpp"
 #include "partition/lowering.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
 #include "schedule/pattern.hpp"
+#include "workloads/livermore.hpp"
+#include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
 
 namespace mimd::testsupport {
@@ -143,6 +146,25 @@ Ddg renamed_copy(const Ddg& g, const std::string& prefix) {
     copy.add_edge(e.src, e.dst, e.distance, e.comm_cost);
   }
   return copy;
+}
+
+std::vector<std::pair<std::string, Ddg>> hot_structures() {
+  using namespace workloads;
+  return {{"fig7", fig7_loop()},
+          {"cytron86", cytron86_loop()},
+          {"elliptic", elliptic_filter_loop()},
+          {"LL18", livermore18_loop()},
+          {"LL6", ll6_linear_recurrence()},
+          {"LL20", ll20_discrete_ordinates()}};
+}
+
+HotProgram hot_program(const Ddg& g, int p, std::int64_t n) {
+  ParallelizeOptions popts;
+  popts.machine = Machine{p, 1};
+  popts.iterations = n;
+  popts.emit_code = false;
+  ParallelizeResult r = parallelize(g, popts);
+  return {std::move(r.program), std::move(r.normalized.graph)};
 }
 
 namespace {

@@ -20,6 +20,8 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/ddg.hpp"
 #include "partition/partitioned_loop.hpp"
@@ -62,6 +64,18 @@ GeneratedLoop generate_loop(std::uint64_t seed, const LoopGenOptions& opts = {})
 /// digests draw their mutants from here.
 PartitionedProgram mutated_program(const PartitionedProgram& p,
                                    std::mt19937_64& rng);
+
+/// The six hot structures of perfbench's `warm-serve` and `mixed-n`
+/// workloads, by name: fig7, cytron86, elliptic, LL18, LL6, LL20.
+std::vector<std::pair<std::string, Ddg>> hot_structures();
+
+/// The program and normalized graph mixed-n's client submits for `g`:
+/// parallelize() on Machine{p, 1} for n original iterations.
+struct HotProgram {
+  PartitionedProgram program;
+  Ddg graph;
+};
+HotProgram hot_program(const Ddg& g, int p, std::int64_t n);
 
 /// A structurally identical copy of `g` with every node renamed by
 /// `prefix` — same latencies, same edges.  structural_hash ignores names,

@@ -2,19 +2,26 @@
 // the daemon speaks must survive encode -> decode bit-identically (the
 // differential suites compare doubles with ==), and every truncated or
 // corrupted payload must raise WireError — never crash, never read out of
-// bounds (the ASan+UBSan CI job runs this suite for exactly that).
+// bounds (the ASan+UBSan CI job runs this suite for exactly that).  The
+// WireDifferential tests hold the codec to the bytewise one it replaced
+// (tests/support/reference_wire.hpp), byte for byte and verdict for
+// verdict.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <random>
 #include <thread>
 
 #include "runtime/wire.hpp"
 #include "support/loop_gen.hpp"
+#include "support/reference_wire.hpp"
 
 namespace mimd {
 namespace {
@@ -593,6 +600,213 @@ TEST(Wire, LargeFrameSurvivesPartialSocketWrites) {
   EXPECT_EQ(back.values, big.values);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// ---- WireDifferential: the codec against the frozen bytewise one ----
+
+namespace ref = testsupport::reference_wire;
+
+struct SubmitCase {
+  std::string tag;
+  PartitionedProgram program;
+  Ddg graph;
+  CompileOptions copts;
+};
+
+/// loop_gen programs `first`..`last` (odd seeds at O1, even ones off).
+std::vector<SubmitCase> generated_cases(std::uint64_t first,
+                                        std::uint64_t last) {
+  std::vector<SubmitCase> cases;
+  for (std::uint64_t seed = first; seed <= last; ++seed) {
+    testsupport::GeneratedLoop gl = testsupport::generate_loop(seed);
+    CompileOptions copts;
+    copts.opt = seed % 2 == 1 ? OptLevel::O1 : OptLevel::Off;
+    cases.push_back({gl.tag, std::move(gl.program), std::move(gl.graph), copts});
+  }
+  return cases;
+}
+
+/// Names, latencies and edges: everything decode_ddg reads.
+bool same_graph(const Ddg& a, const Ddg& b) {
+  if (!structurally_equivalent(a, b)) return false;
+  for (NodeId v = 0; v < a.num_nodes(); ++v) {
+    if (a.node(v).name != b.node(v).name) return false;
+  }
+  return true;
+}
+
+bool same_request(const wire::SubmitProgramRequest& a,
+                  const wire::SubmitProgramRequest& b) {
+  return a.program == b.program && same_graph(a.graph, b.graph) &&
+         a.copts == b.copts;
+}
+
+/// Bit-pattern equality: NaNs compare by payload, -0.0 differs from 0.0.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_result(const ExecutionResult& a, const ExecutionResult& b) {
+  return std::equal(a.values.begin(), a.values.end(), b.values.begin(),
+                    b.values.end(),
+                    [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+                      return std::equal(x.begin(), x.end(), y.begin(),
+                                        y.end(), same_bits);
+                    }) &&
+         same_bits(a.wall_seconds, b.wall_seconds);
+}
+
+/// A result whose rows mix random bit patterns with the values a bytewise
+/// codec is most likely to mangle: NaNs with payloads (quiet and
+/// signalling, both signs), -0.0, denormals and infinities.
+ExecutionResult special_result(std::mt19937_64& rng) {
+  static constexpr std::uint64_t kSpecial[] = {
+      0x7FF8DEADBEEF0001ull,  // quiet NaN with a payload
+      0xFFF0000000000001ull,  // negative signalling NaN
+      0x8000000000000000ull,  // -0.0
+      0x0000000000000001ull,  // smallest denormal
+      0x800FFFFFFFFFFFFFull,  // largest negative denormal
+      0x7FF0000000000000ull,  // +inf
+      0xFFF0000000000000ull,  // -inf
+      0x0000000000000000ull};
+  const auto draw = [&rng] {
+    return std::bit_cast<double>(
+        rng() % 3 == 0 ? kSpecial[rng() % std::size(kSpecial)] : rng());
+  };
+  ExecutionResult r;
+  r.values.resize(rng() % 6);
+  for (std::vector<double>& row : r.values) {
+    row.resize(rng() % 40);
+    for (double& v : row) v = draw();
+  }
+  r.wall_seconds = draw();
+  return r;
+}
+
+/// What a decoder made of a payload: the decoded value, or nullopt when
+/// it threw WireError.  Any other exception escapes and fails the test.
+template <class Decode>
+auto verdict(Decode&& decode, const std::vector<std::uint8_t>& payload)
+    -> std::optional<decltype(decode(payload))> {
+  try {
+    return decode(payload);
+  } catch (const WireError&) {
+    return std::nullopt;
+  }
+}
+
+/// Expects both decoders to accept `payload` or both to reject it, and,
+/// when they accept, to read equal values.  Returns whether ours accepted.
+bool expect_same_submit_verdict(const std::vector<std::uint8_t>& payload,
+                                const std::string& what) {
+  const auto ours = verdict(
+      [](const auto& p) { return wire::decode_submit_program(p); }, payload);
+  const auto theirs = verdict(
+      [](const auto& p) { return ref::decode_submit_program(p); }, payload);
+  EXPECT_EQ(ours.has_value(), theirs.has_value()) << what;
+  if (ours && theirs) {
+    EXPECT_TRUE(same_request(*ours, *theirs)) << what;
+  }
+  return ours.has_value();
+}
+
+bool expect_same_reply_verdict(const std::vector<std::uint8_t>& payload,
+                               const std::string& what) {
+  const auto ours = verdict(
+      [](const auto& p) { return wire::decode_run_reply(p); }, payload);
+  const auto theirs = verdict(
+      [](const auto& p) { return ref::decode_run_reply(p); }, payload);
+  EXPECT_EQ(ours.has_value(), theirs.has_value()) << what;
+  if (ours && theirs) {
+    EXPECT_TRUE(same_result(*ours, *theirs)) << what;
+  }
+  return ours.has_value();
+}
+
+TEST(WireDifferential, SubmitPayloadsMatchTheBytewiseCodec) {
+  // 500 loop_gen programs plus the six hot structures as mixed-n submits
+  // them, from 16 to 2048 iterations.
+  std::vector<SubmitCase> cases = generated_cases(1, 500);
+  for (auto& [name, g] : testsupport::hot_structures()) {
+    for (const std::int64_t n : {16, 181, 2048}) {
+      testsupport::HotProgram hp = testsupport::hot_program(g, 2, n);
+      cases.push_back({name + "_n" + std::to_string(n), std::move(hp.program),
+                       std::move(hp.graph), CompileOptions{}});
+    }
+  }
+  for (const SubmitCase& c : cases) {
+    const auto ours = wire::encode_submit_program(c.program, c.graph, c.copts);
+    ASSERT_EQ(ours, ref::encode_submit_program(c.program, c.graph, c.copts))
+        << c.tag;
+    const wire::SubmitProgramRequest back = wire::decode_submit_program(ours);
+    EXPECT_TRUE(same_request(back, ref::decode_submit_program(ours))) << c.tag;
+    EXPECT_TRUE(same_request(back, {c.program, c.graph, c.copts})) << c.tag;
+  }
+}
+
+TEST(WireDifferential, RunReplyPayloadsMatchTheBytewiseCodec) {
+  std::mt19937_64 rng(0x5EED0025ull);
+  for (int i = 0; i < 500; ++i) {
+    const ExecutionResult r = special_result(rng);
+    const auto ours = wire::encode_run_reply(r);
+    ASSERT_EQ(ours, ref::encode_run_reply(r)) << "result " << i;
+    EXPECT_EQ(ours.capacity(), ours.size()) << "result " << i;
+    const ExecutionResult back = wire::decode_run_reply(ours);
+    EXPECT_TRUE(same_result(back, ref::decode_run_reply(ours))) << "result " << i;
+    EXPECT_TRUE(same_result(back, r)) << "result " << i;
+  }
+}
+
+TEST(WireDifferential, EveryStrictPrefixGetsTheSameVerdict) {
+  for (const SubmitCase& c : generated_cases(1, 4)) {
+    const auto payload =
+        wire::encode_submit_program(c.program, c.graph, c.copts);
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      EXPECT_FALSE(expect_same_submit_verdict(
+          {payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(cut)},
+          c.tag + " prefix " + std::to_string(cut)));
+    }
+  }
+  std::mt19937_64 rng(0x9EF1Cull);
+  for (int i = 0; i < 8; ++i) {
+    const auto payload = wire::encode_run_reply(special_result(rng));
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      EXPECT_FALSE(expect_same_reply_verdict(
+          {payload.begin(), payload.begin() + static_cast<std::ptrdiff_t>(cut)},
+          "result " + std::to_string(i) + " prefix " + std::to_string(cut)));
+    }
+  }
+}
+
+TEST(WireDifferential, SingleByteMutationsGetTheSameVerdict) {
+  // 12,000 payloads one byte away from a valid one: a count, a kind, a
+  // name byte, an edge endpoint or the opt level now says something else.
+  std::vector<std::vector<std::uint8_t>> submits;
+  for (const SubmitCase& c : generated_cases(1, 40)) {
+    submits.push_back(wire::encode_submit_program(c.program, c.graph, c.copts));
+  }
+  std::mt19937_64 rng(0x3117A7Eull);
+  std::vector<std::vector<std::uint8_t>> replies;
+  for (int i = 0; i < 20; ++i) {
+    replies.push_back(wire::encode_run_reply(special_result(rng)));
+  }
+  int accepted = 0;
+  for (int i = 0; i < 12000; ++i) {
+    const bool submit = i % 3 != 0;
+    const auto& pool = submit ? submits : replies;
+    std::vector<std::uint8_t> payload = pool[rng() % pool.size()];
+    const std::size_t at = rng() % payload.size();
+    payload[at] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+    const std::string what = "mutation " + std::to_string(i) + " at byte " +
+                             std::to_string(at);
+    accepted += submit ? expect_same_submit_verdict(payload, what)
+                       : expect_same_reply_verdict(payload, what);
+  }
+  // Both verdicts occur: most mutated values still decode, a mutated
+  // count, kind or opt level does not.
+  EXPECT_GT(accepted, 1000);
+  EXPECT_LT(accepted, 11000);
 }
 
 }  // namespace

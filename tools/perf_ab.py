@@ -27,16 +27,19 @@ Tables (markdown):
   * per seed, for BENCHMARK.json's end-to-end metrics: each side's value,
     failed/attempted, each side's steal share, and each side's JIT
     compiles and native runs of all runs ("n/a" for records made before
-    these were stored, and for traced runs, which print no summary line);
+    these were stored, and for traced runs, which print no summary line).
+    A pair whose two steal shares differ by more than 5 percentage points
+    is flagged: the host gave one side markedly less CPU than the other;
   * per metric: each side's median [first quartile, third quartile]
     (linear interpolation between order statistics), how many pairs the
-    change won, the median change, the parent's interquartile range over
-    its median, the metric's BENCHMARK.json bound, and a verdict.  The
-    verdict reads "claim met" when at least ten pairs ran, the change won
-    at least nine in ten and its median moved in the better direction by
-    more than the parent's interquartile range; "worse > bound" when its
-    median moved in the worse direction by more than the bound;
-    otherwise "within bound" (or "-" for a metric without a bound).
+    change won, of all pairs and of the unflagged ones, the median change,
+    the parent's interquartile range over its median, the metric's
+    BENCHMARK.json bound, and a verdict.  The verdict, over all pairs,
+    reads "claim met" when at least ten pairs ran, the change won at least
+    nine in ten and its median moved in the better direction by more than
+    the parent's interquartile range; "worse > bound" when its median
+    moved in the worse direction by more than the bound; otherwise
+    "within bound" (or "-" for a metric without a bound).
 """
 
 import argparse
@@ -52,6 +55,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # fewer pairs never support a claim
+STEAL_GAP = 0.05  # a pair whose sides' steal shares differ by more is flagged
 
 
 def load_spec(root):
@@ -118,6 +122,13 @@ def paired(records, workload):
 def steal_text(record):
     share = record.get("steal")
     return "n/a" if share is None else "{:.1f}%".format(100 * share)
+
+
+def steal_flagged(sides):
+    """True when both sides' steal shares are known and differ by more
+    than STEAL_GAP."""
+    shares = [sides[side].get("steal") for side in SIDES]
+    return None not in shares and abs(shares[0] - shares[1]) > STEAL_GAP
 
 
 # perfbench's untraced summary line (perfbench/src/main.cpp).
@@ -197,31 +208,41 @@ def tables(records, workload, specs):
             totals[side][1] += attempted
             counts.append("%d/%d" % (failed, attempted))
         row.append(" , ".join(counts))
-        row.append(" , ".join(steal_text(sides[side]) for side in SIDES))
+        steal = " , ".join(steal_text(sides[side]) for side in SIDES)
+        row.append(steal + (" (flagged)" if steal_flagged(sides) else ""))
         row.append(" ; ".join(jit_text(sides[side]) for side in SIDES))
         lines.append("| " + " | ".join(row) + " |")
     lines.append("")
     lines.append("| metric | better | parent median [quartiles] | "
-                 "change median [quartiles] | change better | median change "
-                 "| parent IQR / median | bound | verdict |")
-    lines.append("|" + "---|" * 9)
+                 "change median [quartiles] | change better | change better, "
+                 "unflagged pairs | median change | parent IQR / median | "
+                 "bound | verdict |")
+    lines.append("|" + "---|" * 10)
     for name, unit, better, bound in specs:
-        pairs = [(value(v["parent"], name), value(v["change"], name))
-                 for v in seeds.values()]
-        pairs = [(p, c) for p, c in pairs if p is not None and c is not None]
+        pairs = [(value(v["parent"], name), value(v["change"], name),
+                  steal_flagged(v)) for v in seeds.values()]
+        pairs = [t for t in pairs if t[0] is not None and t[1] is not None]
         if not pairs:
             continue
-        s = compare(better, bound, pairs)
+        s = compare(better, bound, [(p, c) for p, c, _ in pairs])
+        unflagged = [(p, c) for p, c, flagged in pairs if not flagged]
         lines.append(
-            "| `%s` (%s) | %s | %s [%s, %s] | %s [%s, %s] | %d/%d | %s | %s "
-            "| %s | %s |" % (
+            "| `%s` (%s) | %s | %s [%s, %s] | %s [%s, %s] | %d/%d | %d/%d "
+            "| %s | %s | %s | %s |" % (
                 name, unit, better, fmt(s["parent"][1]), fmt(s["parent"][0]),
                 fmt(s["parent"][2]), fmt(s["change"][1]), fmt(s["change"][0]),
-                fmt(s["change"][2]), s["wins"], s["pairs"], pct(s["rel"]),
+                fmt(s["change"][2]), s["wins"], s["pairs"],
+                sum(1 for p, c in unflagged if improves(better, p, c)),
+                len(unflagged), pct(s["rel"]),
                 "{:.1f}%".format(100 * s["spread"]),
                 "-" if bound is None else "{:.0f}%".format(100 * bound),
                 s["verdict"]))
     lines.append("")
+    flagged = [str(seed) for seed, sides in seeds.items()
+               if steal_flagged(sides)]
+    lines.append("steal-flagged pairs (steal shares more than %.0f points "
+                 "apart): %s" % (100 * STEAL_GAP,
+                                 ", ".join(flagged) if flagged else "none"))
     for side in SIDES:
         failed, attempted = totals[side]
         lines.append("%s: %d of %d requests failed" % (side, failed, attempted))
@@ -371,8 +392,10 @@ def self_test():
             "jit_compiles": seed, "native_runs": 2 * seed, "runs": 100}
         records.append(canned(seed, "parent", order["parent"], parent_p99, 10.0,
                               steal=steal, plan_cache=counters))
+        # Seed 3's change side ran with 20% steal: its pair is flagged.
+        change_steal = 0.2 if seed == 3 else None if steal is None else steal / 2
         records.append(canned(seed, "change", order["change"], change_p99, 8.0,
-                              steal=None if steal is None else steal / 2,
+                              steal=change_steal,
                               plan_cache=None if counters is None else
                               dict(counters, jit_compiles=0, native_runs=0)))
     records.append(canned(11, "parent", 1, 1.0, 1.0))  # unpaired: ignored
@@ -419,8 +442,15 @@ def self_test():
     assert "| 0/100 , 0/100 | n/a , n/a | n/a ; n/a |" in text, text
     assert ("| steal (parent, change) | jit compiles, native/runs "
             "(parent; change) |") in text, text
-    assert "| 9/10 | -46.4% | 4.3% | 25% | claim met |" in text, text
-    assert "| 0/10 | -20.0% | 0.0% | 25% | within bound |" in text, text
+    # The flagged pair is counted in the verdict and left out of the
+    # unflagged win count; seed 2, whose shares are unknown, is not flagged.
+    assert "| 9/10 | 8/9 | -46.4% | 4.3% | 25% | claim met |" in text, text
+    assert "| 0/10 | 0/9 | -20.0% | 0.0% | 25% | within bound |" in text, text
+    assert "| 3.0% , 20.0% (flagged) |" in text, text
+    assert "| 10.0% , 5.0% |" in text, text  # 5 points apart: not flagged
+    assert "steal-flagged pairs (steal shares more than 5 points apart): 3" \
+        in text, text
+    assert not steal_flagged({"parent": {"steal": 0.3}, "change": {}})
     assert "parent: 0 of 1000 requests failed" in text
     assert [fmt(x) for x in (12345.6, 123.45, 1.5, 0.0, 0.000234)] == \
         ["12,346", "123.5", "1.500", "0.000", "0.000234"]
