@@ -13,11 +13,12 @@
 //                        release-store, one acquire-load);
 //  * Stream_Spsc       — a real producer thread streaming a batch through
 //                        a channel to the consumer;
-//  * Executor_Spsc     — the whole threaded runtime on fig7 at
-//                        work_per_cycle = 0 (the smallest kernel payload),
-//                        with per-message cost reported;
+//  * Executor_Spsc     — the whole threaded runtime (a gang run) on fig7
+//                        at work_per_cycle = 0 (the smallest kernel
+//                        payload), with per-message cost reported;
 //  * PlanCompile/Run   — what ExecutorPlan amortizes: compile() cost vs a
-//                        reused plan's run() cost.
+//                        reused plan's run() cost (the one-thread tier
+//                        at these options).
 //
 // Run it with --benchmark_format=json --benchmark_out=<file> to keep a
 // snapshot that tools/bench_diff.py can compare; EXPERIMENTS.md
@@ -101,7 +102,7 @@ void BM_Executor_Spsc(benchmark::State& state) {
   Fig7Plan& f = fig7_plan();
   for (auto _ : state) {
     // work_per_cycle = 0: messages are all that matters.
-    benchmark::DoNotOptimize(f.plan.run(f.n));
+    benchmark::DoNotOptimize(f.plan.run_gang(f.n));
   }
   state.SetItemsProcessed(state.iterations() * f.messages);
   state.counters["msgs"] =

@@ -9,15 +9,17 @@
 //                               WorkerPool (its threads spawned for the
 //                               run and joined after it): the
 //                               pre-service cost of every request;
-//  * Request_CachedPooled     — PlanCache::get_or_compile + pooled run():
-//                               the steady-state service cost (first
-//                               iteration compiles, the rest hit).
-//                               ISSUE 4 acceptance: >= 2x over cold at
-//                               small n;
-//  * Run_Spawn / Run_Pooled   — the pool's own contribution, isolated
-//                               (plan held constant, only the thread
-//                               acquisition differs: a fresh pool per
-//                               run vs one persistent pool);
+//  * Request_CachedPooled     — PlanCache::get_or_compile + run() with
+//                               a pool: the steady-state service cost
+//                               (first iteration compiles, the rest hit;
+//                               run() takes the one-thread tier, so the
+//                               pool stays idle);
+//  * Run_Spawn / Run_Pooled   — the pool's own contribution to a gang
+//                               run, isolated (plan held constant, only
+//                               the thread acquisition differs: a fresh
+//                               pool per run vs one persistent pool);
+//  * Run_OneThread            — the same plan round-robin on the calling
+//                               thread, no pool at all;
 //  * Run_PooledPinned         — affinity pinning on top of the pool
 //                               (RunOptions::pin_threads; on one-core CI
 //                               containers this measures overhead, not
@@ -45,8 +47,12 @@
 //                               latency a background compile hides;
 //                               run_overhead = the share of a call spent
 //                               outside the kernel's gang),
-//                               InterpretedPooled the exact --jit=off
-//                               baseline (cached plan + pooled run).
+//                               InterpretedPooled the interpreted plan on
+//                               a gang of the shared pool, and
+//                               InterpretedOneThread the same plan on the
+//                               one-thread tier, which is what the daemon
+//                               serves while the kernel is not published
+//                               or has been dropped.
 //
 // The cold-vs-cached and pool-vs-spawn ratios live in EXPERIMENTS.md
 // ("Plan service A/B"), the native-vs-interpreted ratio in "JIT A/B".
@@ -101,7 +107,7 @@ ExecutionResult run_on_fresh_threads(const ExecutorPlan& plan,
   WorkerPool pool;
   RunOptions opts;
   opts.pool = &pool;
-  return plan.run(n, opts);
+  return plan.run_gang(n, opts);
 }
 
 void BM_Request_ColdCompileSpawn(benchmark::State& state) {
@@ -164,11 +170,21 @@ void BM_Run_Pooled(benchmark::State& state) {
   RunOptions opts;
   opts.pool = &pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(plan.run(f.n, opts));
+    benchmark::DoNotOptimize(plan.run_gang(f.n, opts));
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Run_Pooled)->UseRealTime()->Unit(benchmark::kMicrosecond);
+
+void BM_Run_OneThread(benchmark::State& state) {
+  const ExecutorPlan& plan = fig7_plan();
+  Fig7Request& f = fig7_request();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(plan.run_one_thread(f.n));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_Run_OneThread)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 void BM_Run_PooledPinned(benchmark::State& state) {
   const ExecutorPlan& plan = fig7_plan();
@@ -304,19 +320,32 @@ void BM_Jit_VsInterpreted_WarmNativePooled(benchmark::State& state) {
 BENCHMARK(BM_Jit_VsInterpreted_WarmNativePooled)->Apply(jit_ab_args);
 
 void BM_Jit_VsInterpreted_InterpretedPooled(benchmark::State& state) {
-  // The exact --jit=off steady state: cached plan, pooled threads.  The
-  // WarmNativePooled/this ratio is the JIT's answer to "what does a
-  // request cost once the kernel exists?".
+  // The interpreted plan on a gang of the shared pool: what a pinned or
+  // per-op-work run costs.  The WarmNativePooled/this ratio is the
+  // native kernel's gain over the interpreter on the same threads.
   const JitAbPair& ab = jit_ab_pair(state);
   static WorkerPool pool;
   RunOptions opts;
   opts.pool = &pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ab.plan.run(ab.n, opts));
+    benchmark::DoNotOptimize(ab.plan.run_gang(ab.n, opts));
   }
   state.SetItemsProcessed(state.iterations() * state.range(2));
 }
 BENCHMARK(BM_Jit_VsInterpreted_InterpretedPooled)->Apply(jit_ab_args);
+
+void BM_Jit_VsInterpreted_InterpretedOneThread(benchmark::State& state) {
+  // The same plan round-robin on the calling thread: the --jit=off
+  // steady state, and the bar a published kernel must clear
+  // (PlanCache::record_native_run).  WarmNativePooled/this above 1 is a
+  // kernel the daemon drops.
+  const JitAbPair& ab = jit_ab_pair(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ab.plan.run_one_thread(ab.n));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(2));
+}
+BENCHMARK(BM_Jit_VsInterpreted_InterpretedOneThread)->Apply(jit_ab_args);
 
 // ---- run_batch end to end. ----
 

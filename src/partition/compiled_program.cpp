@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -71,6 +72,9 @@ class MessageBuckets {
 
   void send(ChannelId c, const Inst& v) { sent_[next_send_[c]++] = v; }
 
+  /// The program's send count, over every channel.
+  [[nodiscard]] std::size_t sends() const { return start_.back(); }
+
   void receive(ChannelId c, const Inst& v) {
     ++receives_;
     // No send on this channel, or more receives than sends: the multisets
@@ -136,6 +140,16 @@ class MessageBuckets {
   bool overflow_ = false;
 };
 
+/// A Send or Receive of one compiled thread, as rule 4 replays it: its kind
+/// and channel, and its place among the thread's ops.  Computes never
+/// wait, so rule 4 reads these alone, 12 bytes a message instead of a
+/// 32-byte op each.
+struct MessageOp {
+  CompiledOp::Kind kind = CompiledOp::Kind::Send;
+  ChannelId chan = 0;
+  std::uint32_t op = 0;
+};
+
 /// The one walk behind find_program_violation and compile_program: checks
 /// the rules in their documented order (partitioned_loop.hpp) and compiles
 /// every op of `prog` into `cp` as it passes.  Returns the first violation;
@@ -179,6 +193,12 @@ std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
   // to compute it.
   detail::InstMap computed_by(computes);
   MessageBuckets messages(cp.channels);
+  // Every compiled thread's sends and receives, thread after thread:
+  // thread t's are [message_start[t], message_start[t + 1]).  A program
+  // that passes rule 2 has as many receives as sends.
+  std::vector<MessageOp> message_ops;
+  message_ops.reserve(2 * messages.sends());
+  std::vector<std::size_t> message_start{0};
   for (std::uint32_t pi = 0; pi < prog.programs.size(); ++pi) {
     const ProcessorProgram& p = prog.programs[pi];
     CompiledThread t;
@@ -244,6 +264,8 @@ std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
           c.slot = *slot;
           c.chan = *chan_ids.find(ChanKey{op.edge, p.proc, op.peer});
           messages.send(c.chan, op.inst);
+          message_ops.push_back(
+              {c.kind, c.chan, static_cast<std::uint32_t>(t.ops.size())});
           break;
         }
         case Op::Kind::Receive: {
@@ -254,15 +276,36 @@ std::optional<std::string> check_and_compile(const PartitionedProgram& prog,
           c.slot = t.num_slots++;
           provide(op.inst, c.slot);
           messages.receive(c.chan, op.inst);
+          message_ops.push_back(
+              {c.kind, c.chan, static_cast<std::uint32_t>(t.ops.size())});
           break;
         }
       }
       t.ops.push_back(c);
     }
-    if (!t.ops.empty()) cp.threads.push_back(std::move(t));
+    if (!t.ops.empty()) {
+      cp.threads.push_back(std::move(t));
+      message_start.push_back(message_ops.size());
+    }
   }
   // Rules 2 and 3, once every processor has passed rule 1.
-  return messages.find_violation(cp.channels);
+  if (auto violation = messages.find_violation(cp.channels)) return violation;
+  // Rule 4, on channels now known to carry matched, FIFO-ordered messages.
+  const auto messages_of = [&](std::size_t t) {
+    return std::span<const MessageOp>(message_ops.data() + message_start[t],
+                                      message_ops.data() +
+                                          message_start[t + 1]);
+  };
+  std::vector<std::size_t> stopped =
+      run_round_robin(cp.threads.size(), cp.channels.size(), messages_of,
+                      [](std::size_t, const MessageOp&) {});
+  for (std::size_t t = 0; t < stopped.size(); ++t) {
+    // A thread past its last message finishes: a compute never waits.
+    stopped[t] = stopped[t] == messages_of(t).size()
+                     ? cp.threads[t].ops.size()
+                     : messages_of(t)[stopped[t]].op;
+  }
+  return stuck_receives(cp, g, stopped);
 }
 
 /// Liveness-based slot reassignment over one thread's straight-line op
@@ -470,6 +513,23 @@ std::size_t CompiledProgram::total_slots_ssa() const {
   std::size_t n = 0;
   for (const CompiledThread& t : threads) n += t.num_slots_ssa;
   return n;
+}
+
+std::optional<std::string> stuck_receives(
+    const CompiledProgram& cp, const Ddg& g,
+    const std::vector<std::size_t>& stopped) {
+  std::string stuck;
+  for (std::size_t t = 0; t < cp.threads.size(); ++t) {
+    const CompiledThread& thread = cp.threads[t];
+    if (stopped[t] == thread.ops.size()) continue;
+    const CompiledOp& op = thread.ops[stopped[t]];
+    stuck += (stuck.empty() ? "deadlock: PE" : ", PE") +
+             std::to_string(thread.proc) + " waits at receive of " +
+             g.node(op.node).name + "@" + std::to_string(op.iter) +
+             " from PE" + std::to_string(cp.channels[op.chan].src_proc);
+  }
+  if (stuck.empty()) return std::nullopt;
+  return stuck;
 }
 
 std::optional<std::string> find_program_violation(const PartitionedProgram& p,

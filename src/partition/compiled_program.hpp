@@ -33,6 +33,9 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "graph/ddg.hpp"
@@ -172,6 +175,73 @@ struct CompileOptions {
 /// partition identically but compute different values, and a 64-bit hash
 /// alone is a probability, not a guarantee.
 [[nodiscard]] bool structurally_equivalent(const Ddg& a, const Ddg& b);
+
+/// The one-thread schedule of a compiled program, shared by the
+/// validator's deadlock rule (rule 4, over each thread's sends and
+/// receives alone, with a step that does nothing) and the interpreted
+/// executor's one-thread run (over every op, with a step that computes).
+/// Each thread runs its ops in order until a receive finds its channel
+/// empty; then the next ready thread runs.  A waiting thread is ready
+/// again once its channel is sent to.  `ops_of(t)` is thread t's op
+/// sequence, of any op type with CompiledOp's `kind` and `chan`;
+/// `step(t, op)` executes one op of thread t, in execution order, and
+/// sees a Receive only once its channel holds a message.  Sends never
+/// wait and every channel has one sender and one receiver, so which
+/// thread runs first changes no value and no outcome: the program
+/// deadlocks here exactly when it can deadlock on threads.  Linear in
+/// ops: no thread is tried while it waits.  Returns, per thread, the
+/// index of its first op not executed; every thread finished iff each
+/// entry equals its sequence's length.
+template <typename OpsOf, typename Step>
+std::vector<std::size_t> run_round_robin(std::size_t threads,
+                                         std::size_t channels, OpsOf&& ops_of,
+                                         Step&& step) {
+  constexpr std::uint32_t kNobody = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::size_t> pc(threads, 0);
+  std::vector<std::int64_t> pending(channels, 0);
+  std::vector<std::uint32_t> waiter(channels, kNobody);
+  // A FIFO ring of ready threads.  A thread is running, waiting, finished
+  // or queued once, so `threads` places always suffice.
+  std::vector<std::uint32_t> ready(threads);
+  for (std::uint32_t t = 0; t < threads; ++t) ready[t] = t;
+  std::size_t front = 0, queued = threads;
+  while (queued > 0) {
+    const std::uint32_t t = ready[front];
+    front = front + 1 == threads ? 0 : front + 1;
+    --queued;
+    const auto& ops = ops_of(t);
+    std::size_t i = pc[t];
+    for (; i < ops.size(); ++i) {
+      const auto& op = ops[i];
+      if (op.kind == CompiledOp::Kind::Receive) {
+        if (pending[op.chan] == 0) {
+          waiter[op.chan] = t;
+          break;
+        }
+        --pending[op.chan];
+      } else if (op.kind == CompiledOp::Kind::Send) {
+        ++pending[op.chan];
+        if (waiter[op.chan] != kNobody) {
+          const std::size_t back = front + queued;
+          ready[back < threads ? back : back - threads] = waiter[op.chan];
+          ++queued;
+          waiter[op.chan] = kNobody;
+        }
+      }
+      step(t, op);
+    }
+    pc[t] = i;
+  }
+  return pc;
+}
+
+/// Rule 4's verdict on where a one-thread run of `cp` stopped (per thread,
+/// the index of its first op not executed): nullopt when every thread
+/// finished, else "deadlock: " and each waiting receive, in thread order
+/// ("PE0 waits at receive of B@1 from PE1, ...").
+[[nodiscard]] std::optional<std::string> stuck_receives(
+    const CompiledProgram& cp, const Ddg& g,
+    const std::vector<std::size_t>& stopped);
 
 /// Compile `prog` into the slot-resolved form, checking it against `g` in
 /// the same walk.  Throws ContractViolation — with find_program_violation's

@@ -67,7 +67,11 @@ struct PartitionedProgram {
 ///  2. the multiset of sends equals the multiset of receives, keyed by
 ///     (edge, producing instance, src processor, dst processor);
 ///  3. channels, in (edge, src, dst) order, are FIFO: each channel's send
-///     iteration sequence equals its receive iteration sequence.
+///     iteration sequence equals its receive iteration sequence;
+///  4. the program cannot deadlock: run round-robin on one thread
+///     (run_round_robin, partition/compiled_program.hpp), every processor
+///     finishes.  The message names every receive left waiting, in
+///     processor order.
 /// Returns a message for the first violation found, or nullopt if the
 /// program is well-formed.  This is the verdict of compile_program's own
 /// walk (partition/compiled_program.hpp, which defines it): rule 1 is

@@ -1,11 +1,7 @@
 #include "runtime/executor.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <functional>
 #include <memory>
-#include <thread>
 
 #include "runtime/spsc_ring.hpp"
 #include "runtime/worker_pool.hpp"
@@ -14,32 +10,139 @@ namespace mimd {
 
 namespace {
 
-/// The hot path.  Every name was resolved at compile() time: operands
-/// read flat slots or a node's pre-loop value, and channels are dense
-/// indices.
-void execute(const CompiledProgram& cp, const Ddg& g,
-             const std::vector<std::unique_ptr<SpscChannel>>& chans,
-             const RunOptions& opts, ExecutionResult& res) {
-  const KernelOptions& kernel = opts.kernel;
-  auto worker = [&](const CompiledThread& t) {
+/// One Compute op of thread `t`: gather the operands (flat slots or a
+/// node's pre-loop value; every name was resolved at compile() time), then
+/// write the value to its slot and its result cell.
+void compute(const CompiledThread& t, const CompiledOp& op, const Ddg& g,
+             const KernelOptions& kernel, double* slots,
+             std::vector<double>& operands, ExecutionResult& res) {
+  operands.clear();
+  for (std::uint32_t i = 0; i < op.num_operands; ++i) {
+    const OperandRef& ref = t.operands[op.first_operand + i];
+    operands.push_back(ref.kind == OperandRef::Kind::LocalSlot
+                           ? slots[ref.index]
+                           : initial_value(ref.index));
+  }
+  const double v = synthetic_value(g, op.node, op.iter, operands, kernel);
+  slots[op.slot] = v;
+  res.values[op.node][static_cast<std::size_t>(op.iter)] = v;
+}
+
+/// Rows of zeros, one per node: entries no processor computes stay 0.0 on
+/// every tier.
+ExecutionResult zeroed_result(const Ddg& g, std::int64_t n) {
+  ExecutionResult res;
+  res.values.resize(g.num_nodes());
+  for (auto& v : res.values) v.assign(static_cast<std::size_t>(n), 0.0);
+  return res;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+}  // namespace
+
+RunTier run_tier(const RunOptions& opts) {
+  return opts.kernel.work_per_cycle == 0 && !opts.pin_threads
+             ? RunTier::OneThread
+             : RunTier::Gang;
+}
+
+ExecutorPlan compile(const PartitionedProgram& prog, const Ddg& g,
+                     const CompileOptions& /*copts*/) {
+  ExecutorPlan plan;
+  plan.compiled_ = compile_program(prog, g);
+  plan.graph_ = g;
+  return plan;
+}
+
+ExecutionResult ExecutorPlan::run(std::int64_t n,
+                                  const RunOptions& opts) const {
+  return run_tier(opts) == RunTier::OneThread ? run_one_thread(n, opts.kernel)
+                                              : run_gang(n, opts);
+}
+
+ExecutionResult ExecutorPlan::run_one_thread(
+    std::int64_t n, const KernelOptions& kernel) const {
+  MIMD_EXPECTS(n == compiled_.iterations);
+  ExecutionResult res = zeroed_result(graph_, n);
+  const CompiledProgram& cp = compiled_;
+  // Every channel is a FIFO range of one flat buffer, exactly its message
+  // count long: channel c is written at sent[c] and read at received[c],
+  // both starting at its range's first element.  Each thread's slots are
+  // a range of one flat array too.
+  std::vector<std::size_t> sent(cp.channels.size());
+  std::size_t messages = 0;
+  for (std::size_t c = 0; c < cp.channels.size(); ++c) {
+    sent[c] = messages;
+    messages += static_cast<std::size_t>(cp.channels[c].messages);
+  }
+  std::vector<std::size_t> received = sent;
+  std::vector<ChannelMessage> buffer(messages);
+  std::vector<std::size_t> first_slot(cp.threads.size());
+  std::size_t slot_count = 0;
+  for (std::size_t t = 0; t < cp.threads.size(); ++t) {
+    first_slot[t] = slot_count;
+    slot_count += cp.threads[t].num_slots;
+  }
+  std::vector<double> slots(slot_count, 0.0);
+  std::vector<double> operands;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<std::size_t> stopped = run_round_robin(
+      cp.threads.size(), cp.channels.size(),
+      [&](std::size_t t) -> const std::vector<CompiledOp>& {
+        return cp.threads[t].ops;
+      },
+      [&](std::size_t t, const CompiledOp& op) {
+        double* const local = slots.data() + first_slot[t];
+        switch (op.kind) {
+          case CompiledOp::Kind::Compute:
+            compute(cp.threads[t], op, graph_, kernel, local, operands, res);
+            break;
+          case CompiledOp::Kind::Send:
+            buffer[sent[op.chan]++] = {op.iter, local[op.slot]};
+            break;
+          case CompiledOp::Kind::Receive: {
+            const ChannelMessage& m = buffer[received[op.chan]++];
+            MIMD_ENSURES(m.iter == op.iter);  // FIFO tag check
+            local[op.slot] = m.value;
+            break;
+          }
+        }
+      });
+  res.wall_seconds = seconds_since(t0);
+  if (const auto stuck = stuck_receives(cp, graph_, stopped)) {
+    throw DeadlockError(*stuck);
+  }
+  return res;
+}
+
+ExecutionResult ExecutorPlan::run_gang(std::int64_t n,
+                                       const RunOptions& opts) const {
+  MIMD_EXPECTS(n == compiled_.iterations);
+  ExecutionResult res = zeroed_result(graph_, n);
+
+  // Channel construction stays outside the timed region (as the original
+  // executor's map setup did); only the threaded execution is measured.
+  std::vector<std::unique_ptr<SpscChannel>> chans;
+  chans.reserve(compiled_.channels.size());
+  for (const ChannelDesc& c : compiled_.channels) {
+    // ring_capacity is the shared sizing: the generated-C backend sizes
+    // its emitted buffers with the same call.
+    chans.push_back(
+        std::make_unique<SpscChannel>(ring_capacity(c.messages)));
+  }
+  const auto worker = [&](const CompiledThread& t) {
     std::vector<double> slots(t.num_slots, 0.0);
     std::vector<double> operands;
     for (const CompiledOp& op : t.ops) {
       switch (op.kind) {
-        case CompiledOp::Kind::Compute: {
-          operands.clear();
-          for (std::uint32_t i = 0; i < op.num_operands; ++i) {
-            const OperandRef& ref = t.operands[op.first_operand + i];
-            operands.push_back(ref.kind == OperandRef::Kind::LocalSlot
-                                   ? slots[ref.index]
-                                   : initial_value(ref.index));
-          }
-          const double v = synthetic_value(g, op.node, op.iter, operands,
-                                           kernel);
-          slots[op.slot] = v;
-          res.values[op.node][static_cast<std::size_t>(op.iter)] = v;
+        case CompiledOp::Kind::Compute:
+          compute(t, op, graph_, opts.kernel, slots.data(), operands, res);
           break;
-        }
         case CompiledOp::Kind::Send:
           chans[op.chan]->send({op.iter, slots[op.slot]});
           break;
@@ -52,47 +155,15 @@ void execute(const CompiledProgram& cp, const Ddg& g,
       }
     }
   };
-
+  const auto t0 = std::chrono::steady_clock::now();
   // One task per compiled thread, in the (pinning) order frozen at
   // compile() time.  The pool choice and the rotating pinned-slice policy
   // live in run_indexed_gang (runtime/worker_pool.hpp), shared with the
   // JIT's pooled kernel dispatch so both executors place compiled thread
   // i identically.
-  run_indexed_gang(opts.pool, cp.threads.size(), opts.pin_threads,
-                   [&](std::size_t i) { worker(cp.threads[i]); });
-}
-
-}  // namespace
-
-ExecutorPlan compile(const PartitionedProgram& prog, const Ddg& g,
-                     const CompileOptions& /*copts*/) {
-  ExecutorPlan plan;
-  plan.compiled_ = compile_program(prog, g);
-  plan.graph_ = g;
-  return plan;
-}
-
-ExecutionResult ExecutorPlan::run(std::int64_t n,
-                                  const RunOptions& opts) const {
-  MIMD_EXPECTS(n == compiled_.iterations);
-  ExecutionResult res;
-  res.values.resize(graph_.num_nodes());
-  for (auto& v : res.values) v.assign(static_cast<std::size_t>(n), 0.0);
-
-  // Channel construction stays outside the timed region (as the original
-  // executor's map setup did); only the threaded execution is measured.
-  std::vector<std::unique_ptr<SpscChannel>> chans;
-  chans.reserve(compiled_.channels.size());
-  for (const ChannelDesc& c : compiled_.channels) {
-    // ring_capacity is the shared sizing: the generated-C backend sizes
-    // its emitted buffers with the same call.
-    chans.push_back(
-        std::make_unique<SpscChannel>(ring_capacity(c.messages)));
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  execute(compiled_, graph_, chans, opts, res);
-  const auto t1 = std::chrono::steady_clock::now();
-  res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  run_indexed_gang(opts.pool, compiled_.threads.size(), opts.pin_threads,
+                   [&](std::size_t i) { worker(compiled_.threads[i]); });
+  res.wall_seconds = seconds_since(t0);
   return res;
 }
 
@@ -106,8 +177,7 @@ ExecutionResult run_reference(const Ddg& g, std::int64_t n,
   ExecutionResult res;
   const auto t0 = std::chrono::steady_clock::now();
   res.values = run_sequential(g, n, opts);
-  const auto t1 = std::chrono::steady_clock::now();
-  res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
+  res.wall_seconds = seconds_since(t0);
   return res;
 }
 

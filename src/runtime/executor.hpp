@@ -1,8 +1,7 @@
-// Threaded MIMD executor: runs a PartitionedProgram on real threads, one
-// per processor, communicating through point-to-point FIFO channels —
-// the closest thing to the paper's target machine available on a
-// shared-memory multicore (per-value message passing, asynchronous
-// processors, no global clock).
+// MIMD executor: runs a PartitionedProgram's processor programs, which
+// communicate through point-to-point FIFO channels (per-value message
+// passing, asynchronous processors, no global clock: the paper's target
+// machine), on one of two tiers.
 //
 // The executor is split compiler-style so per-run cost is pure execution:
 //
@@ -13,13 +12,28 @@
 // slot-resolved CompiledProgram form (partition/compiled_program.hpp):
 // dense channel ids, per-thread flat slot arrays, and pre-resolved operand
 // descriptors, one compiled op per source op — no associative lookups
-// remain on the run() path.  Every run builds
-// fresh channels, each a single-use SPSC buffer holding exactly the values
-// it carries over the run (runtime/spsc_ring.hpp): a send never waits,
-// only a receive does.  The threads are a WorkerPool's: the caller's, or
-// the process pool (runtime/worker_pool.hpp).
+// remain on the run() path.  The walk's last rule proves the program
+// cannot deadlock, so no run ever hangs.
 //
-// Memory discipline (race freedom by construction):
+// The two tiers compute the same values, bit for bit:
+//  * one thread (run_one_thread): the calling thread runs each compiled
+//    thread's ops in order until a receive finds its channel empty, then
+//    the next ready thread (run_round_robin).  A send never waits and
+//    every channel is FIFO with its iteration tag checked, so this order
+//    is one of the interleavings a gang can take.  It costs no thread
+//    handoff and no cache line crossing between CPUs, which on the hosts
+//    measured outweighs the parallelism of a plan whose work between
+//    receives is a few synthetic instances (DESIGN.md, "One thread or a
+//    gang");
+//  * a gang (run_gang): one WorkerPool worker per compiled thread, the
+//    caller's pool or the process pool (runtime/worker_pool.hpp), over
+//    fresh single-use SPSC buffers that each hold exactly the values they
+//    carry (runtime/spsc_ring.hpp), so only a receive waits.
+// run() takes the one-thread tier whenever the request allows it
+// (run_tier): no per-op work and no pinning.  Work per op is what makes
+// parallel execution pay, and pinning only means something for threads.
+//
+// Memory discipline of a gang (race freedom by construction):
 //  * results[v][i] is written by exactly the thread that computes (v, i);
 //  * a thread reads a slot only it wrote; every cross-thread operand
 //    arrives through a channel.
@@ -29,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "graph/ddg.hpp"
@@ -48,18 +63,20 @@ class WorkerPool;
 
 struct RunOptions {
   KernelOptions kernel;
-  /// The persistent pool whose workers run the compiled threads
-  /// (runtime/worker_pool.hpp).  Null (default): the process pool,
-  /// process_pool(), built on first use.  Non-owning; the pool must
-  /// outlive the run.  Results are bit-identical on any pool.
+  /// The persistent pool whose workers run a gang's compiled threads
+  /// (runtime/worker_pool.hpp); a one-thread run uses none.  Null
+  /// (default): the process pool, process_pool(), built on first use.
+  /// Non-owning; the pool must outlive the run.  Results are bit-identical
+  /// on any pool.
   WorkerPool* pool = nullptr;
-  /// Pin each compiled thread i to CPU ((slice + i) mod allowed CPUs) for
-  /// the duration of the run — the compiled thread order was frozen at
-  /// compile() time for exactly this, and the per-run rotating slice
-  /// gives concurrent pinned runs disjoint CPU ranges instead of stacking
-  /// them all on the first cores.  Masks restored afterwards; silently a
-  /// no-op where unsupported (affinity_supported()).  A placement hint
-  /// only: results are bit-identical pinned or not.
+  /// Run on a gang and pin each compiled thread i to CPU ((slice + i) mod
+  /// allowed CPUs) for the duration of the run — the compiled thread
+  /// order was frozen at compile() time for exactly this, and the per-run
+  /// rotating slice gives concurrent pinned runs disjoint CPU ranges
+  /// instead of stacking them all on the first cores.  Masks restored
+  /// afterwards; silently a no-op where unsupported
+  /// (affinity_supported()).  A placement hint only: results are
+  /// bit-identical pinned or not.
   bool pin_threads = false;
 
   RunOptions() = default;
@@ -68,26 +85,56 @@ struct RunOptions {
   RunOptions(const KernelOptions& k) : kernel(k) {}
 };
 
+/// Which threads execute a run of the interpreted plan.
+enum class RunTier : std::uint8_t {
+  OneThread,  ///< the calling thread, round-robin over the compiled threads
+  Gang,       ///< one pool worker per compiled thread
+};
+
+/// The tier ExecutorPlan::run takes for `opts`: OneThread for the default
+/// kernel (work_per_cycle 0, what jit_run_eligible accepts) without
+/// pinning, Gang otherwise.  Deliberately not a cost model: a model fed a
+/// measured message cost still sent some plans to a gang that ran several
+/// times slower (DESIGN.md, "One thread or a gang").
+[[nodiscard]] RunTier run_tier(const RunOptions& opts);
+
+/// A one-thread run that stopped with every unfinished compiled thread
+/// waiting at a receive.  compile() rejects every program that could
+/// (validator rule 4), so a plan never raises it; it is what the run does
+/// instead of spinning if that rule were ever wrong.
+class DeadlockError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
 /// A compiled, reusable execution plan.  Immutable after compile(): run()
 /// is const, thread-compatible, and bit-for-bit deterministic — two run()
-/// calls with equal arguments produce identical values.
+/// calls with equal arguments produce identical values, on either tier.
 class ExecutorPlan {
  public:
   ExecutorPlan() = default;
 
-  /// Execute the compiled iterations: `n` must equal
-  /// program().iterations (ContractViolation otherwise, before any thread
-  /// starts — a plan must not hand back rows it never computed).  Mid-run
-  /// channel violations (a FIFO tag mismatch or a send past its buffer)
-  /// are fatal: they fire on a worker thread, where the escaping exception
-  /// is std::terminate with the violation message, because a failed
-  /// worker cannot unwind the peers blocked on its channels.  A compiled
-  /// program cannot trigger one: the validator's rules give every channel
-  /// one producing and one consuming thread (one program per processor
-  /// id), exactly its send count in receives, and FIFO order.  A program
-  /// can still deadlock (ROADMAP item 3); that hangs instead.
+  /// Execute the compiled iterations on run_tier(opts)'s tier: `n` must
+  /// equal program().iterations (ContractViolation otherwise, before any
+  /// op runs — a plan must not hand back rows it never computed).
   [[nodiscard]] ExecutionResult run(std::int64_t n,
                                     const RunOptions& opts = {}) const;
+
+  /// The one-thread tier, whatever the options would choose.
+  [[nodiscard]] ExecutionResult run_one_thread(
+      std::int64_t n, const KernelOptions& kernel = {}) const;
+
+  /// The gang tier, whatever the options would choose.  Mid-run channel
+  /// violations (a FIFO tag mismatch or a send past its buffer) are fatal
+  /// here: they fire on a worker thread, where the escaping exception is
+  /// std::terminate with the violation message, because a failed worker
+  /// cannot unwind the peers blocked on its channels.  A compiled program
+  /// cannot trigger one: the validator's rules give every channel one
+  /// producing and one consuming thread (one program per processor id),
+  /// exactly its send count in receives, FIFO order, and a schedule that
+  /// finishes.
+  [[nodiscard]] ExecutionResult run_gang(std::int64_t n,
+                                         const RunOptions& opts = {}) const;
 
   [[nodiscard]] const CompiledProgram& program() const { return compiled_; }
   [[nodiscard]] const Ddg& graph() const { return graph_; }

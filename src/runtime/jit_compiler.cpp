@@ -322,8 +322,9 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
 #endif  // MIMD_JIT_DISABLED_REASON
 
 std::shared_ptr<const JitKernel> JitSlot::kernel() const {
-  if (state_.load(std::memory_order_acquire) != kReady) return nullptr;
-  return kernel_;
+  const int s = state_.load(std::memory_order_acquire);
+  if (s != kReady && s != kServing) return nullptr;
+  return kernel_.load();
 }
 
 bool JitSlot::in_flight() const {
@@ -331,8 +332,29 @@ bool JitSlot::in_flight() const {
   return s == kQueued || s == kCompiling;
 }
 
-bool JitSlot::failed() const {
-  return state_.load(std::memory_order_acquire) == kFailed;
+bool JitSlot::closed() const {
+  const int s = state_.load(std::memory_order_acquire);
+  return s == kFailed || s == kDropped;
+}
+
+bool JitSlot::judge_native_run(double seconds) {
+  if (state_.load(std::memory_order_acquire) != kReady) return false;
+  const std::uint64_t runs = interpreted_runs_.load(std::memory_order_relaxed);
+  int expected = kReady;
+  if (runs == 0 || seconds * static_cast<double>(runs) <
+                       interpreted_seconds_.load(std::memory_order_relaxed)) {
+    state_.compare_exchange_strong(expected, kServing,
+                                   std::memory_order_acq_rel);
+    return false;
+  }
+  if (slower_native_runs_.fetch_add(1, std::memory_order_relaxed) + 1 <
+          kNativeTrials ||
+      !state_.compare_exchange_strong(expected, kDropped,
+                                      std::memory_order_acq_rel)) {
+    return false;
+  }
+  kernel_.store(nullptr);
+  return true;
 }
 
 JitEngine::JitEngine(const JitOptions& opts) : opts_(opts) {
@@ -419,7 +441,7 @@ void JitEngine::worker() {
     try {
       // Publish-subscribe (McKenney): write the pointer, then
       // release-store Ready.  kernel() acquire-loads before reading.
-      job.slot->kernel_ = jit_compile(*job.plan, opts_);
+      job.slot->kernel_.store(jit_compile(*job.plan, opts_));
       job.slot->state_.store(JitSlot::kReady, std::memory_order_release);
       ok = true;
     } catch (const JitError&) {

@@ -3,9 +3,9 @@
 // shared-object kernel, the system toolchain compiles it (`cc -O2 -shared
 // -fPIC -pthread`), and dlopen() turns it into a function pointer the
 // serving stack can call instead of interpreting CompiledOps per
-// iteration.  EXPERIMENTS.md's interpreted-vs-generated-C gap becomes a
-// served-traffic win: for a long-lived daemon the one-time compile
-// amortizes to zero (ROADMAP, "as fast as the hardware allows").
+// iteration.  A kernel runs its threads as a gang of pool workers, so it
+// competes with the interpreted one-thread run (runtime/executor.hpp),
+// which pays no thread handoff.
 //
 // Layers:
 //  * jit_compile(plan) — synchronous emit + compile + dlopen, returning a
@@ -17,6 +17,10 @@
 //    release/acquire publish-subscribe discipline (McKenney, PAPERS.md):
 //    the compiler thread writes the kernel pointer, then release-stores
 //    Ready; readers acquire-load the state before touching the pointer.
+//    A published kernel is on trial: the first native run faster than
+//    the mean of the entry's interpreted runs keeps it, and
+//    JitSlot::kNativeTrials slower ones drop it for good (the slot never
+//    compiles again), so a kernel that does not pay stops costing.
 //  * JitEngine — one low-priority background compiler thread over a
 //    bounded queue (64 jobs), deduplicating by slot state (a slot is
 //    enqueued at most once; concurrent enqueues CAS Empty -> Queued and
@@ -34,9 +38,11 @@
 //
 // A compile is not free for the requests it runs beside: the worker is
 // SCHED_IDLE, but the `cc` it starts (100-300 ms of -O2) takes the CPU
-// that gang threads give up when they yield in a receive wait, so every
-// concurrent run slows while it compiles.  That is why a plan is compiled
-// only once its interpreted runs have cost as much as a compile.
+// that a gang's threads give up when they yield in a receive wait, so
+// every concurrent gang run (a pinned or per-op-work interpreted run, or
+// a native one) slows while it compiles.  One-thread runs never wait on a
+// receive and are only time-sliced with it.  That is why a plan is
+// compiled only once its interpreted runs have cost as much as a compile.
 //
 // Degradation: hosts without a working toolchain, builds with
 // MIMD_ENABLE_JIT=OFF (-DMIMD_JIT_DISABLED), and ThreadSanitizer builds
@@ -145,39 +151,65 @@ std::shared_ptr<const JitKernel> jit_compile(const ExecutorPlan& plan,
 [[nodiscard]] std::string jit_unavailable_reason(const JitOptions& opts = {});
 
 /// The atomically-published kernel slot a cache entry holds next to its
-/// interpreted plan, and the wall time the entry's kernel-eligible
-/// interpreted runs have taken so far (the sum PlanCache admits compiles
-/// by).  The state runs
-///   Empty -> Queued -> Compiling -> Ready | Failed,
-/// with Queued claimed by CAS so concurrent enqueues of one slot queue it
-/// once, and every later transition made by the engine thread.  Failed is
-/// terminal; a dropped enqueue reverts to Empty.
+/// interpreted plan; the entry's kernel-eligible interpreted runs so far
+/// (their total wall time, the sum PlanCache admits compiles by, and
+/// their count, for the mean a native run must beat); and the verdict on
+/// the published kernel.  The state runs
+///   Empty -> Queued -> Compiling -> Ready -> Serving | Dropped,
+/// or Compiling -> Failed, with Queued claimed by CAS so concurrent
+/// enqueues of one slot queue it once, the compile's transitions made by
+/// the engine thread, and the verdict by judge_native_run.  Serving,
+/// Dropped and Failed are terminal; a dropped enqueue reverts to Empty.
 class JitSlot {
  public:
-  /// The published kernel, or null while Empty/Queued/Compiling/Failed.
+  /// Native runs slower than the interpreted mean that drop a kernel.
+  static constexpr int kNativeTrials = 3;
+
+  /// The kernel to run: the published kernel while it is on trial (Ready)
+  /// or kept (Serving), null otherwise.
   [[nodiscard]] std::shared_ptr<const JitKernel> kernel() const;
   /// Queued or Compiling — the cache pins such entries against eviction
   /// so the compile's result is never published into a dead slot.
   [[nodiscard]] bool in_flight() const;
-  [[nodiscard]] bool failed() const;
+  /// Failed or Dropped: this entry will never run native.
+  [[nodiscard]] bool closed() const;
   /// Add one finished interpreted run's wall time.
   void add_interpreted_seconds(double seconds) {
     interpreted_seconds_.fetch_add(seconds, std::memory_order_relaxed);
+    interpreted_runs_.fetch_add(1, std::memory_order_relaxed);
   }
   [[nodiscard]] double interpreted_seconds() const {
     return interpreted_seconds_.load(std::memory_order_relaxed);
   }
+  /// Judge one native run of the kernel on trial against the mean of the
+  /// entry's interpreted runs (any run wins when there were none): the
+  /// first faster run keeps the kernel; the kNativeTrials-th slower one
+  /// drops it, releasing the kernel for good, and the entry never
+  /// compiles again.  Returns true iff this call dropped it; a no-op once
+  /// the kernel is kept or dropped.
+  bool judge_native_run(double seconds);
 
  private:
   friend class JitEngine;
 
-  enum State : int { kEmpty = 0, kQueued, kCompiling, kReady, kFailed };
+  enum State : int {
+    kEmpty = 0,
+    kQueued,
+    kCompiling,
+    kReady,
+    kServing,
+    kFailed,
+    kDropped,
+  };
 
   std::atomic<int> state_{kEmpty};
   std::atomic<double> interpreted_seconds_{0.0};
-  /// Written by the engine thread strictly before the release-store of
-  /// kReady; read only after an acquire-load observes kReady.
-  std::shared_ptr<const JitKernel> kernel_;
+  std::atomic<std::uint64_t> interpreted_runs_{0};
+  std::atomic<int> slower_native_runs_{0};
+  /// Stored by the engine thread strictly before the release-store of
+  /// kReady, read only after an acquire-load observes kReady or kServing,
+  /// and cleared by the run that drops it.
+  std::atomic<std::shared_ptr<const JitKernel>> kernel_;
 };
 
 /// The background compiler: one low-priority thread, bounded queue,

@@ -137,7 +137,7 @@ std::shared_ptr<const JitKernel> PlanCache::kernel_for_run(
   if (entry.jit == nullptr) return nullptr;
   std::shared_ptr<const JitKernel> kernel = entry.jit->kernel();
   if (kernel != nullptr || engine_ == nullptr || !engine_->available() ||
-      !jit_run_eligible(opts)) {
+      !jit_run_eligible(opts) || entry.jit->closed()) {
     return kernel;
   }
   // Rent or buy: keep interpreting until the earlier runs have cost one
@@ -145,7 +145,7 @@ std::shared_ptr<const JitKernel> PlanCache::kernel_for_run(
   if (entry.jit->interpreted_seconds() >=
       engine_->expected_compile_seconds()) {
     engine_->enqueue(entry.jit, entry.plan);
-  } else if (!entry.jit->in_flight() && !entry.jit->failed()) {
+  } else if (!entry.jit->in_flight()) {
     jit_deferred_runs_.fetch_add(1, std::memory_order_relaxed);
   }
   return nullptr;
@@ -156,6 +156,12 @@ void PlanCache::record_run(const CachedPlan& entry, const RunOptions& opts,
   if (entry.jit != nullptr && jit_run_eligible(opts) &&
       entry.jit->kernel() == nullptr) {
     entry.jit->add_interpreted_seconds(seconds);
+  }
+}
+
+void PlanCache::record_native_run(const CachedPlan& entry, double seconds) {
+  if (entry.jit != nullptr && entry.jit->judge_native_run(seconds)) {
+    jit_dropped_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -179,6 +185,7 @@ PlanCache::Stats PlanCache::stats() const {
     s.jit_compile_estimate_us = static_cast<std::uint64_t>(
         std::llround(engine_->expected_compile_seconds() * 1e6));
     s.jit_deferred_runs = jit_deferred_runs_.load(std::memory_order_relaxed);
+    s.jit_dropped = jit_dropped_.load(std::memory_order_relaxed);
   }
   const std::lock_guard<std::mutex> lock(mu_);
   s.hits = hits_;

@@ -37,18 +37,23 @@
 // run asks kernel_for_run() for its kernel, and that one call is the
 // admission rule; record_run() adds each finished interpreted run's wall
 // time to the entry.  The rule is rent-or-buy: a `cc -O2` costs 100-300
-// ms of CPU taken from every concurrent run, so an entry keeps paying per
-// interpreted run until its earlier runs have together taken the
-// engine's expected compile time (JitEngine::expected_compile_seconds,
+// ms of CPU taken from every concurrent gang run, so an entry keeps
+// paying per interpreted run until its earlier runs have together taken
+// the engine's expected compile time (JitEngine::expected_compile_seconds,
 // measured, never configured), and the run after that queues the
-// background compile; runs after the publish go native.  The sum is zero
-// before a plan's second run, so a plan run once never starts the
-// compiler, whatever connection or batch it came from, and a plan whose
-// runs are long next to a compile goes native from its second run.
-// prewarm() queues a compile at once, for callers that know a plan will
-// run (mimdc --batch --jit).  Entries whose kernel compile is in flight
-// are pinned against eviction *and* clear() — evicting one would publish
-// a freshly-built kernel into a slot the cache can no longer reach.
+// background compile.  The sum is zero before a plan's second run, so a
+// plan run once never starts the compiler, whatever connection or batch
+// it came from.  Runs after the publish go native on trial:
+// record_native_run() judges each against the mean of the entry's
+// interpreted runs, which are one-thread runs unless the caller pinned
+// them.  The first faster run keeps the kernel; JitSlot::kNativeTrials
+// slower ones drop it, and that entry never compiles again.  A native
+// kernel runs on a gang, and a gang's handoffs can cost more than the
+// plan's work (DESIGN.md, "JIT plans").  prewarm() queues a compile at
+// once, for callers that know a plan will run (mimdc --batch --jit).
+// Entries whose kernel compile is in flight are pinned against eviction
+// *and* clear() — evicting one would publish a freshly-built kernel into
+// a slot the cache can no longer reach.
 #pragma once
 
 #include <atomic>
@@ -83,6 +88,9 @@ class PlanCache {
     /// Eligible runs served interpreted because their entry's runs had
     /// not yet taken a compile's time.
     std::uint64_t jit_deferred_runs = 0;
+    /// Published kernels dropped because their native runs did not beat
+    /// the entry's interpreted runs.
+    std::uint64_t jit_dropped = 0;
   };
 
   /// JIT policy for this cache.  Disabled by default: a plain PlanCache
@@ -122,21 +130,30 @@ class PlanCache {
                                 const CompileOptions& copts = {});
 
   /// The kernel for one run of `entry` under `opts`: the published
-  /// kernel, or null (dispatch_resolved then picks the tier).  While no
-  /// kernel is published, a jit_run_eligible run whose entry's recorded
-  /// interpreted time has reached expected_jit_compile_seconds() queues
-  /// the native compile (the slot's CAS keeps it to one, and a compile
-  /// dropped by a full queue is queued again by the next run); an
-  /// eligible run whose entry has not paid yet counts as deferred.
+  /// kernel (on trial or kept), or null (dispatch_resolved then
+  /// interprets).  While no kernel is published, a jit_run_eligible run
+  /// whose entry's recorded interpreted time has reached
+  /// expected_jit_compile_seconds() queues the native compile (the slot's
+  /// CAS keeps it to one, and a compile dropped by a full queue is queued
+  /// again by the next run); an eligible run whose entry has not paid yet
+  /// counts as deferred.  An entry whose compile failed or whose kernel
+  /// was dropped gets null and queues nothing.
   std::shared_ptr<const JitKernel> kernel_for_run(const CachedPlan& entry,
                                                   const RunOptions& opts);
 
-  /// Report one finished run of `entry`: its wall time counts toward the
-  /// entry's compile when the run was jit_run_eligible and no kernel is
-  /// published (so it ran interpreted).  run_cached() (plan_service.hpp)
-  /// makes this call for every run the daemon and run_batch serve.
+  /// Report one finished interpreted run of `entry`: its wall time counts
+  /// toward the entry's compile, and toward the mean a native run must
+  /// beat, when the run was jit_run_eligible and no kernel is published.
+  /// run_cached() (plan_service.hpp) makes this call, or
+  /// record_native_run, for every run the daemon and run_batch serve.
   void record_run(const CachedPlan& entry, const RunOptions& opts,
                   double seconds);
+
+  /// Report one finished native run of `entry`: the kernel on trial is
+  /// kept if `seconds` beats the mean of the entry's interpreted runs,
+  /// and dropped (counted in Stats::jit_dropped) after
+  /// JitSlot::kNativeTrials runs that do not (JitSlot::judge_native_run).
+  void record_native_run(const CachedPlan& entry, double seconds);
 
   /// The engine's expected compile time, in seconds (0 when JIT is off).
   [[nodiscard]] double expected_jit_compile_seconds() const;
@@ -197,6 +214,7 @@ class PlanCache {
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
   std::atomic<std::uint64_t> jit_deferred_runs_{0};
+  std::atomic<std::uint64_t> jit_dropped_{0};
   /// Non-null iff JitConfig::enabled; owns the background compiler
   /// thread.  Destroyed before the entries (declaration order), so the
   /// worker never outlives the slots it publishes into.

@@ -344,13 +344,17 @@ wire::StatsReply PlanServer::stats() const {
   s.jit_compiles = s.cache.jit_compiles;
   s.jit_failures = s.cache.jit_failures;
   s.jit_in_flight = s.cache.jit_in_flight;
-  s.jit_native_runs = jit_runs_.native.load(std::memory_order_relaxed);
-  s.jit_interpreted_runs =
-      jit_runs_.interpreted.load(std::memory_order_relaxed);
-  s.jit_ineligible_runs =
-      jit_runs_.ineligible.load(std::memory_order_relaxed);
+  if (s.cache.jit_enabled) {
+    s.jit_native_runs = runs_.native.load(std::memory_order_relaxed);
+    s.jit_interpreted_runs =
+        runs_.interpreted.load(std::memory_order_relaxed);
+    s.jit_ineligible_runs = runs_.ineligible.load(std::memory_order_relaxed);
+  }
   s.jit_compile_estimate_us = s.cache.jit_compile_estimate_us;
   s.jit_deferred_runs = s.cache.jit_deferred_runs;
+  s.one_thread_runs = runs_.one_thread.load(std::memory_order_relaxed);
+  s.gang_runs = runs_.gang.load(std::memory_order_relaxed);
+  s.jit_dropped_kernels = s.cache.jit_dropped;
   return s;
 }
 
@@ -804,11 +808,6 @@ void PlanServer::process_task(Task& t) {
     return it->second;
   };
 
-  // Native-vs-interpreted tallies count only while JIT is live, so
-  // --jit=off keeps every jit stat at zero.
-  JitRunCounters* const jit_counters =
-      cache_.jit_available() ? &jit_runs_ : nullptr;
-
   wire::FrameType reply_type = wire::FrameType::Error;
   std::vector<std::uint8_t> reply;
   bool struck = false;
@@ -882,12 +881,13 @@ void PlanServer::process_task(Task& t) {
                                      : plan->program().iterations;
           check_reply_fits_frame(estimated_result_bytes(*plan, n));
           // Native once a compile has published (bit-identical with the
-          // interpreted run), interpreted meanwhile; run_cached reports
-          // the run to the cache, which queues the compile once the
-          // entry's interpreted runs have taken a compile's time.
+          // interpreted run), interpreted meanwhile, on this handler's
+          // thread unless the request asks for per-op work or pinning;
+          // run_cached reports the run to the cache, which queues the
+          // compile once the entry's interpreted runs have taken a
+          // compile's time and keeps the kernel only if it runs faster.
           const ExecutionResult result = run_cached(
-              cache_, entry, n, to_run_options(req.opts, &pool_),
-              jit_counters);
+              cache_, entry, n, to_run_options(req.opts, &pool_), &runs_);
           runs_executed_.fetch_add(1, std::memory_order_relaxed);
           reply_type = wire::FrameType::RunReply;
           reply = wire::encode_run_reply(result);

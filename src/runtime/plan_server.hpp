@@ -260,8 +260,9 @@ class PlanServer {
   std::atomic<std::uint64_t> registry_quota_trips_{0};
   std::atomic<std::uint64_t> quota_disconnects_{0};
   std::atomic<std::uint64_t> accept_backoffs_{0};
-  /// Tallied only while JIT is live, so --jit=off reports all zeros.
-  JitRunCounters jit_runs_;
+  /// Every run's tier; stats() reports the native/interpreted split only
+  /// while JIT is live, so --jit=off keeps every jit stat at zero.
+  RunCounters runs_;
 };
 
 }  // namespace mimd

@@ -60,7 +60,7 @@ void drive_indexed(std::size_t count, std::size_t concurrency,
 ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
                                   const std::shared_ptr<const JitKernel>& kernel,
                                   std::int64_t n, const RunOptions& opts,
-                                  JitRunCounters* counters) {
+                                  RunCounters* counters) {
   if (kernel && jit_run_eligible(opts)) {
     ExecutionResult r = kernel->run_pooled(n, opts.pool, opts.pin_threads);
     if (counters) counters->native.fetch_add(1, std::memory_order_relaxed);
@@ -70,16 +70,28 @@ ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
   if (counters) {
     counters->interpreted.fetch_add(1, std::memory_order_relaxed);
     if (kernel) counters->ineligible.fetch_add(1, std::memory_order_relaxed);
+    (run_tier(opts) == RunTier::OneThread ? counters->one_thread
+                                          : counters->gang)
+        .fetch_add(1, std::memory_order_relaxed);
   }
   return r;
 }
 
 ExecutionResult run_cached(PlanCache& cache, const PlanCache::CachedPlan& entry,
                            std::int64_t n, const RunOptions& opts,
-                           JitRunCounters* counters) {
-  ExecutionResult r = dispatch_resolved(
-      *entry.plan, cache.kernel_for_run(entry, opts), n, opts, counters);
-  cache.record_run(entry, opts, r.wall_seconds);
+                           RunCounters* counters) {
+  const std::shared_ptr<const JitKernel> kernel =
+      cache.kernel_for_run(entry, opts);
+  const auto t0 = std::chrono::steady_clock::now();
+  ExecutionResult r = dispatch_resolved(*entry.plan, kernel, n, opts, counters);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  if (kernel && jit_run_eligible(opts)) {
+    cache.record_native_run(entry, seconds);
+  } else {
+    cache.record_run(entry, opts, seconds);
+  }
   return r;
 }
 
@@ -94,7 +106,7 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
 
   const auto t0 = std::chrono::steady_clock::now();
   std::exception_ptr error;
-  JitRunCounters counters;
+  RunCounters counters;
   try {
     drive_indexed(jobs.size(), concurrency, [&](std::size_t i) {
       const BatchJob& job = jobs[i];

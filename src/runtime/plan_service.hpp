@@ -12,10 +12,10 @@
 //
 // Concurrency shape: `concurrency` driver threads pull jobs from a
 // shared cursor; each driver resolves its job's plan in the cache and
-// runs it on the pool.  Driver threads are plain std::threads (they
-// spend their life blocked in run_gang), the pool's workers do the
-// actual loop execution.  Results land in per-job slots, so the output
-// vector is in job order regardless of completion order.
+// runs it: on its own thread (the one-thread tier, runtime/executor.hpp)
+// unless the job asks for per-op work or pinning, or runs native, which
+// go to the pool's workers as a gang.  Results land in per-job slots, so
+// the output vector is in job order regardless of completion order.
 //
 // mimdc --batch <dir> and bench_plan_service are the two callers.
 #pragma once
@@ -45,38 +45,43 @@ struct BatchJob {
   RunOptions ropts;
 };
 
-/// How the native tier served runs, tallied by dispatch_resolved.
-/// Atomic, so run_batch's concurrent threads and the daemon's handlers
-/// share one tally.  `native` counts kernel-served runs, `interpreted` the
-/// rest; `ineligible` is the subset of `interpreted` that had a published
-/// kernel but whose request shape fell outside what the kernel
-/// implements — the counter that tells an operator why warm traffic
-/// isn't native.
-struct JitRunCounters {
+/// Which tier served runs, tallied by dispatch_resolved.  Atomic, so
+/// run_batch's concurrent threads and the daemon's handlers share one
+/// tally.  `native` counts kernel-served runs and `interpreted` the rest,
+/// which `one_thread` and `gang` split by run_tier; `ineligible` is the
+/// subset of `interpreted` that had a published kernel but whose request
+/// shape fell outside what the kernel implements — the counter that
+/// tells an operator why warm traffic isn't native.
+struct RunCounters {
   std::atomic<std::uint64_t> native{0};
   std::atomic<std::uint64_t> interpreted{0};
   std::atomic<std::uint64_t> ineligible{0};
+  std::atomic<std::uint64_t> one_thread{0};
+  std::atomic<std::uint64_t> gang{0};
 };
 
-/// The one native-vs-interpreted dispatch rule: run `kernel` on the
-/// caller's pool when it is published and `opts` is jit_run_eligible;
-/// otherwise interpret `plan`.  Bit-identical either way — the kernel is
+/// The one dispatch rule: run `kernel` on the caller's pool when it is
+/// published and `opts` is jit_run_eligible; otherwise interpret `plan`
+/// on run_tier(opts)'s tier.  Bit-identical either way — the kernel is
 /// the same CompiledProgram lowered through the C backend.  `n` must be
-/// the compiled iteration count (both paths raise ContractViolation
-/// otherwise, before any thread starts).  `counters`, when non-null,
-/// receives one tally once the run has completed.
+/// the compiled iteration count (every path raises ContractViolation
+/// otherwise, before any op runs).  `counters`, when non-null, receives
+/// one tally once the run has completed.
 ExecutionResult dispatch_resolved(const ExecutorPlan& plan,
                                   const std::shared_ptr<const JitKernel>& kernel,
                                   std::int64_t n, const RunOptions& opts,
-                                  JitRunCounters* counters);
+                                  RunCounters* counters);
 
 /// One run of a cached plan, the way the daemon's Run handler and
 /// run_batch serve it: the entry's kernel from cache.kernel_for_run (which
-/// may queue its compile), dispatch_resolved, then cache.record_run with
-/// the run's wall time, so the JIT's admission rule sees every run.
+/// may queue its compile), dispatch_resolved, then the call's wall time
+/// (result allocation included, so both tiers pay the same costs) to
+/// cache.record_native_run for a native run or cache.record_run
+/// otherwise, so the JIT's admission and its measured comparison see
+/// every run.
 ExecutionResult run_cached(PlanCache& cache, const PlanCache::CachedPlan& entry,
                            std::int64_t n, const RunOptions& opts,
-                           JitRunCounters* counters);
+                           RunCounters* counters);
 
 struct BatchReport {
   /// One result per job, in job order.

@@ -313,6 +313,9 @@ std::vector<std::uint8_t> encode_stats_reply(const StatsReply& m) {
   e.u64(m.jit_ineligible_runs);
   e.u64(m.jit_compile_estimate_us);
   e.u64(m.jit_deferred_runs);
+  e.u64(m.one_thread_runs);
+  e.u64(m.gang_runs);
+  e.u64(m.jit_dropped_kernels);
   return e.take();
 }
 
@@ -343,6 +346,9 @@ StatsReply decode_stats_reply(const std::vector<std::uint8_t>& payload) {
   m.jit_ineligible_runs = d.u64();
   m.jit_compile_estimate_us = d.u64();
   m.jit_deferred_runs = d.u64();
+  m.one_thread_runs = d.u64();
+  m.gang_runs = d.u64();
+  m.jit_dropped_kernels = d.u64();
   d.expect_done();
   return m;
 }

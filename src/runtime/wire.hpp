@@ -294,6 +294,14 @@ struct StatsReply {
   /// entry's runs had not yet taken that long in total.
   std::uint64_t jit_compile_estimate_us = 0;
   std::uint64_t jit_deferred_runs = 0;
+  /// Which tier ran each interpreted run (runtime/executor.hpp, run_tier):
+  /// the handler's own thread, or a gang of pool workers.  Native runs,
+  /// always a gang, are jit_native_runs.
+  std::uint64_t one_thread_runs = 0;
+  std::uint64_t gang_runs = 0;
+  /// Published kernels dropped because their native runs did not beat
+  /// the entry's interpreted runs (PlanCache::record_native_run).
+  std::uint64_t jit_dropped_kernels = 0;
 };
 
 [[nodiscard]] std::vector<std::uint8_t> encode_submit_program(

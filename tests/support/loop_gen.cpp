@@ -137,6 +137,101 @@ PartitionedProgram mutated_program(const PartitionedProgram& p,
   return out;
 }
 
+PartitionedProgram cross_wait_mutant(const PartitionedProgram& p,
+                                     std::mt19937_64& rng) {
+  PartitionedProgram out = p;
+  // Each receive that can move: (program, op, the place it moves to).
+  struct Move {
+    std::size_t program, from, to;
+  };
+  std::vector<Move> moves;
+  for (std::size_t i = 0; i < out.programs.size(); ++i) {
+    const std::vector<Op>& ops = out.programs[i].ops;
+    for (std::size_t j = 0; j < ops.size(); ++j) {
+      if (ops[j].kind != Op::Kind::Receive) continue;
+      std::size_t to = 0;
+      for (std::size_t k = j; k-- > 0;) {
+        if (ops[k].kind == Op::Kind::Receive && ops[k].edge == ops[j].edge &&
+            ops[k].peer == ops[j].peer) {
+          to = k + 1;
+          break;
+        }
+      }
+      if (to < j) moves.push_back({i, j, to});
+    }
+  }
+  if (moves.empty()) return out;
+  const Move m = moves[rng() % moves.size()];
+  std::vector<Op>& ops = out.programs[m.program].ops;
+  const Op receive = ops[m.from];
+  ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(m.from));
+  ops.insert(ops.begin() + static_cast<std::ptrdiff_t>(m.to), receive);
+  return out;
+}
+
+PartitionedProgram circular_forward_mutant(const PartitionedProgram& p,
+                                           std::mt19937_64& rng) {
+  PartitionedProgram out = p;
+  std::vector<const Op*> sends;
+  for (const ProcessorProgram& prog : p.programs) {
+    for (const Op& op : prog.ops) {
+      if (op.kind == Op::Kind::Send) sends.push_back(&op);
+    }
+  }
+  if (out.programs.size() < 2 || sends.empty()) return out;
+  const Op& value = *sends[rng() % sends.size()];
+  const std::size_t a = rng() % out.programs.size();
+  const std::size_t b =
+      (a + 1 + rng() % (out.programs.size() - 1)) % out.programs.size();
+  const auto forward = [&](std::size_t self, std::size_t peer) {
+    std::vector<Op>& ops = out.programs[self].ops;
+    const int from = out.programs[peer].proc;
+    ops.insert(ops.begin(),
+               {Op{Op::Kind::Receive, value.inst, value.edge, from},
+                Op{Op::Kind::Send, value.inst, value.edge, from}});
+  };
+  forward(a, b);
+  forward(b, a);
+  return out;
+}
+
+HandBuiltLoop two_node_cross_wait() {
+  HandBuiltLoop l;
+  const NodeId a = l.graph.add_node("A");
+  const NodeId b = l.graph.add_node("B");
+  const EdgeId ab = l.graph.add_edge(a, b, 1);
+  const EdgeId ba = l.graph.add_edge(b, a, 1);
+  l.program.processors = 2;
+  l.program.programs.resize(2);
+  l.program.programs[0].proc = 0;
+  l.program.programs[1].proc = 1;
+  l.program.programs[0].ops = {
+      Op{Op::Kind::Receive, Inst{b, 1}, ba, 1},
+      Op{Op::Kind::Compute, Inst{a, 2}, 0, -1},
+      Op{Op::Kind::Compute, Inst{a, 0}, 0, -1},
+      Op{Op::Kind::Send, Inst{a, 0}, ab, 1},
+  };
+  l.program.programs[1].ops = {
+      Op{Op::Kind::Receive, Inst{a, 0}, ab, 0},
+      Op{Op::Kind::Compute, Inst{b, 1}, 0, -1},
+      Op{Op::Kind::Send, Inst{b, 1}, ba, 0},
+  };
+  return l;
+}
+
+std::string tiers_off_reference(const ExecutorPlan& plan, WorkerPool* pool) {
+  const std::int64_t n = plan.program().iterations;
+  const ExecutionResult reference = run_reference(plan.graph(), n);
+  RunOptions gang;
+  gang.pool = pool;
+  std::string off;
+  if (!values_match(plan.run_one_thread(n), reference, n)) off = "one-thread";
+  if (!values_match(plan.run_gang(n, gang), reference, n)) {
+    off += off.empty() ? "gang" : ", gang";
+  }
+  return off;
+}
+
 Ddg renamed_copy(const Ddg& g, const std::string& prefix) {
   Ddg copy;
   for (const Node& n : g.nodes()) {

@@ -25,6 +25,7 @@
 
 #include "graph/ddg.hpp"
 #include "partition/partitioned_loop.hpp"
+#include "runtime/executor.hpp"
 #include "schedule/machine.hpp"
 
 namespace mimd::testsupport {
@@ -64,6 +65,38 @@ GeneratedLoop generate_loop(std::uint64_t seed, const LoopGenOptions& opts = {})
 /// digests draw their mutants from here.
 PartitionedProgram mutated_program(const PartitionedProgram& p,
                                    std::mt19937_64& rng);
+
+/// A copy of `p` in which processors can wait on each other: one seeded
+/// receive moves to the front of its program, behind every earlier
+/// receive of its own channel (so FIFO order still holds) but ahead of
+/// the sends its peer may be waiting for.  Unchanged when no receive can
+/// move.
+PartitionedProgram cross_wait_mutant(const PartitionedProgram& p,
+                                     std::mt19937_64& rng);
+
+/// A copy of `p` in which two seeded processors forward one value in a
+/// circle: each now starts by receiving the value of one of `p`'s sends
+/// from the other and sending it back, so both wait forever.  Unchanged
+/// when `p` has fewer than two programs or no send.
+PartitionedProgram circular_forward_mutant(const PartitionedProgram& p,
+                                           std::mt19937_64& rng);
+
+/// The smallest deadlock the validator's first rules all pass (two nodes
+/// A and B, edges A->B and B->A at distance 1): PE0 receives B@1 from
+/// PE1, computes A@2 and A@0 and sends A@0; PE1 receives A@0, computes
+/// B@1 and sends it.  Each waits for the other's send.
+struct HandBuiltLoop {
+  Ddg graph;
+  PartitionedProgram program;
+};
+HandBuiltLoop two_node_cross_wait();
+
+/// The interpreted tiers whose run of `plan` over its n iterations
+/// differs from run_reference: "" when both match bit for bit, else
+/// "one-thread", "gang" or "one-thread, gang".  The gang runs on `pool`,
+/// or on the process pool when null.
+std::string tiers_off_reference(const ExecutorPlan& plan,
+                                WorkerPool* pool = nullptr);
 
 /// The six hot structures of perfbench's `warm-serve` and `mixed-n`
 /// workloads, by name: fig7, cytron86, elliptic, LL18, LL6, LL20.

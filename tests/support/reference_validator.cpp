@@ -108,6 +108,38 @@ std::optional<std::string> reference_program_violation(
       return msg.str();
     }
   }
+
+  // Added: no deadlock.  Passes over the processors in program order, each
+  // advancing until a receive finds its channel empty; the run is over
+  // when a pass makes no progress, and whatever is left waits forever.
+  std::map<Chan, int> in_flight;
+  std::vector<std::size_t> pc(p.programs.size(), 0);
+  for (bool progressed = true; progressed;) {
+    progressed = false;
+    for (std::size_t q = 0; q < p.programs.size(); ++q) {
+      const ProcessorProgram& prog = p.programs[q];
+      for (; pc[q] < prog.ops.size(); ++pc[q], progressed = true) {
+        const Op& op = prog.ops[pc[q]];
+        if (op.kind == Op::Kind::Send) {
+          ++in_flight[{op.edge, prog.proc, op.peer}];
+        } else if (op.kind == Op::Kind::Receive) {
+          int& queued = in_flight[{op.edge, op.peer, prog.proc}];
+          if (queued == 0) break;
+          --queued;
+        }
+      }
+    }
+  }
+  std::ostringstream stuck;
+  for (std::size_t q = 0; q < p.programs.size(); ++q) {
+    const ProcessorProgram& prog = p.programs[q];
+    if (pc[q] == prog.ops.size()) continue;
+    const Op& op = prog.ops[pc[q]];
+    stuck << (stuck.tellp() == 0 ? "deadlock: PE" : ", PE") << prog.proc
+          << " waits at receive of " << g.node(op.inst.node).name << "@"
+          << op.inst.iter << " from PE" << op.peer;
+  }
+  if (stuck.tellp() > 0) return stuck.str();
   return std::nullopt;
 }
 

@@ -7,9 +7,11 @@
 #include "partition/compiled_program.hpp"
 #include "partition/lowering.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/worker_pool.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
 #include "support/assert.hpp"
+#include "support/loop_gen.hpp"
 #include "workloads/livermore.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
@@ -203,7 +205,7 @@ TEST(CompiledProgram, ConsumersReadingOutOfChannelOrderRunBitIdentical) {
                        Op{Op::Kind::Compute, Inst{b, 1}, 0, -1}};
   const ExecutorPlan plan = compile(p, g);
   EXPECT_EQ(plan.program().count(CompiledOp::Kind::Receive), 2u);
-  expect_equal_values(plan.run(2), run_sequential(g, 2), 2);
+  EXPECT_EQ(testsupport::tiers_off_reference(plan), "");
 }
 
 TEST(CompiledProgram, ComputeAtTheLargestIterationSaturatesTheCount) {
@@ -246,7 +248,7 @@ TEST(ExecutorPlan, BothTransportsMatchSequential) {
   ASSERT_TRUE(r.pattern.has_value());
   const ExecutorPlan plan =
       compile(lower(materialize(*r.pattern, m.processors, n), g), g);
-  expect_equal_values(plan.run(n), run_sequential(g, n), n);
+  EXPECT_EQ(testsupport::tiers_off_reference(plan), "");
 }
 
 TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
@@ -258,8 +260,36 @@ TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
     ASSERT_TRUE(r.pattern.has_value());
     const ExecutorPlan plan =
         compile(lower(materialize(*r.pattern, m.processors, n), g), g);
-    expect_equal_values(plan.run(n), run_sequential(g, n), n);
+    EXPECT_EQ(testsupport::tiers_off_reference(plan), "") << "seed " << seed;
   }
+}
+
+TEST(ExecutorPlan, TheOptionsPickTheTierAndBothTiersAgree) {
+  // The default kernel without pinning runs on the calling thread; per-op
+  // work or pinning takes a gang of the pool.  Same values either way,
+  // under the kernel options each run asked for.
+  RunOptions opts;
+  EXPECT_EQ(run_tier(opts), RunTier::OneThread);
+  opts.pin_threads = true;
+  EXPECT_EQ(run_tier(opts), RunTier::Gang);
+  RunOptions busy;
+  busy.kernel.work_per_cycle = 3;
+  EXPECT_EQ(run_tier(busy), RunTier::Gang);
+
+  const Ddg g = workloads::fig7_loop();
+  const std::int64_t n = 24;
+  const ExecutorPlan plan = compile(fig7_program(g, n), g);
+  WorkerPool pool;
+  RunOptions on_pool;
+  on_pool.pool = &pool;
+  expect_equal_values(plan.run(n, on_pool), run_sequential(g, n), n);
+  EXPECT_EQ(pool.gangs_run(), 0u);
+  busy.pool = &pool;
+  const auto busy_reference = run_sequential(g, n, busy.kernel);
+  expect_equal_values(plan.run(n, busy), busy_reference, n);
+  EXPECT_EQ(pool.gangs_run(), 1u);
+  expect_equal_values(plan.run_one_thread(n, busy.kernel), busy_reference, n);
+  EXPECT_EQ(pool.gangs_run(), 1u);
 }
 
 TEST(ExecutorPlan, RunRejectsTooFewIterations) {
@@ -267,6 +297,7 @@ TEST(ExecutorPlan, RunRejectsTooFewIterations) {
   const ExecutorPlan plan = compile(fig7_program(g, 20), g);
   EXPECT_EQ(plan.program().iterations, 20);
   EXPECT_THROW((void)plan.run(10), ContractViolation);
+  EXPECT_THROW((void)plan.run_gang(10), ContractViolation);
 }
 
 TEST(ExecutorPlan, RunRejectsIterationsPastTheCompiledCount) {

@@ -90,6 +90,7 @@ TEST(JitCompiler, FuzzDifferentialNativeVsInterpretedVsSequential) {
         << gl.tag << ": native vs interpreted";
     EXPECT_TRUE(values_match(native, seq, gl.iterations))
         << gl.tag << ": native vs sequential";
+    EXPECT_EQ(testsupport::tiers_off_reference(plan, &pool), "") << gl.tag;
   }
   EXPECT_GT(pool.gangs_run(), 0u);
 }

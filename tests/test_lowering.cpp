@@ -9,7 +9,9 @@
 #include "partition/lowering.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
+#include "support/loop_gen.hpp"
 #include "support/reference_schedule.hpp"
+#include "support/reference_validator.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
 
@@ -168,6 +170,24 @@ TEST(ProgramViolation, DetectsSendBeforeCompute) {
   const auto v = find_program_violation(p, g);
   ASSERT_TRUE(v.has_value());
   EXPECT_NE(v->find("before it is computed"), std::string::npos);
+}
+
+TEST(ProgramViolation, DetectsCrossWaitDeadlockAndNamesTheStuckReceives) {
+  // Every rule before rule 4 passes; each processor waits for the other.
+  const testsupport::HandBuiltLoop l = testsupport::two_node_cross_wait();
+  const std::string want =
+      "deadlock: PE0 waits at receive of B@1 from PE1, PE1 waits at "
+      "receive of A@0 from PE0";
+  EXPECT_EQ(find_program_violation(l.program, l.graph), want);
+  EXPECT_EQ(testsupport::reference_program_violation(l.program, l.graph),
+            want);
+  EXPECT_THROW((void)compile_program(l.program, l.graph), ContractViolation);
+
+  // Moving PE0's send of A@0 ahead of its receive removes the deadlock.
+  PartitionedProgram fixed = l.program;
+  std::vector<Op>& pe0 = fixed.programs[0].ops;
+  std::rotate(pe0.begin(), pe0.begin() + 2, pe0.end());
+  EXPECT_EQ(find_program_violation(fixed, l.graph), std::nullopt);
 }
 
 TEST(ProgramViolation, DetectsFifoInversion) {

@@ -366,10 +366,8 @@ TEST_P(OptFuzz, OptimizedMatchesUnoptimizedAndSequential) {
   auto run_against_sequential = [](const ParallelizeResult& r,
                                    const CompileOptions& co) {
     const ExecutorPlan plan = compile(r.program, r.normalized.graph, co);
-    EXPECT_TRUE(values_match(
-        plan.run(r.normalized_iterations),
-        run_reference(r.normalized.graph, r.normalized_iterations),
-        r.normalized_iterations));
+    ASSERT_EQ(plan.program().iterations, r.normalized_iterations);
+    EXPECT_EQ(testsupport::tiers_off_reference(plan), "");
   };
   for (const ir::Loop& strand : pipe.loops) {
     const ir::DependenceResult dep = ir::analyze_dependences(strand);

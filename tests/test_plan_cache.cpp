@@ -402,7 +402,7 @@ TEST(PlanCacheJit, TheFirstRunAfterTheSumReachesTheEstimateQueuesOneCompile) {
   const std::shared_ptr<const JitKernel> kernel =
       cache->kernel_for_run(entry, RunOptions{});
   ASSERT_NE(kernel, nullptr);
-  JitRunCounters counters;
+  RunCounters counters;
   const ExecutionResult native =
       dispatch_resolved(*entry.plan, kernel, 20, RunOptions{}, &counters);
   EXPECT_EQ(counters.native.load(), 1u);
@@ -434,7 +434,7 @@ TEST(PlanCacheJit, TheSecondRunQueuesOneCompileAndTheThirdRunsNative) {
   const std::shared_ptr<const JitKernel> kernel =
       cache->kernel_for_run(entry, RunOptions{});
   ASSERT_NE(kernel, nullptr);
-  JitRunCounters counters;
+  RunCounters counters;
   const ExecutionResult native =
       dispatch_resolved(*entry.plan, kernel, 20, RunOptions{}, &counters);
   EXPECT_EQ(counters.native.load(), 1u);
@@ -494,6 +494,76 @@ TEST(PlanCacheJit, ARunTheKernelCannotServeDoesNotCount) {
   (void)cache->kernel_for_run(entry, RunOptions{});
   cache->wait_jit_idle();
   EXPECT_EQ(cache->stats().jit_compiles, 1u);
+}
+
+// ---- The measured comparison: a published kernel serves only once a
+// native run has beaten the entry's interpreted runs ----
+
+/// An entry of `cache` whose two interpreted runs took half an estimate
+/// each (`mean`: the publish moves the estimate, not the runs), and whose
+/// kernel the second run's successor compiled.
+struct OnTrial {
+  PlanCache::CachedPlan entry;
+  double mean = 0.0;
+};
+OnTrial entry_with_a_kernel_on_trial(PlanCache& cache, const Ddg& g) {
+  OnTrial t{cache.get_or_compile_jit(pattern_program(g, Machine{2, 2}, 20), g),
+            cache.expected_jit_compile_seconds() / 2};
+  interpreted_run(cache, t.entry, t.mean);
+  interpreted_run(cache, t.entry, t.mean);
+  EXPECT_EQ(cache.kernel_for_run(t.entry, RunOptions{}), nullptr);  // queues
+  cache.wait_jit_idle();
+  EXPECT_EQ(cache.stats().jit_compiles, 1u);
+  return t;
+}
+
+TEST(PlanCacheJit, ANativeRunFasterThanTheInterpretedMeanKeepsTheKernel) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const auto [entry, mean] = entry_with_a_kernel_on_trial(*cache, g);
+  // Slower runs short of the trial count leave it on trial; the first
+  // faster one keeps it, and no later run can drop it.
+  for (int i = 1; i < JitSlot::kNativeTrials; ++i) {
+    ASSERT_NE(cache->kernel_for_run(entry, RunOptions{}), nullptr);
+    cache->record_native_run(entry, 2 * mean);
+  }
+  ASSERT_NE(cache->kernel_for_run(entry, RunOptions{}), nullptr);
+  cache->record_native_run(entry, mean / 2);
+  for (int i = 0; i < 2 * JitSlot::kNativeTrials; ++i) {
+    cache->record_native_run(entry, 10 * mean);
+  }
+  const std::shared_ptr<const JitKernel> kernel =
+      cache->kernel_for_run(entry, RunOptions{});
+  ASSERT_NE(kernel, nullptr);
+  expect_matches_sequential(kernel->run_pooled(20, nullptr), g, 20);
+  EXPECT_EQ(cache->stats().jit_dropped, 0u);
+  EXPECT_EQ(cache->stats().jit_compiles, 1u);
+}
+
+TEST(PlanCacheJit, NativeRunsSlowerThanTheInterpretedMeanDropTheKernelForGood) {
+  const auto cache = jit_cache();
+  REQUIRE_JIT_CACHE(cache);
+  const Ddg g = workloads::fig7_loop();
+  const auto [entry, mean] = entry_with_a_kernel_on_trial(*cache, g);
+  for (int i = 0; i < JitSlot::kNativeTrials; ++i) {
+    ASSERT_NE(cache->kernel_for_run(entry, RunOptions{}), nullptr) << i;
+    cache->record_native_run(entry, mean);  // a tie does not beat the mean
+  }
+  EXPECT_EQ(cache->stats().jit_dropped, 1u);
+  // Dropped: every run interprets, however much the runs pay, and the
+  // entry never queues another compile or counts as deferred.
+  for (int i = 0; i < 4; ++i) {
+    interpreted_run(*cache, entry, cache->expected_jit_compile_seconds());
+  }
+  cache->record_native_run(entry, mean / 100);  // a stale native run
+  cache->wait_jit_idle();
+  const PlanCache::Stats s = cache->stats();
+  EXPECT_EQ(s.jit_compiles, 1u);
+  EXPECT_EQ(s.jit_in_flight, 0u);
+  EXPECT_EQ(s.jit_dropped, 1u);
+  EXPECT_EQ(s.jit_deferred_runs, 2u);  // the two runs before the compile
+  EXPECT_EQ(cache->kernel_for_run(entry, RunOptions{}), nullptr);
 }
 
 TEST(PlanCacheJit, PrewarmQueuesAtOnce) {

@@ -103,7 +103,9 @@ TEST(LoopGen, RenamedCopyIsStructurallyIdenticalButNamedDifferently) {
 }
 
 // The acceptance-criteria fuzz/differential test: >= 50 random programs,
-// three transports-of-execution, bit-identical results.
+// three transports-of-execution, each on both tiers (a default run goes
+// round-robin on one thread, a pinned one to a gang), bit-identical
+// results.
 TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
   constexpr std::uint64_t kPrograms = 50;
 
@@ -112,51 +114,68 @@ TEST(PlanServer, FuzzDifferentialDaemonVsInProcessVsSequential) {
   for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
     loops.push_back(generate_loop(seed));
   }
+  const auto tier = [](bool pin) { return pin ? "gang" : "one-thread"; };
 
   // Leg 1: the daemon, over the Unix socket (one connection, every Run
   // frame pipelined before the first reply is read).
   TestServer ts("ps_fuzz");
-  std::vector<ExecutionResult> via_daemon;
+  std::vector<ExecutionResult> via_daemon[2];
   {
     PlanClient client = PlanClient::connect(ts.server.socket_path());
-    std::vector<std::future<ExecutionResult>> runs;
+    std::vector<std::future<ExecutionResult>> runs[2];
     for (std::size_t i = 0; i < loops.size(); ++i) {
       const wire::SubmitProgramReply sub =
           client.submit_program(loops[i].program, loops[i].graph);
       EXPECT_EQ(sub.iterations, loops[i].iterations) << loops[i].tag;
-      runs.push_back(client.run_async(sub.program_id));  // compiled count
+      for (const bool pin : {false, true}) {
+        wire::RemoteRunOptions ropts;
+        ropts.pin_threads = pin;
+        runs[pin].push_back(  // compiled count
+            client.run_async(sub.program_id, 0, ropts));
+      }
     }
-    for (std::future<ExecutionResult>& r : runs) {
-      via_daemon.push_back(r.get());
+    for (const bool pin : {false, true}) {
+      for (std::future<ExecutionResult>& r : runs[pin]) {
+        via_daemon[pin].push_back(r.get());
+      }
+      ASSERT_EQ(via_daemon[pin].size(), loops.size());
     }
   }
-  ASSERT_EQ(via_daemon.size(), loops.size());
+  const wire::StatsReply stats = ts.server.stats();
+  EXPECT_EQ(stats.one_thread_runs, kPrograms);
+  EXPECT_EQ(stats.gang_runs, kPrograms);
 
   // Leg 2: the in-process plan service (local cache + pool).
   std::vector<BatchJob> jobs;
-  for (std::size_t i = 0; i < loops.size(); ++i) {
-    BatchJob job;
-    job.program = loops[i].program;
-    job.graph = loops[i].graph;
-    job.iterations = 0;
-    jobs.push_back(std::move(job));
+  for (const bool pin : {false, true}) {
+    for (std::size_t i = 0; i < loops.size(); ++i) {
+      BatchJob job;
+      job.program = loops[i].program;
+      job.graph = loops[i].graph;
+      job.iterations = 0;
+      job.ropts.pin_threads = pin;
+      jobs.push_back(std::move(job));
+    }
   }
   PlanCache cache(kPrograms + 8);
   WorkerPool pool;
   const BatchReport in_process = run_batch(jobs, cache, pool);
-  ASSERT_EQ(in_process.results.size(), loops.size());
+  ASSERT_EQ(in_process.results.size(), 2 * loops.size());
 
   // Leg 3: sequential reference — and the three-way bitwise comparison.
   for (std::size_t i = 0; i < loops.size(); ++i) {
     const GeneratedLoop& gl = loops[i];
     const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
-    EXPECT_TRUE(values_match(via_daemon[i], seq, gl.iterations))
-        << gl.tag << ": daemon vs sequential";
-    EXPECT_TRUE(values_match(in_process.results[i], seq, gl.iterations))
-        << gl.tag << ": in-process vs sequential";
-    EXPECT_TRUE(
-        values_match(via_daemon[i], in_process.results[i], gl.iterations))
-        << gl.tag << ": daemon vs in-process";
+    for (const bool pin : {false, true}) {
+      const ExecutionResult& local =
+          in_process.results[(pin ? loops.size() : 0) + i];
+      EXPECT_TRUE(values_match(via_daemon[pin][i], seq, gl.iterations))
+          << gl.tag << ": daemon vs sequential, " << tier(pin);
+      EXPECT_TRUE(values_match(local, seq, gl.iterations))
+          << gl.tag << ": in-process vs sequential, " << tier(pin);
+      EXPECT_TRUE(values_match(via_daemon[pin][i], local, gl.iterations))
+          << gl.tag << ": daemon vs in-process, " << tier(pin);
+    }
   }
 }
 
@@ -647,6 +666,45 @@ TEST(PlanServer, ProgramsSharingAProcessorIdGetAnErrorFrame) {
                            run_reference(gl.graph, gl.iterations),
                            gl.iterations));
   EXPECT_EQ(conn.runs_executed(), 1u);
+}
+
+TEST(PlanServer, ADeadlockingProgramGetsAnErrorFrameAtSubmit) {
+  // Accepted before the deadlock rule existed: a Run blocked its handler
+  // thread and the gang's workers for good, with nothing to cancel them.
+  TestServer ts("ps_deadlock");
+  RawConnection conn(ts.server.socket_path());
+  const testsupport::HandBuiltLoop l = testsupport::two_node_cross_wait();
+  const wire::Frame reply =
+      conn.call(wire::FrameType::SubmitProgram,
+                wire::encode_submit_program(l.program, l.graph, {}));
+  ASSERT_EQ(reply.type, wire::FrameType::Error);
+  EXPECT_NE(wire::decode_error(reply.payload)
+                .find("deadlock: PE0 waits at receive of B@1 from PE1, PE1 "
+                      "waits at receive of A@0 from PE0"),
+            std::string::npos)
+      << wire::decode_error(reply.payload);
+
+  // The connection keeps serving, on both tiers.
+  const GeneratedLoop gl = generate_loop(70);
+  const wire::Frame sub =
+      conn.call(wire::FrameType::SubmitProgram,
+                wire::encode_submit_program(gl.program, gl.graph, {}));
+  ASSERT_EQ(sub.type, wire::FrameType::SubmitProgramReply);
+  wire::RunRequest run;
+  run.program_id = wire::decode_submit_program_reply(sub.payload).program_id;
+  for (const bool pin : {false, true}) {
+    run.opts.pin_threads = pin;
+    const wire::Frame ran =
+        conn.call(wire::FrameType::Run, wire::encode_run(run));
+    ASSERT_EQ(ran.type, wire::FrameType::RunReply);
+    EXPECT_TRUE(values_match(wire::decode_run_reply(ran.payload),
+                             run_reference(gl.graph, gl.iterations),
+                             gl.iterations));
+  }
+  EXPECT_EQ(conn.runs_executed(), 2u);
+  const wire::StatsReply s = ts.server.stats();
+  EXPECT_EQ(s.one_thread_runs, 1u);
+  EXPECT_EQ(s.gang_runs, 1u);
 }
 
 /// Resident set of this process, in bytes.

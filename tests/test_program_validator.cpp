@@ -28,7 +28,7 @@ std::string verdict_class(const std::optional<std::string>& v) {
   for (const char* needle :
        {"share this processor id", "negative iteration",
         "duplicates the instance", "before operand", "before it is computed",
-        "multisets differ", "FIFO"}) {
+        "multisets differ", "FIFO", "deadlock"}) {
     if (v->find(needle) != std::string::npos) return needle;
   }
   return "other: " + *v;
@@ -110,6 +110,37 @@ TEST(ValidatorDifferential, ProcessorIdEditsGetTheReferenceVerdict) {
   for (const auto& [c, n] : classes) {
     EXPECT_EQ(c.rfind("other", 0), std::string::npos) << c;
   }
+}
+
+TEST(ValidatorDifferential, CrossWaitAndCircularForwardMutantsGetTheReferenceVerdict) {
+  // The two shapes of deadlock the first rules all pass: a receive
+  // hoisted ahead of the sends its peer waits for, and two processors
+  // forwarding one value in a circle.  Every circular forward deadlocks;
+  // a hoisted receive deadlocks only when its peer was waiting on it.  A
+  // program with no message (a Fold fallback) takes neither edit.
+  constexpr int kPrograms = 40;
+  constexpr int kMutantsPerProgram = 20;
+  std::map<std::string, int> cross_wait, circular;
+  int forwarded = 0;
+  for (std::uint64_t seed = 1; seed <= kPrograms; ++seed) {
+    const GeneratedLoop gl = testsupport::generate_loop(seed);
+    std::mt19937_64 rng(seed * 0xD1B54A32D192ED03ULL);
+    for (int m = 0; m < kMutantsPerProgram; ++m) {
+      const bool hoist = m % 2 == 0;
+      const PartitionedProgram p =
+          hoist ? testsupport::cross_wait_mutant(gl.program, rng)
+                : testsupport::circular_forward_mutant(gl.program, rng);
+      const auto got = find_program_violation(p, gl.graph);
+      const auto want = testsupport::reference_program_violation(p, gl.graph);
+      ASSERT_EQ(got, want) << gl.tag << " mutant " << m;
+      ++(hoist ? cross_wait : circular)[verdict_class(got)];
+      if (!hoist && !(p == gl.program)) ++forwarded;
+    }
+  }
+  EXPECT_GT(cross_wait["deadlock"], 0);
+  EXPECT_GT(cross_wait["well-formed"], 0);
+  EXPECT_GT(forwarded, kPrograms * kMutantsPerProgram / 4);
+  EXPECT_EQ(circular["deadlock"], forwarded);
 }
 
 }  // namespace

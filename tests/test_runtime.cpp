@@ -8,6 +8,7 @@
 #include "runtime/executor.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
+#include "support/loop_gen.hpp"
 #include "workloads/livermore.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
@@ -15,8 +16,9 @@
 namespace mimd {
 namespace {
 
-/// The central runtime property: a partitioned threaded execution computes
-/// bit-identical values to the sequential reference.
+/// The central runtime property: a partitioned execution computes
+/// bit-identical values to the sequential reference, on one thread and
+/// on a gang of real threads alike.
 void expect_threaded_matches_sequential(const Ddg& g, const Machine& m,
                                         std::int64_t n) {
   const CyclicSchedResult r = cyclic_sched(g, m);
@@ -34,6 +36,7 @@ void expect_threaded_matches_sequential(const Ddg& g, const Machine& m,
           << g.node(v).name << "@" << i;
     }
   }
+  EXPECT_EQ(testsupport::tiers_off_reference(compile(prog, g)), "");
 }
 
 TEST(Runtime, Fig7ThreadedMatchesSequential) {
@@ -56,6 +59,7 @@ TEST(Runtime, FullScheduleWithFlowPoolsExecutesCorrectly) {
   const std::int64_t n = 24;
   const FullSchedResult r = full_sched(g, m, n);
   const PartitionedProgram prog = lower(r.schedule, g);
+  EXPECT_EQ(testsupport::tiers_off_reference(compile(prog, g)), "");
   const ExecutionResult threaded = run_threaded(prog, g, n);
   const auto reference = run_sequential(g, n);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -70,6 +74,8 @@ TEST(Runtime, DoacrossProgramExecutesCorrectly) {
   const Ddg g = workloads::cytron86_loop();
   const Machine m{4, 2};
   const DoacrossResult doa = doacross(g, m, 16);
+  EXPECT_EQ(testsupport::tiers_off_reference(compile(lower(doa.schedule, g), g)),
+            "");
   const ExecutionResult threaded = run_threaded(lower(doa.schedule, g), g, 16);
   const auto reference = run_sequential(g, 16);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {

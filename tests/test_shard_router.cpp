@@ -374,17 +374,25 @@ TEST(ShardRouter, FuzzDifferentialFleetVsInProcessVsSequential) {
   }
   EXPECT_EQ(misses_before, distinct.size());
 
+  // The rerun asks for pinning, so every shard runs it on a gang: the
+  // first pass ran each program on one thread.  Both tiers must agree.
+  for (ShardJob& job : shard_jobs) job.run_opts.pin_threads = true;
   const std::vector<ExecutionResult> again = router.run_jobs(shard_jobs);
   for (std::size_t i = 0; i < loops.size(); ++i) {
-    EXPECT_TRUE(values_match(again[i], via_fleet[i], loops[i].iterations));
+    EXPECT_TRUE(values_match(again[i], via_fleet[i], loops[i].iterations))
+        << loops[i].tag << ": gang vs one-thread";
   }
-  std::uint64_t misses_after = 0, runs_total = 0;
+  std::uint64_t misses_after = 0, runs_total = 0, one_thread = 0, gang = 0;
   for (const ShardStatsRow& row : router.fleet_stats()) {
     misses_after += row.stats.cache.misses;
     runs_total += row.stats.runs_executed;
+    one_thread += row.stats.one_thread_runs;
+    gang += row.stats.gang_runs;
   }
   EXPECT_EQ(misses_after, misses_before) << "re-routing caused recompiles";
   EXPECT_EQ(runs_total, 2 * kPrograms);
+  EXPECT_EQ(one_thread, kPrograms);
+  EXPECT_EQ(gang, kPrograms);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "runtime/executor.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
+#include "support/loop_gen.hpp"
 #include "workloads/livermore.hpp"
 #include "workloads/paper_examples.hpp"
 #include "workloads/random_loops.hpp"
@@ -109,8 +110,10 @@ TEST(SlotReuse, RandomLoopsBitIdenticalUnderBothPolicies) {
   for (const std::uint64_t seed : {5u, 13u, 21u}) {
     const Ddg g = workloads::random_connected_cyclic_loop(seed);
     const std::int64_t n = 16;
-    expect_reuse_matches_sequential(pattern_program(g, Machine{4, 3}, n), g,
-                                    n);
+    EXPECT_EQ(testsupport::tiers_off_reference(
+                  compile(pattern_program(g, Machine{4, 3}, n), g)),
+              "")
+        << "seed " << seed;
   }
 }
 

@@ -196,6 +196,9 @@ TEST(Wire, ResultAndStatsRoundTrip) {
   s.jit_ineligible_runs = 6;
   s.jit_compile_estimate_us = 98765;
   s.jit_deferred_runs = 4;
+  s.one_thread_runs = 21;
+  s.gang_runs = 13;
+  s.jit_dropped_kernels = 3;
   const wire::StatsReply s_back =
       wire::decode_stats_reply(wire::encode_stats_reply(s));
   EXPECT_EQ(s_back.cache.hits, 10u);
@@ -216,6 +219,11 @@ TEST(Wire, ResultAndStatsRoundTrip) {
   EXPECT_EQ(s_back.jit_ineligible_runs, 6u);
   EXPECT_EQ(s_back.jit_compile_estimate_us, 98765u);
   EXPECT_EQ(s_back.jit_deferred_runs, 4u);
+  EXPECT_EQ(s_back.one_thread_runs, 21u);
+  EXPECT_EQ(s_back.gang_runs, 13u);
+  EXPECT_EQ(s_back.jit_dropped_kernels, 3u);
+  // Each field is a fixed 8 bytes, appended in declaration order.
+  EXPECT_EQ(wire::encode_stats_reply(s).size(), 27u * 8u);
 }
 
 TEST(Wire, ErrorRoundTrip) {

@@ -120,34 +120,36 @@ TEST(WorkerPool, ConcurrentGangsFromManyCallersComplete) {
 // ---- Pooled executor runs ----
 
 TEST(WorkerPool, PooledRunIsBitIdenticalToSpawnOnBothTransports) {
-  // A caller's pool and the process pool a pool-less run borrows give
-  // the same bytes.
+  // A caller's pool and the process pool a pool-less gang run borrows
+  // give the same bytes, and so does the one-thread run, which uses
+  // neither.
   const std::int64_t n = 40;
   const ExecutorPlan plan = fig7_plan(n);
   WorkerPool pool;
-  const ExecutionResult on_process_pool = plan.run(n);
+  const ExecutionResult on_process_pool = plan.run_gang(n);
 
   RunOptions pooled_opts;
   pooled_opts.pool = &pool;
-  const ExecutionResult pooled_first = plan.run(n, pooled_opts);
-  const ExecutionResult pooled_again = plan.run(n, pooled_opts);
+  const ExecutionResult pooled_first = plan.run_gang(n, pooled_opts);
+  const ExecutionResult pooled_again = plan.run_gang(n, pooled_opts);
 
   expect_identical(pooled_first, on_process_pool, n);
   expect_identical(pooled_again, on_process_pool, n);  // reuse: no change
-  EXPECT_EQ(pool.gangs_run(), 2u);
+  expect_identical(plan.run(n, pooled_opts), on_process_pool, n);
+  EXPECT_EQ(pool.gangs_run(), 2u);  // the default run took no gang
 }
 
 TEST(WorkerPool, PoolLessRunsShareTheProcessPool) {
-  // A run given no pool borrows the process pool: every run is one gang
-  // on it, and after the first run its workers are reused, not added.
+  // A gang run given no pool borrows the process pool: every run is one
+  // gang on it, and after the first run its workers are reused, not added.
   const std::int64_t n = 24;
   const ExecutorPlan plan = fig7_plan(n);
   WorkerPool& shared = process_pool();
   const std::uint64_t gangs_before = shared.gangs_run();
-  const ExecutionResult first = plan.run(n);
+  const ExecutionResult first = plan.run_gang(n);
   const std::size_t workers = shared.num_workers();
   EXPECT_GE(workers, plan.program().threads.size());
-  for (int r = 1; r < 20; ++r) expect_identical(plan.run(n), first, n);
+  for (int r = 1; r < 20; ++r) expect_identical(plan.run_gang(n), first, n);
   EXPECT_EQ(shared.gangs_run(), gangs_before + 20);
   EXPECT_EQ(shared.num_workers(), workers);
 }
@@ -171,7 +173,7 @@ TEST(WorkerPool, OnePoolServesManyPlansAndConcurrentRuns) {
       const Ddg& g = (d % 2 == 0) ? fig7.graph() : ll20;
       RunOptions opts;
       opts.pool = &pool;
-      const ExecutionResult res = plan.run(n, opts);
+      const ExecutionResult res = plan.run_gang(n, opts);
       const auto reference = run_sequential(g, n);
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         for (std::int64_t i = 0; i < n; ++i) {

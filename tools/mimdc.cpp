@@ -47,11 +47,12 @@
 //                 only.  After the run, prints per-shard occupancy, hit
 //                 rates, and hostile-tenant quota counters plus fleet
 //                 totals.
-//     --pin       pin compiled thread i to CPU (slice + i mod cores)
-//                 during --run/--batch execution (Linux; no-op
-//                 elsewhere).  Pinning is a run-time knob with no
-//                 meaning for emitted C, so outside --batch it always
-//                 implies --run
+//     --pin       run on a gang (one pool worker per compiled thread)
+//                 instead of round-robin on one thread, and pin compiled
+//                 thread i to CPU (slice + i mod cores) during
+//                 --run/--batch execution (Linux; no-op elsewhere).
+//                 Pinning is a run-time knob with no meaning for emitted
+//                 C, so outside --batch it always implies --run
 
 //     --no-check  with --c: skip the emitted sequential self-validation;
 //                 the artifact becomes a standalone timing benchmark
@@ -285,7 +286,8 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     // then fleet totals folded into the standard summary line.
     std::size_t pool_workers_total = 0, shards_alive = 0;
     std::uint64_t quota_trips = 0, quota_disconnects = 0, backoffs = 0;
-    std::uint64_t jit_native = 0, jit_interp = 0, jit_kernels = 0;
+    std::uint64_t jit_native = 0, jit_interp = 0, jit_kernels = 0,
+                  jit_dropped = 0, one_thread = 0, gang = 0;
     bool any_jit = false;
     std::ostringstream fleet;
     const std::vector<ShardStatsRow> rows = router.fleet_stats();
@@ -306,7 +308,8 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
                           static_cast<double>(lookups))
               << "%)";
       }
-      fleet << ", " << st.runs_executed << " runs, "
+      fleet << ", " << st.runs_executed << " runs (" << st.one_thread_runs
+            << " one-thread, " << st.gang_runs << " gang), "
             << (st.frame_quota_trips + st.registry_quota_trips)
             << " quota trips, " << st.quota_disconnects << " disconnects";
       if (st.jit_enabled != 0) {
@@ -314,8 +317,12 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
         jit_native += st.jit_native_runs;
         jit_interp += st.jit_interpreted_runs;
         jit_kernels += st.jit_compiles;
-        fleet << ", " << st.jit_native_runs << " jit-native runs";
+        jit_dropped += st.jit_dropped_kernels;
+        fleet << ", " << st.jit_native_runs << " jit-native runs, "
+              << st.jit_dropped_kernels << " kernels dropped";
       }
+      one_thread += st.one_thread_runs;
+      gang += st.gang_runs;
       fleet << "\n";
       cache_stats.hits += st.cache.hits;
       cache_stats.misses += st.cache.misses;
@@ -330,7 +337,8 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
     fleet << "fleet    : " << shards_alive << "/" << rows.size()
           << " shards alive, " << cache_stats.entries << " plans resident, "
           << quota_trips << " quota trips, " << quota_disconnects
-          << " quota disconnects, " << backoffs << " accept backoffs\n";
+          << " quota disconnects, " << backoffs << " accept backoffs, "
+          << one_thread << " one-thread / " << gang << " gang runs\n";
     fleet_report = fleet.str();
     workers_note = std::to_string(pool_workers_total) + " fleet workers on " +
                    std::to_string(shards_alive) + " shard(s)";
@@ -338,7 +346,8 @@ int run_batch_mode(const std::string& dir, int procs, int k, std::int64_t n,
       jit_note = std::to_string(jit_native) + " native / " +
                  std::to_string(jit_interp) +
                  " interpreted runs fleet-wide (" +
-                 std::to_string(jit_kernels) + " kernel compiles)";
+                 std::to_string(jit_kernels) + " kernel compiles, " +
+                 std::to_string(jit_dropped) + " dropped)";
     }
   } else {
     PlanCache::JitConfig jit_cfg;
@@ -587,20 +596,33 @@ int main(int argc, char** argv) {
                 << " slots (program id " << sub.program_id << ")\n";
       wire::RemoteRunOptions ropts;
       ropts.pin_threads = pin;
+      // The daemon picks the tier; its tier counters around the run name
+      // it, unless another client's run landed in between.
+      const wire::StatsReply before = client.stats();
       const ExecutionResult par =
           client.run(sub.program_id, r.normalized_iterations, ropts);
+      const wire::StatsReply stats = client.stats();
+      const std::uint64_t one_thread =
+          stats.one_thread_runs - before.one_thread_runs;
+      const std::uint64_t gang = stats.gang_runs - before.gang_runs;
+      const std::uint64_t native =
+          stats.jit_native_runs - before.jit_native_runs;
+      const char* tier = one_thread + gang + native != 1
+                             ? "tier unknown (other runs interleaved)"
+                         : one_thread == 1 ? "interpreted on one thread"
+                         : gang == 1       ? "interpreted on a gang"
+                                           : "jit-native kernel on a gang";
       const ExecutionResult reference =
           run_reference(r.normalized.graph, r.normalized_iterations);
       const bool ok = values_match(par, reference, r.normalized_iterations);
-      std::cout << "run      : via daemon " << connect_path << ", "
-                << sub.threads << " threads, " << sub.channels
+      std::cout << "run      : via daemon " << connect_path << ", " << tier
+                << ", " << sub.threads << " threads, " << sub.channels
                 << " channels, " << par.wall_seconds << " s, "
                 << (ok ? "bitwise match vs sequential" : "MISMATCH") << "\n";
       if (jit) {
         // The daemon owns the JIT decision; surface its counters so the
         // caller can tell whether this run (or a future warm one) is
         // native.
-        const wire::StatsReply stats = client.stats();
         if (stats.jit_enabled != 0) {
           std::cout << "jit      : " << stats.jit_native_runs << " native / "
                     << stats.jit_interpreted_runs
@@ -653,7 +675,11 @@ int main(int argc, char** argv) {
         const bool ok =
             values_match(par, reference, r.normalized_iterations);
         std::cout << "run      : "
-                  << (native ? "jit-native kernel" : "interpreted") << ", "
+                  << (native ? "jit-native kernel on a gang"
+                      : run_tier(ropts) == RunTier::OneThread
+                          ? "interpreted on one thread"
+                          : "interpreted on a gang")
+                  << ", "
                   << cp.threads.size() << " threads, "
                   << cp.channels.size() << " channels, " << par.wall_seconds
                   << " s, "

@@ -298,6 +298,9 @@ int print_stats(const std::string& endpoint) {
               << " connections accepted (" << s.connections_active
               << " active), " << s.programs_registered << " programs, "
               << s.runs_executed << " runs\n"
+              << "tiers    : " << s.one_thread_runs << " one-thread, "
+              << s.gang_runs << " gang, " << s.jit_native_runs
+              << " native runs\n"
               << "quotas   : " << s.frame_quota_trips << " frame-rate trips, "
               << s.registry_quota_trips << " registry trips, "
               << s.quota_disconnects << " disconnects, " << s.accept_backoffs
@@ -310,7 +313,8 @@ int print_stats(const std::string& endpoint) {
                 << " deferred until their plan's runs paid for a compile), "
                 << s.jit_compiles << " compiles ("
                 << s.jit_failures << " failed, " << s.jit_in_flight
-                << " in flight), compile estimate "
+                << " in flight, " << s.jit_dropped_kernels
+                << " dropped as slower than interpreted), compile estimate "
                 << s.jit_compile_estimate_us << " us\n";
     } else {
       std::cout << "jit      : disabled\n";

@@ -28,8 +28,10 @@ Tables (markdown):
     failed/attempted, each side's steal share, and each side's JIT
     compiles and native runs of all runs ("n/a" for records made before
     these were stored, and for traced runs, which print no summary line).
-    A pair whose two steal shares differ by more than 5 percentage points
-    is flagged: the host gave one side markedly less CPU than the other;
+    A pair is flagged when its two steal shares differ by more than 5
+    percentage points (the host gave one side markedly less CPU than the
+    other) or both exceed 5% (the host was slow for the whole pair, so
+    neither side measured the program alone);
   * per metric: each side's median [first quartile, third quartile]
     (linear interpolation between order statistics), how many pairs the
     change won, of all pairs and of the unflagged ones, the median change,
@@ -56,6 +58,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # fewer pairs never support a claim
 STEAL_GAP = 0.05  # a pair whose sides' steal shares differ by more is flagged
+STEAL_HIGH = 0.05  # and so is a pair whose sides both ran above this share
 
 
 def load_spec(root):
@@ -125,10 +128,11 @@ def steal_text(record):
 
 
 def steal_flagged(sides):
-    """True when both sides' steal shares are known and differ by more
-    than STEAL_GAP."""
+    """True when both sides' steal shares are known and either differ by
+    more than STEAL_GAP or both exceed STEAL_HIGH."""
     shares = [sides[side].get("steal") for side in SIDES]
-    return None not in shares and abs(shares[0] - shares[1]) > STEAL_GAP
+    return None not in shares and (abs(shares[0] - shares[1]) > STEAL_GAP
+                                   or min(shares) > STEAL_HIGH)
 
 
 # perfbench's untraced summary line (perfbench/src/main.cpp).
@@ -241,8 +245,9 @@ def tables(records, workload, specs):
     flagged = [str(seed) for seed, sides in seeds.items()
                if steal_flagged(sides)]
     lines.append("steal-flagged pairs (steal shares more than %.0f points "
-                 "apart): %s" % (100 * STEAL_GAP,
-                                 ", ".join(flagged) if flagged else "none"))
+                 "apart, or both above %.0f%%): %s" % (
+                     100 * STEAL_GAP, 100 * STEAL_HIGH,
+                     ", ".join(flagged) if flagged else "none"))
     for side in SIDES:
         failed, attempted = totals[side]
         lines.append("%s: %d of %d requests failed" % (side, failed, attempted))
@@ -392,8 +397,10 @@ def self_test():
             "jit_compiles": seed, "native_runs": 2 * seed, "runs": 100}
         records.append(canned(seed, "parent", order["parent"], parent_p99, 10.0,
                               steal=steal, plan_cache=counters))
-        # Seed 3's change side ran with 20% steal: its pair is flagged.
-        change_steal = 0.2 if seed == 3 else None if steal is None else steal / 2
+        # Seed 3's change side ran with 20% steal, and seed 9's sides both
+        # ran above 5% (9% and 7%): both pairs are flagged.
+        change_steal = (0.2 if seed == 3 else 0.07 if seed == 9
+                        else None if steal is None else steal / 2)
         records.append(canned(seed, "change", order["change"], change_p99, 8.0,
                               steal=change_steal,
                               plan_cache=None if counters is None else
@@ -442,15 +449,20 @@ def self_test():
     assert "| 0/100 , 0/100 | n/a , n/a | n/a ; n/a |" in text, text
     assert ("| steal (parent, change) | jit compiles, native/runs "
             "(parent; change) |") in text, text
-    # The flagged pair is counted in the verdict and left out of the
+    # The flagged pairs are counted in the verdict and left out of the
     # unflagged win count; seed 2, whose shares are unknown, is not flagged.
-    assert "| 9/10 | 8/9 | -46.4% | 4.3% | 25% | claim met |" in text, text
-    assert "| 0/10 | 0/9 | -20.0% | 0.0% | 25% | within bound |" in text, text
+    assert "| 9/10 | 7/8 | -46.4% | 4.3% | 25% | claim met |" in text, text
+    assert "| 0/10 | 0/8 | -20.0% | 0.0% | 25% | within bound |" in text, text
     assert "| 3.0% , 20.0% (flagged) |" in text, text
-    assert "| 10.0% , 5.0% |" in text, text  # 5 points apart: not flagged
-    assert "steal-flagged pairs (steal shares more than 5 points apart): 3" \
-        in text, text
+    assert "| 9.0% , 7.0% (flagged) |" in text, text  # both above 5%
+    # 5 points apart, and one side at exactly 5%: not flagged.
+    assert "| 10.0% , 5.0% |" in text, text
+    assert ("steal-flagged pairs (steal shares more than 5 points apart, or "
+            "both above 5%): 3, 9") in text, text
     assert not steal_flagged({"parent": {"steal": 0.3}, "change": {}})
+    assert steal_flagged({"parent": {"steal": 0.06}, "change": {"steal": 0.06}})
+    assert not steal_flagged({"parent": {"steal": 0.05},
+                              "change": {"steal": 0.05}})
     assert "parent: 0 of 1000 requests failed" in text
     assert [fmt(x) for x in (12345.6, 123.45, 1.5, 0.0, 0.000234)] == \
         ["12,346", "123.5", "1.500", "0.000", "0.000234"]
