@@ -94,7 +94,7 @@ void BM_Threaded(benchmark::State& state, const std::string& name) {
 
   for (auto _ : state) {
     const ExecutionResult res = plan.run(kIterations, opts);
-    benchmark::DoNotOptimize(res.values.data());
+    benchmark::DoNotOptimize(res);
   }
   state.counters["threads"] =
       static_cast<double>(plan.program().threads.size());
@@ -134,7 +134,7 @@ void BM_NativePooled(benchmark::State& state, const std::string& name) {
   }
   for (auto _ : state) {
     const ExecutionResult res = kernel.run_pooled(kIterations, &pool);
-    benchmark::DoNotOptimize(res.values.data());
+    benchmark::DoNotOptimize(res);
   }
   state.counters["threads"] = static_cast<double>(kernel.threads());
 }
@@ -145,7 +145,7 @@ void BM_Sequential(benchmark::State& state, const std::string& name) {
   kernel.work_per_cycle = kWorkPerCycle;
   for (auto _ : state) {
     const ExecutionResult res = run_reference(g, kIterations, kernel);
-    benchmark::DoNotOptimize(res.values.data());
+    benchmark::DoNotOptimize(res);
   }
 }
 

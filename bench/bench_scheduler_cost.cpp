@@ -310,10 +310,8 @@ ExecutionResult run_reply_input(const ParallelizeResult& r) {
 }
 
 void set_values_processed(benchmark::State& state, const ExecutionResult& res) {
-  std::int64_t values = 0;
-  for (const std::vector<double>& row : res.values) {
-    values += static_cast<std::int64_t>(row.size());
-  }
+  const auto values =
+      static_cast<std::int64_t>(res.values.size() * res.values.row_length());
   state.SetItemsProcessed(state.iterations() * values);
 }
 

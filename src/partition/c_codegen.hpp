@@ -68,8 +68,8 @@ enum class CArtifact {
   ///     per-call context that runs the compiled iterations, writing
   ///     every computed value to the row-major result matrix
   ///     `R[v * iterations + i]` (caller allocates nodes * iterations
-  ///     doubles, zero-filled so uncomputed entries match the interpreted
-  ///     executor's zero rows); NULL on a null R or allocation failure.
+  ///     zero-filled doubles: the JIT passes the run's own ResultBlock,
+  ///     runtime/kernels.hpp); NULL on a null R or allocation failure.
   ///     A run asks for exactly the compiled iterations, so the row
   ///     stride is that count, and every pre-loop value is the library's
   ///     initial_value(node), emitted as a literal;

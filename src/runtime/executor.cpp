@@ -1,5 +1,6 @@
 #include "runtime/executor.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 
@@ -26,15 +27,6 @@ void compute(const CompiledThread& t, const CompiledOp& op, const Ddg& g,
   const double v = synthetic_value(g, op.node, op.iter, operands, kernel);
   slots[op.slot] = v;
   res.values[op.node][static_cast<std::size_t>(op.iter)] = v;
-}
-
-/// Rows of zeros, one per node: entries no processor computes stay 0.0 on
-/// every tier.
-ExecutionResult zeroed_result(const Ddg& g, std::int64_t n) {
-  ExecutionResult res;
-  res.values.resize(g.num_nodes());
-  for (auto& v : res.values) v.assign(static_cast<std::size_t>(n), 0.0);
-  return res;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -67,7 +59,7 @@ ExecutionResult ExecutorPlan::run(std::int64_t n,
 ExecutionResult ExecutorPlan::run_one_thread(
     std::int64_t n, const KernelOptions& kernel) const {
   MIMD_EXPECTS(n == compiled_.iterations);
-  ExecutionResult res = zeroed_result(graph_, n);
+  ExecutionResult res{ResultBlock(graph_.num_nodes(), n)};
   const CompiledProgram& cp = compiled_;
   // Every channel is a FIFO range of one flat buffer, exactly its message
   // count long: channel c is written at sent[c] and read at received[c],
@@ -123,7 +115,7 @@ ExecutionResult ExecutorPlan::run_one_thread(
 ExecutionResult ExecutorPlan::run_gang(std::int64_t n,
                                        const RunOptions& opts) const {
   MIMD_EXPECTS(n == compiled_.iterations);
-  ExecutionResult res = zeroed_result(graph_, n);
+  ExecutionResult res{ResultBlock(graph_.num_nodes(), n)};
 
   // Channel construction stays outside the timed region (as the original
   // executor's map setup did); only the threaded execution is measured.
@@ -174,30 +166,26 @@ ExecutionResult run_threaded(const PartitionedProgram& prog, const Ddg& g,
 
 ExecutionResult run_reference(const Ddg& g, std::int64_t n,
                               const KernelOptions& opts) {
-  ExecutionResult res;
   const auto t0 = std::chrono::steady_clock::now();
-  res.values = run_sequential(g, n, opts);
+  ExecutionResult res{run_sequential(g, n, opts)};
   res.wall_seconds = seconds_since(t0);
   return res;
 }
 
 bool values_match(const ExecutionResult& a, const ExecutionResult& b,
                   std::int64_t n) {
-  if (a.values.size() != b.values.size()) return false;
+  // Rows shorter than n are a shape mismatch, not UB — results can arrive
+  // over the wire (mimdc --connect), so the oracle must not trust the
+  // peer to have sized them correctly.
+  const auto cells = static_cast<std::size_t>(n);
+  if (a.values.size() != b.values.size() ||
+      (!a.values.empty() && (a.values.row_length() < cells ||
+                             b.values.row_length() < cells))) {
+    return false;
+  }
   for (std::size_t v = 0; v < a.values.size(); ++v) {
-    // A row shorter than n is a shape mismatch, not UB — results can now
-    // arrive over the wire (mimdc --connect), so the oracle must not
-    // trust the peer to have sized them correctly.
-    if (a.values[v].size() < static_cast<std::size_t>(n) ||
-        b.values[v].size() < static_cast<std::size_t>(n)) {
-      return false;
-    }
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (a.values[v][static_cast<std::size_t>(i)] !=
-          b.values[v][static_cast<std::size_t>(i)]) {
-        return false;
-      }
-    }
+    const std::span<const double> row = a.values[v].first(cells);
+    if (!std::equal(row.begin(), row.end(), b.values[v].begin())) return false;
   }
   return true;
 }

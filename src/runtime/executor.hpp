@@ -33,8 +33,9 @@
 // (run_tier): no per-op work and no pinning.  Work per op is what makes
 // parallel execution pay, and pinning only means something for threads.
 //
-// Memory discipline of a gang (race freedom by construction):
-//  * results[v][i] is written by exactly the thread that computes (v, i);
+// Memory discipline (race freedom by construction):
+//  * a run writes its one result block (ResultBlock) in place, cell
+//    (v, i) by exactly the thread that computes (v, i);
 //  * a thread reads a slot only it wrote; every cross-thread operand
 //    arrives through a channel.
 // The channels provide the necessary happens-before edges (acquire/release
@@ -44,7 +45,6 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "graph/ddg.hpp"
 #include "partition/compiled_program.hpp"
@@ -54,8 +54,8 @@
 namespace mimd {
 
 struct ExecutionResult {
-  /// values[v][i] — only entries computed by some processor are defined.
-  std::vector<std::vector<double>> values;
+  /// values[v][i]: node v at iteration i < n; an uncomputed cell is 0.0.
+  ResultBlock values;
   double wall_seconds = 0.0;
 };
 

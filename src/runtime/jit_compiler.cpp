@@ -207,32 +207,13 @@ JitKernel::~JitKernel() {
   if (handle_ != nullptr) ::dlclose(handle_);
 }
 
-namespace {
-
-/// Unpack the kernel's row-major flat matrix into per-node rows.
-ExecutionResult unpack_flat(const std::vector<double>& flat,
-                            std::int64_t nodes, std::int64_t n) {
-  ExecutionResult res;
-  res.values.resize(static_cast<std::size_t>(nodes));
-  for (std::size_t v = 0; v < res.values.size(); ++v) {
-    const auto row =
-        flat.begin() +
-        static_cast<std::ptrdiff_t>(v * static_cast<std::size_t>(n));
-    res.values[v].assign(row, row + static_cast<std::ptrdiff_t>(n));
-  }
-  return res;
-}
-
-}  // namespace
-
 ExecutionResult JitKernel::run_pooled(std::int64_t n, WorkerPool* pool,
                                       bool pin_threads) const {
   MIMD_EXPECTS(n == iterations_);
-  // Zero-filled flat matrix: entries no processor computes stay 0.0,
-  // matching the interpreted executor's zero-resized rows bit for bit.
-  std::vector<double> flat(static_cast<std::size_t>(nodes_) *
-                           static_cast<std::size_t>(n));
-  void* ctx = ctx_create_(flat.data());
+  // The kernel writes the run's own block (R[v * n + i] is values[v][i]);
+  // cells no processor computes stay 0.0, as on the interpreted tiers.
+  ExecutionResult res{ResultBlock(static_cast<std::size_t>(nodes_), n)};
+  void* ctx = ctx_create_(res.values.data());
   if (ctx == nullptr) {
     throw JitError("native kernel rejected ctx_create");
   }
@@ -253,7 +234,6 @@ ExecutionResult JitKernel::run_pooled(std::int64_t n, WorkerPool* pool,
   if (bad.load(std::memory_order_relaxed) != 0) {
     throw JitError("native kernel rejected a run_on thread entry");
   }
-  ExecutionResult res = unpack_flat(flat, nodes_, n);
   res.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   return res;
 }

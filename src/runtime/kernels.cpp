@@ -37,11 +37,10 @@ double synthetic_value(const Ddg& g, NodeId v, std::int64_t iter,
   return acc;
 }
 
-std::vector<std::vector<double>> run_sequential(const Ddg& g, std::int64_t n,
-                                                const KernelOptions& opts) {
+ResultBlock run_sequential(const Ddg& g, std::int64_t n,
+                           const KernelOptions& opts) {
   MIMD_EXPECTS(n >= 0);
-  std::vector<std::vector<double>> out(g.num_nodes());
-  for (auto& v : out) v.assign(static_cast<std::size_t>(n), 0.0);
+  ResultBlock out(g.num_nodes(), n);
 
   const auto order = topo_order_intra(g);
   std::vector<double> operands;

@@ -876,7 +876,7 @@ void PlanServer::process_task(Task& t) {
           const wire::RunRequest req = wire::decode_run(t.frame.payload);
           const PlanCache::CachedPlan entry = lookup(req.program_id);
           const auto& plan = entry.plan;
-          const std::int64_t n = req.iterations > 0
+          const std::int64_t n = req.iterations != 0
                                      ? req.iterations
                                      : plan->program().iterations;
           check_reply_fits_frame(estimated_result_bytes(*plan, n));

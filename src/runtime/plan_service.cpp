@@ -114,7 +114,7 @@ BatchReport run_batch(const std::vector<BatchJob>& jobs, PlanCache& cache,
           cache.get_or_compile_jit(job.program, job.graph, job.copts);
       RunOptions opts = job.ropts;
       opts.pool = &pool;
-      const std::int64_t n = job.iterations > 0
+      const std::int64_t n = job.iterations != 0
                                  ? job.iterations
                                  : cached.plan->program().iterations;
       report.results[i] = run_cached(cache, cached, n, opts, &counters);

@@ -153,36 +153,6 @@ PartitionedProgram decode_program(Decoder& d) {
   return p;
 }
 
-void encode_result(Encoder& e, const ExecutionResult& r) {
-  e.u32(static_cast<std::uint32_t>(r.values.size()));
-  for (const std::vector<double>& vs : r.values) {
-    std::uint8_t* out = e.extend(4 + 8 * vs.size());
-    store_le(out, static_cast<std::uint32_t>(vs.size()));
-    out += 4;
-    for (const double v : vs) {
-      store_le(out, std::bit_cast<std::uint64_t>(v));
-      out += 8;
-    }
-  }
-  e.f64(r.wall_seconds);
-}
-
-ExecutionResult decode_result(Decoder& d) {
-  ExecutionResult r;
-  r.values.resize(d.count(4));
-  for (std::vector<double>& row : r.values) {
-    const std::uint32_t n = d.count(8);
-    const std::uint8_t* in = d.block(8 * std::size_t{n});
-    row.resize(n);
-    for (double& v : row) {
-      v = std::bit_cast<double>(load_le<std::uint64_t>(in));
-      in += 8;
-    }
-  }
-  r.wall_seconds = d.f64();
-  return r;
-}
-
 // ---------------------------------------------------------------------------
 // Messages
 
@@ -270,25 +240,56 @@ RunRequest decode_run(const std::vector<std::uint8_t>& payload) {
 }
 
 std::vector<std::uint8_t> encode_run_reply(const ExecutionResult& m) {
-  // Exact payload size: the row count, per row a count and 8 bytes per
-  // value, and the wall time.
-  std::size_t bytes = 4 + 8;
-  for (const std::vector<double>& vs : m.values) bytes += 4 + 8 * vs.size();
+  // The row count, per row its length and values, and the wall time,
+  // written into one allocation of exactly the payload's size.
+  const std::size_t n = m.values.row_length();
   Encoder e;
-  e.reserve(bytes);
-  encode_result(e, m);
+  e.reserve(4 + m.values.size() * (4 + 8 * n) + 8);
+  e.u32(static_cast<std::uint32_t>(m.values.size()));
+  for (std::size_t v = 0; v < m.values.size(); ++v) {
+    std::uint8_t* out = e.extend(4 + 8 * n);
+    store_le(out, static_cast<std::uint32_t>(n));
+    out += 4;
+    for (const double x : m.values[v]) {
+      store_le(out, std::bit_cast<std::uint64_t>(x));
+      out += 8;
+    }
+  }
+  e.f64(m.wall_seconds);
   return e.take();
 }
 
 ExecutionResult decode_run_reply(const std::vector<std::uint8_t>& payload) {
   Decoder d(payload);
-  ExecutionResult r = decode_result(d);
+  // Every row must have the first row's length, and the payload must hold
+  // them all: both are checked before the block is allocated.
+  const std::uint32_t rows = d.count(4);
+  const std::size_t n = rows == 0 ? 0 : d.count(8);
+  const std::size_t stride = 4 + 8 * n;
+  if (rows > (d.remaining() + 4) / stride) {
+    throw WireError("row count times row length exceeds payload size");
+  }
+  const std::uint8_t* in = rows == 0 ? nullptr : d.block(rows * stride - 4);
+  for (std::size_t v = 1; v < rows; ++v) {
+    if (load_le<std::uint32_t>(in + v * stride - 4) != n) {
+      throw WireError("result rows differ in length");
+    }
+  }
+  ExecutionResult r{ResultBlock(rows, n)};
+  for (std::size_t v = 0; v < rows; ++v, in += stride) {
+    const std::span<double> row = r.values[v];
+    for (std::size_t i = 0; i < n; ++i) {
+      row[i] = std::bit_cast<double>(load_le<std::uint64_t>(in + 8 * i));
+    }
+  }
+  r.wall_seconds = d.f64();
   d.expect_done();
   return r;
 }
 
 std::vector<std::uint8_t> encode_stats_reply(const StatsReply& m) {
   Encoder e;
+  e.reserve(27 * 8);  // the 27 u64s below; avoids a GCC 12 false -Warray-bounds
   e.u64(m.cache.hits);
   e.u64(m.cache.misses);
   e.u64(m.cache.evictions);

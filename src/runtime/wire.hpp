@@ -222,9 +222,6 @@ void encode_ddg(Encoder& e, const Ddg& g);
 void encode_program(Encoder& e, const PartitionedProgram& p);
 [[nodiscard]] PartitionedProgram decode_program(Decoder& d);
 
-void encode_result(Encoder& e, const ExecutionResult& r);
-[[nodiscard]] ExecutionResult decode_result(Decoder& d);
-
 // ---------------------------------------------------------------------------
 // Messages
 

@@ -170,7 +170,7 @@ PartitionedProgram decode_program(Decoder& d) {
   return p;
 }
 
-void encode_result(Encoder& e, const ExecutionResult& r) {
+void encode_result(Encoder& e, const Rows& r) {
   e.u32(static_cast<std::uint32_t>(r.values.size()));
   for (const std::vector<double>& vs : r.values) {
     e.u32(static_cast<std::uint32_t>(vs.size()));
@@ -179,8 +179,8 @@ void encode_result(Encoder& e, const ExecutionResult& r) {
   e.f64(r.wall_seconds);
 }
 
-ExecutionResult decode_result(Decoder& d) {
-  ExecutionResult r;
+Rows decode_result(Decoder& d) {
+  Rows r;
   const std::uint32_t nodes = d.count(4);
   r.values.resize(nodes);
   for (std::uint32_t v = 0; v < nodes; ++v) {
@@ -217,15 +217,15 @@ wire::SubmitProgramRequest decode_submit_program(
   return m;
 }
 
-std::vector<std::uint8_t> encode_run_reply(const ExecutionResult& m) {
+std::vector<std::uint8_t> encode_run_reply(const Rows& m) {
   Encoder e;
   encode_result(e, m);
   return e.take();
 }
 
-ExecutionResult decode_run_reply(const std::vector<std::uint8_t>& payload) {
+Rows decode_run_reply(const std::vector<std::uint8_t>& payload) {
   Decoder d(payload);
-  ExecutionResult r = decode_result(d);
+  Rows r = decode_result(d);
   d.expect_done();
   return r;
 }

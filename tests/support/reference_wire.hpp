@@ -5,6 +5,9 @@
 // WireDifferential suite (tests/test_wire.cpp): both codecs must write
 // the same bytes, read back equal structures, and accept or reject the
 // same truncated and mutated payloads.  Kept verbatim; do not speed it up.
+// A RunReply is read into and written from the reference's own rows
+// (Rows below), each of its own length: the runtime's ResultBlock cannot
+// hold rows that differ, and the differential must see such payloads.
 #pragma once
 
 #include <cstddef>
@@ -61,12 +64,19 @@ class Decoder {
   std::size_t pos_ = 0;
 };
 
+/// A RunReply as the bytewise codec reads it: one row per node, each of
+/// its own length.
+struct Rows {
+  std::vector<std::vector<double>> values;
+  double wall_seconds = 0.0;
+};
+
 void encode_ddg(Encoder& e, const Ddg& g);
 [[nodiscard]] Ddg decode_ddg(Decoder& d);
 void encode_program(Encoder& e, const PartitionedProgram& p);
 [[nodiscard]] PartitionedProgram decode_program(Decoder& d);
-void encode_result(Encoder& e, const ExecutionResult& r);
-[[nodiscard]] ExecutionResult decode_result(Decoder& d);
+void encode_result(Encoder& e, const Rows& r);
+[[nodiscard]] Rows decode_result(Decoder& d);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_submit_program(
     const PartitionedProgram& program, const Ddg& graph,
@@ -74,9 +84,7 @@ void encode_result(Encoder& e, const ExecutionResult& r);
 [[nodiscard]] wire::SubmitProgramRequest decode_submit_program(
     const std::vector<std::uint8_t>& payload);
 
-[[nodiscard]] std::vector<std::uint8_t> encode_run_reply(
-    const ExecutionResult& m);
-[[nodiscard]] ExecutionResult decode_run_reply(
-    const std::vector<std::uint8_t>& payload);
+[[nodiscard]] std::vector<std::uint8_t> encode_run_reply(const Rows& m);
+[[nodiscard]] Rows decode_run_reply(const std::vector<std::uint8_t>& payload);
 
 }  // namespace mimd::testsupport::reference_wire

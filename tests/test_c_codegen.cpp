@@ -150,7 +150,7 @@ TEST(CCodegen, DoacrossProgramSelfValidates) {
 // fuzz suite and the mimdd integration tests draw from), each emitted and
 // each binary's internal recompute asserting the bitwise match.  Exercises channels, slot reuse, and steady-state rolling
 // on irregular programs no hand-written case would cover.
-TEST(CCodegen, RandomLoopsSelfValidateUnderBothTransports) {
+TEST(CCodegen, RandomLoopsSelfValidate) {
   if (!have_c_toolchain()) GTEST_SKIP() << "no C toolchain available";
   for (const std::uint64_t seed : {3u, 7u, 19u}) {
     const testsupport::GeneratedLoop gl = testsupport::generate_loop(seed);
@@ -232,7 +232,7 @@ TEST(CCodegen, RolledProgramSelfValidates) {
   EXPECT_EQ(compile_and_run(src, "fig7_rolled"), 0);
 }
 
-TEST(CCodegen, RolledLivermoreProgramSelfValidatesOnBothTransports) {
+TEST(CCodegen, RolledLivermoreProgramSelfValidates) {
   if (!have_c_toolchain()) GTEST_SKIP() << "no C toolchain available";
   const Ddg g = workloads::livermore18_loop();
   const Machine m{4, 2};
@@ -338,7 +338,7 @@ TEST(CCodegen, NoCheckModeEmitsATimingHarnessInsteadOfTheRecompute) {
   EXPECT_NE(src.find("pe1_main"), std::string::npos);
 }
 
-TEST(CCodegen, NoCheckProgramCompilesAndRunsOnBothTransports) {
+TEST(CCodegen, NoCheckProgramCompilesAndRuns) {
   if (!have_c_toolchain()) GTEST_SKIP() << "no C toolchain available";
   const Ddg g = workloads::fig7_loop();
   const CompiledProgram cp = pattern_compiled(g, Machine{2, 2}, 24);

@@ -26,8 +26,7 @@ PartitionedProgram fig7_program(const Ddg& g, std::int64_t n) {
   return lower(materialize(*r.pattern, m.processors, n), g);
 }
 
-void expect_equal_values(const ExecutionResult& a,
-                         const std::vector<std::vector<double>>& b,
+void expect_equal_values(const ExecutionResult& a, const ResultBlock& b,
                          std::int64_t n) {
   ASSERT_EQ(a.values.size(), b.size());
   for (std::size_t v = 0; v < b.size(); ++v) {
@@ -240,7 +239,7 @@ TEST(ExecutorPlan, RepeatedRunsAreBitIdentical) {
   }
 }
 
-TEST(ExecutorPlan, BothTransportsMatchSequential) {
+TEST(ExecutorPlan, BothTiersMatchSequential) {
   const Ddg g = workloads::ll20_discrete_ordinates();
   const Machine m{3, 2};
   const std::int64_t n = 30;
@@ -251,7 +250,7 @@ TEST(ExecutorPlan, BothTransportsMatchSequential) {
   EXPECT_EQ(testsupport::tiers_off_reference(plan), "");
 }
 
-TEST(ExecutorPlan, RandomLoopsMatchOnBothTransports) {
+TEST(ExecutorPlan, RandomLoopsMatchOnBothTiers) {
   for (const std::uint64_t seed : {3u, 12u, 19u}) {
     const Ddg g = workloads::random_connected_cyclic_loop(seed);
     const Machine m{4, 3};

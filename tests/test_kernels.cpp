@@ -50,7 +50,7 @@ TEST(RunSequential, ShapesMatchGraphAndIterations) {
   const Ddg g = workloads::cytron86_loop();
   const auto out = run_sequential(g, 9);
   ASSERT_EQ(out.size(), g.num_nodes());
-  for (const auto& row : out) EXPECT_EQ(row.size(), 9u);
+  for (std::size_t v = 0; v < out.size(); ++v) EXPECT_EQ(out[v].size(), 9u);
 }
 
 TEST(RunSequential, RecurrenceActuallyEvolves) {

@@ -29,6 +29,7 @@
 #include "runtime/executor.hpp"
 #include "runtime/plan_client.hpp"
 #include "support/loop_gen.hpp"
+#include "workloads/paper_examples.hpp"
 
 namespace mimd {
 namespace {
@@ -155,7 +156,10 @@ TEST(MimddIntegration, ConcurrentClientsRenamedCopiesCostExactlyOneMiss) {
 // the daemon expects a compile to take; the next run queues the
 // background compile, and once it publishes the same program's runs bump
 // the native counter and stay byte-identical to the local sequential
-// reference.
+// reference.  The structure is cytron86 at p = 2, n = 2,048: a one-thread
+// run takes hundreds of microseconds, so a few hundred runs pay for the
+// compile, and its native kernel beats the one-thread run, so the trial
+// keeps it for the warm run at the end.
 TEST(MimddIntegration, WarmDaemonServesNativeRunsWithIdenticalBytes) {
   REQUIRE_DAEMON();
   PlanClient client = PlanClient::connect(daemon_socket(), kTimeoutMs);
@@ -164,10 +168,12 @@ TEST(MimddIntegration, WarmDaemonServesNativeRunsWithIdenticalBytes) {
     GTEST_SKIP() << "daemon reports jit disabled (no usable toolchain, or "
                     "built with MIMD_ENABLE_JIT=OFF)";
   }
-  const GeneratedLoop gl = generate_loop(1050);
-  const ExecutionResult seq = run_reference(gl.graph, gl.iterations);
-  const std::uint64_t id =
-      client.submit_program(gl.program, gl.graph).program_id;
+  const testsupport::HotProgram hp =
+      testsupport::hot_program(workloads::cytron86_loop(), 2, 2048);
+  const wire::SubmitProgramReply sub =
+      client.submit_program(hp.program, hp.graph);
+  const std::uint64_t id = sub.program_id;
+  const ExecutionResult seq = run_reference(hp.graph, sub.iterations);
 
   // Serve the structure until a run comes back native: its interpreted
   // runs add up to the daemon's compile-time estimate, the next run queues
@@ -182,7 +188,7 @@ TEST(MimddIntegration, WarmDaemonServesNativeRunsWithIdenticalBytes) {
          now.jit_failures == before.jit_failures &&
          std::chrono::steady_clock::now() < deadline) {
     const ExecutionResult r = client.run(id);
-    EXPECT_TRUE(values_match(r, seq, gl.iterations)) << "run " << runs;
+    EXPECT_TRUE(values_match(r, seq, sub.iterations)) << "run " << runs;
     ++runs;
     now = client.stats();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -196,7 +202,7 @@ TEST(MimddIntegration, WarmDaemonServesNativeRunsWithIdenticalBytes) {
   EXPECT_GE(runs, 2);  // a plan's first run never compiles
 
   const ExecutionResult warm = client.run(id);
-  EXPECT_TRUE(values_match(warm, seq, gl.iterations));
+  EXPECT_TRUE(values_match(warm, seq, sub.iterations));
   const wire::StatsReply after = client.stats();
   EXPECT_GE(after.jit_native_runs - now.jit_native_runs, 1u);
 }

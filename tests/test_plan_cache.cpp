@@ -694,6 +694,19 @@ TEST(PlanService, BatchIterationsDefaultToTheCompiledCount) {
   expect_matches_sequential(report.results[0], g, 16);
 }
 
+TEST(PlanService, BatchRefusesANegativeIterationCount) {
+  // Only 0 means "the compiled count"; -1 must equal it like any other.
+  const Ddg g = workloads::fig7_loop();
+  std::vector<BatchJob> jobs(1);
+  jobs[0].program = pattern_program(g, Machine{2, 2}, 16);
+  jobs[0].graph = g;
+  jobs[0].iterations = -1;
+
+  PlanCache cache;
+  WorkerPool pool;
+  EXPECT_THROW((void)run_batch(jobs, cache, pool, 1), ContractViolation);
+}
+
 TEST(PlanService, BatchRethrowsTheFirstCompileError) {
   const Ddg g = workloads::fig7_loop();
   std::vector<BatchJob> jobs(2);

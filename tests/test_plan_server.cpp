@@ -490,6 +490,23 @@ TEST(PlanServer, ErrorFramesKeepTheConnectionUsable) {
   EXPECT_TRUE(values_match(r, seq, gl.iterations));
 }
 
+TEST(PlanServer, ANegativeIterationCountGetsAnErrorFrame) {
+  // Only 0 means "the compiled count": -1 is a mismatch like any other,
+  // refused before it runs, and the connection keeps serving.
+  TestServer ts("ps_negative_n");
+  PlanClient client = PlanClient::connect(ts.server.socket_path());
+  const GeneratedLoop gl = generate_loop(69);
+  const std::uint64_t id =
+      client.submit_program(gl.program, gl.graph).program_id;
+  EXPECT_THROW((void)client.run(id, -1), RemoteError);
+  EXPECT_EQ(client.stats().runs_executed, 0u);
+
+  const ExecutionResult r = client.run(id);
+  EXPECT_TRUE(values_match(r, run_reference(gl.graph, gl.iterations),
+                           gl.iterations));
+  EXPECT_EQ(client.stats().runs_executed, 1u);
+}
+
 TEST(PlanServer, FrameTypeThreeGetsAnErrorFrameAndRunsStillServe) {
   // Frame type 3 is unassigned: an Error frame echoing the request id,
   // and the connection stays usable for a Run.

@@ -6,6 +6,8 @@
 #include "baseline/sequential.hpp"
 #include "partition/lowering.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/jit_compiler.hpp"
+#include "runtime/wire.hpp"
 #include "schedule/cyclic_sched.hpp"
 #include "schedule/full_sched.hpp"
 #include "support/loop_gen.hpp"
@@ -112,6 +114,40 @@ TEST(Runtime, ZeroIterationsRunsCleanly) {
   empty.programs[1].proc = 1;
   const ExecutionResult r = run_threaded(empty, g, 0);
   EXPECT_EQ(r.values.size(), g.num_nodes());
+}
+
+/// `r` holds one row-major nodes x n block: row v starts v * n cells
+/// after row 0 and is n cells long.
+void expect_one_block(const ExecutionResult& r, std::size_t nodes,
+                      std::size_t n, const std::string& what) {
+  ASSERT_EQ(r.values.size(), nodes) << what;
+  for (std::size_t v = 0; v < nodes; ++v) {
+    EXPECT_EQ(r.values[v].data(), r.values[0].data() + v * n)
+        << what << ", row " << v;
+    EXPECT_EQ(r.values[v].size(), n) << what << ", row " << v;
+  }
+}
+
+TEST(Runtime, EveryTierWritesOneRowMajorBlock) {
+  const testsupport::HotProgram hp =
+      testsupport::hot_program(workloads::cytron86_loop(), 2, 64);
+  const ExecutorPlan plan = compile(hp.program, hp.graph);
+  const std::int64_t n = plan.program().iterations;
+  const std::size_t nodes = plan.graph().num_nodes();
+  const auto cells = static_cast<std::size_t>(n);
+  expect_one_block(plan.run_one_thread(n), nodes, cells, "one-thread run");
+  expect_one_block(plan.run_gang(n), nodes, cells, "gang run");
+  expect_one_block(run_reference(plan.graph(), n), nodes, cells,
+                   "run_reference");
+  expect_one_block(
+      wire::decode_run_reply(wire::encode_run_reply(plan.run(n))), nodes,
+      cells, "decoded reply");
+  if (!jit_available()) {
+    GTEST_SKIP() << "native run not checked, jit unavailable: "
+                 << jit_unavailable_reason();
+  }
+  expect_one_block(jit_compile(plan, JitOptions{})->run_pooled(n, nullptr),
+                   nodes, cells, "native run");
 }
 
 }  // namespace

@@ -99,14 +99,14 @@ TEST(SlotReuse, ReusedSlotsStayInBoundsAndOperandsResolve) {
   }
 }
 
-TEST(SlotReuse, ExecutionBitIdenticalToSequentialWithReuseOnAndOff) {
+TEST(SlotReuse, ExecutionBitIdenticalToSequential) {
   const Ddg g = workloads::fig7_loop();
   const std::int64_t n = 48;
   expect_reuse_matches_sequential(pattern_program(g, Machine{2, 2}, n), g,
                                   n);
 }
 
-TEST(SlotReuse, RandomLoopsBitIdenticalUnderBothPolicies) {
+TEST(SlotReuse, RandomLoopsBitIdenticalOnBothTiers) {
   for (const std::uint64_t seed : {5u, 13u, 21u}) {
     const Ddg g = workloads::random_connected_cyclic_loop(seed);
     const std::int64_t n = 16;
@@ -117,7 +117,7 @@ TEST(SlotReuse, RandomLoopsBitIdenticalUnderBothPolicies) {
   }
 }
 
-TEST(SlotReuse, FullScheduleWorkloadsBitIdenticalUnderBothPolicies) {
+TEST(SlotReuse, FullScheduleWorkloadsBitIdenticalToSequential) {
   const Ddg g = workloads::livermore18_loop();
   const std::int64_t n = 24;
   const FullSchedResult r = full_sched(g, Machine{4, 2}, n);

@@ -163,8 +163,11 @@ TEST(Wire, RunAndBatchRoundTrip) {
 }
 
 TEST(Wire, ResultAndStatsRoundTrip) {
-  ExecutionResult r;
-  r.values = {{1.0, 2.5, -3.75}, {}, {0.0625}};
+  ExecutionResult r{ResultBlock(3, 2)};
+  r.values[0][0] = 1.0;
+  r.values[0][1] = 2.5;
+  r.values[1][0] = -3.75;
+  r.values[2][1] = 0.0625;
   r.wall_seconds = 0.125;
   const ExecutionResult r_back =
       wire::decode_run_reply(wire::encode_run_reply(r));
@@ -589,12 +592,10 @@ TEST(Wire, LargeFrameSurvivesPartialSocketWrites) {
   // A frame bigger than any socket buffer exercises the send/recv loops'
   // partial-transfer handling; reader runs concurrently so the writer
   // cannot deadlock on a full buffer.
-  ExecutionResult big;
-  big.values.resize(64);
+  ExecutionResult big{ResultBlock(64, 4096)};
   std::mt19937_64 rng(7);
-  for (auto& vs : big.values) {
-    vs.resize(4096);
-    for (auto& v : vs) v = static_cast<double>(rng()) / 3.0;
+  for (std::size_t v = 0; v < big.values.size(); ++v) {
+    for (double& x : big.values[v]) x = static_cast<double>(rng()) / 3.0;
   }
   const auto payload = wire::encode_run_reply(big);
   int fds[2];
@@ -608,6 +609,43 @@ TEST(Wire, LargeFrameSurvivesPartialSocketWrites) {
   EXPECT_EQ(back.values, big.values);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+/// Why decode_run_reply refused `payload` ("accepted" if it did not).
+std::string reply_refusal(const std::vector<std::uint8_t>& payload) {
+  try {
+    (void)wire::decode_run_reply(payload);
+  } catch (const WireError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(Wire, RunReplyWithRowsOfDifferentLengthsIsRefusedBeforeAllocating) {
+  // Three values, then two: the payload holds both rows, and the 2 x 3
+  // block the first row implies fits in it, so only the length check can
+  // refuse it — and it runs before the block is allocated.
+  Encoder e;
+  e.u32(2);
+  e.u32(3);
+  for (int i = 0; i < 3; ++i) e.f64(1.0);
+  e.u32(2);
+  for (int i = 0; i < 2; ++i) e.f64(2.0);
+  e.f64(0.5);
+  EXPECT_EQ(reply_refusal(e.bytes()), "result rows differ in length");
+}
+
+TEST(Wire, RunReplyLargerThanItsPayloadIsRefusedBeforeAllocating) {
+  // 2^19 rows of 2^18 values (a 1 TiB block) in a 2 MiB payload that
+  // holds the first row: the row count and the first row's length each
+  // pass their own count() guard, their product does not.
+  Encoder e;
+  e.u32(1u << 19);
+  e.u32(1u << 18);
+  for (std::uint32_t i = 0; i < (1u << 18); ++i) e.f64(0.0);
+  e.f64(0.0);
+  EXPECT_EQ(reply_refusal(e.bytes()),
+            "row count times row length exceeds payload size");
 }
 
 // ---- WireDifferential: the codec against the frozen bytewise one ----
@@ -654,7 +692,17 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-bool same_result(const ExecutionResult& a, const ExecutionResult& b) {
+/// The reference codec's rows of a block: what its encoder writes.
+ref::Rows rows_of(const ExecutionResult& r) {
+  ref::Rows rows;
+  for (std::size_t v = 0; v < r.values.size(); ++v) {
+    rows.values.emplace_back(r.values[v].begin(), r.values[v].end());
+  }
+  rows.wall_seconds = r.wall_seconds;
+  return rows;
+}
+
+bool same_result(const ref::Rows& a, const ref::Rows& b) {
   return std::equal(a.values.begin(), a.values.end(), b.values.begin(),
                     b.values.end(),
                     [](const std::vector<double>& x,
@@ -667,7 +715,8 @@ bool same_result(const ExecutionResult& a, const ExecutionResult& b) {
 
 /// A result whose rows mix random bit patterns with the values a bytewise
 /// codec is most likely to mangle: NaNs with payloads (quiet and
-/// signalling, both signs), -0.0, denormals and infinities.
+/// signalling, both signs), -0.0, denormals and infinities.  Its rows all
+/// have one length, as every result's do.
 ExecutionResult special_result(std::mt19937_64& rng) {
   static constexpr std::uint64_t kSpecial[] = {
       0x7FF8DEADBEEF0001ull,  // quiet NaN with a payload
@@ -682,11 +731,10 @@ ExecutionResult special_result(std::mt19937_64& rng) {
     return std::bit_cast<double>(
         rng() % 3 == 0 ? kSpecial[rng() % std::size(kSpecial)] : rng());
   };
-  ExecutionResult r;
-  r.values.resize(rng() % 6);
-  for (std::vector<double>& row : r.values) {
-    row.resize(rng() % 40);
-    for (double& v : row) v = draw();
+  const std::size_t rows = rng() % 6;
+  ExecutionResult r{ResultBlock(rows, rng() % 40)};
+  for (std::size_t v = 0; v < rows; ++v) {
+    for (double& x : r.values[v]) x = draw();
   }
   r.wall_seconds = draw();
   return r;
@@ -719,15 +767,26 @@ bool expect_same_submit_verdict(const std::vector<std::uint8_t>& payload,
   return ours.has_value();
 }
 
+/// A reply's verdicts differ only where the reference reads rows of
+/// different lengths, which no block holds: wherever the reference accepts
+/// a payload, ours accepts it exactly when every row has the same length,
+/// and then reads the same bits; wherever the reference rejects it, so
+/// does ours.
 bool expect_same_reply_verdict(const std::vector<std::uint8_t>& payload,
                                const std::string& what) {
   const auto ours = verdict(
       [](const auto& p) { return wire::decode_run_reply(p); }, payload);
   const auto theirs = verdict(
       [](const auto& p) { return ref::decode_run_reply(p); }, payload);
-  EXPECT_EQ(ours.has_value(), theirs.has_value()) << what;
+  const bool rectangular =
+      theirs && std::all_of(theirs->values.begin(), theirs->values.end(),
+                            [&](const std::vector<double>& row) {
+                              return row.size() ==
+                                     theirs->values.front().size();
+                            });
+  EXPECT_EQ(ours.has_value(), rectangular) << what;
   if (ours && theirs) {
-    EXPECT_TRUE(same_result(*ours, *theirs)) << what;
+    EXPECT_TRUE(same_result(rows_of(*ours), *theirs)) << what;
   }
   return ours.has_value();
 }
@@ -758,11 +817,21 @@ TEST(WireDifferential, RunReplyPayloadsMatchTheBytewiseCodec) {
   for (int i = 0; i < 500; ++i) {
     const ExecutionResult r = special_result(rng);
     const auto ours = wire::encode_run_reply(r);
-    ASSERT_EQ(ours, ref::encode_run_reply(r)) << "result " << i;
+    ASSERT_EQ(ours, ref::encode_run_reply(rows_of(r))) << "result " << i;
     EXPECT_EQ(ours.capacity(), ours.size()) << "result " << i;
     const ExecutionResult back = wire::decode_run_reply(ours);
-    EXPECT_TRUE(same_result(back, ref::decode_run_reply(ours))) << "result " << i;
-    EXPECT_TRUE(same_result(back, r)) << "result " << i;
+    EXPECT_TRUE(same_result(rows_of(back), ref::decode_run_reply(ours)))
+        << "result " << i;
+    EXPECT_TRUE(same_result(rows_of(back), rows_of(r))) << "result " << i;
+    EXPECT_TRUE(expect_same_reply_verdict(ours, "result " + std::to_string(i)));
+    // The same rows with one a value shorter: the reference reads them,
+    // and ours refuses them.
+    if (r.values.size() >= 2 && r.values.row_length() >= 1) {
+      ref::Rows ragged = rows_of(r);
+      ragged.values[rng() % ragged.values.size()].pop_back();
+      EXPECT_FALSE(expect_same_reply_verdict(
+          ref::encode_run_reply(ragged), "ragged result " + std::to_string(i)));
+    }
   }
 }
 
